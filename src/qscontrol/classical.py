@@ -87,9 +87,6 @@ class RiccatiSolution:
         self.times = np.asarray(self.times, dtype=float)
         self.gains = np.asarray(self.gains, dtype=float)
 
-    def at_index(self, k):
-        return self.gains[k]
-
     def initial(self):
         return self.gains[0]
 

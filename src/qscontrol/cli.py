@@ -22,6 +22,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -577,11 +578,12 @@ def _run_rf_riccati(config, outputs, out_dir):
     from .rf import (
         PLANAR_BROWNIAN,
         FOCK_VACUUM,
-        RfProblem,
         build_levy_surrogate,
         iterate_riccati,
         min_eig_batch,
+        noise_free_scalar_problem,
         residual_integral,
+        stochastic_2x2_problem,
     )
 
     n_steps = config.params.get("n_steps", 1000)
@@ -592,25 +594,14 @@ def _run_rf_riccati(config, outputs, out_dir):
     zero1 = np.zeros((1, 1))
 
     # zero instance: all residuals vanish identically
-    zero_problem = RfProblem(
-        F=zero1, G=np.eye(1), L=zero1, w=zero1, z=np.eye(1), F1=zero1, F2=zero1,
-        Q=zero1, R=np.eye(1), m=zero1, eta=zero1,
-        boundary_gain=zero1, boundary_linear=zero1, C=np.eye(1), direction="q0",
-    )
+    zero_problem = replace(noise_free_scalar_problem(), F=zero1, Q=zero1, boundary_gain=zero1)
     zpath = build_levy_surrogate(PLANAR_BROWNIAN, 100, 1e-2, seed=config.seed)
     zres = iterate_riccati(zero_problem, zpath, n_max=5, tol=1e-14)
     checks = [_check("zero instance residual", float(np.max(np.abs(zres.final))), 0.0)]
     checks.append(_check("zero instance fixed-point defect",
                          residual_integral(zero_problem, zres.final, zpath), 0.0))
 
-    f1 = 0.3 * np.array([[0.4, 0.2], [0.1, -0.3]])
-    problem = RfProblem(
-        F=[[0.1, 0.3], [-0.2, -0.4]], G=np.eye(2), L=0.1 * np.eye(2),
-        w=0.4 * np.eye(2), z=np.eye(2), F1=f1, F2=f1.conj().T,
-        Q=np.diag([0.8, 0.5]), R=np.eye(2), m=0.05 * np.eye(2), eta=0.02 * np.eye(2),
-        boundary_gain=np.diag([1.0, 0.6]), boundary_linear=0.05 * np.eye(2),
-        C=np.eye(2), direction="q0",
-    )
+    problem = stochastic_2x2_problem()
     path = build_levy_surrogate(PLANAR_BROWNIAN, n_steps, dt, seed=config.seed, n_paths=n_paths)
     result = iterate_riccati(problem, path, n_max=n_max, tol=tol)
     checks.append(_check("iteration converged", 0.0, 0.0, passed=result.converged))
@@ -626,11 +617,7 @@ def _run_rf_riccati(config, outputs, out_dir):
     defect = residual_integral(problem, result.final, path)
     checks.append(_check("propagator fixed-point defect", defect, 10.0 * tol + 50.0 * dt))
 
-    det_problem = RfProblem(
-        F=[[0.3]], G=np.eye(1), L=zero1, w=zero1, z=np.eye(1), F1=zero1, F2=zero1,
-        Q=[[0.8]], R=np.eye(1), m=zero1, eta=zero1,
-        boundary_gain=[[1.2]], boundary_linear=zero1, C=np.eye(1), direction="q0",
-    )
+    det_problem = noise_free_scalar_problem()
     det_path = build_levy_surrogate(FOCK_VACUUM, n_steps, dt, seed=config.seed)
     det = iterate_riccati(det_problem, det_path, n_max=40, tol=1e-10)
     classical = solve_riccati_ode(

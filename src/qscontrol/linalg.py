@@ -26,10 +26,6 @@ def herm(mat):
     return 0.5 * (mat + mat.conj().T)
 
 
-def dag(mat):
-    return np.asarray(mat).conj().T
-
-
 def fro(mat):
     return float(np.linalg.norm(mat, "fro"))
 
@@ -44,15 +40,6 @@ def is_unitary(mat, tol=1e-10):
         np.max(np.abs(mat @ mat.conj().T - eye)) <= tol
         and np.max(np.abs(mat.conj().T @ mat - eye)) <= tol
     )
-
-
-def min_eig_herm(mat):
-    """Smallest eigenvalue of the Hermitian part."""
-    return float(np.linalg.eigvalsh(herm(mat))[0])
-
-
-def is_psd(mat, tol=1e-10):
-    return is_hermitian(mat, tol) and min_eig_herm(mat) >= -tol
 
 
 def psd_sqrt(mat, tol=1e-10):

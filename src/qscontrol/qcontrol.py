@@ -202,16 +202,6 @@ def synthesis_residuals(pi_mat, l_mat, w_mat):
 # -------------------------------------------------- finite-dim obstruction
 
 
-def _herm_pack(mat):
-    n = mat.shape[0]
-    out = [mat[i, i].real for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            out.append(mat[i, j].real)
-            out.append(mat[i, j].imag)
-    return np.array(out)
-
-
 def _herm_unpack(vec, n):
     mat = np.zeros((n, n), dtype=complex)
     for i in range(n):
@@ -406,12 +396,6 @@ class FlowDerivationReport:
             lines.append(f"[{key}] computed: {_dump(comp)}")
             lines.append(f"[{key}] expected: {_dump(exp)}")
         return "\n".join(lines)
-
-    def assert_matches(self):
-        if not self.matches:
-            raise AssertionError(
-                "flow derivation does not match the stated form:\n" + self.mismatch_dump()
-            )
 
 
 def _dump(value):

@@ -16,12 +16,16 @@ feedback law u = -R^{-1}(G*(Pi X + r) + eta*).
 
 Directions.  ``direction="q0"`` is the branch whose Riccati equation runs
 forward from Pi(0) = Q0 (the branch the Picard iteration is stated for);
-its state equation runs backward from X(T) = C and its cost carries
-initial-state terms.  ``direction="qt"`` is the mirror image (Riccati
-backward from Pi(T) = QT, state forward from X(0) = C, terminal cost
-terms).  Forward/backward labels are ambiguous for this pair (the state
-equation and the Riccati equation run in opposite time directions), so
-the boundary naming is used everywhere here.
+its state runs backward from X(T) = C and its cost carries initial-state
+terms.  ``direction="qt"`` is the mirror image (Riccati backward from
+Pi(T) = QT, state forward from X(0) = C, terminal cost terms); boundary
+names are used because the state and the Riccati equation run in
+opposite time directions.  Each recursion is one loop stepping away from
+its boundary; one that runs backward in time runs that loop on
+time-reversed views (``_along``), so both branches share every line of
+arithmetic.  On qt the Riccati and r recursions (``_step_factors``,
+``solve_r``) negate the Ito table and the noise increments; the state
+recursion uses the increments unchanged on both branches.
 
 Discretization of the Picard step.  The iterate recursion is the discrete
 Duhamel form of the propagator representation,
@@ -45,12 +49,12 @@ dt = 1e-3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NotConvergedError, ShapeError
-from .linalg import as_matrix, fro, herm, is_hermitian
+from .linalg import as_matrix, herm, is_hermitian
 from .seeding import spawn_rngs
 
 # --------------------------------------------------------------- surrogate
@@ -64,10 +68,11 @@ class LevyPairSurrogate:
     """Discretized realization of an adjoint pair of scalar integrators.
 
     ``dm1``/``dm2`` have shape (n_paths, n_steps); dm2 = conj(dm1) holds
-    pathwise.  ``sigma`` is the 2x2 Ito table dM_b* dM_a = sigma[b,a] dt.
-    For the Fock kind the scalar driving increments are the vacuum
-    expectations (zero); the operator increments behind the table are
-    exposed by ``fock_increment_matrices``.
+    pathwise.  ``sigma`` is the 2x2 Ito table dM_b* dM_a = sigma[b,a] dt;
+    only Boson-type pairs (rho = id) are realized.  For the Fock kind the
+    scalar driving increments are the vacuum expectations (zero); the
+    operator increments behind the table are exposed by
+    ``fock_increment_matrices``.
     """
 
     kind: str
@@ -75,18 +80,17 @@ class LevyPairSurrogate:
     dm1: np.ndarray
     dm2: np.ndarray
     sigma: np.ndarray
-    rho_sign: int = 1
 
     def __post_init__(self):
         self.dm1 = np.atleast_2d(np.asarray(self.dm1, dtype=complex))
         self.dm2 = np.atleast_2d(np.asarray(self.dm2, dtype=complex))
         if self.dm1.shape != self.dm2.shape:
             raise ShapeError("dm1 and dm2 must share a shape")
+        if self.n_steps < 1:
+            raise ShapeError("path must carry at least one step")
         if np.max(np.abs(self.dm2 - self.dm1.conj())) > 1e-12:
             raise ShapeError("dm2 must be the pathwise conjugate of dm1")
         self.sigma = np.asarray(self.sigma, dtype=complex).reshape(2, 2)
-        if self.rho_sign != 1:
-            raise ShapeError("only Boson-type pairs (rho = id) are supported")
 
     @property
     def n_paths(self):
@@ -95,10 +99,6 @@ class LevyPairSurrogate:
     @property
     def n_steps(self):
         return self.dm1.shape[1]
-
-    @property
-    def horizon(self):
-        return self.dt * self.n_steps
 
     def fock_increment_matrices(self):
         if self.kind != FOCK_VACUUM:
@@ -168,7 +168,7 @@ class RfProblem:
     X(T) = C; cost has initial-state weights (boundary_gain = Q0 matrix,
     boundary_linear = m0).  The qt branch flips the time orientation.
     The Hermiticity pairing F2 = F1* with real w keeps Riccati paths
-    Hermitian pathwise and is asserted by default (``paired=True``).
+    Hermitian pathwise and is asserted at construction.
     """
 
     F: np.ndarray
@@ -186,7 +186,6 @@ class RfProblem:
     boundary_linear: np.ndarray
     C: np.ndarray
     direction: str = Q0
-    paired: bool = True
 
     def __post_init__(self):
         self.F = as_matrix(self.F, name="F")
@@ -203,11 +202,10 @@ class RfProblem:
             raise ShapeError("R must be Hermitian")
         if np.linalg.eigvalsh(herm(self.R))[0] <= 1e-12:
             raise ShapeError("R must be positive definite (invertible)")
-        if self.paired:
-            if np.max(np.abs(self.F2 - self.F1.conj().T)) > 1e-12:
-                raise ShapeError("Hermiticity pairing requires F2 = F1*")
-            if np.max(np.abs(self.w.imag)) > 1e-12:
-                raise ShapeError("Hermiticity pairing requires real w")
+        if np.max(np.abs(self.F2 - self.F1.conj().T)) > 1e-12:
+            raise ShapeError("Hermiticity pairing requires F2 = F1*")
+        if np.max(np.abs(self.w.imag)) > 1e-12:
+            raise ShapeError("Hermiticity pairing requires real w")
 
     @property
     def dim(self):
@@ -266,22 +264,38 @@ def classical_reduction_problem(a_mat, q_mat, pi_term, x0, xi):
     )
 
 
+def stochastic_2x2_problem():
+    """The 2x2 two-noise q0 problem of the rf-riccati run and acceptance
+    criteria 11 and 12: affine terms on, Hermiticity pairing F2 = F1*."""
+    f1 = 0.3 * np.array([[0.4, 0.2], [0.1, -0.3]])
+    return RfProblem(
+        F=[[0.1, 0.3], [-0.2, -0.4]], G=np.eye(2), L=0.1 * np.eye(2),
+        w=0.4 * np.eye(2), z=np.eye(2), F1=f1, F2=f1.conj().T,
+        Q=np.diag([0.8, 0.5]), R=np.eye(2), m=0.05 * np.eye(2), eta=0.02 * np.eye(2),
+        boundary_gain=np.diag([1.0, 0.6]), boundary_linear=0.05 * np.eye(2),
+        C=np.eye(2), direction=Q0,
+    )
+
+
+def noise_free_scalar_problem():
+    """Scalar noise-free q0 problem F = 0.3, Q = 0.8, Pi(0) = 1.2: the
+    deterministic degeneration compared with the classical Riccati ODE
+    (A = 0.3, Q = 0.8, Pi_T = 1.2) after time reversal."""
+    zero = np.zeros((1, 1))
+    return RfProblem(
+        F=[[0.3]], G=np.eye(1), L=zero, w=zero, z=np.eye(1), F1=zero, F2=zero,
+        Q=[[0.8]], R=np.eye(1), m=zero, eta=zero,
+        boundary_gain=[[1.2]], boundary_linear=zero, C=np.eye(1), direction=Q0,
+    )
+
+
 # -------------------------------------------------------------- time grid
 
 
-def _check_grid(problem, path):
-    if path.n_steps < 1:
-        raise ShapeError("path must carry at least one step")
-    return path.n_steps, path.dt
-
-
-def _bcast(mat, arr):
-    """Left-multiply a stacked array (..., d, d) by a fixed matrix."""
-    return np.matmul(mat, arr)
-
-
-def _bcast_r(arr, mat):
-    return np.matmul(arr, mat)
+def _along(arr, forward):
+    """``arr`` (paths first, time second) in stepping order: as it is for a
+    recursion that runs forward in time, time-reversed view otherwise."""
+    return arr if forward else arr[:, ::-1]
 
 
 def _adj(arr):
@@ -305,50 +319,33 @@ def min_eig_batch(arr):
 
 
 @dataclass
-class RiccatiPath:
-    """One Picard iterate: times plus stacked Hermitian values."""
-
-    times: np.ndarray
-    values: np.ndarray  # (n_paths, n_steps + 1, dim, dim)
-    iteration: int
-
-    def at(self, path_idx, time_idx):
-        return self.values[path_idx, time_idx]
-
-
-@dataclass
 class RiccatiIteration:
     times: np.ndarray
-    final: np.ndarray
+    final: np.ndarray  # (n_paths, n_steps + 1, dim, dim)
     n_iterations: int
     converged: bool
     sup_diffs: list
     monotone_margins: list
     herm_residual: float
-    iterates: list = field(default_factory=list)
-
-    def final_path(self):
-        return RiccatiPath(self.times, self.final, self.n_iterations)
 
 
-def _step_factors(problem, path, pi_path, sigma, forward=True):
+def _step_factors(problem, path, pi_path):
     """Per-step left multipliers M_j for the closed-loop recursion.
 
     pi_path has shape (P, T+1, d, d) and supplies the gain samples of the
-    previous iterate; returns (P, T, d, d).  ``forward=False`` mirrors the
-    construction for the qt branch: negated drift quadratic (the reversed
-    table carries -sigma) and negated increments.
+    previous iterate; returns (P, T, d, d).  The qt branch mirrors the
+    construction: negated drift quadratic (the reversed table carries
+    -sigma) and negated increments.
     """
     dt = path.dt
-    dim = problem.dim
-    eye = np.eye(dim)
+    eye = np.eye(problem.dim)
     gq = problem.gain_quad()
     c1, c2 = problem.noise_couplings()
-    sign = 1.0 if forward else -1.0
-    s_mat = sign * problem.drift_quadratic(sigma)
+    sign = 1.0 if problem.direction == Q0 else -1.0
+    s_mat = sign * problem.drift_quadratic(path.sigma)
 
     pi_mid = 0.5 * (pi_path[:, :-1] + pi_path[:, 1:])
-    drift = problem.F + s_mat - _bcast(gq, pi_mid)
+    drift = problem.F + s_mat - np.matmul(gq, pi_mid)
     drift_star = _adj(drift)
     cay = np.linalg.solve(eye - 0.5 * dt * drift_star, eye + 0.5 * dt * drift_star)
 
@@ -358,37 +355,32 @@ def _step_factors(problem, path, pi_path, sigma, forward=True):
     return np.matmul(cay, _adj(mart))
 
 
-def _duhamel_sweep(factors, inhom, boundary, dt, forward=True):
-    """Run Pi(j+1) = M_j [Pi(j) + dt/2 W(j)] M_j* + dt/2 W(j+1) (forward)
-    or its time mirror; ``inhom`` is the stacked PSD inhomogeneity W.
+def _duhamel_sweep(problem, path, gain_path, inhom):
+    """Run Pi(j+1) = M_j [Pi(j) + dt/2 W(j)] M_j* + dt/2 W(j+1) away from the
+    boundary gain, with M_j the step factors of ``gain_path`` and W the
+    stacked PSD inhomogeneity ``inhom``.  q0 steps forward from Pi(0); qt
+    runs the same loop on time-reversed views, from Pi(T).
 
     Each step symmetrizes the congruence output and records the largest
     pre-symmetrization defect; returns (path, defect).
     """
-    n_paths, n_steps = factors.shape[0], factors.shape[1]
-    dim = factors.shape[-1]
-    out = np.empty((n_paths, n_steps + 1, dim, dim), dtype=complex)
+    dt, n_steps, dim = path.dt, path.n_steps, problem.dim
+    forward = problem.direction == Q0
+    factors = _step_factors(problem, path, gain_path)
+    out = np.empty((gain_path.shape[0], n_steps + 1, dim, dim), dtype=complex)
+    pi_k, m_k, w_k = (_along(arr, forward) for arr in (out, factors, inhom))
     defect = 0.0
-    if forward:
-        out[:, 0] = boundary
-        for j in range(n_steps):
-            m = factors[:, j]
-            stage = out[:, j] + 0.5 * dt * inhom[:, j]
-            nxt = np.matmul(np.matmul(m, stage), _adj(m)) + 0.5 * dt * inhom[:, j + 1]
-            defect = max(defect, float(np.max(np.abs(nxt - _adj(nxt)))))
-            out[:, j + 1] = 0.5 * (nxt + _adj(nxt))
-    else:
-        out[:, n_steps] = boundary
-        for j in range(n_steps - 1, -1, -1):
-            m = factors[:, j]
-            stage = out[:, j + 1] + 0.5 * dt * inhom[:, j + 1]
-            nxt = np.matmul(np.matmul(m, stage), _adj(m)) + 0.5 * dt * inhom[:, j]
-            defect = max(defect, float(np.max(np.abs(nxt - _adj(nxt)))))
-            out[:, j] = 0.5 * (nxt + _adj(nxt))
+    pi_k[:, 0] = problem.boundary_gain
+    for k in range(n_steps):
+        m = m_k[:, k]
+        stage = pi_k[:, k] + 0.5 * dt * w_k[:, k]
+        nxt = np.matmul(np.matmul(m, stage), _adj(m)) + 0.5 * dt * w_k[:, k + 1]
+        defect = max(defect, float(np.max(np.abs(nxt - _adj(nxt)))))
+        pi_k[:, k + 1] = 0.5 * (nxt + _adj(nxt))
     return out, defect
 
 
-def iterate_riccati(problem, path, n_max=30, tol=1e-6, initial=None, keep_iterates=None):
+def iterate_riccati(problem, path, n_max=30, tol=1e-6, initial=None):
     """Monotone Picard iteration for the stochastic Riccati equation.
 
     Pi_1 is the boundary gain held constant; each successor solves the
@@ -399,54 +391,35 @@ def iterate_riccati(problem, path, n_max=30, tol=1e-6, initial=None, keep_iterat
     (congruences of PSD boundaries plus PSD increments); monotone decrease
     is measured and reported, never enforced.
     """
-    n_steps, dt = _check_grid(problem, path)
-    dim = problem.dim
-    n_paths = path.n_paths
-    sigma = path.sigma
-    forward = problem.direction == Q0
+    n_steps, dim = path.n_steps, problem.dim
     gq = problem.gain_quad()
 
-    if keep_iterates is None:
-        keep_iterates = n_paths * (n_steps + 1) * dim * dim <= 1 << 16
-
-    times = np.linspace(0.0, n_steps * dt, n_steps + 1)
-    boundary = np.broadcast_to(
-        problem.boundary_gain, (n_paths, dim, dim)
-    ).astype(complex)
+    times = np.linspace(0.0, n_steps * path.dt, n_steps + 1)
     start = np.asarray(
         initial if initial is not None else problem.boundary_gain, dtype=complex
     )
-    current = np.broadcast_to(start, (n_paths, n_steps + 1, dim, dim)).copy()
+    current = np.broadcast_to(start, (path.n_paths, n_steps + 1, dim, dim)).copy()
 
-    iterates = [RiccatiPath(times, current.copy(), 1)] if keep_iterates else []
     sup_diffs, margins = [], []
     herm_res = 0.0
-    converged = False
-    count = 1
-    for n in range(2, n_max + 1):
+    for _ in range(2, n_max + 1):
         inhom = problem.Q + np.matmul(np.matmul(current, gq), current)
-        factors = _step_factors(problem, path, current, sigma, forward=forward)
-        nxt, step_defect = _duhamel_sweep(factors, inhom, boundary, dt, forward=forward)
+        nxt, step_defect = _duhamel_sweep(problem, path, current, inhom)
         herm_res = max(herm_res, step_defect)
         diff = current - nxt  # monotone decrease means diff is PSD
         sup_diffs.append(float(np.max(np.sqrt(np.sum(np.abs(diff) ** 2, axis=(-2, -1))))))
         margins.append(float(np.min(min_eig_batch(0.5 * (diff + _adj(diff))))))
         current = nxt
-        count = n
-        if keep_iterates:
-            iterates.append(RiccatiPath(times, current.copy(), n))
         if sup_diffs[-1] <= tol:
-            converged = True
             break
     return RiccatiIteration(
         times=times,
         final=current,
-        n_iterations=count,
-        converged=converged,
+        n_iterations=len(sup_diffs) + 1,
+        converged=bool(sup_diffs) and sup_diffs[-1] <= tol,
         sup_diffs=sup_diffs,
         monotone_margins=margins,
         herm_residual=herm_res,
-        iterates=iterates,
     )
 
 
@@ -458,18 +431,10 @@ def residual_integral(problem, pi_path, path):
     iteration) and returns sup_t of the Frobenius defect against
     ``pi_path``.  The q0/qt mirror follows the problem direction.
     """
-    n_steps, dt = _check_grid(problem, path)
-    forward = problem.direction == Q0
     gq = problem.gain_quad()
-    values = pi_path if isinstance(pi_path, np.ndarray) else pi_path.values
-    inhom = problem.Q - np.matmul(np.matmul(values, gq), values)
-    open_loop = np.zeros_like(values)
-    factors = _step_factors(problem, path, open_loop, path.sigma, forward=forward)
-    boundary = np.broadcast_to(
-        problem.boundary_gain, (values.shape[0], problem.dim, problem.dim)
-    ).astype(complex)
-    rebuilt, _ = _duhamel_sweep(factors, inhom, boundary, dt, forward=forward)
-    defect = np.sqrt(np.sum(np.abs(rebuilt - values) ** 2, axis=(-2, -1)))
+    inhom = problem.Q - np.matmul(np.matmul(pi_path, gq), pi_path)
+    rebuilt, _ = _duhamel_sweep(problem, path, np.zeros_like(pi_path), inhom)
+    defect = np.sqrt(np.sum(np.abs(rebuilt - pi_path) ** 2, axis=(-2, -1)))
     return float(np.max(defect))
 
 
@@ -481,13 +446,17 @@ def simulate_state(problem, u, path):
 
     ``u`` is None (zero control), a stacked array (P, T+1, d, d), or a
     callable ``u(j, X_j) -> control matrix batch`` evaluated at the step's
-    anchor point (the known endpoint: j+1 backward, j forward).
+    anchor point (the known endpoint: j+1 backward, j forward).  The q0
+    state runs backward from X(T) = C, the qt state forward from X(0) = C;
+    both use the increments unchanged.
     """
-    n_steps, dt = _check_grid(problem, path)
-    dim = problem.dim
-    n_paths = path.n_paths
-    c1_raw, c2_raw = problem.F1, problem.F2
-    out = np.empty((n_paths, n_steps + 1, dim, dim), dtype=complex)
+    n_steps, dt, dim = path.n_steps, path.dt, problem.dim
+    forward = problem.direction == QT
+    out = np.empty((path.n_paths, n_steps + 1, dim, dim), dtype=complex)
+    x_k = _along(out, forward)
+    dm1_k = _along(path.dm1, forward)[..., None, None]
+    dm2_k = _along(path.dm2, forward)[..., None, None]
+    anchors = range(n_steps + 1) if forward else range(n_steps, -1, -1)
 
     def control_at(j, x_now):
         if u is None:
@@ -496,29 +465,53 @@ def simulate_state(problem, u, path):
             return u(j, x_now)
         return u[:, j]
 
-    if problem.direction == Q0:
-        out[:, n_steps] = problem.C
-        for j in range(n_steps - 1, -1, -1):
-            x_next = out[:, j + 1]
-            u_next = control_at(j + 1, x_next)
-            drift = _bcast(problem.F, x_next) + _bcast(problem.G, u_next) + problem.L
-            coupling = _bcast(problem.w, x_next) + problem.z
-            noise = path.dm1[:, j, None, None] * _bcast(c1_raw, coupling) + path.dm2[
-                :, j, None, None
-            ] * _bcast(c2_raw, coupling)
-            out[:, j] = x_next + dt * drift + noise
-    else:
-        out[:, 0] = problem.C
-        for j in range(n_steps):
-            x_now = out[:, j]
-            u_now = control_at(j, x_now)
-            drift = _bcast(problem.F, x_now) + _bcast(problem.G, u_now) + problem.L
-            coupling = _bcast(problem.w, x_now) + problem.z
-            noise = path.dm1[:, j, None, None] * _bcast(c1_raw, coupling) + path.dm2[
-                :, j, None, None
-            ] * _bcast(c2_raw, coupling)
-            out[:, j + 1] = x_now + dt * drift + noise
+    x_k[:, 0] = problem.C
+    for k in range(n_steps):
+        x_now = x_k[:, k]
+        u_now = control_at(anchors[k], x_now)
+        drift = np.matmul(problem.F, x_now) + np.matmul(problem.G, u_now) + problem.L
+        coupling = np.matmul(problem.w, x_now) + problem.z
+        noise = (dm1_k[:, k] * np.matmul(problem.F1, coupling)
+                 + dm2_k[:, k] * np.matmul(problem.F2, coupling))
+        x_k[:, k + 1] = x_now + dt * drift + noise
     return out
+
+
+def _pair(a_path, weight, b_path, xi):
+    """<a xi, W b xi> at every (path, time) point of stacked paths."""
+    av = np.matmul(a_path, xi)
+    bv = np.matmul(b_path, xi)
+    return np.einsum("ptd,de,pte->pt", av.conj(), weight, bv)
+
+
+def _linear(a_path, weight, xi):
+    """<a xi, W* xi> at every (path, time) point of a stacked path."""
+    av = np.matmul(a_path, xi)
+    return np.einsum("ptd,d->pt", av.conj(), weight.conj().T @ xi)
+
+
+def _trapezoid(integrand, dt):
+    """Trapezoid rule along the time axis of (P, T+1) samples."""
+    weights = np.full(integrand.shape[1], dt)
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    return integrand @ weights
+
+
+def _edge_terms(problem, a_path, b_path, xi):
+    """<a xi, Q0 b xi> and <a xi, m0* xi> at the edge the boundary cost
+    weighs: t = 0 for q0, t = T for qt."""
+    edge = 0 if problem.direction == Q0 else -1
+    av = np.matmul(a_path[:, edge], xi)
+    bv = np.matmul(b_path[:, edge], xi)
+    quad = np.einsum("pd,de,pe->p", av.conj(), problem.boundary_gain, bv)
+    lin = np.einsum("pd,d->p", av.conj(), problem.boundary_linear.conj().T @ xi)
+    return quad, lin
+
+
+def _stderr(samples):
+    """Standard error of the mean (0 for a single sample)."""
+    return float(np.std(samples, ddof=1) / math.sqrt(len(samples))) if len(samples) > 1 else 0.0
 
 
 def cost_tilde(problem, u_path, xi, x_path, dt):
@@ -531,39 +524,16 @@ def cost_tilde(problem, u_path, xi, x_path, dt):
     if np.linalg.norm(xi) == 0:
         raise ShapeError("xi must be nonzero")
 
-    def sandwich(stacked, weight):
-        vec = np.matmul(stacked, xi)
-        return np.einsum("ptd,de,pte->pt", vec.conj(), weight, vec).real
-
-    def linear_term(stacked, weight):
-        vec = np.matmul(stacked, xi)
-        wxi = weight.conj().T @ xi
-        return 2.0 * np.einsum("ptd,d->pt", vec.conj(), wxi).real
-
     running = (
-        sandwich(x_path, problem.Q)
-        + sandwich(u_path, problem.R)
-        + linear_term(x_path, problem.m)
-        + linear_term(u_path, problem.eta)
+        _pair(x_path, problem.Q, x_path, xi).real
+        + _pair(u_path, problem.R, u_path, xi).real
+        + 2.0 * _linear(x_path, problem.m, xi).real
+        + 2.0 * _linear(u_path, problem.eta, xi).real
     )
-    weights = np.full(running.shape[1], dt)
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    costs = running @ weights
-
-    edge = 0 if problem.direction == Q0 else -1
-    x_edge = x_path[:, edge]
-    vec = np.matmul(x_edge, xi)
-    costs = costs + np.einsum(
-        "pd,de,pe->p", vec.conj(), problem.boundary_gain, vec
-    ).real
-    bl = problem.boundary_linear.conj().T @ xi
-    costs = costs + 2.0 * np.einsum("pd,d->p", vec.conj(), bl).real
-    mean = float(np.mean(costs))
-    stderr = (
-        float(np.std(costs, ddof=1) / math.sqrt(len(costs))) if len(costs) > 1 else 0.0
-    )
-    return mean, stderr, costs
+    quad, lin = _edge_terms(problem, x_path, x_path, xi)
+    costs = _trapezoid(running, dt) + quad.real
+    costs = costs + 2.0 * lin.real
+    return float(np.mean(costs)), _stderr(costs), costs
 
 
 # ---------------------------------------------------------------- r-path
@@ -583,16 +553,13 @@ def solve_r(problem, pi_path, path):
 
     with D_a' = D_a - Pi F_a z = (noise coefficient acting on r alone) and
     B_a the martingale coefficients of the Riccati path.  The qt branch
-    mirrors the sweep (negated table and increments, boundary at T).
+    runs the same loop on time-reversed views from r(T) = boundary_linear*,
+    with negated table and increments.
     """
-    n_steps, dt = _check_grid(problem, path)
-    dim = problem.dim
-    values = pi_path if isinstance(pi_path, np.ndarray) else pi_path.values
-    n_paths = values.shape[0]
-    sigma = path.sigma
+    n_steps, dt, dim = path.n_steps, path.dt, problem.dim
     forward = problem.direction == Q0
     sign = 1.0 if forward else -1.0
-    sig = sign * sigma
+    sig = sign * path.sigma
 
     gq = problem.gain_quad()
     c1, c2 = problem.noise_couplings()
@@ -602,39 +569,34 @@ def solve_r(problem, pi_path, path):
     m_star = problem.m.conj().T
     eta_pull = problem.G @ np.linalg.inv(problem.R) @ problem.eta.conj().T
 
-    out = np.empty((n_paths, n_steps + 1, dim, dim), dtype=complex)
-    rng_steps = range(n_steps) if forward else range(n_steps - 1, -1, -1)
-    start = 0 if forward else n_steps
-    out[:, start] = problem.boundary_linear.conj().T
+    out = np.empty((pi_path.shape[0], n_steps + 1, dim, dim), dtype=complex)
+    r_k, pi_k = _along(out, forward), _along(pi_path, forward)
+    dm1_k = sign * _along(path.dm1, forward)[..., None, None]
+    dm2_k = sign * _along(path.dm2, forward)[..., None, None]
+    r_k[:, 0] = problem.boundary_linear.conj().T
 
-    for j in rng_steps:
-        anchor = j if forward else j + 1
-        r_now = out[:, anchor]
-        pi_now = values[:, anchor]
-        b1 = _bcast(c2s, pi_now) + _bcast_r(pi_now, c1)
-        b2 = _bcast(c1s, pi_now) + _bcast_r(pi_now, c2)
-        d1_r = _bcast(c2s, r_now)
-        d2_r = _bcast(c1s, r_now)
+    for k in range(n_steps):
+        r_now = r_k[:, k]
+        pi_now = pi_k[:, k]
+        b1 = np.matmul(c2s, pi_now) + np.matmul(pi_now, c1)
+        b2 = np.matmul(c1s, pi_now) + np.matmul(pi_now, c2)
+        d1_r = np.matmul(c2s, r_now)
+        d2_r = np.matmul(c1s, r_now)
         d1 = d1_r + np.matmul(pi_now, f1z)
         d2 = d2_r + np.matmul(pi_now, f2z)
         drift = (
-            _bcast(problem.F.conj().T, r_now)
+            np.matmul(problem.F.conj().T, r_now)
             - np.matmul(np.matmul(pi_now, gq), r_now)
             + np.matmul(pi_now, problem.L)
             + m_star
             - np.matmul(pi_now, eta_pull)
             + np.matmul(b1, sig[1, 0] * f1z + sig[1, 1] * f2z)
             + np.matmul(b2, sig[0, 0] * f1z + sig[0, 1] * f2z)
-            + _bcast(c1s, sig[0, 0] * d1_r + sig[0, 1] * d2_r)
-            + _bcast(c2s, sig[1, 0] * d1_r + sig[1, 1] * d2_r)
+            + np.matmul(c1s, sig[0, 0] * d1_r + sig[0, 1] * d2_r)
+            + np.matmul(c2s, sig[1, 0] * d1_r + sig[1, 1] * d2_r)
         )
-        dm1 = sign * path.dm1[:, j, None, None]
-        dm2 = sign * path.dm2[:, j, None, None]
-        step = dt * drift + dm1 * d1 + dm2 * d2
-        if forward:
-            out[:, j + 1] = r_now + step
-        else:
-            out[:, j] = r_now + step
+        # bracketed so the increment is summed before it meets r
+        r_k[:, k + 1] = r_now + (dt * drift + dm1_k[:, k] * d1 + dm2_k[:, k] * d2)
     return out
 
 
@@ -650,31 +612,27 @@ def closed_loop_state(problem, pi_values, r_values, path, law=None):
     """State path under the feedback law (or a perturbation of it).
 
     ``law`` is None for the optimal u, ("scale", c), or ("offset", M).
-    Returns (x_path, u_path).
+    Returns (x_path, u_path).  The feedback is evaluated once per state
+    point: each control is recorded as the simulation applies it, and the
+    endpoint no step is anchored at (0 for q0, T for qt) is filled last.
     """
+    kind, val = law if law is not None else (None, None)
+    if kind not in (None, "scale", "offset"):
+        raise ShapeError(f"unknown perturbation kind {kind!r}")
+    u_path = np.empty((path.n_paths, path.n_steps + 1, problem.dim, problem.dim), dtype=complex)
 
     def controller(j, x_now):
         u_now = feedback_control(pi_values[:, j], r_values[:, j], x_now, problem)
-        if law is None:
-            return u_now
-        kind, val = law
         if kind == "scale":
-            return float(val) * u_now
-        if kind == "offset":
-            return u_now + np.asarray(val, dtype=complex)
-        raise ShapeError(f"unknown perturbation kind {kind!r}")
+            u_now = float(val) * u_now
+        elif kind == "offset":
+            u_now = u_now + np.asarray(val, dtype=complex)
+        u_path[:, j] = u_now
+        return u_now
 
     x_path = simulate_state(problem, controller, path)
-    n_steps = path.n_steps
-    u_path = np.empty_like(x_path)
-    for j in range(n_steps + 1):
-        u_base = feedback_control(pi_values[:, j], r_values[:, j], x_path[:, j], problem)
-        if law is None:
-            u_path[:, j] = u_base
-        elif law[0] == "scale":
-            u_path[:, j] = float(law[1]) * u_base
-        else:
-            u_path[:, j] = u_base + np.asarray(law[1], dtype=complex)
+    edge = 0 if problem.direction == Q0 else path.n_steps
+    controller(edge, x_path[:, edge])
     return x_path, u_path
 
 
@@ -690,9 +648,7 @@ def time_reverse(problem, path=None):
     convention N_a(s) = -M_a(T-s), sigma~ = -sigma.  Applying the map
     twice restores both objects bit-exactly.
     """
-    flipped = replace(
-        problem, direction=Q0 if problem.direction == QT else QT
-    )
+    flipped = replace(problem, direction=Q0 if problem.direction == QT else QT)
     if path is None:
         return flipped, None
     reversed_path = replace(
@@ -738,7 +694,7 @@ def verify_feedback_optimality(problem, xi, path, perturbations=None, n_max=40, 
         x_pert, u_pert = closed_loop_state(problem, pi_values, r_values, path, law=law)
         _, _, pert_costs = cost_tilde(problem, u_pert, xi, x_pert, dt)
         diff = pert_costs - base_costs
-        stderr = float(np.std(diff, ddof=1) / math.sqrt(len(diff))) if len(diff) > 1 else 0.0
+        stderr = _stderr(diff)
         comparisons.append(
             {
                 "perturbation": (law[0], np.asarray(law[1]).tolist()),
@@ -750,7 +706,7 @@ def verify_feedback_optimality(problem, xi, path, perturbations=None, n_max=40, 
         )
         k_defects.append(
             _k_identity_defect(
-                problem, xi, path, pi_values, r_values, x_opt, x_pert, u_pert, dt,
+                problem, xi, pi_values, r_values, x_opt, x_pert, u_pert, dt,
                 n_sample=k_identity_paths,
             )
         )
@@ -763,8 +719,8 @@ def verify_feedback_optimality(problem, xi, path, perturbations=None, n_max=40, 
     }
 
 
-def _k_identity_defect(problem, xi, path, pi_values, r_values, x_opt, x_pert,
-                       u_pert, dt, n_sample=3):
+def _k_identity_defect(problem, xi, pi_values, r_values, x_opt, x_pert, u_pert, dt,
+                       n_sample=3):
     """Cross term of the completion-of-squares decomposition.
 
     With Lambda = -R^{-1}G*Pi and lam = -R^{-1}(G*r + eta*), the proof's
@@ -790,28 +746,12 @@ def _k_identity_defect(problem, xi, path, pi_values, r_values, x_opt, x_pert,
     lam_y = np.matmul(lam_gain, x_opt[:take]) + lam_aff
     lam_xh_mu = np.matmul(lam_gain, x_hat) + mu
 
-    def pair(a_path, weight, b_path):
-        av = np.matmul(a_path, xi)
-        bv = np.matmul(b_path, xi)
-        return np.einsum("ptd,de,pte->pt", av.conj(), weight, bv)
-
-    def lin(a_path, weight):
-        av = np.matmul(a_path, xi)
-        return np.einsum("ptd,d->pt", av.conj(), weight.conj().T @ xi)
-
     integrand = (
-        pair(x_hat, problem.Q, x_opt[:take])
-        + pair(lam_xh_mu, problem.R, lam_y)
-        + lin(x_hat, problem.m)
-        + lin(lam_xh_mu, problem.eta)
+        _pair(x_hat, problem.Q, x_opt[:take], xi)
+        + _pair(lam_xh_mu, problem.R, lam_y, xi)
+        + _linear(x_hat, problem.m, xi)
+        + _linear(lam_xh_mu, problem.eta, xi)
     )
-    weights = np.full(integrand.shape[1], dt)
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    k_val = integrand @ weights
-    edge = 0 if problem.direction == Q0 else -1
-    xv = np.matmul(x_hat[:, edge], xi)
-    yv = np.matmul(x_opt[:take, edge], xi)
-    k_val = k_val + np.einsum("pd,d->p", xv.conj(), problem.boundary_linear.conj().T @ xi)
-    k_val = k_val + np.einsum("pd,de,pe->p", xv.conj(), problem.boundary_gain, yv)
+    quad, lin = _edge_terms(problem, x_hat, x_opt[:take], xi)
+    k_val = _trapezoid(integrand, dt) + lin + quad
     return float(np.max(np.abs(k_val)))

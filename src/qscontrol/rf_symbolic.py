@@ -157,8 +157,8 @@ def extract_riccati_coefficients(sign):
     # dPi and its one-sided products.
     sandwich = diff_add(
         diff_mul(diff_mul(v_star, dpi), v_diff),  # V* dPi V (triple -> 0 anyway)
-        diff_scale(s, _triple_left(v_star, dpi)),
-        diff_scale(s, _triple_right(dpi, v_diff)),
+        diff_scale(s, diff_mul(v_star, dpi)),
+        diff_scale(s, diff_mul(dpi, v_diff)),
         dpi,
     )
     equation = diff_add(
@@ -186,15 +186,6 @@ def extract_riccati_coefficients(sign):
         sp.expand(equation["dt"]).subs([(b1_sym, b1_sol), (b2_sym, b2_sol)]), a_sym
     )
     return {"A": a_sol, "B1": b1_sol, "B2": b2_sol}
-
-
-def _triple_left(d_left, d_mid):
-    """d_left * d_mid as differentials (lands in dt)."""
-    return diff_mul(d_left, d_mid)
-
-
-def _triple_right(d_mid, d_right):
-    return diff_mul(d_mid, d_right)
 
 
 def _pi_middle(v_star, pi_sym, v_diff):

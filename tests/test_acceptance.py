@@ -363,18 +363,12 @@ def test_criterion_11_picard_iteration():
     crit = Criterion(11, "monotone Picard iteration for stochastic Riccati", 120.0)
     from qscontrol.classical import LqProblem, solve_riccati_ode
     from qscontrol.rf import (
-        FOCK_VACUUM, PLANAR_BROWNIAN, RfProblem, build_levy_surrogate,
-        iterate_riccati, min_eig_batch, residual_integral,
+        FOCK_VACUUM, PLANAR_BROWNIAN, build_levy_surrogate, iterate_riccati,
+        min_eig_batch, noise_free_scalar_problem, residual_integral,
+        stochastic_2x2_problem,
     )
 
-    f1 = 0.3 * np.array([[0.4, 0.2], [0.1, -0.3]])
-    problem = RfProblem(
-        F=[[0.1, 0.3], [-0.2, -0.4]], G=np.eye(2), L=0.1 * np.eye(2),
-        w=0.4 * np.eye(2), z=np.eye(2), F1=f1, F2=f1.conj().T,
-        Q=np.diag([0.8, 0.5]), R=np.eye(2), m=0.05 * np.eye(2), eta=0.02 * np.eye(2),
-        boundary_gain=np.diag([1.0, 0.6]), boundary_linear=0.05 * np.eye(2),
-        C=np.eye(2), direction="q0",
-    )
+    problem = stochastic_2x2_problem()
     tol = 1e-6
     for seed in (1101, 1102, 1103):
         path = build_levy_surrogate(PLANAR_BROWNIAN, 1000, 1e-3, seed=seed, n_paths=4)
@@ -390,12 +384,7 @@ def test_criterion_11_picard_iteration():
         defect = residual_integral(problem, result.final, path)
         crit.check(f"fixed-point defect (seed {seed})", defect, 10.0 * tol + 50.0 * 1e-3)
 
-    det_problem = RfProblem(
-        F=[[0.3]], G=np.eye(1), L=np.zeros((1, 1)), w=np.zeros((1, 1)), z=np.eye(1),
-        F1=np.zeros((1, 1)), F2=np.zeros((1, 1)), Q=[[0.8]], R=np.eye(1),
-        m=np.zeros((1, 1)), eta=np.zeros((1, 1)), boundary_gain=[[1.2]],
-        boundary_linear=np.zeros((1, 1)), C=np.eye(1), direction="q0",
-    )
+    det_problem = noise_free_scalar_problem()
     det_path = build_levy_surrogate(FOCK_VACUUM, 1000, 1e-3, seed=1)
     det = iterate_riccati(det_problem, det_path, n_max=40, tol=1e-10)
     classical = solve_riccati_ode(
@@ -412,7 +401,7 @@ def test_criterion_12_feedback_optimality():
     from qscontrol.rf import (
         FOCK_VACUUM, PLANAR_BROWNIAN, build_levy_surrogate,
         classical_reduction_problem, closed_loop_state, cost_tilde,
-        iterate_riccati, solve_r,
+        iterate_riccati, solve_r, stochastic_2x2_problem,
     )
 
     # classical reduction: the synthesized gain path reproduces the LQR
@@ -435,28 +424,18 @@ def test_criterion_12_feedback_optimality():
     crit.check("value identity on the classical reduction", abs(costs[0] - value), 1e-4)
 
     # stochastic dominance: 2000 paths, 10 perturbations, paired comparison
-    f1 = 0.3 * np.array([[0.4, 0.2], [0.1, -0.3]])
-    from qscontrol.rf import RfProblem
-
-    sproblem = RfProblem(
-        F=[[0.1, 0.3], [-0.2, -0.4]], G=np.eye(2), L=0.1 * np.eye(2),
-        w=0.4 * np.eye(2), z=np.eye(2), F1=f1, F2=f1.conj().T,
-        Q=np.diag([0.8, 0.5]), R=np.eye(2), m=0.05 * np.eye(2), eta=0.02 * np.eye(2),
-        boundary_gain=np.diag([1.0, 0.6]), boundary_linear=0.05 * np.eye(2),
-        C=np.eye(2), direction="q0",
-    )
+    sproblem = stochastic_2x2_problem()
     xi2 = np.array([0.8, 0.6])
     perturbations = [("scale", c) for c in (0.5, 0.7, 0.8, 0.9, 1.1, 1.2, 1.5)] + [
         ("offset", 0.1 * np.eye(2)), ("offset", -0.15 * np.eye(2)),
         ("offset", np.array([[0.0, 0.1], [0.1, 0.0]])),
     ]
     n_paths, chunk = 2000, 500
+    ensemble = build_levy_surrogate(PLANAR_BROWNIAN, 1000, 1e-3, seed=1202, n_paths=n_paths)
     base_all = []
     pert_all = [[] for _ in perturbations]
     for start in range(0, n_paths, chunk):
-        path_chunk = build_levy_surrogate(
-            PLANAR_BROWNIAN, 1000, 1e-3, seed=1202, n_paths=n_paths
-        ).pick(range(start, start + chunk))
+        path_chunk = ensemble.pick(range(start, start + chunk))
         iteration = iterate_riccati(sproblem, path_chunk, n_max=30, tol=1e-6)
         crit.require(f"chunk {start} converged", iteration.converged)
         r_chunk = solve_r(sproblem, iteration.final, path_chunk)

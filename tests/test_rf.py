@@ -2,6 +2,7 @@
 monotone Picard iteration, the affine feedback, and time reversal."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from qscontrol.errors import ShapeError
 from qscontrol.rf import (
     FOCK_VACUUM,
     PLANAR_BROWNIAN,
-    RfProblem,
     build_levy_surrogate,
     classical_reduction_problem,
     closed_loop_state,
@@ -19,10 +19,12 @@ from qscontrol.rf import (
     feedback_control,
     iterate_riccati,
     min_eig_batch,
+    noise_free_scalar_problem,
     residual_integral,
     sigma_positivity,
     simulate_state,
     solve_r,
+    stochastic_2x2_problem,
     time_reverse,
     verify_fock_vacuum_table,
     verify_feedback_optimality,
@@ -38,35 +40,9 @@ from qscontrol.rf_symbolic import (
 ZERO1 = np.zeros((1, 1))
 
 
-def scalar_problem(direction="q0", **kw):
-    base = dict(
-        F=[[0.3]], G=np.eye(1), L=ZERO1, w=ZERO1, z=np.eye(1), F1=ZERO1, F2=ZERO1,
-        Q=[[0.8]], R=np.eye(1), m=ZERO1, eta=ZERO1,
-        boundary_gain=[[1.2]], boundary_linear=ZERO1, C=np.eye(1), direction=direction,
-    )
-    base.update(kw)
-    return RfProblem(**base)
-
-
-def stochastic_2x2(seed_free=False):
-    f1 = 0.3 * np.array([[0.4, 0.2], [0.1, -0.3]])
-    return RfProblem(
-        F=[[0.1, 0.3], [-0.2, -0.4]],
-        G=np.eye(2),
-        L=0.1 * np.eye(2),
-        w=0.4 * np.eye(2),
-        z=np.eye(2),
-        F1=f1,
-        F2=f1.conj().T,
-        Q=np.diag([0.8, 0.5]),
-        R=np.eye(2),
-        m=0.05 * np.eye(2),
-        eta=0.02 * np.eye(2),
-        boundary_gain=np.diag([1.0, 0.6]),
-        boundary_linear=0.05 * np.eye(2),
-        C=np.eye(2),
-        direction="q0",
-    )
+def scalar_problem(**overrides):
+    """The shared noise-free scalar instance with fields overridden."""
+    return replace(noise_free_scalar_problem(), **overrides)
 
 
 # ---------------------------------------------------------------- surrogate
@@ -196,7 +172,7 @@ def test_iteration_deterministic_limit_matches_classical_riccati():
 
 
 def test_iteration_monotone_psd_and_hermitian():
-    problem = stochastic_2x2()
+    problem = stochastic_2x2_problem()
     path = build_levy_surrogate(PLANAR_BROWNIAN, 1000, 1e-3, seed=42, n_paths=4)
     result = iterate_riccati(problem, path, n_max=30, tol=1e-6)
     assert result.converged and result.n_iterations <= 30
@@ -209,7 +185,7 @@ def test_iteration_monotone_psd_and_hermitian():
 
 
 def test_iteration_uniqueness_probe():
-    problem = stochastic_2x2()
+    problem = stochastic_2x2_problem()
     path = build_levy_surrogate(PLANAR_BROWNIAN, 500, 2e-3, seed=13, n_paths=2)
     tol = 1e-8
     base = iterate_riccati(problem, path, n_max=60, tol=tol)
@@ -228,7 +204,7 @@ def test_residual_integral_zero_data_and_fixed_point():
     zero_path = np.zeros((1, 301, 1, 1), dtype=complex)
     assert residual_integral(problem, zero_path, path) == 0.0
 
-    problem = stochastic_2x2()
+    problem = stochastic_2x2_problem()
     path = build_levy_surrogate(PLANAR_BROWNIAN, 1000, 1e-3, seed=42, n_paths=2)
     tol = 1e-6
     result = iterate_riccati(problem, path, n_max=30, tol=tol)
@@ -276,8 +252,6 @@ def test_r_richardson_halving():
 
     def coarsen(path, factor):
         dm1 = path.dm1.reshape(path.n_paths, -1, factor).sum(axis=2)
-        from dataclasses import replace
-
         return replace(path, dm1=dm1, dm2=dm1.conj(), dt=path.dt * factor)
 
     mid = coarsen(fine, 2)
@@ -326,6 +300,34 @@ def test_feedback_matches_classical_gain_path():
     assert gain_err <= 1e-6
 
 
+@pytest.mark.parametrize("direction", ["q0", "qt"])
+def test_closed_loop_evaluates_feedback_once_per_state_point(direction, monkeypatch):
+    from qscontrol import rf
+
+    problem = replace(stochastic_2x2_problem(), direction=direction)
+    path = build_levy_surrogate(PLANAR_BROWNIAN, 50, 2e-2, seed=23, n_paths=3)
+    pi_values = iterate_riccati(problem, path, n_max=30, tol=1e-8).final
+    r_values = solve_r(problem, pi_values, path)
+    original = rf.feedback_control
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(rf, "feedback_control", counting)
+    offset = 0.1 * np.eye(2)
+    laws = [(None, lambda u: u), (("scale", 0.7), lambda u: 0.7 * u),
+            (("offset", offset), lambda u: u + offset)]
+    for law, apply in laws:
+        calls.clear()
+        x_path, u_path = closed_loop_state(problem, pi_values, r_values, path, law=law)
+        assert len(calls) == path.n_steps + 1
+        for j in range(path.n_steps + 1):
+            want = apply(original(pi_values[:, j], r_values[:, j], x_path[:, j], problem))
+            assert np.array_equal(u_path[:, j], want), (law, j)
+
+
 # ------------------------------------------------------------- optimality
 
 
@@ -351,8 +353,27 @@ def test_feedback_optimality_classical_value_identity():
     assert report["k_identity_max_defect"] <= 1e-4
 
 
-def test_feedback_optimality_stochastic_dominance():
-    problem = stochastic_2x2()
+# On qt the Riccati and r recursions negate the noise increments and the
+# state recursion does not, so the feedback law is built on other noise
+# than the state it steers.  Measured at seed 20, 100 paths, T = 1 and
+# dt = 4e-3, 1e-3, 2.5e-4: qt min_excess -0.25, -0.18, -0.22 and K-identity
+# defect 0.036, 0.059, 0.079 (no decrease with dt), against q0 +0.017,
+# +0.018, +0.018 and 0.0018, 0.0022, 0.0016.  Feeding the qt recursions the
+# state's increments gives min_excess +0.011 and a K defect of 0.005.
+QT_NOISE_SIGN_DEFECT = (
+    "qt Riccati/r recursions negate the increments the qt state uses: "
+    "min_excess -0.18 to -0.25 and K defect 0.04-0.08 at seed 20, 100 paths"
+)
+
+
+@pytest.mark.parametrize("direction", [
+    "q0",
+    pytest.param("qt", marks=pytest.mark.xfail(strict=True, reason=QT_NOISE_SIGN_DEFECT)),
+])
+def test_feedback_optimality_stochastic_dominance(direction):
+    # at seed 20 and 200 x 400, q0 measures min_excess >= 0.016 and a K
+    # defect of 0.0017
+    problem = replace(stochastic_2x2_problem(), direction=direction)
     path = build_levy_surrogate(PLANAR_BROWNIAN, 400, 2.5e-3, seed=20, n_paths=200)
     xi = np.array([0.8, 0.6])
     report = verify_feedback_optimality(
@@ -362,6 +383,8 @@ def test_feedback_optimality_stochastic_dominance():
     )
     for comp in report["comparisons"]:
         assert comp["dominates_2sigma"], comp
+        assert comp["min_excess"] > 0, comp
+    assert report["k_identity_max_defect"] <= 1e-2
 
 
 def test_feedback_optimality_qt_branch_full_chain():
@@ -405,7 +428,7 @@ def test_feedback_optimality_qt_branch_full_chain():
 
 
 def test_time_reverse_transforms_and_involution():
-    problem = stochastic_2x2()
+    problem = stochastic_2x2_problem()
     path = build_levy_surrogate(PLANAR_BROWNIAN, 64, 1e-2, seed=21, n_paths=3)
     flipped, rev = time_reverse(problem, path)
     assert flipped.direction == "qt"
@@ -433,9 +456,7 @@ def test_time_reverse_consistent_with_native_backward_iteration():
 def test_time_reverse_consistent_with_noise():
     # the two code branches realize the same arithmetic on reversed data,
     # so the agreement extends to noisy paths
-    from dataclasses import replace
-
-    problem = replace(stochastic_2x2(), direction="qt")
+    problem = replace(stochastic_2x2_problem(), direction="qt")
     path = build_levy_surrogate(PLANAR_BROWNIAN, 800, 1.25e-3, seed=6)
     native = iterate_riccati(problem, path, n_max=50, tol=1e-10)
     flipped, rev = time_reverse(problem, path)
@@ -447,9 +468,7 @@ def test_time_reverse_consistent_with_noise():
 def test_iteration_pathwise_refinement_converges():
     # refine the same Brownian path and re-run the Picard limit: the gaps
     # between consecutive resolutions shrink (strong pathwise convergence)
-    from dataclasses import replace
-
-    problem = stochastic_2x2()
+    problem = stochastic_2x2_problem()
     fine = build_levy_surrogate(PLANAR_BROWNIAN, 4000, 2.5e-4, seed=5)
 
     def coarsen(path, k):
