@@ -12,8 +12,14 @@ Two computational routes coexist on purpose:
   vacuum.  It is exponentially expensive and exists to validate the
   reduction, never to replace it.
 
-Vacuum expectations of Heisenberg flows close on the system space as a
-Lindblad-type master equation; ``flow_expectation`` integrates that.
+Each route is written once and shared by both calculi.  The Euler-Ito
+one-step operator (``_euler_ito_step``) drives the tensor oracle and the
+unitarity defect; the matrix-element reduction (``_matrix_element_series``)
+serves the first-order and the SWN evolutions; and vacuum expectations of
+Heisenberg flows close on the system space as the master equation
+rho' = D rho + rho D* + sum_J J rho J* (``_master_generator``), which
+``flow_expectation``, ``swn_simulate`` and the quadratic costs of
+``qcontrol`` integrate.
 """
 
 from __future__ import annotations
@@ -279,9 +285,6 @@ def matrix_element_evolution(spec, f, g, u, v, horizon, dt=1e-3):
     breakpoints of f and g.
     """
     e_mat, f_mat, g_mat, h_mat = _coefficients(spec)
-    dim = e_mat.shape[0]
-    u = np.asarray(u, dtype=complex).reshape(dim)
-    v = np.asarray(v, dtype=complex).reshape(dim)
     f = f if f is not None else _vacuum(horizon)
     g = g if g is not None else _vacuum(horizon)
 
@@ -290,6 +293,14 @@ def matrix_element_evolution(spec, f, g, u, v, horizon, dt=1e-3):
         gv = complex(g.value(t)[0])
         return fv * gv * e_mat + gv * f_mat + fv * g_mat + h_mat
 
+    return _matrix_element_series(gen, e_mat.shape[0], f, g, u, v, horizon, dt)
+
+
+def _matrix_element_series(gen, dim, f, g, u, v, horizon, dt):
+    """<u, V_t v> for V' = gen(t) V, V_0 = exp(<f, g>) id on C^dim: RK4 on
+    a grid aligned with the segment breakpoints of f and g."""
+    u = np.asarray(u, dtype=complex).reshape(dim)
+    v = np.asarray(v, dtype=complex).reshape(dim)
     grid = _grid_with_breaks(horizon, dt, f.segment_edges(horizon) + g.segment_edges(horizon))
     v0 = np.exp(f.overlap(g, horizon)) * np.eye(dim, dtype=complex)
     states = _rk4(lambda t, V: gen(t) @ V, v0, grid)
@@ -300,9 +311,23 @@ def matrix_element_evolution(spec, f, g, u, v, horizon, dt=1e-3):
 # --------------------------------------------------------- tensor oracle O2
 
 
-def _mode_ops(d):
-    a = np.diag(np.sqrt(np.arange(1, d, dtype=float)), 1)
-    return a, a.conj().T
+def _euler_ito_step(spec, d, dt):
+    """Euler-Ito one-step operator on system (x) one fresh d-level mode,
+
+        1 + dt H0 + sqrt(dt) (F a + G a+) + E a+ a,
+
+    with (E, F, G, H0) the (dL, dA, dA+, dt) coefficients of ``spec``."""
+    e_mat, f_mat, g_mat, h_mat = _coefficients(spec)
+    dim = e_mat.shape[0]
+    a_op = np.diag(np.sqrt(np.arange(1, d, dtype=float)), 1)
+    adag_op = a_op.conj().T
+    return (
+        np.kron(np.eye(dim), np.eye(d))
+        + dt * np.kron(h_mat, np.eye(d))
+        + math.sqrt(dt) * np.kron(f_mat, a_op)
+        + math.sqrt(dt) * np.kron(g_mat, adag_op)
+        + np.kron(e_mat, adag_op @ a_op)
+    )
 
 
 def step_tensor_evolution(spec, config, n_steps_max=None, u=None, v=None, observable=None):
@@ -314,10 +339,11 @@ def step_tensor_evolution(spec, config, n_steps_max=None, u=None, v=None, observ
     with a Hermitian system ``observable`` X it holds <psi_k, (X (x) 1) psi_k>
     for psi_k = U_k (v (x) vac).
     """
-    e_mat, f_mat, g_mat, h_mat = _coefficients(spec)
-    dim = e_mat.shape[0]
-    steps = config.n_steps if n_steps_max is None else min(config.n_steps, n_steps_max)
     d = config.levels_per_mode
+    dt = config.dt
+    step_op = _euler_ito_step(spec, d, dt)
+    dim = step_op.shape[0] // d
+    steps = config.n_steps if n_steps_max is None else min(config.n_steps, n_steps_max)
     required = dim * d**steps
     if required > config.tensor_budget:
         raise ResourceLimitError(
@@ -328,25 +354,15 @@ def step_tensor_evolution(spec, config, n_steps_max=None, u=None, v=None, observ
     u = np.asarray(u if u is not None else _basis0(dim), dtype=complex).reshape(dim)
     v = np.asarray(v if v is not None else _basis0(dim), dtype=complex).reshape(dim)
 
-    a_op, adag_op = _mode_ops(d)
-    dt = config.dt
-    step_op = (
-        np.kron(np.eye(dim), np.eye(d))
-        + dt * np.kron(h_mat, np.eye(d))
-        + math.sqrt(dt) * np.kron(f_mat, a_op)
-        + math.sqrt(dt) * np.kron(g_mat, adag_op)
-        + np.kron(e_mat, adag_op @ a_op)
-    )
-
     psi = np.zeros((dim,) + (d,) * steps, dtype=complex)
     psi[(slice(None),) + (0,) * steps] = v
 
     times = [0.0]
-    values = [_readout(psi, u, dim, d, steps, observable)]
+    values = [_readout(psi, u, dim, steps, observable)]
     for k in range(steps):
-        psi = _apply_two_site(step_op, psi, k, dim, d, steps)
+        psi = _apply_two_site(step_op, psi, k, dim, d)
         times.append((k + 1) * dt)
-        values.append(_readout(psi, u, dim, d, steps, observable))
+        values.append(_readout(psi, u, dim, steps, observable))
     return ExpectationSeries(np.array(times), np.array(values))
 
 
@@ -356,8 +372,9 @@ def _basis0(dim):
     return vec
 
 
-def _apply_two_site(step_op, psi, k, dim, d, steps):
-    """Apply an operator acting on (system, mode k) to the full state."""
+def _apply_two_site(step_op, psi, k, dim, d):
+    """Apply an operator acting on (system, mode k) to the full state; axes
+    after the modes ride along as a batch."""
     moved = np.moveaxis(psi, 1 + k, 1)
     shape = moved.shape
     flat = moved.reshape(dim * d, -1)
@@ -365,7 +382,7 @@ def _apply_two_site(step_op, psi, k, dim, d, steps):
     return np.moveaxis(flat.reshape(shape), 1, 1 + k)
 
 
-def _readout(psi, u, dim, d, steps, observable):
+def _readout(psi, u, dim, steps, observable):
     if observable is None:
         vac_slice = psi[(slice(None),) + (0,) * steps]
         return complex(u.conj() @ vac_slice)
@@ -375,11 +392,15 @@ def _readout(psi, u, dim, d, steps, observable):
 
 
 def unitarity_defect(spec, config, matrix_budget=DEFAULT_MATRIX_BUDGET):
-    """max_k || U_k* U_k - 1 ||_2 for the full Euler-Ito tensor propagator."""
-    e_mat, f_mat, g_mat, h_mat = _coefficients(spec)
-    dim = e_mat.shape[0]
-    steps = config.n_steps
+    """max_k || U_k* U_k - 1 ||_2 for the full Euler-Ito tensor propagator.
+
+    U_k is the one-step operator applied, mode by mode, to the identity
+    propagator, held as a batch of dim d^steps tensor states.
+    """
     d = config.levels_per_mode
+    step_op = _euler_ito_step(spec, d, config.dt)
+    dim = step_op.shape[0] // d
+    steps = config.n_steps
     total = dim * d**steps
     if total * total > matrix_budget:
         raise ResourceLimitError(
@@ -387,29 +408,13 @@ def unitarity_defect(spec, config, matrix_budget=DEFAULT_MATRIX_BUDGET):
             required=total * total,
             budget=matrix_budget,
         )
-    a_op, adag_op = _mode_ops(d)
-    dt = config.dt
-
-    def lift(mode_mat, sys_mat, k):
-        ops = [sys_mat] + [np.eye(d)] * steps
-        ops[1 + k] = mode_mat
-        out = ops[0]
-        for op in ops[1:]:
-            out = np.kron(out, op)
-        return out
-
-    u_full = np.eye(total, dtype=complex)
+    eye = np.eye(total)
+    props = eye.astype(complex).reshape((dim,) + (d,) * steps + (total,))
     worst = 0.0
     for k in range(steps):
-        step = (
-            np.eye(total)
-            + dt * lift(np.eye(d), h_mat, k)
-            + math.sqrt(dt) * lift(a_op, f_mat, k)
-            + math.sqrt(dt) * lift(adag_op, g_mat, k)
-            + lift(adag_op @ a_op, e_mat, k)
-        )
-        u_full = step @ u_full
-        defect = np.linalg.norm(u_full.conj().T @ u_full - np.eye(total), 2)
+        props = _apply_two_site(step_op, props, k, dim, d)
+        u_full = props.reshape(total, total)
+        defect = np.linalg.norm(u_full.conj().T @ u_full - eye, 2)
         worst = max(worst, float(defect))
     return worst
 
@@ -507,37 +512,42 @@ def characteristic_functional(kind, s, lam, t, config=None):
 # ------------------------------------------------------- Heisenberg flows
 
 
-def lindblad_generator(h_mat, l_mat):
-    """Schroedinger-picture generator rho -> -i[H,rho] - {L*L,rho}/2 + L rho L*."""
-    l_dag = l_mat.conj().T
-    ll = l_dag @ l_mat
+def _master_generator(drift, jumps):
+    """Vacuum master equation rho -> D rho + rho D* + sum_J J rho J*."""
+    drift_star = drift.conj().T
 
     def gen(rho):
-        return (
-            -1j * (h_mat @ rho - rho @ h_mat)
-            - 0.5 * (ll @ rho + rho @ ll)
-            + l_mat @ rho @ l_dag
-        )
+        out = drift @ rho + rho @ drift_star
+        for jump in jumps:
+            out += jump @ rho @ jump.conj().T
+        return out
 
     return gen
+
+
+def _master_expectation(drift, jumps, x_mat, state, horizon, dt):
+    """t -> tr(rho_t X) along the master equation from the pure state."""
+    state = np.asarray(state, dtype=complex).reshape(x_mat.shape[0])
+    rho0 = np.outer(state, state.conj())
+    gen = _master_generator(drift, jumps)
+    grid = _grid_with_breaks(horizon, dt)
+    states = _rk4(lambda _t, rho: gen(rho), rho0, grid)
+    values = np.array([np.trace(rho @ x_mat) for rho in states])
+    return ExpectationSeries(grid, values)
 
 
 def flow_expectation(spec, observable, state, horizon, dt=1e-3):
     """Vacuum expectation of the Heisenberg flow of a Hermitian observable.
 
-    Integrates the dual master equation for the conditional state and
-    returns t -> tr(rho_t X) with rho_0 the pure system state.
+    Integrates the master equation with D = -(iH + L*L/2) and the single
+    jump L for the conditional state and returns t -> tr(rho_t X) with
+    rho_0 the pure system state.
     """
     x_mat = as_matrix(observable, spec.dim)
     if not is_hermitian(x_mat):
         raise ShapeError("observable must be Hermitian")
-    state = np.asarray(state, dtype=complex).reshape(spec.dim)
-    rho0 = np.outer(state, state.conj())
-    gen = lindblad_generator(spec.H, spec.L)
-    grid = _grid_with_breaks(horizon, dt)
-    states = _rk4(lambda _t, rho: gen(rho), rho0, grid)
-    values = np.array([np.trace(rho @ x_mat) for rho in states])
-    return ExpectationSeries(grid, values)
+    _, _, jump, drift = spec.qsde_coefficients()
+    return _master_expectation(drift, [jump], x_mat, state, horizon, dt)
 
 
 # -------------------------------------------------------------- SWN route
@@ -569,6 +579,29 @@ def swn_evolution_coefficients(h_mat, d_minus, w_op):
     return f0, phi
 
 
+def _swn_checked_coefficients(h_mat, d_minus, w_op, k_modes):
+    """(F0, Phi, rho+ images of the conservation labels) at multiplicity
+    truncation K, after rejecting a non-Hermitian H, annihilation or
+    creation indices >= K, and conservation labels whose action escapes
+    the K-window (clipping would corrupt the table)."""
+    h_mat = as_matrix(h_mat, d_minus.dim, name="H")
+    if not is_hermitian(h_mat):
+        raise ShapeError("H must be Hermitian")
+    if d_minus.max_index() >= k_modes:
+        raise IndexEscapeError(
+            f"annihilation coefficient indices exceed K={k_modes}",
+            needed=d_minus.max_index() + 1, limit=k_modes,
+        )
+    images = {label: _rho_plus_window(label, k_modes) for label in w_op.cons_terms()}
+    f0, phi = swn_evolution_coefficients(h_mat, d_minus, w_op)
+    if phi.max_index() >= k_modes:
+        raise IndexEscapeError(
+            f"creation coefficient escapes K={k_modes}",
+            needed=phi.max_index() + 1, limit=k_modes,
+        )
+    return f0, phi, images
+
+
 def swn_matrix_element_evolution(h_mat, d_minus, w_op, u, v, config, f=None, g=None, dt=None):
     """<u (x) psi(f), U_t v (x) psi(g)> for the SWN evolution, K modes.
 
@@ -588,31 +621,14 @@ def swn_matrix_element_evolution(h_mat, d_minus, w_op, u, v, config, f=None, g=N
     """
     k_modes = config.swn_modes
     dim = d_minus.dim
-    h_mat = as_matrix(h_mat, dim, name="H")
-    if not is_hermitian(h_mat):
-        raise ShapeError("H must be Hermitian")
     horizon = config.horizon
     f = f if f is not None else _vacuum(horizon, k_modes)
     g = g if g is not None else _vacuum(horizon, k_modes)
     for name, func in (("f", f), ("g", g)):
         if func.values[0].shape != (k_modes,):
             raise ShapeError(f"{name} must take values in C^{k_modes}")
-
-    if d_minus.max_index() >= k_modes:
-        raise IndexEscapeError(
-            f"annihilation coefficient indices exceed K={k_modes}",
-            needed=d_minus.max_index() + 1, limit=k_modes,
-        )
-    cons_images = {
-        label: _rho_plus_window(label, k_modes) for label in w_op.cons_terms()
-    }
-    f0, phi = swn_evolution_coefficients(h_mat, d_minus, w_op)
-    if phi.max_index() >= k_modes:
-        raise IndexEscapeError(
-            f"creation coefficient escapes K={k_modes}",
-            needed=phi.max_index() + 1, limit=k_modes,
-        )
-    eye_cons = {label: mat for label, mat in w_op.cons_terms().items()}
+    f0, phi, cons_images = _swn_checked_coefficients(h_mat, d_minus, w_op, k_modes)
+    cons = w_op.cons_terms()
     modes_minus = d_minus.mode_terms()
     modes_phi = phi.mode_terms()
 
@@ -620,7 +636,7 @@ def swn_matrix_element_evolution(h_mat, d_minus, w_op, u, v, config, f=None, g=N
         f_val = f.value(t)
         g_val = g.value(t)
         total = f0.copy()
-        for label, sys_mat in eye_cons.items():
+        for label, sys_mat in cons.items():
             image = cons_images[label]
             weight = complex(f_val.conj() @ image @ g_val)
             total = total + weight * sys_mat
@@ -633,14 +649,8 @@ def swn_matrix_element_evolution(h_mat, d_minus, w_op, u, v, config, f=None, g=N
             total = total + complex(f_val[n].conjugate()) * mat
         return total
 
-    u = np.asarray(u, dtype=complex).reshape(dim)
-    v = np.asarray(v, dtype=complex).reshape(dim)
     dt = dt if dt is not None else config.dt
-    grid = _grid_with_breaks(horizon, dt, f.segment_edges(horizon) + g.segment_edges(horizon))
-    v0 = np.exp(f.overlap(g, horizon)) * np.eye(dim, dtype=complex)
-    states = _rk4(lambda t, V: gen(t) @ V, v0, grid)
-    values = np.array([u.conj() @ V @ v for V in states])
-    return ExpectationSeries(grid, values)
+    return _matrix_element_series(gen, dim, f, g, u, v, horizon, dt)
 
 
 def swn_simulate(h_mat, d_minus, w_op, observable, state, config, dt=None):
@@ -649,43 +659,19 @@ def swn_simulate(h_mat, d_minus, w_op, observable, state, config, dt=None):
     Maps the SWN evolution to a multiplicity-K first-order evolution
     (conservation coefficients through their rho+ images, mode vectors as
     K-mode annihilators/creators) and integrates the induced master
-    equation rho' = F0 rho + rho F0* + sum_n Phi_n rho Phi_n*.
+    equation rho' = F0 rho + rho F0* + sum_n Phi_n rho Phi_n*.  Beyond
+    the checks the matrix-element route makes, conservation labels with
+    an index above K reject.
     """
     k_modes = config.swn_modes
-    dim = d_minus.dim
-    h_mat = as_matrix(h_mat, dim, name="H")
-    if not is_hermitian(h_mat):
-        raise ShapeError("H must be Hermitian")
-    if d_minus.max_index() >= k_modes or w_op.max_index() > k_modes:
+    f0, phi, _ = _swn_checked_coefficients(h_mat, d_minus, w_op, k_modes)
+    if w_op.max_index() > k_modes:
         raise IndexEscapeError(
-            f"coefficient indices exceed multiplicity truncation K={k_modes}",
-            needed=max(d_minus.max_index() + 1, w_op.max_index()),
-            limit=k_modes,
+            f"conservation indices exceed multiplicity truncation K={k_modes}",
+            needed=w_op.max_index(), limit=k_modes,
         )
-    for label in w_op.cons_terms():
-        _rho_plus_window(label, k_modes)
-
-    f0, phi = swn_evolution_coefficients(h_mat, d_minus, w_op)
-    if phi.max_index() >= k_modes:
-        raise IndexEscapeError(
-            f"creation coefficient escapes multiplicity truncation K={k_modes}",
-            needed=phi.max_index() + 1,
-            limit=k_modes,
-        )
-    jumps = list(phi.mode_terms().values())
-
-    x_mat = as_matrix(observable, dim)
-    state = np.asarray(state, dtype=complex).reshape(dim)
-    rho0 = np.outer(state, state.conj())
-
-    def gen(rho):
-        out = f0 @ rho + rho @ f0.conj().T
-        for jump in jumps:
-            out += jump @ rho @ jump.conj().T
-        return out
-
+    x_mat = as_matrix(observable, d_minus.dim)
     dt = dt if dt is not None else config.dt
-    grid = _grid_with_breaks(config.horizon, dt)
-    states = _rk4(lambda _t, rho: gen(rho), rho0, grid)
-    values = np.array([np.trace(rho @ x_mat) for rho in states])
-    return ExpectationSeries(grid, values)
+    return _master_expectation(
+        f0, list(phi.mode_terms().values()), x_mat, state, config.horizon, dt
+    )

@@ -33,7 +33,7 @@ import numpy as np
 from scipy import optimize
 
 from .errors import ShapeError
-from .fock import GenericQsdeSpec, HpEvolutionSpec, _rk4
+from .fock import GenericQsdeSpec, HpEvolutionSpec, _master_generator, _rk4
 from .freealg import FreePoly
 from .ito.labels import HpLabel
 from .ito.module_ops import (
@@ -260,19 +260,18 @@ def reduced_riccati_obstruction(h_mat, x_mat, n_starts=3, seed=0):
 
 
 def _density_cost(drift, jumps, xi, horizon, weight_fn, terminal_fn, dt):
-    """Integrate rho' = drift rho + rho drift* + sum J rho J* together with
-    the running cost dJ = weight_fn(rho) dt; both ride one RK4 pass."""
+    """Integrate the vacuum master equation rho' = drift rho + rho drift*
+    + sum J rho J* together with the running cost dJ = weight_fn(rho) dt;
+    both ride one RK4 pass."""
     dim = drift.shape[0]
-    rho0 = np.outer(xi, xi.conj())
+    gen = _master_generator(drift, jumps)
     y0 = np.zeros((dim + 1, dim), dtype=complex)
-    y0[:dim] = rho0
+    y0[:dim] = np.outer(xi, xi.conj())
 
     def deriv(_t, y):
         rho = y[:dim]
         out = np.zeros_like(y)
-        out[:dim] = drift @ rho + rho @ drift.conj().T
-        for jump in jumps:
-            out[:dim] += jump @ rho @ jump.conj().T
+        out[:dim] = gen(rho)
         out[dim, 0] = weight_fn(rho)
         return out
 

@@ -24,8 +24,9 @@ opposite time directions.  Each recursion is one loop stepping away from
 its boundary; one that runs backward in time runs that loop on
 time-reversed views (``_along``), so both branches share every line of
 arithmetic.  On qt the Riccati and r recursions (``_step_factors``,
-``solve_r``) negate the Ito table and the noise increments; the state
-recursion uses the increments unchanged on both branches.
+``solve_r``) negate the Ito table (a reversed-time table carries -sigma);
+every recursion uses the noise increments unchanged on both branches, so
+the feedback law is built on the same noise as the state it steers.
 
 Discretization of the Picard step.  The iterate recursion is the discrete
 Duhamel form of the propagator representation,
@@ -333,9 +334,9 @@ def _step_factors(problem, path, pi_path):
     """Per-step left multipliers M_j for the closed-loop recursion.
 
     pi_path has shape (P, T+1, d, d) and supplies the gain samples of the
-    previous iterate; returns (P, T, d, d).  The qt branch mirrors the
-    construction: negated drift quadratic (the reversed table carries
-    -sigma) and negated increments.
+    previous iterate; returns (P, T, d, d).  The qt branch negates the
+    drift quadratic (the reversed table carries -sigma); the increments
+    are the same on both branches.
     """
     dt = path.dt
     eye = np.eye(problem.dim)
@@ -349,9 +350,7 @@ def _step_factors(problem, path, pi_path):
     drift_star = _adj(drift)
     cay = np.linalg.solve(eye - 0.5 * dt * drift_star, eye + 0.5 * dt * drift_star)
 
-    dm1 = sign * path.dm1[..., None, None]
-    dm2 = sign * path.dm2[..., None, None]
-    mart = eye + dm1 * c1 + dm2 * c2
+    mart = eye + path.dm1[..., None, None] * c1 + path.dm2[..., None, None] * c2
     return np.matmul(cay, _adj(mart))
 
 
@@ -554,12 +553,11 @@ def solve_r(problem, pi_path, path):
     with D_a' = D_a - Pi F_a z = (noise coefficient acting on r alone) and
     B_a the martingale coefficients of the Riccati path.  The qt branch
     runs the same loop on time-reversed views from r(T) = boundary_linear*,
-    with negated table and increments.
+    with negated table and the increments unchanged.
     """
     n_steps, dt, dim = path.n_steps, path.dt, problem.dim
     forward = problem.direction == Q0
-    sign = 1.0 if forward else -1.0
-    sig = sign * path.sigma
+    sig = path.sigma if forward else -path.sigma
 
     gq = problem.gain_quad()
     c1, c2 = problem.noise_couplings()
@@ -571,8 +569,8 @@ def solve_r(problem, pi_path, path):
 
     out = np.empty((pi_path.shape[0], n_steps + 1, dim, dim), dtype=complex)
     r_k, pi_k = _along(out, forward), _along(pi_path, forward)
-    dm1_k = sign * _along(path.dm1, forward)[..., None, None]
-    dm2_k = sign * _along(path.dm2, forward)[..., None, None]
+    dm1_k = _along(path.dm1, forward)[..., None, None]
+    dm2_k = _along(path.dm2, forward)[..., None, None]
     r_k[:, 0] = problem.boundary_linear.conj().T
 
     for k in range(n_steps):
@@ -639,23 +637,18 @@ def closed_loop_state(problem, pi_values, r_values, path, law=None):
 # ----------------------------------------------------------- time reversal
 
 
-def time_reverse(problem, path=None):
+def time_reverse(problem, path):
     """Map between the qt and q0 forms by s = T - t.
 
     Constant coefficients are unchanged (hatting is the identity on
     constants); the boundary data swap roles; the noise path reverses and
-    negates, and the Ito table flips sign, following the stated reversal
-    convention N_a(s) = -M_a(T-s), sigma~ = -sigma.  Applying the map
-    twice restores both objects bit-exactly.
+    the Ito table flips sign, following the reversal convention
+    N_a(s) = M_a(T-s), sigma~ = -sigma, the one every recursion uses.
+    Applying the map twice restores both objects bit-exactly.
     """
     flipped = replace(problem, direction=Q0 if problem.direction == QT else QT)
-    if path is None:
-        return flipped, None
     reversed_path = replace(
-        path,
-        dm1=-path.dm1[:, ::-1].copy(),
-        dm2=-path.dm2[:, ::-1].copy(),
-        sigma=-path.sigma,
+        path, dm1=path.dm1[:, ::-1].copy(), dm2=path.dm2[:, ::-1].copy(), sigma=-path.sigma
     )
     return flipped, reversed_path
 

@@ -116,3 +116,13 @@ def test_main_seed_override(tmp_path, capsys):
     assert main(["run", str(cfg), "--seed", "7", "--out-dir", str(tmp_path), "--format", "csv"]) == 0
     report = json.loads((tmp_path / "lqr_report.json").read_text())
     assert report["seed"] == 7
+
+
+def test_main_paths_override_rejected_where_kind_has_no_n_paths(tmp_path, capsys):
+    # --paths sets the n_paths key, which only lqg and rf-riccati accept
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "lqr"}))
+    assert main(["run", str(cfg), "--paths", "8", "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "n_paths: unknown key for kind 'lqr'" in err
+    assert not (tmp_path / "lqr_report.json").exists()

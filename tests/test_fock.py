@@ -268,6 +268,41 @@ def test_unitarity_defect_hamiltonian_taylor_bound():
     assert defect <= 2.0 * config.n_steps * config.dt**2 * h_norm**2 + 1e-12
 
 
+def test_unitarity_defect_matches_dense_kronecker_propagator():
+    # reference: every step lifted to a dense operator on system (x) 3 modes
+    w_mat = np.array([[0.6, 0.8j], [0.8j, 0.6]])
+    spec = HpEvolutionSpec(H=0.3 * SX + 0.2 * SZ, L=SMINUS + 0.1 * SZ, W=w_mat)
+    d, steps, dt = 3, 3, 1e-2
+    config = TruncationConfig(levels_per_mode=d, dt=dt, horizon=steps * dt)
+    e_mat, f_mat, g_mat, h_mat = spec.qsde_coefficients()
+    a_op = np.diag(np.sqrt(np.arange(1, d, dtype=float)), 1)
+    total = spec.dim * d**steps
+
+    def lift(sys_mat, mode_mat, k):
+        ops = [sys_mat] + [np.eye(d)] * steps
+        ops[1 + k] = mode_mat
+        out = ops[0]
+        for op in ops[1:]:
+            out = np.kron(out, op)
+        return out
+
+    u_full = np.eye(total, dtype=complex)
+    want = 0.0
+    for k in range(steps):
+        step = (
+            np.eye(total)
+            + dt * lift(h_mat, np.eye(d), k)
+            + math.sqrt(dt) * lift(f_mat, a_op, k)
+            + math.sqrt(dt) * lift(g_mat, a_op.T, k)
+            + lift(e_mat, a_op.T @ a_op, k)
+        )
+        u_full = step @ u_full
+        want = max(want, np.linalg.norm(u_full.conj().T @ u_full - np.eye(total), 2))
+    got = unitarity_defect(spec, config)
+    assert want > 1e-3  # W != I and the truncation make the defect visible
+    assert abs(got - want) <= 1e-12 * want
+
+
 def test_unitarity_defect_budget_rejection():
     spec = HpEvolutionSpec(H=SZ, L=SMINUS)
     config = TruncationConfig(levels_per_mode=2, dt=1e-3, horizon=8e-3)
