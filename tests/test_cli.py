@@ -126,3 +126,15 @@ def test_main_paths_override_rejected_where_kind_has_no_n_paths(tmp_path, capsys
     err = capsys.readouterr().err
     assert "n_paths: unknown key for kind 'lqr'" in err
     assert not (tmp_path / "lqr_report.json").exists()
+
+
+@pytest.mark.parametrize("dt", ["4e-3", "8e-3"])
+def test_main_rf_riccati_dt_override_keeps_horizon_and_passes(tmp_path, dt):
+    # without n_steps the horizon stays 1, so every check holds at its
+    # dt-scaled tolerance (monotone margin 1.58e-8 vs 4e-8 at dt 4e-3,
+    # 5.11e-8 vs 8e-8 at dt 8e-3)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "rf-riccati", "write_traces": True}))
+    assert main(["run", str(cfg), "--dt", dt, "--out-dir", str(tmp_path)]) == 0
+    last_row = (tmp_path / "rf-riccati_trace.csv").read_text().splitlines()[-1]
+    assert float(last_row.split(",")[0]) == pytest.approx(1.0, abs=1e-12)

@@ -6,12 +6,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qscontrol.classical import LqProblem, solve_riccati_ode
 from qscontrol.errors import ShapeError
 from qscontrol.rf import (
     FOCK_VACUUM,
     PLANAR_BROWNIAN,
+    _mm,
     build_levy_surrogate,
     classical_reduction_problem,
     closed_loop_state,
@@ -325,10 +327,158 @@ def test_closed_loop_evaluates_feedback_once_per_state_point(direction, monkeypa
     for law, apply in laws:
         calls.clear()
         x_path, u_path = closed_loop_state(problem, pi_values, r_values, path, law=law)
-        assert len(calls) == path.n_steps + 1
+        # one evaluation, on all T+1 state points of the result
+        assert len(calls) == 1
+        assert calls[0][2].shape == (path.n_paths, path.n_steps + 1, 2, 2)
         for j in range(path.n_steps + 1):
             want = apply(original(pi_values[:, j], r_values[:, j], x_path[:, j], problem))
             assert np.array_equal(u_path[:, j], want), (law, j)
+
+
+# -------------------------------------------- per-step reference loops
+#
+# The state, closed-loop and r recursions run as affine sweeps on step
+# maps built in one vectorized pass.  These are the per-step Euler loops
+# they replace, written with np.matmul; the sweeps must reproduce them to
+# rounding.
+
+
+def _ref_grid(problem, path, state):
+    """Time indices in stepping order and the increment index of each step.
+
+    The state runs backward on q0 and forward on qt; the Riccati-side
+    recursions (r) run the other way round.
+    """
+    forward = (problem.direction == "qt") == state
+    order = list(range(path.n_steps + 1))
+    order = order if forward else order[::-1]
+    return [(order[k], order[k + 1], min(order[k], order[k + 1]))
+            for k in range(path.n_steps)], order[0]
+
+
+def _ref_feedback(problem, pi_now, r_now, x_now):
+    rinv = np.linalg.inv(problem.R)
+    inner = np.matmul(pi_now, x_now) + r_now
+    return -np.matmul(rinv, np.matmul(problem.G.conj().T, inner) + problem.eta.conj().T)
+
+
+def _ref_state(problem, path, control):
+    """Euler state loop; ``control(j, X_j)`` at each step's anchor point."""
+    steps, start = _ref_grid(problem, path, state=True)
+    dim = problem.dim
+    x = np.empty((path.n_paths, path.n_steps + 1, dim, dim), dtype=complex)
+    x[:, start] = problem.C
+    for j, nxt, inc in steps:
+        x_now = x[:, j]
+        drift = np.matmul(problem.F, x_now) + np.matmul(problem.G, control(j, x_now)) + problem.L
+        coupling = np.matmul(problem.w, x_now) + problem.z
+        noise = (path.dm1[:, inc, None, None] * np.matmul(problem.F1, coupling)
+                 + path.dm2[:, inc, None, None] * np.matmul(problem.F2, coupling))
+        x[:, nxt] = x_now + path.dt * drift + noise
+    return x
+
+
+def _ref_r(problem, pi, path):
+    """Euler step of the r-equation (see ``solve_r``), one step at a time."""
+    steps, start = _ref_grid(problem, path, state=False)
+    sig = path.sigma if problem.direction == "q0" else -path.sigma
+    gq = problem.gain_quad()
+    c1, c2 = problem.noise_couplings()
+    c1s, c2s = c1.conj().T, c2.conj().T
+    f1z, f2z = problem.F1 @ problem.z, problem.F2 @ problem.z
+    eta_pull = problem.G @ np.linalg.inv(problem.R) @ problem.eta.conj().T
+    r = np.empty_like(pi)
+    r[:, start] = problem.boundary_linear.conj().T
+    for j, nxt, inc in steps:
+        r_now, pi_now = r[:, j], pi[:, j]
+        b1 = np.matmul(c2s, pi_now) + np.matmul(pi_now, c1)
+        b2 = np.matmul(c1s, pi_now) + np.matmul(pi_now, c2)
+        d1_r, d2_r = np.matmul(c2s, r_now), np.matmul(c1s, r_now)
+        d1 = d1_r + np.matmul(pi_now, f1z)
+        d2 = d2_r + np.matmul(pi_now, f2z)
+        drift = (
+            np.matmul(problem.F.conj().T, r_now) - np.matmul(np.matmul(pi_now, gq), r_now)
+            + np.matmul(pi_now, problem.L) + problem.m.conj().T - np.matmul(pi_now, eta_pull)
+            + np.matmul(b1, sig[1, 0] * f1z + sig[1, 1] * f2z)
+            + np.matmul(b2, sig[0, 0] * f1z + sig[0, 1] * f2z)
+            + np.matmul(c1s, sig[0, 0] * d1_r + sig[0, 1] * d2_r)
+            + np.matmul(c2s, sig[1, 0] * d1_r + sig[1, 1] * d2_r)
+        )
+        r[:, nxt] = r_now + (path.dt * drift + path.dm1[:, inc, None, None] * d1
+                             + path.dm2[:, inc, None, None] * d2)
+    return r
+
+
+def _relative_gap(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("direction", ["q0", "qt"])
+def test_affine_sweeps_match_per_step_reference_loops(direction):
+    problem = replace(stochastic_2x2_problem(), direction=direction)
+    path = build_levy_surrogate(PLANAR_BROWNIAN, 50, 2e-2, seed=24, n_paths=3)
+    pi = iterate_riccati(problem, path, n_max=30, tol=1e-8).final
+
+    r_ref = _ref_r(problem, pi, path)
+    assert _relative_gap(solve_r(problem, pi, path), r_ref) <= 1e-12
+
+    u_given = 0.3 * np.sin(np.arange(pi.size)).reshape(pi.shape)
+    for u in (None, u_given):
+        want = _ref_state(problem, path,
+                          lambda j, x: np.zeros_like(x) if u is None else u[:, j])
+        assert _relative_gap(simulate_state(problem, u, path), want) <= 1e-12, u is None
+
+    offset = np.array([[0.0, 0.1], [0.1, 0.0]])
+    laws = [(None, lambda u: u), (("scale", 0.7), lambda u: 0.7 * u),
+            (("offset", offset), lambda u: u + offset)]
+    for law, apply in laws:
+        u_ref = np.empty_like(pi)
+
+        def control(j, x_now):
+            u_ref[:, j] = apply(_ref_feedback(problem, pi[:, j], r_ref[:, j], x_now))
+            return u_ref[:, j]
+
+        x_ref = _ref_state(problem, path, control)
+        edge = 0 if direction == "q0" else path.n_steps
+        control(edge, x_ref[:, edge])
+        x_path, u_path = closed_loop_state(problem, pi, r_ref, path, law=law)
+        assert _relative_gap(x_path, x_ref) <= 1e-12, law
+        assert _relative_gap(u_path, u_ref) <= 1e-12, law
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dim=st.integers(1, 3),
+    lead=st.lists(st.integers(1, 4), min_size=0, max_size=2),
+    operands=st.sampled_from(["stacked", "constant left", "broadcast", "vector"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_product_kernel_matches_matmul(dim, lead, operands, seed):
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        scale = 10.0 ** rng.uniform(-3, 3)
+        return scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+    lead = tuple(lead)
+    a = draw(dim, dim) if operands == "constant left" else draw(*lead, dim, dim)
+    if operands == "vector":  # a vector enters as a one-column matrix
+        v = draw(dim)
+        got, want = _mm(a, v[:, None])[..., 0], np.matmul(a, v)
+        scale = np.matmul(np.abs(a), np.abs(v))
+    else:
+        # "broadcast" stacks a left operand whose leading axes are all 1
+        if operands == "broadcast":
+            a = draw(*(1,) * len(lead), dim, dim)
+        b = draw(*lead, dim, dim)
+        got, want = _mm(a, b), np.matmul(a, b)
+        scale = np.matmul(np.abs(a), np.abs(b))
+        out = np.empty(want.shape, dtype=complex)
+        assert _mm(a, b, out=out) is out and np.array_equal(out, got)
+    assert got.shape == want.shape
+    # relative to the size of the summed terms, so cancellation cannot
+    # turn rounding into a large relative error
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
 
 # ------------------------------------------------------------- optimality
