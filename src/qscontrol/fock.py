@@ -583,7 +583,8 @@ def _swn_checked_coefficients(h_mat, d_minus, w_op, k_modes):
     """(F0, Phi, rho+ images of the conservation labels) at multiplicity
     truncation K, after rejecting a non-Hermitian H, annihilation or
     creation indices >= K, and conservation labels whose action escapes
-    the K-window (clipping would corrupt the table)."""
+    the K-window (clipping would corrupt the table).  This is the whole
+    admission rule of both SWN routes."""
     h_mat = as_matrix(h_mat, d_minus.dim, name="H")
     if not is_hermitian(h_mat):
         raise ShapeError("H must be Hermitian")
@@ -659,17 +660,10 @@ def swn_simulate(h_mat, d_minus, w_op, observable, state, config, dt=None):
     Maps the SWN evolution to a multiplicity-K first-order evolution
     (conservation coefficients through their rho+ images, mode vectors as
     K-mode annihilators/creators) and integrates the induced master
-    equation rho' = F0 rho + rho F0* + sum_n Phi_n rho Phi_n*.  Beyond
-    the checks the matrix-element route makes, conservation labels with
-    an index above K reject.
+    equation rho' = F0 rho + rho F0* + sum_n Phi_n rho Phi_n*.  It admits
+    exactly the coefficients the matrix-element route admits.
     """
-    k_modes = config.swn_modes
-    f0, phi, _ = _swn_checked_coefficients(h_mat, d_minus, w_op, k_modes)
-    if w_op.max_index() > k_modes:
-        raise IndexEscapeError(
-            f"conservation indices exceed multiplicity truncation K={k_modes}",
-            needed=w_op.max_index(), limit=k_modes,
-        )
+    f0, phi, _ = _swn_checked_coefficients(h_mat, d_minus, w_op, config.swn_modes)
     x_mat = as_matrix(observable, d_minus.dim)
     dt = dt if dt is not None else config.dt
     return _master_expectation(

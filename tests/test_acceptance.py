@@ -5,7 +5,6 @@ budget; run with ``pytest tests/test_acceptance.py -v -s`` to see the
 per-criterion lines as they complete.
 """
 
-import itertools
 import math
 import sys
 import time
@@ -59,36 +58,26 @@ class Criterion:
         assert not self.failures, "; ".join(self.failures)
 
 
-def test_criterion_01_hp_ito_table():
-    crit = Criterion(1, "first-order Ito table, all 16 products symbolically", 1.0)
-    from qscontrol.ito import DA, DAD, DL, DT, HpLabel, SymbolicDifferential, hp_mul
+def _run_kind(crit, kind, n_checks, out_dir):
+    """Run a CLI kind at its default config and record every reported check."""
+    from qscontrol.cli import parse_config, run
 
-    basis = {HpLabel.TIME: DT, HpLabel.ANN: DA, HpLabel.CRE: DAD, HpLabel.CONS: DL}
-    expected = {
-        (HpLabel.ANN, HpLabel.CRE): DT,
-        (HpLabel.ANN, HpLabel.CONS): DA,
-        (HpLabel.CONS, HpLabel.CRE): DAD,
-        (HpLabel.CONS, HpLabel.CONS): DL,
-    }
-    for la, lb in itertools.product(HpLabel, repeat=2):
-        got = hp_mul(basis[la], basis[lb])
-        want = expected.get((la, lb), SymbolicDifferential.zero())
-        crit.require(f"{la} * {lb} symbolic equality", got == want)
-        crit.check(f"{la} * {lb}", got.max_coeff_diff(want), 0.0)
+    report, _ = run(parse_config({"kind": kind}), out_dir=out_dir)
+    for check in report["checks"]:
+        crit.require(check["name"], check["passed"])
+        crit.check(check["name"], check["value"], check["tolerance"])
+    crit.require(f"{n_checks} checks reported", len(report["checks"]) == n_checks)
+
+
+def test_criterion_01_hp_ito_table(tmp_path):
+    crit = Criterion(1, "first-order Ito table, all 16 products symbolically", 1.0)
+    _run_kind(crit, "ito-table", 16, tmp_path)
     crit.close()
 
 
-def test_criterion_02_characteristic_functionals():
+def test_criterion_02_characteristic_functionals(tmp_path):
     crit = Criterion(2, "vacuum characteristic functionals within 1%", 10.0)
-    from qscontrol.fock import TruncationConfig, characteristic_functional
-
-    config = TruncationConfig(dt=1e-4, horizon=1.0)
-    for s in (0.5, 1.0, 2.0):
-        sim, closed = characteristic_functional("brownian", s, 1.0, 1.0, config)
-        crit.check(f"brownian s={s}", abs(sim - closed) / abs(closed), 0.01)
-        for lam in (0.5, 1.0):
-            sim, closed = characteristic_functional("poisson", s, lam, 1.0, config)
-            crit.check(f"poisson s={s} lam={lam}", abs(sim - closed) / abs(closed), 0.01)
+    _run_kind(crit, "characteristic", 9, tmp_path)
     crit.close()
 
 
@@ -132,40 +121,9 @@ def test_criterion_03_sl2_representation():
     crit.close()
 
 
-def test_criterion_04_swn_table_vs_oracle():
+def test_criterion_04_swn_table_vs_oracle(tmp_path):
     crit = Criterion(4, "SWN table vs composition oracle, bracket = dM", 30.0)
-    from qscontrol.ito import swn_mul, swn_structure_constants
-    from qscontrol.ito.sl2 import rho_plus_int_entries
-    from qscontrol.ito.swn import d_bminus, d_bplus, d_m
-
-    N, margin = 30, 5
-    cache = {}
-
-    def entries(label):
-        if label not in cache:
-            cache[label] = rho_plus_int_entries(*label, N)
-        return cache[label]
-
-    worst = 0
-    for x in itertools.product(range(3), repeat=3):
-        for y in itertools.product(range(3), repeat=3):
-            direct = {}
-            left, right = entries(x), entries(y)
-            for (j, c), vr in right.items():
-                for (r, j2), vl in left.items():
-                    if j2 == j:
-                        direct[(r, c)] = direct.get((r, c), 0) + vl * vr
-            table = {}
-            for label, coeff in swn_structure_constants(*x, *y).items():
-                for pos, val in entries(label).items():
-                    table[pos] = table.get(pos, 0) + coeff * val
-            for pos in set(direct) | set(table):
-                if pos[1] <= N - 1 - margin:
-                    worst = max(worst, abs(direct.get(pos, 0) - table.get(pos, 0)))
-    crit.check("composition oracle on safe window (exact-integer route)", worst, 1e-8)
-
-    bracket = swn_mul(d_bminus(), d_bplus()) - swn_mul(d_bplus(), d_bminus())
-    crit.require("Ito bracket reproduces dM symbolically", bracket == d_m())
+    _run_kind(crit, "swn-table", 2, tmp_path)
     crit.close()
 
 

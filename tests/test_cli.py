@@ -1,7 +1,9 @@
 """Experiment runner: config validation, dispatch, reports, determinism."""
 
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qscontrol.cli import (
@@ -21,6 +23,22 @@ def test_minimal_config_fills_defaults(tmp_path):
     assert config.kind == "ito-table"
     assert config.seed > 0
     assert config.params == {}
+
+
+def test_defaults_filled_once_at_parse_time():
+    params = parse_config({"kind": "rf-riccati", "dt": 4e-3}).params
+    assert params["n_steps"] == 250 and params["n_paths"] == 4 and params["tol"] == 1e-6
+    assert parse_config({"kind": "lqr"}).params["steps"] == 2000
+
+
+def test_matrix_defaults_are_scalar_instance_times_identity():
+    lqr = parse_config({"kind": "lqr", "Q": [[2.0, 0.0], [0.0, 1.0]]}).params
+    assert np.array_equal(lqr["A"], 0.2 * np.eye(2))
+    assert np.array_equal(lqr["Pi_T"], 0.5 * np.eye(2))
+    assert np.array_equal(lqr["x0"], np.ones(2))
+    lqg = parse_config({"kind": "lqg", "x0": [1.0, 2.0, 3.0]}).params
+    for key, scalar in (("A", 0.0), ("Q", 1.0), ("Pi_T", 1.0), ("C", 0.6), ("H_obs", 1.0)):
+        assert np.array_equal(lqg[key], scalar * np.eye(3)), key
 
 
 def test_non_psd_matrix_named_with_eigenvalue():
@@ -138,3 +156,85 @@ def test_main_rf_riccati_dt_override_keeps_horizon_and_passes(tmp_path, dt):
     assert main(["run", str(cfg), "--dt", dt, "--out-dir", str(tmp_path)]) == 0
     last_row = (tmp_path / "rf-riccati_trace.csv").read_text().splitlines()[-1]
     assert float(last_row.split(",")[0]) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", sorted(EXPERIMENTS))
+def test_default_config_runs_passes_and_repeats(tmp_path, kind):
+    runs = []
+    for sub in ("a", "b"):
+        report, code = run(parse_config({"kind": kind}), out_dir=tmp_path / sub)
+        assert code == 0 and report["checks"]
+        report.pop("wall_time_s")
+        outputs = {Path(p).name: Path(p).read_bytes() for p in report.pop("outputs")}
+        runs.append((json.dumps(report, sort_keys=True), outputs))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"kind": "lqr", "n_perturbations": 0}, "n_perturbations"),
+        ({"kind": "hp-control", "n_perturbations": 0}, "n_perturbations"),
+        ({"kind": "characteristic", "s_values": []}, "s_values"),
+        ({"kind": "characteristic", "intensities": []}, "intensities"),
+        ({"kind": "swn-table", "max_index": 1, "truncation": 3}, "truncation"),
+        ({"kind": "swn-table", "truncation": 5}, "truncation"),
+        ({"kind": "hp-control", "dim": 0}, "dim"),
+        ({"kind": "rf-riccati", "n_paths": 0}, "n_paths"),
+        ({"kind": "rf-riccati", "n_steps": 0}, "n_steps"),
+        ({"kind": "rf-riccati", "n_max": 0}, "n_max"),
+        ({"kind": "weyl", "n_terms": 0}, "n_terms"),
+        ({"kind": "lqg", "n_paths": 1}, "n_paths"),
+        ({"kind": "lqr", "A": [[0.2, 0.0], [0.0, 0.2]], "x0": [1.0]}, "x0"),
+        ({"kind": "lqg", "C": [[0.5, 0.0], [0.0, 0.5]], "H_obs": [[1.0]]}, "H_obs"),
+        ({"kind": "lqr", "horizon": -1}, "horizon"),
+        ({"kind": "hp-control", "horizon": 0.0}, "horizon"),
+    ],
+    ids=lambda value: value if isinstance(value, str) else value["kind"],
+)
+def test_malformed_or_vacuous_config_exits_2_naming_the_key(tmp_path, capsys, config, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert f"config error: {key}:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_report.json"))
+
+
+@pytest.mark.parametrize("kind", ["lqr", "lqg"])
+def test_lq_kinds_build_their_problem_from_every_matrix_key(monkeypatch, tmp_path, kind):
+    import qscontrol.classical as classical
+
+    built = []
+
+    class Recording(classical.LqProblem):
+        def __post_init__(self):
+            super().__post_init__()
+            built.append(self)
+
+    monkeypatch.setattr(classical, "LqProblem", Recording)
+    # no A: the other keys still set the problem, and A defaults to the
+    # scalar instance's value times the identity
+    given = {"Q": [[2.0, 0.0], [0.0, 1.0]], "Pi_T": [[0.3, 0.1], [0.1, 0.7]],
+             "x0": [1.0, -2.0], "horizon": 0.5, "steps": 50}
+    if kind == "lqg":
+        given.update(C=[[0.4, 0.0], [0.1, 0.2]], H_obs=[[1.0, 0.5], [0.0, 1.0]], n_paths=4)
+    else:
+        given.update(n_perturbations=1)
+    run(parse_config({"kind": kind, **given}), out_dir=tmp_path)
+    want = {key: value for key, value in given.items() if isinstance(value, list)}
+    want["A"] = (0.2 if kind == "lqr" else 0.0) * np.eye(2)
+    assert any(
+        problem.horizon == 0.5
+        and all(np.array_equal(getattr(problem, key), value) for key, value in want.items())
+        for problem in built
+    )
+
+
+def test_lqg_paths_csv_holds_plain_numbers(tmp_path):
+    config = parse_config({"kind": "lqg", "n_paths": 3, "steps": 20, "write_paths": True})
+    run(config, out_dir=tmp_path)
+    rows = (tmp_path / "lqg_paths.csv").read_text().splitlines()
+    assert rows[0] == "path,cost" and len(rows) == 4
+    for idx, row in enumerate(rows[1:]):
+        path, cost = row.split(",")
+        assert int(path) == idx and np.isfinite(float(cost))

@@ -441,6 +441,23 @@ def test_swn_rejects_escaping_indices():
         )
 
 
+def test_swn_routes_admit_the_same_conservation_labels():
+    # dL(0,3,0) has index 3 > K = 2 but acts inside the K-window, so both
+    # routes accept it; with D- = 0 and H = 0 nothing moves
+    dim = 2
+    w_op = ModuleOperator.identity_cons(dim) + ModuleOperator.from_cons(
+        {(0, 3, 0): 0.1 * np.eye(dim)}
+    )
+    config = TruncationConfig(dt=1e-2, horizon=0.1, swn_modes=2)
+    zero = ModuleOperator.zero(dim)
+    flat = swn_simulate(np.zeros((2, 2)), zero, w_op, SZ, EXCITED, config)
+    assert np.max(np.abs(flat.values - 1.0)) <= 1e-12
+    u = np.array([1.0, 0.0])
+    v = np.array([0.6, 0.8], dtype=complex)
+    series = swn_matrix_element_evolution(np.zeros((2, 2)), zero, w_op, u, v, config)
+    assert np.max(np.abs(series.values - 0.6)) <= 1e-12
+
+
 # ------------------------------------------------------------------ series
 
 
