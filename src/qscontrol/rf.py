@@ -28,17 +28,25 @@ arithmetic.  On qt the Riccati and r recursions (``_step_factors``,
 every recursion uses the noise increments unchanged on both branches, so
 the feedback law is built on the same noise as the state it steers.
 
-Kernels.  Every product of stacked small matrices goes through ``_mm``,
-which sums d broadcast rank-1 updates in place (2-3x faster than
-``np.matmul`` on stacks of 2x2 complex matrices); arrays keep the
-(P, T+1, d, d) layout.  The Euler state recursion, its closed loop under
-the feedback law, and the r-process are affine in their state, so each is
-one ``_affine_sweep`` Y[k+1] = A_k Y[k] + b_k whose step maps A_k, b_k
-are built once per call, vectorized over all (path, step) pairs.  The
-closed loop folds the gain -R^{-1} G* Pi, the affine part and the
-perturbation into those maps and evaluates the feedback law once, on all
-T+1 state points of the result.  Only the Duhamel sweep of the Picard
-iteration, a congruence, keeps its own per-step loop.
+Layout and kernels.  Every stacked rf array is stored time-major, as a
+C-contiguous (T+1, d, d, P) array with the path axis last, so each
+step's arithmetic runs along the long, contiguous path axis instead of
+over trailing 2x2 axes.  Functions return the ``np.moveaxis`` view with
+the public (P, T+1, d, d) shape and indexing; such a view passed back in
+is read without a copy, and any other input (a C-ordered (P, T+1, d, d)
+array, say) is copied into the store layout once (``_time_major``).  The
+surrogate keeps its increments time-major behind their (P, T) shape.
+Every product of stacked small matrices goes through ``_mm``, d broadcast
+rank-1 updates accumulated in place along the path axis; the Cayley
+factor of the Picard step has a closed-form inverse for d <= 2
+(``_cayley``).  The Euler state recursion, its closed loop under the
+feedback law, and the r-process are affine in their state, so each is one
+``_affine_sweep`` Y[k+1] = A_k Y[k] + b_k whose step maps A_k, b_k are
+built once per call, vectorized over all (step, path) pairs.  The closed
+loop folds the gain -R^{-1} G* Pi, the affine part and the perturbation
+into those maps and evaluates the feedback law once, on all T+1 state
+points of the result.  Only the Duhamel sweep of the Picard iteration, a
+congruence, keeps its own per-step loop.
 
 Discretization of the Picard step.  The iterate recursion is the discrete
 Duhamel form of the propagator representation,
@@ -95,8 +103,12 @@ class LevyPairSurrogate:
     sigma: np.ndarray
 
     def __post_init__(self):
-        self.dm1 = np.atleast_2d(np.asarray(self.dm1, dtype=complex))
-        self.dm2 = np.atleast_2d(np.asarray(self.dm2, dtype=complex))
+        # stored time-major behind the (n_paths, n_steps) shape, so the rf
+        # kernels read each step's increments along the contiguous path axis
+        self.dm1, self.dm2 = (
+            np.ascontiguousarray(np.atleast_2d(np.asarray(dm, dtype=complex)).T).T
+            for dm in (self.dm1, self.dm2)
+        )
         if self.dm1.shape != self.dm2.shape:
             raise ShapeError("dm1 and dm2 must share a shape")
         if self.n_steps < 1:
@@ -141,15 +153,17 @@ def build_levy_surrogate(kind, n_steps, dt, seed, n_paths=1):
         raise ShapeError("n_steps must be >= 1")
     if dt <= 0:
         raise ShapeError("dt must be positive")
+    # (n_paths, n_steps) views of time-major arrays, which the surrogate
+    # keeps without a copy
     if kind == PLANAR_BROWNIAN:
-        dm1 = np.empty((n_paths, n_steps), dtype=complex)
+        dm1 = np.empty((n_steps, n_paths), dtype=complex).T
         for idx, rng in enumerate(spawn_rngs(seed, n_paths)):
             db = rng.normal(size=(2, n_steps)) * math.sqrt(dt)
             dm1[idx] = (db[0] + 1j * db[1]) / math.sqrt(2.0)
         sigma = np.eye(2, dtype=complex)
         return LevyPairSurrogate(kind, dt, dm1, dm1.conj(), sigma)
     if kind == FOCK_VACUUM:
-        zeros = np.zeros((n_paths, n_steps), dtype=complex)
+        zeros = np.zeros((n_steps, n_paths), dtype=complex).T
         sigma = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
         return LevyPairSurrogate(kind, dt, zeros, zeros, sigma)
     raise ShapeError(f"unknown surrogate kind {kind!r}")
@@ -302,53 +316,110 @@ def noise_free_scalar_problem():
     )
 
 
-# -------------------------------------------------------------- time grid
+# ------------------------------------------------------------------ layout
+
+
+def _time_major(arr):
+    """A public (P, T+1, d, d) stack (paths first) as the C-contiguous
+    (T+1, d, d, P) store the kernels run on.  A view the package returned
+    comes back as its store without a copy; any other input is copied once,
+    so every kernel sees the same memory layout."""
+    arr = np.asarray(arr)
+    if arr.ndim < 3:
+        raise ShapeError("expected a stacked array (paths first, matrix axes last)")
+    return np.ascontiguousarray(np.moveaxis(arr, 0, -1))
+
+
+def _public(store):
+    """The (P, T+1, d, d) view of a (T+1, d, d, P) store."""
+    return np.moveaxis(store, -1, 0)
+
+
+def _const(mat):
+    """A constant (d, d) matrix (or (d, 1) column) broadcast over paths."""
+    return np.asarray(mat)[..., None]
 
 
 def _along(arr, forward):
-    """``arr`` (paths first, time second) in stepping order: as it is for a
-    recursion that runs forward in time, time-reversed view otherwise."""
-    return arr if forward else arr[:, ::-1]
+    """A time-major ``arr`` in stepping order: as it is for a recursion that
+    runs forward in time, time-reversed view otherwise."""
+    return arr if forward else arr[::-1]
 
 
 def _adj(arr):
-    return arr.conj().swapaxes(-1, -2)
+    return arr.conj().swapaxes(-3, -2)
+
+
+def _increments(path, forward=True):
+    """dM1, dM2 as time-major (T, 1, 1, P) views in stepping order."""
+    return tuple(_along(dm.T, forward)[:, None, None] for dm in (path.dm1, path.dm2))
 
 
 # ----------------------------------------------------------------- kernels
 
 
 def _mm(a, b, out=None):
-    """``a @ b`` for stacks of small matrices, broadcast over leading axes.
+    """``a @ b`` for stacks of small matrices with the path axis last.
 
-    Summed as d broadcast rank-1 updates a[..., :, k] b[..., k, :],
-    accumulated in place: on stacked 2x2 complex matrices this runs 2-3x
-    faster than ``np.matmul``'s per-matrix loop.  A vector operand enters
-    as a one-column matrix (``xi[:, None]``).  ``out`` (aliasing neither
-    operand) receives the product.
+    Operands are (..., d, d, P) stacks or constants (d, d, 1); the product
+    contracts axes -3 and -2 and broadcasts over the rest.  It is summed as
+    d broadcast rank-1 updates a[..., :, k, :] b[..., k, :, :], accumulated
+    in place, so every ufunc call runs along the long, contiguous path axis.
+    A vector operand enters as a one-column matrix (d, 1, P).  ``out``
+    (aliasing neither operand) receives the product.
     """
-    out = np.multiply(a[..., :, 0, None], b[..., None, 0, :], out=out)
-    for k in range(1, a.shape[-1]):
-        out += a[..., :, k, None] * b[..., None, k, :]
+    out = np.multiply(a[..., :, 0, None, :], b[..., 0, None, :, :], out=out)
+    for k in range(1, a.shape[-2]):
+        out += a[..., :, k, None, :] * b[..., k, None, :, :]
     return out
+
+
+def _cayley(half):
+    """Cayley factor (1 - H)^{-1} (1 + H) = 2 (1 - H)^{-1} - 1 of stacked
+    (..., d, d, P) matrices H.
+
+    Evaluated as 1 + 2 (1 - H)^{-1} H, so the O(H) part keeps its own
+    relative precision, with the inverse in closed form for d <= 2 (the
+    adjugate over the determinant; for d = 2 the products simplify because
+    h00 + (1 - h00) = 1).  This replaces a batched solve; other dimensions
+    keep ``np.linalg.solve``.
+    """
+    d = half.shape[-2]
+    if d == 1:
+        return 1.0 + 2.0 * half / (1.0 - half)
+    if d > 2:
+        eye = np.eye(d)
+        pub = np.moveaxis(half, -1, 0)
+        return np.ascontiguousarray(np.moveaxis(np.linalg.solve(eye - pub, eye + pub), 0, -1))
+    h00, h01, h10, h11 = (half[..., i, j, :] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    a, e = 1.0 - h00, 1.0 - h11
+    cross = h01 * h10
+    two_over_det = 2.0 / (a * e - cross)
+    cay = np.empty(half.shape, dtype=complex)
+    cay[..., 0, 0, :] = 1.0 + two_over_det * (e * h00 + cross)
+    cay[..., 1, 1, :] = 1.0 + two_over_det * (a * h11 + cross)
+    cay[..., 0, 1, :] = h01 * two_over_det
+    cay[..., 1, 0, :] = h10 * two_over_det
+    return cay
 
 
 def _affine_sweep(maps, offsets, start, out, forward):
     """Run Y[k+1] = A_k Y[k] + b_k from Y[0] = ``start`` into ``out``.
 
-    ``maps`` and ``offsets`` (P, T, d, d) hold A_k and b_k in stepping
-    order; the path ``out`` (P, T+1, d, d) is written through its
+    ``maps`` and ``offsets`` (T, d, d, P) hold A_k and b_k in stepping
+    order; the store ``out`` (T+1, d, d, P) is written through its
     ``_along`` view, so a recursion that runs backward in time fills it
     from the end.  Callers allocate ``out`` before the maps, so the block
     the maps free is reused by what follows instead of growing the heap
-    (at 64 paths x 1000 steps the optimality check peaks at 134 MB RSS
-    this way, 142 MB the other way round).
+    (glibc keeps freed blocks resident: two optimality passes at 64 paths
+    x 1000 steps, 11 laws each, peak at 72 MB RSS this way and at 80 MB
+    when the closed loop allocates its state after its maps).
     """
     y_k = _along(out, forward)
-    y_k[:, 0] = start
-    for k in range(maps.shape[1]):
-        _mm(maps[:, k], y_k[:, k], out=y_k[:, k + 1])
-        y_k[:, k + 1] += offsets[:, k]
+    y_k[0] = _const(start)
+    for a_k, b_k, y_now, y_next in zip(maps, offsets, y_k[:-1], y_k[1:]):
+        _mm(a_k, y_now, out=y_next)
+        y_next += b_k
     return out
 
 
@@ -365,6 +436,11 @@ def min_eig_batch(arr):
     return np.linalg.eigvalsh(arr)[..., 0]
 
 
+def _sup_frobenius(store):
+    """sup over all points of the Frobenius norm of a (T+1, d, d, P) store."""
+    return float(np.max(np.sqrt(np.sum(np.abs(store) ** 2, axis=(1, 2)))))
+
+
 # ---------------------------------------------------------------- Riccati
 
 
@@ -379,16 +455,15 @@ class RiccatiIteration:
     herm_residual: float
 
 
-def _step_factors(problem, path, pi_path):
+def _step_factors(problem, path, gain):
     """Per-step left multipliers M_j for the closed-loop recursion.
 
-    pi_path has shape (P, T+1, d, d) and supplies the gain samples of the
-    previous iterate; returns (P, T, d, d).  The qt branch negates the
-    drift quadratic (the reversed table carries -sigma); the increments
-    are the same on both branches.
+    ``gain`` is the time-major store (T+1, d, d, P) of the previous iterate,
+    which supplies the midpoint gain samples; returns (T, d, d, P) in time
+    order.  The qt branch negates the drift quadratic (the reversed table
+    carries -sigma); the increments are the same on both branches.
     """
     dt = path.dt
-    eye = np.eye(problem.dim)
     gq = problem.gain_quad()
     c1, c2 = problem.noise_couplings()
     sign = 1.0 if problem.direction == Q0 else -1.0
@@ -396,41 +471,49 @@ def _step_factors(problem, path, pi_path):
 
     # each full stack is freed as soon as it is used: this call sets the
     # peak memory of the Picard iteration
-    drift = _mm(-gq, 0.5 * (pi_path[:, :-1] + pi_path[:, 1:]))
-    drift += problem.F + s_mat
+    drift = _mm(_const(-gq), 0.5 * (gain[:-1] + gain[1:]))
+    drift += _const(problem.F + s_mat)
     half_star = 0.5 * dt * _adj(drift)
     del drift
-    cay = np.linalg.solve(eye - half_star, eye + half_star)
+    cay = _cayley(half_star)
     del half_star
 
-    mart = eye + path.dm1[..., None, None] * c1 + path.dm2[..., None, None] * c2
-    return _mm(cay, _adj(mart))
+    # (1 + dM1 C1 + dM2 C2)*, formed as its adjoint directly (conjugation
+    # is exact, so this equals the adjoint of the product bit for bit)
+    dm1, dm2 = _increments(path)
+    mart_adj = dm1.conj() * _const(c1.conj().T)
+    mart_adj += _const(np.eye(problem.dim))
+    mart_adj += dm2.conj() * _const(c2.conj().T)
+    return _mm(cay, mart_adj)
 
 
-def _duhamel_sweep(problem, path, gain_path, half_w):
+def _duhamel_sweep(problem, path, gain, half_w):
     """Run Pi(j+1) = M_j [Pi(j) + dt/2 W(j)] M_j* + dt/2 W(j+1) away from the
-    boundary gain, with M_j the step factors of ``gain_path`` and
-    ``half_w`` = dt/2 W, W the stacked PSD inhomogeneity.  q0 steps forward
-    from Pi(0); qt runs the same loop on time-reversed views, from Pi(T).
+    boundary gain, with M_j the step factors of the store ``gain`` and
+    ``half_w`` = dt/2 W, W the time-major PSD inhomogeneity.  q0 steps
+    forward from Pi(0); qt runs the same loop on time-reversed views, from
+    Pi(T).
 
-    Each step symmetrizes the congruence output and records the largest
-    pre-symmetrization defect; returns (path, defect).
+    Each step symmetrizes the congruence output; the largest
+    pre-symmetrization defect is kept elementwise per (entry, path) and
+    reduced once.  Returns (store, defect).
     """
-    n_steps, dim = path.n_steps, problem.dim
     forward = problem.direction == Q0
-    factors = _step_factors(problem, path, gain_path)
-    out = np.empty((gain_path.shape[0], n_steps + 1, dim, dim), dtype=complex)
+    factors = _step_factors(problem, path, gain)
+    out = np.empty(gain.shape, dtype=complex)
     pi_k, m_k, m_adj_k, w_k = (_along(arr, forward)
                                for arr in (out, factors, _adj(factors), half_w))
-    defect = 0.0
-    pi_k[:, 0] = problem.boundary_gain
-    for k in range(n_steps):
-        nxt = _mm(_mm(m_k[:, k], pi_k[:, k] + w_k[:, k]), m_adj_k[:, k])
-        nxt += w_k[:, k + 1]
+    worst = np.zeros(out.shape[1:])
+    pi_k[0] = _const(problem.boundary_gain)
+    for m, m_adj, w_now, w_next, pi_now, pi_next in zip(
+            m_k, m_adj_k, w_k[:-1], w_k[1:], pi_k[:-1], pi_k[1:]):
+        nxt = _mm(_mm(m, pi_now + w_now), m_adj)
+        nxt += w_next
         nxt_adj = _adj(nxt)
-        defect = max(defect, float(np.max(np.abs(nxt - nxt_adj))))
-        pi_k[:, k + 1] = 0.5 * (nxt + nxt_adj)
-    return out, defect
+        np.maximum(worst, np.abs(nxt - nxt_adj), out=worst)
+        np.add(nxt, nxt_adj, out=pi_next)
+        pi_next *= 0.5
+    return out, float(np.max(worst))
 
 
 def iterate_riccati(problem, path, n_max=30, tol=1e-6, initial=None):
@@ -445,29 +528,33 @@ def iterate_riccati(problem, path, n_max=30, tol=1e-6, initial=None):
     is measured and reported, never enforced.
     """
     n_steps, dim = path.n_steps, problem.dim
-    gq = problem.gain_quad()
+    gq = _const(problem.gain_quad())
 
     times = np.linspace(0.0, n_steps * path.dt, n_steps + 1)
     start = np.asarray(
         initial if initial is not None else problem.boundary_gain, dtype=complex
     )
-    current = np.broadcast_to(start, (path.n_paths, n_steps + 1, dim, dim)).copy()
+    current = _time_major(np.broadcast_to(start, (path.n_paths, n_steps + 1, dim, dim)))
 
     sup_diffs, margins = [], []
     herm_res = 0.0
     for _ in range(2, n_max + 1):
-        half_w = 0.5 * path.dt * (problem.Q + _mm(_mm(current, gq), current))
+        half_w = 0.5 * path.dt * (_const(problem.Q) + _mm(_mm(current, gq), current))
         nxt, step_defect = _duhamel_sweep(problem, path, current, half_w)
+        del half_w
         herm_res = max(herm_res, step_defect)
         diff = current - nxt  # monotone decrease means diff is PSD
-        sup_diffs.append(float(np.max(np.sqrt(np.sum(np.abs(diff) ** 2, axis=(-2, -1))))))
-        margins.append(float(np.min(min_eig_batch(0.5 * (diff + _adj(diff))))))
+        sup_diffs.append(_sup_frobenius(diff))
+        diff_herm = diff + _adj(diff)
+        diff_herm *= 0.5
+        margins.append(float(np.min(min_eig_batch(_public(diff_herm)))))
+        del diff, diff_herm
         current = nxt
         if sup_diffs[-1] <= tol:
             break
     return RiccatiIteration(
         times=times,
-        final=current,
+        final=_public(current),
         n_iterations=len(sup_diffs) + 1,
         converged=bool(sup_diffs) and sup_diffs[-1] <= tol,
         sup_diffs=sup_diffs,
@@ -484,19 +571,19 @@ def residual_integral(problem, pi_path, path):
     iteration) and returns sup_t of the Frobenius defect against
     ``pi_path``.  The q0/qt mirror follows the problem direction.
     """
-    gq = problem.gain_quad()
-    half_w = 0.5 * path.dt * (problem.Q - _mm(_mm(pi_path, gq), pi_path))
-    rebuilt, _ = _duhamel_sweep(problem, path, np.zeros_like(pi_path), half_w)
-    defect = np.sqrt(np.sum(np.abs(rebuilt - pi_path) ** 2, axis=(-2, -1)))
-    return float(np.max(defect))
+    pi = _time_major(pi_path)
+    gq = _const(problem.gain_quad())
+    half_w = 0.5 * path.dt * (_const(problem.Q) - _mm(_mm(pi, gq), pi))
+    rebuilt, _ = _duhamel_sweep(problem, path, np.zeros_like(pi), half_w)
+    return _sup_frobenius(rebuilt - pi)
 
 
 # ------------------------------------------------------------------ states
 
 
 def _state_sweep(problem, path, maps, offsets, out):
-    """Euler state path into ``out`` (P, T+1, d, d), with the control
-    terms already in ``maps``/``offsets`` (P, T, d, d), in stepping order.
+    """Euler state store into ``out`` (T+1, d, d, P), with the control
+    terms already in ``maps``/``offsets`` (T, d, d, P), in stepping order.
 
     Adds the uncontrolled step maps in place,
 
@@ -506,16 +593,20 @@ def _state_sweep(problem, path, maps, offsets, out):
     with the increments unchanged on both branches.
     """
     forward = problem.direction == QT
-    dm1 = _along(path.dm1, forward)[..., None, None]
-    dm2 = _along(path.dm2, forward)[..., None, None]
+    dm1, dm2 = _increments(path, forward)
     c1, c2 = problem.noise_couplings()
-    maps += dm1 * c1
-    maps += dm2 * c2
-    maps += np.eye(problem.dim) + path.dt * problem.F
-    offsets += dm1 * (problem.F1 @ problem.z)
-    offsets += dm2 * (problem.F2 @ problem.z)
-    offsets += path.dt * problem.L
+    maps += dm1 * _const(c1)
+    maps += dm2 * _const(c2)
+    maps += _const(np.eye(problem.dim) + path.dt * problem.F)
+    offsets += dm1 * _const(problem.F1 @ problem.z)
+    offsets += dm2 * _const(problem.F2 @ problem.z)
+    offsets += _const(path.dt * problem.L)
     return _affine_sweep(maps, offsets, problem.C, out, forward)
+
+
+def _new_store(problem, path):
+    """An empty (T+1, d, d, P) state store."""
+    return np.empty((path.n_steps + 1, problem.dim, problem.dim, path.n_paths), dtype=complex)
 
 
 def simulate_state(problem, u, path):
@@ -526,39 +617,41 @@ def simulate_state(problem, u, path):
     forward).  The q0 state runs backward from X(T) = C, the qt state
     forward from X(0) = C; both use the increments unchanged.
     """
-    out = np.empty((path.n_paths, path.n_steps + 1, problem.dim, problem.dim), dtype=complex)
-    maps = np.zeros_like(out[:, 1:])
+    out = _new_store(problem, path)
+    maps = np.zeros_like(out[1:])
     if u is None:
         offsets = np.zeros_like(maps)
     else:
-        offsets = _mm(path.dt * problem.G, _along(u, problem.direction == QT)[:, :-1])
-    return _state_sweep(problem, path, maps, offsets, out)
+        u_steps = _along(_time_major(u), problem.direction == QT)[:-1]
+        offsets = _mm(_const(path.dt * problem.G), u_steps)
+    return _public(_state_sweep(problem, path, maps, offsets, out))
 
 
 def _pair(a_col, weight, b_col):
-    """<a, W b> at every point of stacked columns (..., d, 1)."""
-    return _mm(_adj(a_col), _mm(weight, b_col))[..., 0, 0]
+    """<a, W b> at every point of stacked columns (..., d, 1, P)."""
+    return _mm(_adj(a_col), _mm(_const(weight), b_col))[..., 0, 0, :]
 
 
 def _linear(a_col, weight, xi_col):
-    """<a, W* xi> at every point of stacked columns (..., d, 1)."""
-    return _mm(_adj(a_col), weight.conj().T @ xi_col)[..., 0, 0]
+    """<a, W* xi> at every point of stacked columns (..., d, 1, P); ``xi_col``
+    is a constant (d, 1) column."""
+    return _mm(_adj(a_col), _const(weight.conj().T @ xi_col))[..., 0, 0, :]
 
 
 def _trapezoid(integrand, dt):
-    """Trapezoid rule along the time axis of (P, T+1) samples."""
-    weights = np.full(integrand.shape[1], dt)
+    """Trapezoid rule along the time axis of (T+1, P) samples."""
+    weights = np.full(integrand.shape[0], dt)
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    return integrand @ weights
+    return weights @ integrand
 
 
 def _edge_terms(problem, a_col, b_col, xi_col):
-    """<a, Q0 b> and <a, m0* xi> on stacked column paths (P, T+1, d, 1) at
+    """<a, Q0 b> and <a, m0* xi> on stacked column stores (T+1, d, 1, P) at
     the edge the boundary cost weighs: t = 0 for q0, t = T for qt."""
     edge = 0 if problem.direction == Q0 else -1
-    return (_pair(a_col[:, edge], problem.boundary_gain, b_col[:, edge]),
-            _linear(a_col[:, edge], problem.boundary_linear, xi_col))
+    return (_pair(a_col[edge], problem.boundary_gain, b_col[edge]),
+            _linear(a_col[edge], problem.boundary_linear, xi_col))
 
 
 def _stderr(samples):
@@ -577,7 +670,8 @@ def cost_tilde(problem, u_path, xi, x_path, dt):
         raise ShapeError("xi must be nonzero")
 
     col = xi[:, None]
-    x_col, u_col = _mm(x_path, col), _mm(u_path, col)
+    x_col = _mm(_time_major(x_path), _const(col))
+    u_col = _mm(_time_major(u_path), _const(col))
     running = (
         _pair(x_col, problem.Q, x_col).real
         + _pair(u_col, problem.R, u_col).real
@@ -634,33 +728,34 @@ def solve_r(problem, pi_path, path):
     r_drift = (problem.F.conj().T + c1s @ (sig[0, 0] * c2s + sig[0, 1] * c1s)
                + c2s @ (sig[1, 0] * c2s + sig[1, 1] * c1s))
 
-    out = np.empty_like(pi_path, dtype=complex)
-    pi_k = _along(pi_path, forward)[:, :-1]
-    dm1 = _along(path.dm1, forward)[..., None, None]
-    dm2 = _along(path.dm2, forward)[..., None, None]
-    maps = dm1 * c2s
-    maps += dm2 * c1s
-    maps += np.eye(problem.dim) + dt * r_drift
-    maps -= _mm(pi_k, dt * problem.gain_quad())
-    weight = dm1 * f1z
-    weight += dm2 * f2z
-    weight += dt * (problem.L - eta_pull + c1 @ v1 + c2 @ v2)
+    pi = _time_major(pi_path)
+    out = np.empty_like(pi, dtype=complex)
+    pi_k = _along(pi, forward)[:-1]
+    dm1, dm2 = _increments(path, forward)
+    maps = dm1 * _const(c2s)
+    maps += dm2 * _const(c1s)
+    maps += _const(np.eye(problem.dim) + dt * r_drift)
+    maps -= _mm(pi_k, _const(dt * problem.gain_quad()))
+    weight = dm1 * _const(f1z)
+    weight += dm2 * _const(f2z)
+    weight += _const(dt * (problem.L - eta_pull + c1 @ v1 + c2 @ v2))
     offsets = _mm(pi_k, weight)
     del weight
-    offsets += _mm(c2s, _mm(pi_k, dt * v1))
-    offsets += _mm(c1s, _mm(pi_k, dt * v2))
-    offsets += dt * problem.m.conj().T
-    return _affine_sweep(maps, offsets, problem.boundary_linear.conj().T, out, forward)
+    offsets += _mm(_const(c2s), _mm(pi_k, _const(dt * v1)))
+    offsets += _mm(_const(c1s), _mm(pi_k, _const(dt * v2)))
+    offsets += _const(dt * problem.m.conj().T)
+    return _public(_affine_sweep(maps, offsets, problem.boundary_linear.conj().T, out, forward))
 
 
 def feedback_control(pi_values, r_values, x_values, problem):
-    """u = -R^{-1} (G* (Pi X + r) + eta*) on stacked arrays."""
+    """u = -R^{-1} (G* (Pi X + r) + eta*) on stacked arrays (paths first,
+    matrix axes last)."""
     rinv = np.linalg.inv(problem.R)
-    inner = _mm(pi_values, x_values)
-    inner += r_values
-    u_values = _mm(-rinv @ problem.G.conj().T, inner)
-    u_values -= rinv @ problem.eta.conj().T
-    return u_values
+    inner = _mm(_time_major(pi_values), _time_major(x_values))
+    inner += _time_major(r_values)
+    u_values = _mm(_const(-rinv @ problem.G.conj().T), inner)
+    u_values -= _const(rinv @ problem.eta.conj().T)
+    return _public(u_values)
 
 
 def closed_loop_state(problem, pi_values, r_values, path, law=None):
@@ -680,21 +775,22 @@ def closed_loop_state(problem, pi_values, r_values, path, law=None):
     scale = float(val) if kind == "scale" else 1.0
     offset = np.asarray(val, dtype=complex) if kind == "offset" else 0.0
     rinv = np.linalg.inv(problem.R)
-    gain = -path.dt * scale * (problem.G @ rinv @ problem.G.conj().T)
+    gain = _const(-path.dt * scale * (problem.G @ rinv @ problem.G.conj().T))
+    pi, r_vals = _time_major(pi_values), _time_major(r_values)
 
-    x_path = np.empty((path.n_paths, path.n_steps + 1, problem.dim, problem.dim), dtype=complex)
-    maps = _mm(gain, _along(pi_values, forward)[:, :-1])
-    offsets = _mm(gain, _along(r_values, forward)[:, :-1])
-    offsets += path.dt * (problem.G @ (offset - scale * rinv @ problem.eta.conj().T))
-    _state_sweep(problem, path, maps, offsets, x_path)
+    x_store = _new_store(problem, path)
+    maps = _mm(gain, _along(pi, forward)[:-1])
+    offsets = _mm(gain, _along(r_vals, forward)[:-1])
+    offsets += _const(path.dt * (problem.G @ (offset - scale * rinv @ problem.eta.conj().T)))
+    _state_sweep(problem, path, maps, offsets, x_store)
     del maps, offsets
 
-    u_path = feedback_control(pi_values, r_values, x_path, problem)
+    u_path = feedback_control(_public(pi), _public(r_vals), _public(x_store), problem)
     if kind == "scale":
         u_path *= scale
     elif kind == "offset":
         u_path += offset
-    return x_path, u_path
+    return _public(x_store), u_path
 
 
 # ----------------------------------------------------------- time reversal
@@ -792,20 +888,23 @@ def _k_identity_defect(problem, xi, pi_values, r_values, x_opt, x_pert, u_pert, 
     terms mirror for qt).
     """
     xi = np.asarray(xi, dtype=complex).reshape(problem.dim)
-    rinv = np.linalg.inv(problem.R)
-    gs = problem.G.conj().T
+    rinv = _const(np.linalg.inv(problem.R))
+    gs = _const(problem.G.conj().T)
     take = min(n_sample, x_opt.shape[0])
-    x_hat = x_pert[:take] - x_opt[:take]
-    lam_gain = -_mm(rinv, _mm(gs, pi_values[:take]))
-    lam_aff = -_mm(rinv, _mm(gs, r_values[:take]) + problem.eta.conj().T)
-    mu = u_pert[:take] - _mm(lam_gain, x_pert[:take]) - lam_aff
+    pi, r_vals, y, x_p, u_p = (_time_major(arr[:take])
+                               for arr in (pi_values, r_values, x_opt, x_pert, u_pert))
+    x_hat = x_p - y
+    lam_gain = -_mm(rinv, _mm(gs, pi))
+    lam_aff = -_mm(rinv, _mm(gs, r_vals) + _const(problem.eta.conj().T))
+    mu = u_p - _mm(lam_gain, x_p) - lam_aff
 
-    lam_y = _mm(lam_gain, x_opt[:take]) + lam_aff
+    lam_y = _mm(lam_gain, y) + lam_aff
     lam_xh_mu = _mm(lam_gain, x_hat) + mu
 
     col = xi[:, None]
-    xh_col, y_col = _mm(x_hat, col), _mm(x_opt[:take], col)
-    lxh_col, ly_col = _mm(lam_xh_mu, col), _mm(lam_y, col)
+    xi_col = _const(col)
+    xh_col, y_col = _mm(x_hat, xi_col), _mm(y, xi_col)
+    lxh_col, ly_col = _mm(lam_xh_mu, xi_col), _mm(lam_y, xi_col)
     integrand = (
         _pair(xh_col, problem.Q, y_col)
         + _pair(lxh_col, problem.R, ly_col)
