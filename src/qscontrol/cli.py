@@ -248,30 +248,15 @@ def _run_ito_table(config, outputs, out_dir):
 
 
 def _run_swn_table(config, outputs, out_dir):
-    from .ito.sl2 import rho_plus_int_entries, swn_structure_constants
+    from .ito.sl2 import composition_mismatch
     from .ito.swn import d_bminus, d_bplus, d_m
     from .ito import swn_mul
 
     max_index = config.params["max_index"]
     trunc = config.params["truncation"]
-    margin = 2 * max_index + 1
-    worst = 0
-    for x in itertools.product(range(max_index + 1), repeat=3):
-        for y in itertools.product(range(max_index + 1), repeat=3):
-            left = rho_plus_int_entries(*x, trunc)
-            right = rho_plus_int_entries(*y, trunc)
-            direct = {}
-            for (j, c), vr in right.items():
-                for (r, j2), vl in left.items():
-                    if j2 == j:
-                        direct[(r, c)] = direct.get((r, c), 0) + vl * vr
-            table = {}
-            for label, coeff in swn_structure_constants(*x, *y).items():
-                for pos, val in rho_plus_int_entries(*label, trunc).items():
-                    table[pos] = table.get(pos, 0) + coeff * val
-            for pos in set(direct) | set(table):
-                if pos[1] <= trunc - 1 - margin:
-                    worst = max(worst, abs(direct.get(pos, 0) - table.get(pos, 0)))
+    labels = list(itertools.product(range(max_index + 1), repeat=3))
+    worst = max(composition_mismatch(x, y, trunc, 2 * max_index + 1)
+                for x, y in itertools.product(labels, repeat=2))
     checks = [_check(f"composition oracle, indices <= {max_index}", worst, 1e-8)]
     bracket = swn_mul(d_bminus(), d_bplus()) - swn_mul(d_bplus(), d_bminus())
     checks.append(_check("sl(2) bracket reproduces dM", bracket.max_coeff_diff(d_m()), 0.0))
@@ -663,7 +648,7 @@ EXPERIMENTS = {
         {"horizon": ("positive", 1.0), "dt": ("positive", 1e-3)},
     ),
     "rf-riccati": _Experiment(
-        _run_rf_riccati, "stochastic Riccati Picard iteration and feedback check",
+        _run_rf_riccati, "stochastic Riccati Picard iteration and its fixed point",
         "Runs the monotone Picard iteration pathwise on a Levy-pair surrogate: "
         "positivity, monotone decrease, convergence, the propagator fixed-point "
         "defect, and the noise-free degeneration to the classical Riccati ODE.",

@@ -17,9 +17,10 @@ The conservation-differential products close with integer structure
 constants built from binomials, signed Stirling numbers of the first kind
 and factorial powers; ``swn_structure_constants`` returns them exactly.
 The sign convention of the Stirling numbers was frozen after checking
-both candidates against the representation-composition oracle (matrix
-products of rho+ images); the signed convention is the one that
-reproduces compositions, see tests/test_swn_table.py.
+both candidates against the representation-composition oracle
+(``composition_mismatch``: matrix products of rho+ images); the signed
+convention is the one that reproduces compositions, see
+tests/test_swn_table.py.
 """
 
 from __future__ import annotations
@@ -86,9 +87,7 @@ def theta(n, k, l, m):
     """Representation weight theta_{n,k,l,m}; 0 outside the Heaviside support."""
     if min(n, k, l, m) < 0:
         raise ValueError("theta indices must be naturals")
-    if n + m - l < 0:
-        return 0.0
-    integer_part = (2**k) * rising(m - l + 1, n) * falling(m + 1, l) * int_pow(m - l + 1, k)
+    integer_part = theta_int(n, k, l, m)
     if integer_part == 0:
         return 0.0
     ratio = Fraction(m - l + n + 1, m + 1)
@@ -189,3 +188,27 @@ def swn_structure_constants(alpha, beta, gamma, a, b, c, stirling=stirling1):
                         label = (a + alpha - gamma + lam, omg + sig + eps, lam + c)
                         out[label] = out.get(label, 0) + coeff
     return {label: coeff for label, coeff in out.items() if coeff != 0}
+
+
+def composition_mismatch(x, y, N, margin, stirling=stirling1):
+    """Composition oracle for the table entry dL_x dL_y: the largest
+    |difference| between rho+(x) rho+(y) and sum coeff rho+(label) over the
+    table's output, as exact integer parts (``theta_int``) of the
+    N-truncations on the columns col <= N - 1 - margin, which the
+    truncation does not cut when ``margin`` is at least the pair's total
+    raising index.  0 when the entry reproduces the composition;
+    ``stirling`` is passed to ``swn_structure_constants``.
+    """
+    # a rho+ image has at most one entry per column
+    left = {col: (row, val) for (row, col), val in rho_plus_int_entries(*x, N).items()}
+    direct = {}
+    for (mid, col), val in rho_plus_int_entries(*y, N).items():
+        if mid in left:
+            row, left_val = left[mid]
+            direct[(row, col)] = left_val * val
+    table = {}
+    for label, coeff in swn_structure_constants(*x, *y, stirling=stirling).items():
+        for pos, val in rho_plus_int_entries(*label, N).items():
+            table[pos] = table.get(pos, 0) + coeff * val
+    return max((abs(direct.get(pos, 0) - table.get(pos, 0))
+                for pos in direct.keys() | table.keys() if pos[1] <= N - 1 - margin), default=0)

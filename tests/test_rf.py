@@ -666,7 +666,7 @@ def test_feedback_optimality_classical_value_identity():
     path = build_levy_surrogate(FOCK_VACUUM, 10_000, 1e-4, seed=19)
     report = verify_feedback_optimality(
         problem, xi, path,
-        perturbations=[("scale", 1.0), ("scale", 1.3), ("offset", 0.2)],
+        perturbations=[("scale", 1.0), ("scale", 1.3), ("offset", 0.2 * np.eye(1))],
         n_max=40, tol=1e-10,
     )
     classical = solve_riccati_ode(
@@ -691,7 +691,7 @@ def test_feedback_optimality_stochastic_dominance(direction):
     xi = np.array([0.8, 0.6])
     report = verify_feedback_optimality(
         problem, xi, path,
-        perturbations=[("scale", 0.7), ("scale", 1.3), ("offset", 0.15)],
+        perturbations=[("scale", 0.7), ("scale", 1.3), ("offset", 0.15 * np.eye(2))],
         n_max=40, tol=1e-7,
     )
     for comp in report["comparisons"]:
@@ -728,13 +728,65 @@ def test_feedback_optimality_qt_branch_full_chain():
     )
     report = verify_feedback_optimality(
         affine, xi, path,
-        perturbations=[("scale", 1.0), ("scale", 1.4), ("offset", 0.3)],
+        perturbations=[("scale", 1.0), ("scale", 1.4), ("offset", 0.3 * np.eye(1))],
         n_max=60, tol=1e-10,
     )
     assert abs(report["comparisons"][0]["mean_excess"]) <= 1e-12
     assert report["comparisons"][1]["min_excess"] > 0
     assert report["comparisons"][2]["min_excess"] > 0
     assert report["k_identity_max_defect"] <= 1e-4
+
+
+def test_feedback_optimality_pools_chunks(monkeypatch):
+    # chunks of 4, 4 and 2 paths, each with its own Picard iteration (at
+    # this seed and tol the last stops after 5 iterates, all 10 paths after
+    # 6); the paired differences are pooled before any statistic
+    from qscontrol import rf
+
+    monkeypatch.setattr(rf, "_CHUNK_PATHS", 4)
+    problem, xi = stochastic_2x2_problem(), np.array([0.8, 0.6])
+    path = build_levy_surrogate(PLANAR_BROWNIAN, 20, 5e-2, seed=25, n_paths=10)
+    laws = [("scale", 0.7), ("offset", 0.1 * np.eye(2)), ("offset", np.fliplr(0.1 * np.eye(2)))]
+    report = verify_feedback_optimality(problem, xi, path, laws, n_max=40, tol=1e-7)
+
+    costs = [[] for _ in range(len(laws) + 1)]  # the optimal law first
+    for paths in (range(0, 4), range(4, 8), range(8, 10)):
+        chunk = path.pick(paths)
+        pi_values = iterate_riccati(problem, chunk, n_max=40, tol=1e-7).final
+        r_values = solve_r(problem, pi_values, chunk)
+        runs = [closed_loop_state(problem, pi_values, r_values, chunk, law=law)
+                for law in (None, *laws)]
+        for law_costs, (x_path, u_path) in zip(costs, runs):
+            law_costs.append(cost_tilde(problem, u_path, xi, x_path, path.dt)[2])
+        if paths.start == 0:  # the K identity reads the first 3 paths
+            k_defects = [rf._k_identity_defect(problem, xi, pi_values[:3], r_values[:3],
+                                               runs[0][0][:3], x_p[:3], u_p[:3], path.dt)
+                         for x_p, u_p in runs[1:]]
+    base = np.concatenate(costs[0])
+    assert report["base_cost_mean"] == float(np.mean(base))
+    assert report["k_identity_max_defect"] == max(k_defects)
+    for law, law_costs, comp in zip(laws, costs[1:], report["comparisons"]):
+        diff = np.concatenate(law_costs) - base
+        stderr = float(np.std(diff, ddof=1) / math.sqrt(len(diff)))
+        assert comp == {"perturbation": (law[0], np.asarray(law[1]).tolist()),
+                        "mean_excess": float(np.mean(diff)), "stderr": stderr,
+                        "dominates_2sigma": bool(np.mean(diff) > 2.0 * stderr),
+                        "min_excess": float(np.min(diff))}
+
+
+def test_scalar_offset_is_rejected():
+    # ("offset", M) takes a (d, d) matrix; a scalar meant c I in one place
+    # and c on every entry in another, so neither reading is guessed
+    problem = stochastic_2x2_problem()
+    path = build_levy_surrogate(PLANAR_BROWNIAN, 10, 1e-1, seed=26, n_paths=2)
+    pi_values = iterate_riccati(problem, path, n_max=30, tol=1e-8).final
+    r_values = solve_r(problem, pi_values, path)
+    for offset in (0.1, np.full(2, 0.1), np.eye(3)):
+        with pytest.raises(ShapeError):
+            closed_loop_state(problem, pi_values, r_values, path, law=("offset", offset))
+        with pytest.raises(ShapeError):
+            verify_feedback_optimality(problem, np.array([0.8, 0.6]), path,
+                                       [("offset", offset)], n_max=30, tol=1e-8)
 
 
 # ------------------------------------------------------------ time reversal

@@ -1,11 +1,12 @@
 """SWN Ito table against the number-space representation oracle.
 
-The oracle (O1): conservation differentials multiply like their rho+
-images compose, so for every pair of labels the table's output combination
-must reproduce the matrix product of the truncated images.  Both sides of
-an entry carry the common factor sqrt((row+1)/(col+1)); stripping it makes
-the comparison exact integer arithmetic, so the check runs at zero
-tolerance (well inside the 1e-8 budget) on the safe window.
+The oracle (O1, ``sl2.composition_mismatch``): conservation differentials
+multiply like their rho+ images compose, so for every pair of labels the
+table's output combination must reproduce the matrix product of the
+truncated images.  Both sides of an entry carry the common factor
+sqrt((row+1)/(col+1)); stripping it makes the comparison exact integer
+arithmetic, so the check runs at zero tolerance (well inside the 1e-8
+budget) on the safe window.
 
 The comparison is also what froze the sign convention of the Stirling
 numbers: the signed convention passes on every index pair <= 2 while the
@@ -28,41 +29,10 @@ from qscontrol.ito import (
     swn_structure_constants,
     theta,
 )
-from qscontrol.ito.sl2 import rho_plus_int_entries, stirling1_unsigned
+from qscontrol.ito.sl2 import composition_mismatch, stirling1_unsigned
 
 N_ORACLE = 30
 MARGIN = 5  # >= max total raising index for index pairs <= 2
-
-
-def _compose_int(x, y, N):
-    """Integer parts of rho+(x) @ rho+(y) on an N-truncation."""
-    left = rho_plus_int_entries(*x, N)
-    right = rho_plus_int_entries(*y, N)
-    out = {}
-    for (j, c), vr in right.items():
-        for (r, j2), vl in left.items():
-            if j2 == j:
-                out[(r, c)] = out.get((r, c), 0) + vl * vr
-    return {k: v for k, v in out.items() if v}
-
-
-def _table_int(x, y, N, stirling=None):
-    kwargs = {} if stirling is None else {"stirling": stirling}
-    out = {}
-    for label, coeff in swn_structure_constants(*x, *y, **kwargs).items():
-        for pos, val in rho_plus_int_entries(*label, N).items():
-            out[pos] = out.get(pos, 0) + coeff * val
-    return {k: v for k, v in out.items() if v}
-
-
-def _window_mismatch(a, b, N, margin):
-    """Largest |difference| of two sparse integer matrices on safe columns."""
-    worst = 0
-    for pos in set(a) | set(b):
-        if pos[1] <= N - 1 - margin:
-            worst = max(worst, abs(a.get(pos, 0) - b.get(pos, 0)))
-    return worst
-
 
 ALL_CONS_PAIRS = list(
     itertools.product(itertools.product(range(3), repeat=3), repeat=2)
@@ -71,19 +41,14 @@ ALL_CONS_PAIRS = list(
 
 def test_oracle_o1_exact_on_all_cons_pairs_up_to_2():
     for x, y in ALL_CONS_PAIRS:
-        direct = _compose_int(x, y, N_ORACLE)
-        table = _table_int(x, y, N_ORACLE)
-        assert _window_mismatch(direct, table, N_ORACLE, MARGIN) == 0, (x, y)
+        assert composition_mismatch(x, y, N_ORACLE, MARGIN) == 0, (x, y)
 
 
 def test_unsigned_stirling_convention_is_rejected_by_oracle():
     # Witness: the (0,0,2)*(2,0,0) product needs s(2,1) = -1, not +1.
     x, y = (0, 0, 2), (2, 0, 0)
-    direct = _compose_int(x, y, N_ORACLE)
-    signed = _table_int(x, y, N_ORACLE)
-    unsigned = _table_int(x, y, N_ORACLE, stirling=stirling1_unsigned)
-    assert _window_mismatch(direct, signed, N_ORACLE, MARGIN) == 0
-    assert _window_mismatch(direct, unsigned, N_ORACLE, MARGIN) > 0
+    assert composition_mismatch(x, y, N_ORACLE, MARGIN) == 0
+    assert composition_mismatch(x, y, N_ORACLE, MARGIN, stirling=stirling1_unsigned) > 0
 
 
 def test_oracle_o1_float_route_within_scaled_tolerance():
