@@ -135,7 +135,7 @@ def solve_riccati_ode(problem, steps=400):
     return RiccatiSolution(times, gains)
 
 
-def solve_are(a_mat, q_mat, tol=1e-10, max_iter=60):
+def solve_are(a_mat, q_mat):
     """Stabilizing PSD solution of A*Pi + Pi A + Q - Pi^2 = 0.
 
     Newton iteration on Lyapunov equations (Kleinman scheme with B = R = I):
@@ -144,7 +144,7 @@ def solve_are(a_mat, q_mat, tol=1e-10, max_iter=60):
         (A - Pi_k)* Pi_{k+1} + Pi_{k+1} (A - Pi_k) = -Q - Pi_k Pi_k.
 
     Raises ``NotConvergedError`` when no stabilizing start exists or the
-    residual does not reach ``tol``.
+    Frobenius residual does not reach 1e-10 within 60 steps.
     """
     a_mat = np.real(as_matrix(a_mat, name="A")).astype(float)
     q_mat = np.real(as_matrix(q_mat, a_mat.shape[0], name="Q")).astype(float)
@@ -153,13 +153,13 @@ def solve_are(a_mat, q_mat, tol=1e-10, max_iter=60):
     pi = np.zeros((n, n)) if max_re < -1e-9 else (max_re + 1.0) * np.eye(n)
     if np.max(np.real(np.linalg.eigvals(a_mat - pi))) >= 0:
         raise NotConvergedError("no stabilizing initial gain found")
-    for _ in range(max_iter):
+    for _ in range(60):
         closed = a_mat - pi
         nxt = solve_continuous_lyapunov(closed.T, -(q_mat + pi @ pi))
         nxt = 0.5 * (nxt + nxt.T)
         residual = fro(a_mat.T @ nxt + nxt @ a_mat + q_mat - nxt @ nxt)
         pi = nxt
-        if residual <= tol:
+        if residual <= 1e-10:
             break
     else:
         raise NotConvergedError(f"Newton iteration stalled at residual {residual:.3e}")
@@ -191,7 +191,7 @@ def _gain_schedule(problem, riccati, perturbation):
     raise ShapeError(f"unknown perturbation kind {kind!r}")
 
 
-def lqr_simulate(problem, control=None, x0=None, steps=400, riccati=None):
+def lqr_simulate(problem, control=None, steps=400, riccati=None):
     """Deterministic closed-loop run; returns (times, states, cost).
 
     ``control`` is None for the optimal feedback u = -Pi_t x, or a
@@ -201,11 +201,13 @@ def lqr_simulate(problem, control=None, x0=None, steps=400, riccati=None):
     """
     if problem.C is not None:
         raise ShapeError("lqr_simulate expects a deterministic problem (C absent)")
+    if problem.x0 is None:
+        raise ShapeError("problem must carry x0")
     riccati = riccati if riccati is not None else solve_riccati_ode(problem, steps)
     steps = len(riccati.times) - 1
     dt = problem.horizon / steps
     gains = _gain_schedule(problem, riccati, control)
-    x = np.asarray(x0 if x0 is not None else problem.x0, dtype=float).reshape(problem.dim)
+    x = problem.x0
 
     cost = 0.0
     states = np.empty((steps + 1, problem.dim))

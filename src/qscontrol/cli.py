@@ -285,13 +285,18 @@ def _run_weyl(config, outputs, out_dir):
     from .fock import weyl_increment, weyl_series
 
     params = config.params
-    cases = [(params["lam"], params["z"], params["k"]), (0.0, 1.0, 0.0), (0.0, 0.0, 2 * math.pi)]
+    # (lam, z, k, tolerance): the configured case, fixed cases at 1e-12 and
+    # the k = 0 branch, where the series terminates and must be exact
+    cases = [(params["lam"], params["z"], params["k"], 1e-12),
+             (0.0, 1.0, -0.8, 1e-12), (2.0, 0.9j, math.pi, 1e-12),
+             (0.0, 0.0, 2 * math.pi, 1e-12),
+             (0.0, 1.0, 0.0, 0.0), (0.3, 0.7 - 0.1j, 0.0, 0.0)]
     checks = []
-    for case_lam, case_z, case_k in cases:
+    for case_lam, case_z, case_k, tolerance in cases:
         closed = weyl_increment(case_lam, case_z, case_k)
         series = weyl_series(case_lam, case_z, case_k, n_terms=params["n_terms"])
         checks.append(_check(f"series vs closed form (lam={case_lam}, z={case_z}, k={case_k})",
-                             closed.max_coeff_diff(series), 1e-12))
+                             closed.max_coeff_diff(series), tolerance))
     return checks
 
 
@@ -331,7 +336,7 @@ def _run_lqr(config, outputs, out_dir):
 
     rng = np.random.default_rng(config.seed)
     checks = []
-    for a, q in ((0.0, 1.0), (1.0, 3.0), (-1.0, 3.0)):
+    for a, q in ((0.0, 1.0), (1.0, 3.0), (-1.0, 3.0), (0.4, 2.0)):
         pi = solve_are([[a]], [[q]])[0, 0]
         want = a + math.sqrt(a * a + q)
         checks.append(_check(f"scalar ARE a={a} q={q}", abs(pi - want), 1e-8))
@@ -339,31 +344,40 @@ def _run_lqr(config, outputs, out_dir):
     # fixed closed-form instances, independent of the configured problem
     p_term = 2.0
     problem = LqProblem(A=[[0.0]], Q=[[0.0]], Pi_T=[[p_term]], horizon=1.0, x0=[1.0])
-    sol = solve_riccati_ode(problem, steps=1000)
+    sol = solve_riccati_ode(problem, steps=1500)
     closed = p_term / (1.0 + p_term * (1.0 - sol.times))
     checks.append(_check("scalar Riccati closed form",
                          float(np.max(np.abs(sol.gains[:, 0, 0] - closed))), 1e-8))
 
-    a_mat = rng.normal(size=(4, 4))
-    base = rng.normal(size=(4, 4))
-    q_mat = base @ base.T + 0.1 * np.eye(4)
-    pi = solve_are(a_mat, q_mat)
-    checks.append(_check("4x4 ARE residual", are_residual(a_mat, q_mat, pi), 1e-10))
+    for trial in range(3):
+        a_mat = rng.normal(size=(4, 4))
+        base = rng.normal(size=(4, 4))
+        q_mat = base @ base.T + 0.1 * np.eye(4)
+        pi = solve_are(a_mat, q_mat)
+        checks.append(_check(f"4x4 ARE residual #{trial}", are_residual(a_mat, q_mat, pi), 1e-10))
+        growth = float(np.max(np.real(np.linalg.eigvals(a_mat - pi))))
+        checks.append(_check(f"4x4 stabilizing #{trial}", growth, 0.0, passed=growth < 0.0))
 
     # value identity and dominance on the configured problem
     lq = _lq_problem(config.params)
     riccati = solve_riccati_ode(lq, steps=config.params["steps"])
     _, _, best = lqr_simulate(lq, riccati=riccati)
     value = float(lq.x0 @ riccati.initial() @ lq.x0)
-    checks.append(_check("value identity J* = x0 Pi(0) x0", abs(best - value), 1e-6))
+    # the zero-order-hold loop costs more than x0 Pi(0) x0 by a second-order
+    # term, |J - J*| / (dt^2 |J*| max(1, max_t ||Pi(t)||)^2) <= 0.04 measured
+    # at 10 to 2000 steps on stiff and mild problems, so 0.25 leaves 6x
+    dt = lq.horizon / config.params["steps"]
+    scale = max(1.0, float(np.max(np.abs(np.linalg.eigvalsh(riccati.gains)))))
+    checks.append(_check("value identity J* = x0 Pi(0) x0", abs(best - value),
+                         0.25 * dt**2 * abs(best) * scale**2))
     dominated = True
     dim = lq.dim
     for _ in range(config.params["n_perturbations"]):
         if rng.random() < 0.5:
-            pert = ("scale", float(1.0 + 0.4 * rng.normal()))
-        else:
             bump = rng.normal(size=(dim, dim))
             pert = ("offset", 0.2 * (bump + bump.T))
+        else:
+            pert = ("scale", float(1.0 + 0.4 * rng.normal()))
         _, _, cost = lqr_simulate(lq, control=pert, riccati=riccati)
         dominated = dominated and cost >= best - 1e-9
     checks.append(_check("optimal gain dominates perturbations", 0.0, 0.0, passed=dominated))
@@ -602,7 +616,8 @@ EXPERIMENTS = {
     "weyl": _Experiment(
         _run_weyl, "exponential-series check of the Weyl differential brackets",
         "Sums (i dE)^n/n! under the Ito table through n = 40 and compares with "
-        "the closed-form differential of exp(iE_t).",
+        "the closed-form differential of exp(iE_t): the configured case and "
+        "three fixed ones at 1e-12, and the k = 0 branch exactly at two cases.",
         {"lam": ("number", 0.7), "z": ("complex", 0.5 + 0.25j), "k": ("number", 1.3),
          "n_terms": ("int", 40, 1)},
     ),
@@ -615,9 +630,10 @@ EXPERIMENTS = {
     ),
     "lqr": _Experiment(
         _run_lqr, "deterministic Riccati/LQR closed forms and optimality",
-        "Solves the backward matrix Riccati ODE, checks scalar closed forms, the "
-        "algebraic Riccati solver, the value identity J* = x0' Pi(0) x0, and "
-        "gain-perturbation dominance.",
+        "Solves the backward matrix Riccati ODE, checks four scalar ARE cases, the "
+        "scalar closed form on a 1500-step grid, three seeded 4x4 ARE instances "
+        "(residual, stabilizing), the value identity J* = x0' Pi(0) x0 at a "
+        "tolerance second order in dt, and gain-perturbation dominance.",
         {"A": ("matrix", 0.2), "Q": ("psd_matrix", 1.0), "Pi_T": ("psd_matrix", 0.5),
          "x0": ("vector", 1.0), "horizon": ("positive", 1.0),
          "steps": ("int", 2000, 10), "n_perturbations": ("int", 20, 1)},

@@ -330,7 +330,7 @@ def _euler_ito_step(spec, d, dt):
     )
 
 
-def step_tensor_evolution(spec, config, n_steps_max=None, u=None, v=None, observable=None):
+def step_tensor_evolution(spec, config, *, u=None, v=None, observable=None):
     """Oracle O2: direct Euler-Ito evolution on system (x) (C^d)^steps.
 
     One fresh d-level mode per step carries the increments dA = sqrt(dt) a,
@@ -343,7 +343,7 @@ def step_tensor_evolution(spec, config, n_steps_max=None, u=None, v=None, observ
     dt = config.dt
     step_op = _euler_ito_step(spec, d, dt)
     dim = step_op.shape[0] // d
-    steps = config.n_steps if n_steps_max is None else min(config.n_steps, n_steps_max)
+    steps = config.n_steps
     required = dim * d**steps
     if required > config.tensor_budget:
         raise ResourceLimitError(
@@ -567,24 +567,14 @@ def _rho_plus_window(label, K):
     return rho_plus_matrix(n, k, l, K)
 
 
-def swn_evolution_coefficients(h_mat, d_minus, w_op):
-    """Drift and jump data of the SWN unitary evolution.
-
-    Returns (F0, jump_components) with F0 = -(Dm*|Dm*)/2 + iH and the
-    creation-slot coefficient -r(W) Dm* expanded into mode components.
-    """
-    dm_star = d_minus.adjoint()
-    f0 = -0.5 * inner(dm_star, dm_star) + 1j * h_mat
-    phi = -1.0 * r_map(w_op, dm_star)
-    return f0, phi
-
-
 def _swn_checked_coefficients(h_mat, d_minus, w_op, k_modes):
     """(F0, Phi, rho+ images of the conservation labels) at multiplicity
-    truncation K, after rejecting a non-Hermitian H, annihilation or
-    creation indices >= K, and conservation labels whose action escapes
-    the K-window (clipping would corrupt the table).  This is the whole
-    admission rule of both SWN routes."""
+    truncation K: the drift F0 = -(Dm*|Dm*)/2 + iH and the creation-slot
+    coefficient Phi = -r(W) Dm* of the SWN evolution, after rejecting a
+    non-Hermitian H, annihilation or creation indices >= K, and
+    conservation labels whose action escapes the K-window (clipping would
+    corrupt the table).  This is the whole admission rule of both SWN
+    routes."""
     h_mat = as_matrix(h_mat, d_minus.dim, name="H")
     if not is_hermitian(h_mat):
         raise ShapeError("H must be Hermitian")
@@ -594,7 +584,9 @@ def _swn_checked_coefficients(h_mat, d_minus, w_op, k_modes):
             needed=d_minus.max_index() + 1, limit=k_modes,
         )
     images = {label: _rho_plus_window(label, k_modes) for label in w_op.cons_terms()}
-    f0, phi = swn_evolution_coefficients(h_mat, d_minus, w_op)
+    dm_star = d_minus.adjoint()
+    f0 = -0.5 * inner(dm_star, dm_star) + 1j * h_mat
+    phi = -1.0 * r_map(w_op, dm_star)
     if phi.max_index() >= k_modes:
         raise IndexEscapeError(
             f"creation coefficient escapes K={k_modes}",
@@ -603,7 +595,7 @@ def _swn_checked_coefficients(h_mat, d_minus, w_op, k_modes):
     return f0, phi, images
 
 
-def swn_matrix_element_evolution(h_mat, d_minus, w_op, u, v, config, f=None, g=None, dt=None):
+def swn_matrix_element_evolution(h_mat, d_minus, w_op, u, v, config, f=None, g=None):
     """<u (x) psi(f), U_t v (x) psi(g)> for the SWN evolution, K modes.
 
     The SWN unitary maps to a multiplicity-K first-order evolution: the
@@ -650,11 +642,10 @@ def swn_matrix_element_evolution(h_mat, d_minus, w_op, u, v, config, f=None, g=N
             total = total + complex(f_val[n].conjugate()) * mat
         return total
 
-    dt = dt if dt is not None else config.dt
-    return _matrix_element_series(gen, dim, f, g, u, v, horizon, dt)
+    return _matrix_element_series(gen, dim, f, g, u, v, horizon, config.dt)
 
 
-def swn_simulate(h_mat, d_minus, w_op, observable, state, config, dt=None):
+def swn_simulate(h_mat, d_minus, w_op, observable, state, config):
     """Vacuum expectation of the SWN Heisenberg flow of ``observable``.
 
     Maps the SWN evolution to a multiplicity-K first-order evolution
@@ -665,7 +656,6 @@ def swn_simulate(h_mat, d_minus, w_op, observable, state, config, dt=None):
     """
     f0, phi, _ = _swn_checked_coefficients(h_mat, d_minus, w_op, config.swn_modes)
     x_mat = as_matrix(observable, d_minus.dim)
-    dt = dt if dt is not None else config.dt
     return _master_expectation(
-        f0, list(phi.mode_terms().values()), x_mat, state, config.horizon, dt
+        f0, list(phi.mode_terms().values()), x_mat, state, config.horizon, config.dt
     )

@@ -24,11 +24,10 @@ from .labels import SwnLabel
 from .sl2 import swn_structure_constants, theta
 
 
-def swn_basis_product(la, lb, stirling=None):
+def swn_basis_product(la, lb):
     ka, kb = la.kind, lb.kind
     if ka == "cons" and kb == "cons":
-        kwargs = {} if stirling is None else {"stirling": stirling}
-        consts = swn_structure_constants(*la.idx, *lb.idx, **kwargs)
+        consts = swn_structure_constants(*la.idx, *lb.idx)
         return SymbolicDifferential(
             {SwnLabel.cons(*label): coeff for label, coeff in consts.items()}
         )

@@ -259,10 +259,10 @@ def reduced_riccati_obstruction(h_mat, x_mat, n_starts=3, seed=0):
 # ------------------------------------------------------------------ costs
 
 
-def _density_cost(drift, jumps, xi, horizon, weight_fn, terminal_fn, dt):
+def _density_cost(drift, jumps, xi, horizon, weight_fn, terminal_fn):
     """Integrate the vacuum master equation rho' = drift rho + rho drift*
     + sum J rho J* together with the running cost dJ = weight_fn(rho) dt;
-    both ride one RK4 pass."""
+    both ride one RK4 pass of max(50, round(horizon / 0.01)) steps."""
     dim = drift.shape[0]
     gen = _master_generator(drift, jumps)
     y0 = np.zeros((dim + 1, dim), dtype=complex)
@@ -275,14 +275,14 @@ def _density_cost(drift, jumps, xi, horizon, weight_fn, terminal_fn, dt):
         out[dim, 0] = weight_fn(rho)
         return out
 
-    steps = max(50, round(horizon / dt))
+    steps = max(50, round(horizon / 0.01))
     grid = np.linspace(0.0, horizon, steps + 1)
     states = _rk4(deriv, y0, grid)
     rho_final = states[-1][:dim]
     return float((states[-1][dim, 0] + terminal_fn(rho_final)).real)
 
 
-def cost_Q(spec, x_mat, xi, horizon, tolerance=1e-6, dt=None):
+def cost_Q(spec, x_mat, xi, horizon):
     """Quadratic cost of the feedback u = -Pi U for a generic QSDE spec.
 
     Evaluates int_0^T (<U xi, X^2 U xi> + <Pi U xi, Pi U xi>) dt plus the
@@ -299,7 +299,6 @@ def cost_Q(spec, x_mat, xi, horizon, tolerance=1e-6, dt=None):
     xi = np.asarray(xi, dtype=complex).reshape(spec.dim)
     x_sq = x_mat @ x_mat
     pi_sq = pi_mat @ pi_mat
-    dt = dt if dt is not None else min(horizon / 50.0, max((tolerance / 100.0) ** 0.25, 1e-3))
     return _density_cost(
         drift,
         [phi_mat],
@@ -307,11 +306,10 @@ def cost_Q(spec, x_mat, xi, horizon, tolerance=1e-6, dt=None):
         horizon,
         weight_fn=lambda rho: np.trace(rho @ (x_sq + pi_sq)),
         terminal_fn=lambda rho: np.trace(rho @ pi_mat),
-        dt=dt,
     )
 
 
-def cost_J_hp(problem, l_mat, w_mat, tolerance=1e-6, dt=None):
+def cost_J_hp(problem, l_mat, w_mat):
     """Langevin-flow cost: int (||j_t(X) xi||^2 + ||j_t(L*L) xi||^2/4) dt
     plus the terminal ||j_T(L) xi||^2 / 2.
 
@@ -326,7 +324,6 @@ def cost_J_hp(problem, l_mat, w_mat, tolerance=1e-6, dt=None):
     x_sq = problem.X @ problem.X
     ll_sq = ll @ ll
     _, _, phi_mat, drift = spec.qsde_coefficients()
-    dt = dt if dt is not None else min(problem.horizon / 50.0, max((tolerance / 100.0) ** 0.25, 1e-3))
     return _density_cost(
         drift,
         [phi_mat],
@@ -334,7 +331,6 @@ def cost_J_hp(problem, l_mat, w_mat, tolerance=1e-6, dt=None):
         problem.horizon,
         weight_fn=lambda rho: np.trace(rho @ (x_sq + 0.25 * ll_sq)),
         terminal_fn=lambda rho: 0.5 * np.trace(rho @ ll),
-        dt=dt,
     )
 
 
@@ -466,7 +462,7 @@ def derive_flow_hp(x=None, l=None, w=None):
     )
 
 
-def derive_flow_swn(h_mat, d_minus, w_op, x_mat, tol=1e-9):
+def derive_flow_swn(h_mat, d_minus, w_op, x_mat):
     """Expand the SWN flow differential and compare both printed forms.
 
     The evolution pair is
@@ -537,8 +533,8 @@ def derive_flow_swn(h_mat, d_minus, w_op, x_mat, tol=1e-9):
     scale = max(1.0, computed.norm())
     return {
         "computed": computed,
-        "matches_proposition_form": diff_prop <= tol * scale,
-        "matches_composed_form": diff_composed <= tol * scale,
+        "matches_proposition_form": diff_prop <= 1e-9 * scale,
+        "matches_composed_form": diff_composed <= 1e-9 * scale,
         "diff_proposition_form": diff_prop,
         "diff_composed_form": diff_composed,
         "notes": (

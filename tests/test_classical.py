@@ -148,6 +148,18 @@ def test_lqr_optimal_dominates_perturbations():
         assert cost >= best - 1e-9
 
 
+@pytest.mark.xfail(strict=True, reason="with the continuous-Riccati gain the zero-order-hold "
+                   "loop undercuts the optimum near the optimal gain (by 2.9e-9 at 2000 steps, "
+                   "4.3e-10 at 8000): a discretization effect, larger than the 1e-9 slack")
+def test_lqr_near_optimal_scale_does_not_undercut():
+    # the lqr kind's default problem and a gain scale within 3e-5 of the optimum
+    problem = scalar_problem(a=0.2, q=1.0, pi_T=0.5, horizon=1.0)
+    riccati = solve_riccati_ode(problem, steps=2000)
+    _, _, best = lqr_simulate(problem, riccati=riccati)
+    _, _, cost = lqr_simulate(problem, control=("scale", 0.99997), riccati=riccati)
+    assert cost >= best - 1e-9
+
+
 def test_lqr_rejects_stochastic_problem():
     problem = scalar_problem(C=[[1.0]])
     with pytest.raises(ShapeError):

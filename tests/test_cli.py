@@ -158,6 +158,15 @@ def test_main_rf_riccati_dt_override_keeps_horizon_and_passes(tmp_path, dt):
     assert float(last_row.split(",")[0]) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("steps", [10, 100, 2000])
+@pytest.mark.parametrize("q_mat", [[[1.0]], [[2.0, 0.0], [0.0, 1.0]]], ids=["scalar", "2x2"])
+def test_lqr_value_identity_holds_at_every_admitted_step_count(tmp_path, steps, q_mat):
+    # the zero-order-hold excess is second order in dt (4.97e-6 at 100 steps
+    # on the scalar problem), so no fixed tolerance serves every step count
+    report, code = run(parse_config({"kind": "lqr", "steps": steps, "Q": q_mat}), out_dir=tmp_path)
+    assert code == 0, [c for c in report["checks"] if not c["passed"]]
+
+
 @pytest.mark.parametrize("kind", sorted(EXPERIMENTS))
 def test_default_config_runs_passes_and_repeats(tmp_path, kind):
     runs = []

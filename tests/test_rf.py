@@ -106,11 +106,6 @@ def test_fock_vacuum_table_and_scalar_realization():
     assert np.all(path.dm1 == 0) and np.all(path.dm2 == 0)
 
 
-def test_pathwise_conjugacy_enforced():
-    path = build_levy_surrogate(PLANAR_BROWNIAN, 16, 1e-2, seed=3, n_paths=2)
-    assert np.max(np.abs(path.dm2 - path.dm1.conj())) == 0.0
-
-
 # -------------------------------------------------------------------- state
 
 
@@ -286,7 +281,7 @@ def test_r_richardson_halving():
 
     def coarsen(path, factor):
         dm1 = path.dm1.reshape(path.n_paths, -1, factor).sum(axis=2)
-        return replace(path, dm1=dm1, dm2=dm1.conj(), dt=path.dt * factor)
+        return replace(path, dm1=dm1, dt=path.dt * factor)
 
     mid = coarsen(fine, 2)
     coarse = coarsen(fine, 4)
@@ -855,7 +850,7 @@ def test_time_reverse_is_an_involution(dim, seed, direction, kind):
     for field in fields(problem):
         assert np.array_equal(getattr(back, field.name), getattr(problem, field.name)), field.name
     assert (orig.kind, orig.dt) == (path.kind, path.dt)
-    for name in ("dm1", "dm2", "sigma"):
+    for name in ("dm1", "sigma"):
         assert np.array_equal(getattr(orig, name), getattr(path, name)), name
 
 
@@ -892,7 +887,7 @@ def test_iteration_pathwise_refinement_converges():
 
     def coarsen(path, k):
         dm1 = path.dm1.reshape(path.n_paths, -1, k).sum(axis=2)
-        return replace(path, dm1=dm1, dm2=dm1.conj(), dt=path.dt * k)
+        return replace(path, dm1=dm1, dt=path.dt * k)
 
     finals = {
         tag: iterate_riccati(problem, p, n_max=50, tol=1e-10).final
@@ -938,8 +933,7 @@ def test_duhamel_step_martingale_coefficients_match_symbolic(direction, sign):
     problem = replace(stochastic_2x2_problem(), direction=direction)
     eps = 1e-7
     dm1 = np.array([[eps], [1j * eps]])
-    path = replace(build_levy_surrogate(PLANAR_BROWNIAN, 1, 1e-14, seed=0, n_paths=2),
-                   dm1=dm1, dm2=dm1.conj())
+    path = replace(build_levy_surrogate(PLANAR_BROWNIAN, 1, 1e-14, seed=0, n_paths=2), dm1=dm1)
     final = iterate_riccati(problem, path, n_max=2, tol=0.0).final
     d_real, d_imag = (final[:, 1] - final[:, 0]) / np.array([eps, 1j * eps])[:, None, None]
     numeric = {"B1": 0.5 * (d_real + d_imag), "B2": 0.5 * (d_real - d_imag)}
@@ -980,8 +974,7 @@ def test_duhamel_step_drift_matches_symbolic(direction, sign):
     problem = replace(stochastic_2x2_problem(), direction=direction)
     dt = 1e-6
     dm1 = math.sqrt(dt) * np.array([[1.0], [-1.0], [1j], [-1j]])
-    path = replace(build_levy_surrogate(PLANAR_BROWNIAN, 1, dt, seed=0, n_paths=4),
-                   dm1=dm1, dm2=dm1.conj())
+    path = replace(build_levy_surrogate(PLANAR_BROWNIAN, 1, dt, seed=0, n_paths=4), dm1=dm1)
     final = iterate_riccati(problem, path, n_max=2, tol=0.0).final
     numeric = np.mean(final[:, 1] - final[:, 0], axis=0) / dt
 
