@@ -9,8 +9,13 @@ Two computational routes coexist on purpose:
 * the oracle route (``step_tensor_evolution``, O2) discretizes time,
   attaches a fresh d-level truncated mode to every step, applies the
   Euler-Ito one-step update and contracts consumed modes against the
-  vacuum.  It is exponentially expensive and exists to validate the
-  reduction, never to replace it.
+  vacuum.  Its final state has dim d^steps entries, exponential in the
+  number of steps; it exists to validate the reduction, never to replace
+  it.  Modes not yet consumed are exactly vacuum (identity for the
+  propagator of ``unitarity_defect``), so both carry only the modes
+  consumed so far and grow by one mode per step: the work is about twice
+  the final state, not ``steps`` times it, and the budgets still bound
+  the final full-space size.
 
 Each route is written once and shared by both calculi.  The Euler-Ito
 one-step operator (``_euler_ito_step``) drives the tensor oracle and the
@@ -338,6 +343,12 @@ def step_tensor_evolution(spec, config, *, u=None, v=None, observable=None):
     series holds vacuum matrix elements <u (x) vac, U_k v (x) vac>;
     with a Hermitian system ``observable`` X it holds <psi_k, (X (x) 1) psi_k>
     for psi_k = U_k (v (x) vac).
+
+    Modes not yet consumed are exactly vacuum, so the state carries only
+    the k modes consumed so far, laid out (system, j_k, ..., j_1): mode k
+    enters in vacuum and step k is one product with the vacuum columns of
+    the one-step operator.  The work is about twice the final state of
+    dim d^steps entries, the size ``config.tensor_budget`` bounds.
     """
     d = config.levels_per_mode
     dt = config.dt
@@ -353,16 +364,16 @@ def step_tensor_evolution(spec, config, *, u=None, v=None, observable=None):
         )
     u = np.asarray(u if u is not None else _basis0(dim), dtype=complex).reshape(dim)
     v = np.asarray(v if v is not None else _basis0(dim), dtype=complex).reshape(dim)
+    x_mat = None if observable is None else as_matrix(observable, dim)
+    enter_vacuum = step_op[:, ::d]  # columns (system, fresh mode in vacuum)
 
-    psi = np.zeros((dim,) + (d,) * steps, dtype=complex)
-    psi[(slice(None),) + (0,) * steps] = v
-
+    psi = v.reshape(dim, 1)
     times = [0.0]
-    values = [_readout(psi, u, dim, steps, observable)]
+    values = [_readout(psi, u, x_mat)]
     for k in range(steps):
-        psi = _apply_two_site(step_op, psi, k, dim, d)
+        psi = (enter_vacuum @ psi).reshape(dim, -1)
         times.append((k + 1) * dt)
-        values.append(_readout(psi, u, dim, steps, observable))
+        values.append(_readout(psi, u, x_mat))
     return ExpectationSeries(np.array(times), np.array(values))
 
 
@@ -372,30 +383,23 @@ def _basis0(dim):
     return vec
 
 
-def _apply_two_site(step_op, psi, k, dim, d):
-    """Apply an operator acting on (system, mode k) to the full state; axes
-    after the modes ride along as a batch."""
-    moved = np.moveaxis(psi, 1 + k, 1)
-    shape = moved.shape
-    flat = moved.reshape(dim * d, -1)
-    flat = step_op @ flat
-    return np.moveaxis(flat.reshape(shape), 1, 1 + k)
-
-
-def _readout(psi, u, dim, steps, observable):
-    if observable is None:
-        vac_slice = psi[(slice(None),) + (0,) * steps]
-        return complex(u.conj() @ vac_slice)
-    x_mat = as_matrix(observable, dim)
-    flat = psi.reshape(dim, -1)
-    return complex(np.sum(flat.conj() * (x_mat @ flat)))
+def _readout(psi, u, x_mat):
+    """<u (x) vac, psi>, or sum_ab X_ab <psi_a, psi_b> over the system rows
+    psi_a of the state when an observable X is given."""
+    if x_mat is None:
+        return complex(u.conj() @ psi[:, 0])
+    gram = np.array([[np.vdot(row_a, row_b) for row_b in psi] for row_a in psi])
+    return complex(np.sum(x_mat * gram))
 
 
 def unitarity_defect(spec, config, matrix_budget=DEFAULT_MATRIX_BUDGET):
     """max_k || U_k* U_k - 1 ||_2 for the full Euler-Ito tensor propagator.
 
-    U_k is the one-step operator applied, mode by mode, to the identity
-    propagator, held as a batch of dim d^steps tensor states.
+    U_k acts as the identity on the modes after step k, U_k = V_k (x) 1, so
+    the defect is that of V_k on system (x) modes 1..k, grown one mode per
+    step as V_k = S_k (V_{k-1} (x) 1_d) with S_k the one-step operator.  The
+    work is about twice the final propagator; ``matrix_budget`` still
+    bounds the full (dim d^steps)^2 propagator.
     """
     d = config.levels_per_mode
     step_op = _euler_ito_step(spec, d, config.dt)
@@ -408,14 +412,17 @@ def unitarity_defect(spec, config, matrix_budget=DEFAULT_MATRIX_BUDGET):
             required=total * total,
             budget=matrix_budget,
         )
-    eye = np.eye(total)
-    props = eye.astype(complex).reshape((dim,) + (d,) * steps + (total,))
+    # S[s', j', s, j]; rows of V are laid out (system, j_k, ..., j_1) and
+    # columns (j_k, earlier columns): permuting columns keeps ||V* V - 1||_2
+    s_op = step_op.reshape(dim, d, dim, d)
+    props = np.eye(dim, dtype=complex)
     worst = 0.0
-    for k in range(steps):
-        props = _apply_two_site(step_op, props, k, dim, d)
-        u_full = props.reshape(total, total)
-        defect = np.linalg.norm(u_full.conj().T @ u_full - eye, 2)
-        worst = max(worst, float(defect))
+    for _ in range(steps):
+        rows = props.shape[0]
+        grown = np.tensordot(s_op, props.reshape(dim, rows // dim, rows), axes=(2, 0))
+        props = grown.transpose(0, 1, 3, 2, 4).reshape(rows * d, rows * d)
+        gram = props.conj().T @ props - np.eye(rows * d)
+        worst = max(worst, float(np.max(np.abs(np.linalg.eigvalsh(gram)))))
     return worst
 
 

@@ -137,7 +137,7 @@ def test_criterion_05_weyl_series(tmp_path):
 
 def test_criterion_06_classical_riccati_lqr(tmp_path):
     crit = Criterion(6, "classical Riccati / ARE / LQR optimality", 10.0)
-    _run_kind(crit, {"kind": "lqr", "seed": 601}, 13, tmp_path)
+    _run_kind(crit, {"kind": "lqr", "seed": 601}, 10, tmp_path)
     crit.close()
 
 

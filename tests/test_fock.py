@@ -2,6 +2,7 @@
 Weyl differentials, characteristic functionals, flows, unitarity defects."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SMINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # maps e=(1,0) to g=(0,1)
 EXCITED = np.array([1.0, 0.0], dtype=complex)
+W_DENSE = np.array([[0.6, 0.8j], [0.8j, 0.6]])  # unitary, W != I
 
 
 # ------------------------------------------------- matrix element evolution
@@ -268,12 +270,8 @@ def test_unitarity_defect_hamiltonian_taylor_bound():
     assert defect <= 2.0 * config.n_steps * config.dt**2 * h_norm**2 + 1e-12
 
 
-def test_unitarity_defect_matches_dense_kronecker_propagator():
-    # reference: every step lifted to a dense operator on system (x) 3 modes
-    w_mat = np.array([[0.6, 0.8j], [0.8j, 0.6]])
-    spec = HpEvolutionSpec(H=0.3 * SX + 0.2 * SZ, L=SMINUS + 0.1 * SZ, W=w_mat)
-    d, steps, dt = 3, 3, 1e-2
-    config = TruncationConfig(levels_per_mode=d, dt=dt, horizon=steps * dt)
+def _dense_kronecker_steps(spec, d, steps, dt):
+    """Every Euler-Ito step lifted to a dense operator on system (x) modes."""
     e_mat, f_mat, g_mat, h_mat = spec.qsde_coefficients()
     a_op = np.diag(np.sqrt(np.arange(1, d, dtype=float)), 1)
     total = spec.dim * d**steps
@@ -286,16 +284,25 @@ def test_unitarity_defect_matches_dense_kronecker_propagator():
             out = np.kron(out, op)
         return out
 
+    return [
+        np.eye(total)
+        + dt * lift(h_mat, np.eye(d), k)
+        + math.sqrt(dt) * lift(f_mat, a_op, k)
+        + math.sqrt(dt) * lift(g_mat, a_op.T, k)
+        + lift(e_mat, a_op.T @ a_op, k)
+        for k in range(steps)
+    ]
+
+
+def test_unitarity_defect_matches_dense_kronecker_propagator():
+    # reference: every step lifted to a dense operator on system (x) 3 modes
+    spec = HpEvolutionSpec(H=0.3 * SX + 0.2 * SZ, L=SMINUS + 0.1 * SZ, W=W_DENSE)
+    d, steps, dt = 3, 3, 1e-2
+    config = TruncationConfig(levels_per_mode=d, dt=dt, horizon=steps * dt)
+    total = spec.dim * d**steps
     u_full = np.eye(total, dtype=complex)
     want = 0.0
-    for k in range(steps):
-        step = (
-            np.eye(total)
-            + dt * lift(h_mat, np.eye(d), k)
-            + math.sqrt(dt) * lift(f_mat, a_op, k)
-            + math.sqrt(dt) * lift(g_mat, a_op.T, k)
-            + lift(e_mat, a_op.T @ a_op, k)
-        )
+    for step in _dense_kronecker_steps(spec, d, steps, dt):
         u_full = step @ u_full
         want = max(want, np.linalg.norm(u_full.conj().T @ u_full - np.eye(total), 2))
     got = unitarity_defect(spec, config)
@@ -303,11 +310,49 @@ def test_unitarity_defect_matches_dense_kronecker_propagator():
     assert abs(got - want) <= 1e-12 * want
 
 
+def test_step_tensor_matches_dense_kronecker_evolution():
+    # reference: v (x) vac evolved by every step lifted to system (x) 3 modes
+    spec = HpEvolutionSpec(H=0.3 * SX + 0.2 * SZ, L=SMINUS + 0.1 * SZ, W=W_DENSE)
+    d, steps, dt = 3, 3, 1e-2
+    config = TruncationConfig(levels_per_mode=d, dt=dt, horizon=steps * dt)
+    u = np.array([0.6, 0.8j])
+    v = np.array([1.0, 0.5 - 0.2j])
+    x_mat = SZ + 0.4 * SX
+    vac = np.zeros(d**steps)
+    vac[0] = 1.0
+    psi = np.kron(v, vac).astype(complex)
+    elements, observed = [np.vdot(u, v)], [np.vdot(v, x_mat @ v)]
+    for step in _dense_kronecker_steps(spec, d, steps, dt):
+        psi = step @ psi
+        elements.append(np.vdot(np.kron(u, vac), psi))
+        observed.append(np.vdot(psi, np.kron(x_mat, np.eye(d**steps)) @ psi))
+    for got, want in (
+        (step_tensor_evolution(spec, config, u=u, v=v).values, np.array(elements)),
+        (step_tensor_evolution(spec, config, v=v, observable=x_mat).values, np.array(observed)),
+    ):
+        assert np.max(np.abs(want - want[0])) > 1e-2  # the steps move the readout
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_unitarity_defect_budget_rejection():
     spec = HpEvolutionSpec(H=SZ, L=SMINUS)
     config = TruncationConfig(levels_per_mode=2, dt=1e-3, horizon=8e-3)
     with pytest.raises(ResourceLimitError):
         unitarity_defect(spec, config, matrix_budget=100)
+
+
+def test_oracle_budgets_bound_the_final_full_size():
+    # 3 steps on a qubit: dim d^steps = 16 state entries, 16^2 propagator entries
+    spec = HpEvolutionSpec(H=SZ, L=SMINUS)
+    config = TruncationConfig(levels_per_mode=2, dt=1e-3, horizon=3e-3, tensor_budget=16)
+    assert len(step_tensor_evolution(spec, config).values) == 4
+    with pytest.raises(ResourceLimitError) as err:
+        step_tensor_evolution(spec, replace(config, tensor_budget=15))
+    assert (err.value.required, err.value.budget) == (16, 15)
+    assert unitarity_defect(spec, config, matrix_budget=256) > 0.0
+    with pytest.raises(ResourceLimitError) as err:
+        unitarity_defect(spec, config, matrix_budget=255)
+    assert (err.value.required, err.value.budget) == (256, 255)
 
 
 # -------------------------------------------------------------------- SWN
