@@ -255,8 +255,7 @@ def _run_swn_table(config, outputs, out_dir):
     max_index = config.params["max_index"]
     trunc = config.params["truncation"]
     labels = list(itertools.product(range(max_index + 1), repeat=3))
-    worst = max(composition_mismatch(x, y, trunc, 2 * max_index + 1)
-                for x, y in itertools.product(labels, repeat=2))
+    worst = composition_mismatch(itertools.product(labels, repeat=2), trunc, 2 * max_index + 1)
     checks = [_check(f"composition oracle, indices <= {max_index}", worst, 1e-8)]
     bracket = swn_mul(d_bminus(), d_bplus()) - swn_mul(d_bplus(), d_bminus())
     checks.append(_check("sl(2) bracket reproduces dM", bracket.max_coeff_diff(d_m()), 0.0))

@@ -20,13 +20,13 @@ The sign convention of the Stirling numbers was frozen after checking
 both candidates against the representation-composition oracle
 (``composition_mismatch``: matrix products of rho+ images); the signed
 convention is the one that reproduces compositions, see
-tests/test_swn_table.py.
+tests/test_swn_table.py.  The oracle takes a batch of label pairs, builds
+each label's image once per call, and rejects a window with no column.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -90,8 +90,7 @@ def theta(n, k, l, m):
     integer_part = theta_int(n, k, l, m)
     if integer_part == 0:
         return 0.0
-    ratio = Fraction(m - l + n + 1, m + 1)
-    return float(integer_part) * math.sqrt(ratio.numerator / ratio.denominator)
+    return float(integer_part) * math.sqrt((m - l + n + 1) / (m + 1))
 
 
 def theta_int(n, k, l, m):
@@ -190,25 +189,53 @@ def swn_structure_constants(alpha, beta, gamma, a, b, c, stirling=stirling1):
     return {label: coeff for label, coeff in out.items() if coeff != 0}
 
 
-def composition_mismatch(x, y, N, margin, stirling=stirling1):
-    """Composition oracle for the table entry dL_x dL_y: the largest
-    |difference| between rho+(x) rho+(y) and sum coeff rho+(label) over the
-    table's output, as exact integer parts (``theta_int``) of the
-    N-truncations on the columns col <= N - 1 - margin, which the
-    truncation does not cut when ``margin`` is at least the pair's total
-    raising index.  0 when the entry reproduces the composition;
-    ``stirling`` is passed to ``swn_structure_constants``.
+def composition_mismatch(pairs, N, margin, stirling=stirling1):
+    """Composition oracle for the table entries dL_x dL_y, one sweep over
+    the label ``pairs`` (an iterable of (x, y)): the largest |difference|
+    between rho+(x) rho+(y) and sum coeff rho+(label) over the table's
+    output, as exact integer parts (``theta_int``) of the N-truncations on
+    the columns col <= N - 1 - margin, which the truncation does not cut
+    when ``margin`` is at least a pair's total raising index.  0 when every
+    entry reproduces its composition; ``stirling`` is passed to
+    ``swn_structure_constants``.  Each label's image is built once per call.
+    Raises ValueError when the window is empty (margin outside [0, N)) or
+    no pair is given, where the oracle would compare nothing.
     """
-    # a rho+ image has at most one entry per column
-    left = {col: (row, val) for (row, col), val in rho_plus_int_entries(*x, N).items()}
-    direct = {}
-    for (mid, col), val in rho_plus_int_entries(*y, N).items():
-        if mid in left:
-            row, left_val = left[mid]
-            direct[(row, col)] = left_val * val
-    table = {}
-    for label, coeff in swn_structure_constants(*x, *y, stirling=stirling).items():
-        for pos, val in rho_plus_int_entries(*label, N).items():
-            table[pos] = table.get(pos, 0) + coeff * val
-    return max((abs(direct.get(pos, 0) - table.get(pos, 0))
-                for pos in direct.keys() | table.keys() if pos[1] <= N - 1 - margin), default=0)
+    if not 0 <= margin < N:
+        raise ValueError(f"margin must lie in [0, N) = [0, {N}), got {margin}")
+    n_cols = N - margin
+    images = {}
+
+    def image(label):
+        # a rho+ image has at most one entry per column, at row = col + n - l,
+        # so it is kept as its values by column (0 where it has none)
+        if label not in images:
+            values = [0] * N
+            for (_, col), val in rho_plus_int_entries(*label, N).items():
+                values[col] = val
+            images[label] = values
+        return images[label]
+
+    worst = 0
+    n_pairs = 0
+    for n_pairs, (x, y) in enumerate(pairs, 1):
+        left, right = image(x), image(y)
+        # a nonzero entry of rho+(y) in column col sits in row col + y0 - y2,
+        # which is inside [0, N)
+        raise_y = y[0] - y[2]
+        direct = [left[col + raise_y] * val if val else 0
+                  for col, val in enumerate(right[:n_cols])]
+        # an entry at (row, col) is grouped by row - col = n - l; every output
+        # label keeps the pair's n - l, so there is one group unless the
+        # table is wrong, and no entry is then compared at a foreign row
+        groups = {x[0] - x[2] + raise_y: (direct, [])}
+        for label, coeff in swn_structure_constants(*x, *y, stirling=stirling).items():
+            groups.setdefault(label[0] - label[2], ([0] * n_cols, []))[1].append(
+                (coeff, image(label)))
+        for diffs, terms in groups.values():
+            for coeff, img in terms:
+                diffs = [diff - coeff * val for diff, val in zip(diffs, img)]
+            worst = max(worst, *map(abs, diffs))
+    if not n_pairs:
+        raise ValueError("composition_mismatch needs at least one label pair")
+    return worst

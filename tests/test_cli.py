@@ -92,6 +92,14 @@ def test_run_characteristic_contains_closed_form_comparison(tmp_path):
     assert any("brownian" in n for n in names) and any("poisson" in n for n in names)
 
 
+def test_run_swn_table_at_the_benchmark_size(tmp_path):
+    config = parse_config({"kind": "swn-table", "max_index": 3, "truncation": 40})
+    report, code = run(config, out_dir=tmp_path)
+    assert code == 0
+    assert report["checks"][0]["name"] == "composition oracle, indices <= 3"
+    assert report["checks"][0]["value"] == 0
+
+
 def test_run_flow_writes_series(tmp_path):
     config = parse_config({"kind": "flow", "horizon": 0.2, "dt": 1e-3})
     report, code = run(config, out_dir=tmp_path)

@@ -15,8 +15,10 @@ one wired into the table.
 """
 
 import itertools
+from collections import Counter
 
 import numpy as np
+import pytest
 
 from qscontrol.ito import (
     SwnLabel,
@@ -29,7 +31,8 @@ from qscontrol.ito import (
     swn_structure_constants,
     theta,
 )
-from qscontrol.ito.sl2 import composition_mismatch, stirling1_unsigned
+from qscontrol.ito import sl2
+from qscontrol.ito.sl2 import composition_mismatch, stirling1, stirling1_unsigned
 
 N_ORACLE = 30
 MARGIN = 5  # >= max total raising index for index pairs <= 2
@@ -40,15 +43,77 @@ ALL_CONS_PAIRS = list(
 
 
 def test_oracle_o1_exact_on_all_cons_pairs_up_to_2():
-    for x, y in ALL_CONS_PAIRS:
-        assert composition_mismatch(x, y, N_ORACLE, MARGIN) == 0, (x, y)
+    assert composition_mismatch(ALL_CONS_PAIRS, N_ORACLE, MARGIN) == 0
 
 
 def test_unsigned_stirling_convention_is_rejected_by_oracle():
     # Witness: the (0,0,2)*(2,0,0) product needs s(2,1) = -1, not +1.
-    x, y = (0, 0, 2), (2, 0, 0)
-    assert composition_mismatch(x, y, N_ORACLE, MARGIN) == 0
-    assert composition_mismatch(x, y, N_ORACLE, MARGIN, stirling=stirling1_unsigned) > 0
+    pair = [((0, 0, 2), (2, 0, 0))]
+    assert composition_mismatch(pair, N_ORACLE, MARGIN) == 0
+    assert composition_mismatch(pair, N_ORACLE, MARGIN, stirling=stirling1_unsigned) > 0
+
+
+@pytest.mark.parametrize("stirling", [stirling1, stirling1_unsigned])
+def test_oracle_sweep_is_max_of_single_pair_calls(stirling):
+    singles = [composition_mismatch([pair], N_ORACLE, MARGIN, stirling=stirling)
+               for pair in ALL_CONS_PAIRS]
+    swept = composition_mismatch(ALL_CONS_PAIRS, N_ORACLE, MARGIN, stirling=stirling)
+    assert swept == max(singles)
+    # the order of the pairs does not matter
+    assert composition_mismatch(reversed(ALL_CONS_PAIRS), N_ORACLE, MARGIN,
+                                stirling=stirling) == swept
+    # the unsigned convention keeps the equality from holding only as 0 == 0
+    assert (swept > 0) == (stirling is stirling1_unsigned)
+
+
+def test_oracle_sweep_builds_each_label_image_once(monkeypatch):
+    calls = Counter()
+    build = sl2.rho_plus_int_entries
+
+    def counted(n, k, l, N):
+        calls[(n, k, l)] += 1
+        return build(n, k, l, N)
+
+    monkeypatch.setattr(sl2, "rho_plus_int_entries", counted)
+    labels = {label for x, y in ALL_CONS_PAIRS
+              for label in (x, y, *swn_structure_constants(*x, *y))}
+    for sweep in (1, 2):
+        # the second sweep builds every image again: no cache outlives a call
+        composition_mismatch(ALL_CONS_PAIRS, N_ORACLE, MARGIN)
+        assert set(calls) == labels
+        assert set(calls.values()) == {sweep}
+
+
+def test_oracle_compares_a_label_with_a_foreign_shift_at_its_own_rows(monkeypatch):
+    # a wrong table that answers dL_(0,0,0)^2 with rho+(1,0,0), whose entry
+    # m + 1 sits one row below the identity's 1 in column m: every position
+    # is a mismatch of its own, the largest col + 1 = 25 in the window
+    monkeypatch.setattr(sl2, "swn_structure_constants", lambda *labels, stirling: {(1, 0, 0): 1})
+    assert composition_mismatch([((0, 0, 0), (0, 0, 0))], N_ORACLE, MARGIN) == N_ORACLE - MARGIN
+
+
+def test_oracle_window_excludes_truncated_columns():
+    # at N = 30 the truncation cuts column 28 for some pair <= 2 and no
+    # column below it: margin 1 still compares column 28, margin 2 does not
+    assert composition_mismatch(ALL_CONS_PAIRS, N_ORACLE, 1) > 0
+    assert composition_mismatch(ALL_CONS_PAIRS, N_ORACLE, 2) == 0
+
+
+@pytest.mark.parametrize("margin", [-1, N_ORACLE])
+def test_oracle_rejects_an_empty_or_negative_window(margin):
+    # margin N compares no column, so even the unsigned convention would pass
+    with pytest.raises(ValueError, match="margin"):
+        composition_mismatch([((0, 0, 2), (2, 0, 0))], N_ORACLE, margin,
+                             stirling=stirling1_unsigned)
+    # the nearest margin inside [0, N) leaves a window, and the witness fails
+    inside = 0 if margin < 0 else N_ORACLE - 1
+    assert composition_mismatch([((0, 0, 2), (2, 0, 0))], N_ORACLE, inside,
+                                stirling=stirling1_unsigned) > 0
+
+
+def test_oracle_rejects_no_pairs():
+    with pytest.raises(ValueError, match="pair"):
+        composition_mismatch(iter(()), N_ORACLE, MARGIN)
 
 
 def test_oracle_o1_float_route_within_scaled_tolerance():
