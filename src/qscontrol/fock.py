@@ -136,10 +136,6 @@ class PiecewiseConstant:
             raise ShapeError("breakpoints must increase")
 
     @classmethod
-    def constant(cls, value, horizon):
-        return cls([horizon], [value])
-
-    @classmethod
     def zero(cls, horizon, modes=1):
         return cls([horizon], [np.zeros(modes, dtype=complex)])
 
@@ -165,10 +161,6 @@ class PiecewiseConstant:
             mid = 0.5 * (a + b)
             total += (b - a) * np.vdot(self.value(mid), other.value(mid))
         return total
-
-
-def _vacuum(horizon, modes=1):
-    return PiecewiseConstant.zero(horizon, modes)
 
 
 # --------------------------------------------------------------------- specs
@@ -290,8 +282,8 @@ def matrix_element_evolution(spec, f, g, u, v, horizon, dt=1e-3):
     breakpoints of f and g.
     """
     e_mat, f_mat, g_mat, h_mat = _coefficients(spec)
-    f = f if f is not None else _vacuum(horizon)
-    g = g if g is not None else _vacuum(horizon)
+    f = f if f is not None else PiecewiseConstant.zero(horizon)
+    g = g if g is not None else PiecewiseConstant.zero(horizon)
 
     def gen(t):
         fv = complex(f.value(t)[0].conjugate())
@@ -622,8 +614,8 @@ def swn_matrix_element_evolution(h_mat, d_minus, w_op, u, v, config, f=None, g=N
     k_modes = config.swn_modes
     dim = d_minus.dim
     horizon = config.horizon
-    f = f if f is not None else _vacuum(horizon, k_modes)
-    g = g if g is not None else _vacuum(horizon, k_modes)
+    f = f if f is not None else PiecewiseConstant.zero(horizon, k_modes)
+    g = g if g is not None else PiecewiseConstant.zero(horizon, k_modes)
     for name, func in (("f", f), ("g", g)):
         if func.values[0].shape != (k_modes,):
             raise ShapeError(f"{name} must take values in C^{k_modes}")

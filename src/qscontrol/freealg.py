@@ -1,21 +1,37 @@
-"""Free *-algebra over system symbols, with unitary rewrite rules.
+"""Free *-algebra over operator symbols, with unitary rewrite rules.
 
-Words are tuples of generator names from {H, L, L*, W, W*, X, Pi}; a
-polynomial maps words to complex coefficients.  The only relations are
-W W* -> 1 and W* W -> 1 (W unitary); nothing commutes unless cancellation
-makes it so.  This is deliberately weaker than matrix arithmetic: an
-identity that holds here holds for every choice of bounded operators.
+Words are tuples of generator names; a polynomial maps words to complex
+coefficients.  Two alphabets share the algebra: {H, L, L*, W, W*, X, Pi}
+for the Hudson-Parthasarathy flow, and the stochastic Riccati equation's
+coefficients {F, F*, Q, Gq, w, w*, z, z*, F1, F1*, F2, F2*} with the
+unknowns {A, B1, B2}.  The only relations are W W* -> 1 and W* W -> 1 (W
+unitary) and the centrality of the four Ito-table scalars s11, s12, s21,
+s22, which every word carries sorted at its front; nothing else commutes
+unless cancellation makes it so.  This is deliberately weaker than matrix
+arithmetic: an identity that holds here holds for every choice of bounded
+operators and every table.
 """
 
 from __future__ import annotations
 
-_STAR = {"H": "H", "X": "X", "Pi": "Pi", "L": "L*", "L*": "L", "W": "W*", "W*": "W"}
+_STAR = {
+    "H": "H", "X": "X", "Pi": "Pi", "L": "L*", "L*": "L", "W": "W*", "W*": "W",
+    "F": "F*", "F*": "F", "Q": "Q", "Gq": "Gq", "w": "w*", "w*": "w", "z": "z*", "z*": "z",
+    "F1": "F1*", "F1*": "F1", "F2": "F2*", "F2*": "F2",
+    "A": "A", "B1": "B1", "B2": "B2",  # placeholders for the unknowns, never starred in use
+    # the table scalars sigma_ba form a Hermitian matrix for any adjoint pair
+    # ((dM_b* dM_a)* = dM_a* dM_b), so conjugation swaps s12 and s21
+    "s11": "s11", "s12": "s21", "s21": "s12", "s22": "s22",
+}
+_CENTRAL = frozenset(("s11", "s12", "s21", "s22"))
 _UNITS = {("W", "W*"), ("W*", "W")}
 
 
 def _reduce(word):
-    """Cancel adjacent W W* / W* W pairs until stable."""
-    letters = list(word)
+    """Hoist the central letters, sorted, to the front; then cancel adjacent
+    W W* / W* W pairs until stable."""
+    letters = sorted(x for x in word if x in _CENTRAL)
+    letters += [x for x in word if x not in _CENTRAL]
     changed = True
     while changed:
         changed = False
@@ -88,6 +104,13 @@ class FreePoly:
                 for w, c in self.terms.items()
             }
         )
+
+    def set_zero(self, *names):
+        """Set the named generators to zero: drop every word containing one."""
+        gone = frozenset(names)
+        if not gone <= _STAR.keys():
+            raise ValueError(f"unknown generators {sorted(gone - _STAR.keys())}")
+        return FreePoly({w: c for w, c in self.terms.items() if gone.isdisjoint(w)})
 
     def __eq__(self, other):
         if not isinstance(other, FreePoly):

@@ -19,7 +19,7 @@ DA = SymbolicDifferential.basis(HpLabel.ANN)
 DAD = SymbolicDifferential.basis(HpLabel.CRE)
 DL = SymbolicDifferential.basis(HpLabel.CONS)
 
-_HP_TABLE = {
+HP_TABLE = {
     (HpLabel.ANN, HpLabel.CRE): HpLabel.TIME,
     (HpLabel.ANN, HpLabel.CONS): HpLabel.ANN,
     (HpLabel.CONS, HpLabel.CRE): HpLabel.CRE,
@@ -28,7 +28,7 @@ _HP_TABLE = {
 
 
 def hp_basis_product(la, lb):
-    out = _HP_TABLE.get((la, lb))
+    out = HP_TABLE.get((la, lb))
     if out is None:
         return None
     return SymbolicDifferential.basis(out)

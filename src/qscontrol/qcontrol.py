@@ -35,6 +35,7 @@ from scipy import optimize
 from .errors import ShapeError
 from .fock import GenericQsdeSpec, HpEvolutionSpec, _master_generator, _rk4
 from .freealg import FreePoly
+from .ito.hp import HP_TABLE
 from .ito.labels import HpLabel
 from .ito.module_ops import (
     ModuleDifferential,
@@ -368,14 +369,6 @@ def exact_condition_instance(rng, dim=2, horizon=1.0):
 # ------------------------------------------------- symbolic flow derivation
 
 
-_HP_LABEL_PAIRS = {
-    HpLabel.TIME: [(HpLabel.ANN, HpLabel.CRE)],
-    HpLabel.ANN: [(HpLabel.ANN, HpLabel.CONS)],
-    HpLabel.CRE: [(HpLabel.CONS, HpLabel.CRE)],
-    HpLabel.CONS: [(HpLabel.CONS, HpLabel.CONS)],
-}
-
-
 @dataclass
 class FlowDerivationReport:
     computed: dict
@@ -439,12 +432,10 @@ def derive_flow_hp(x=None, l=None, w=None):
     # swap, since (dA)* = dA+.
     left = {label: right[label.adjoint()].adjoint() for label in right}
 
-    computed = {}
-    for label in HpLabel:
-        total = left[label] * x_sym + x_sym * right[label]
-        for la, lb in _HP_LABEL_PAIRS[label]:
-            total = total + left[la] * x_sym * right[lb]
-        computed[label] = total
+    computed = {label: left[label] * x_sym + x_sym * right[label] for label in HpLabel}
+    # the Ito correction dU* X dU: each nonzero basis product dla dlb = dout
+    for (la, lb), out in HP_TABLE.items():
+        computed[out] = computed[out] + left[la] * x_sym * right[lb]
 
     expected = {
         HpLabel.TIME: i * (h_sym * x_sym - x_sym * h_sym)

@@ -2,7 +2,11 @@
 monotone Picard iteration, the affine feedback, and time reversal."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,14 +41,13 @@ from qscontrol.rf import (
     verify_fock_vacuum_table,
     verify_feedback_optimality,
 )
+from qscontrol import rf_symbolic
+from qscontrol.freealg import _CENTRAL, _STAR, FreePoly
 from qscontrol.rf_symbolic import (
-    SIGMA,
     extract_riccati_coefficients,
     prop2_specialization_check,
     printed_coefficients,
-    specialize_no_noise,
-    specialize_w_zero,
-    sym,
+    syms,
 )
 
 ZERO1 = np.zeros((1, 1))
@@ -907,29 +910,81 @@ def test_prop2_coefficients_match_both_branches():
         assert report["matches"], report
 
 
-def _evaluate_nc(expr, mats):
-    """Numeric value of an expanded noncommutative sympy expression whose
-    symbols are looked up in ``mats`` (commutative factors are numbers)."""
-    import sympy as sp
+def test_prop2_check_catches_a_swapped_table(monkeypatch):
+    # swapping s12 and s21 in the printed A (the adjoint's job) must show
+    # up as a mismatch in A alone
+    def swapped(sign):
+        printed = printed_coefficients(sign)
+        swap = {"s12": "s21", "s21": "s12"}
+        printed["A"] = FreePoly({tuple(swap.get(x, x) for x in word): c
+                                 for word, c in printed["A"].terms.items()})
+        return printed
 
-    dim = next(iter(mats.values())).shape[0]
+    monkeypatch.setattr(rf_symbolic, "printed_coefficients", swapped)
+    for direction in ("q0", "qt"):
+        report = prop2_specialization_check(direction)
+        assert not report["matches"]
+        assert report["per_slot"] == {"A": False, "B1": True, "B2": True}
+        assert report["differences"]["A"] != "0"
+
+
+def test_freepoly_central_letters_and_set_zero():
+    for name in _CENTRAL:
+        s = FreePoly.sym(name)
+        for gen in _STAR:
+            g = FreePoly.sym(gen)
+            assert s * g == g * s, (name, gen)
+    s11, s12, s21, W, Ws = syms("s11 s12 s21 W W*")
+    assert W * s11 * Ws == s11
+    F, Fs, w, F1, F1s, Pi = syms("F F* w F1 F1* Pi")
+    assert (s12 * F).adjoint() == s21 * Fs
+    poly = F * w + 2.0 * w * F1 + Pi + s11 * F1s * Pi + 3.0 * s12 * Fs
+    assert poly.set_zero("F1", "F1*") == F * w + Pi + 3.0 * s12 * Fs
+    assert poly.set_zero("s12") == poly - 3.0 * s12 * Fs
+    with pytest.raises(ValueError):
+        poly.set_zero("F3")
+
+
+def test_package_runs_without_sympy():
+    code = (
+        "import sys\n"
+        "sys.modules['sympy'] = None\n"
+        "from qscontrol import cli, classical, fock, qcontrol, rf, rf_symbolic\n"
+        "for direction in ('q0', 'qt'):\n"
+        "    assert rf_symbolic.prop2_specialization_check(direction)['matches']\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def _evaluate_nc(poly, mats):
+    """Numeric value of a FreePoly whose letters are looked up in ``mats``:
+    matrices for operators, scalars for the table letters (np.dot scales)."""
+    dim = mats["Pi"].shape[0]
     total = np.zeros((dim, dim), dtype=complex)
-    for term in sp.Add.make_args(sp.expand(expr)):
-        scalars, factors = term.args_cnc()
-        value = complex(sp.Mul(*scalars)) * np.eye(dim, dtype=complex)
-        for factor in factors:
-            base, power = factor.as_base_exp()
-            value = value @ np.linalg.matrix_power(mats[base.name], int(power))
+    for word, coeff in poly.terms.items():
+        value = coeff * np.eye(dim, dtype=complex)
+        for letter in word:
+            value = np.dot(value, mats[letter])
         total += value
     return total
+
+
+def _coefficient_mats(problem):
+    """The problem's matrices, keyed by the generators they stand for."""
+    mats = {"Pi": problem.boundary_gain, "F": problem.F, "Q": problem.Q,
+            "Gq": problem.gain_quad(), "w": problem.w, "F1": problem.F1, "F2": problem.F2}
+    mats.update({name + "*": mats[name].conj().T for name in ("F", "w", "F1", "F2")})
+    return mats
 
 
 @pytest.mark.parametrize("direction,sign", [("q0", -1), ("qt", +1)])
 def test_duhamel_step_martingale_coefficients_match_symbolic(direction, sign):
     # One Duhamel step over dt = 1e-14 (drift negligible) on two one-step
     # paths with dM1 = eps and dM1 = i eps: the step's dM1/dM2 coefficients
-    # are the B1/B2 the sympy extraction gives for the branch, evaluated on
-    # the problem's matrices at the boundary gain the step starts from.
+    # are the B1/B2 the symbolic extraction gives for the branch, evaluated
+    # on the problem's matrices at the boundary gain the step starts from.
     problem = replace(stochastic_2x2_problem(), direction=direction)
     eps = 1e-7
     dm1 = np.array([[eps], [1j * eps]])
@@ -938,21 +993,12 @@ def test_duhamel_step_martingale_coefficients_match_symbolic(direction, sign):
     d_real, d_imag = (final[:, 1] - final[:, 0]) / np.array([eps, 1j * eps])[:, None, None]
     numeric = {"B1": 0.5 * (d_real + d_imag), "B2": 0.5 * (d_real - d_imag)}
 
-    mats = {"Pi": problem.boundary_gain, "w": problem.w, "ws": problem.w.conj().T}
-    for name in ("F1", "F2"):
-        mats[name] = getattr(problem, name)
-        mats[name + "s"] = getattr(problem, name).conj().T
+    mats = _coefficient_mats(problem)
     symbolic = extract_riccati_coefficients(sign)
     for slot in ("B1", "B2"):
         want = _evaluate_nc(symbolic[slot], mats)
         mismatch = np.max(np.abs(numeric[slot] - want)) / np.max(np.abs(want))
         assert mismatch <= 1e-5, (slot, mismatch)
-
-
-def _table_values(sigma):
-    """sympy substitution of the table symbols by a 2x2 table's entries."""
-    return {SIGMA[("m2", "m1")]: sigma[0, 0], SIGMA[("m2", "m2")]: sigma[0, 1],
-            SIGMA[("m1", "m1")]: sigma[1, 0], SIGMA[("m1", "m2")]: sigma[1, 1]}
 
 
 @pytest.mark.parametrize("direction,sign", [
@@ -968,7 +1014,7 @@ def test_duhamel_step_drift_matches_symbolic(direction, sign):
     # One Duhamel step over dt = 1e-6 on four one-step paths dM1 = sqrt(dt)
     # (1, -1, i, -i): their mean and second moments are the planar-Brownian
     # table's (E dM1 = 0, E |dM1|^2 = dt, E dM1^2 = 0), so the mean step
-    # divided by dt is the drift A the sympy extraction gives for the
+    # divided by dt is the drift A the symbolic extraction gives for the
     # branch, up to O(dt).  Measured mismatch 1.16 dt on q0 (1.2e-4, 1.2e-5,
     # 1.2e-6 at dt = 1e-4, 1e-5, 1e-6); 1e-5 keeps 8x headroom.
     problem = replace(stochastic_2x2_problem(), direction=direction)
@@ -978,38 +1024,30 @@ def test_duhamel_step_drift_matches_symbolic(direction, sign):
     final = iterate_riccati(problem, path, n_max=2, tol=0.0).final
     numeric = np.mean(final[:, 1] - final[:, 0], axis=0) / dt
 
-    mats = {"Pi": problem.boundary_gain, "F": problem.F, "Fs": problem.F.conj().T,
-            "Q": problem.Q, "Gq": problem.gain_quad(), "w": problem.w, "ws": problem.w.conj().T}
-    for name in ("F1", "F2"):
-        mats[name] = getattr(problem, name)
-        mats[name + "s"] = getattr(problem, name).conj().T
-    a_expr = extract_riccati_coefficients(sign)["A"].subs(_table_values(path.sigma))
-    want = _evaluate_nc(a_expr, mats)
+    mats = _coefficient_mats(problem)
+    sigma = path.sigma
+    mats.update(s11=sigma[0, 0], s12=sigma[0, 1], s21=sigma[1, 0], s22=sigma[1, 1])
+    want = _evaluate_nc(extract_riccati_coefficients(sign)["A"], mats)
     mismatch = np.max(np.abs(numeric - want)) / np.max(np.abs(want))
     assert mismatch <= 1e-5, mismatch
 
 
-def test_prop2_no_noise_drift_shape():
-    import sympy as sp
+NOISE_COUPLINGS = ("F1", "F1*", "F2", "F2*")
 
+
+def test_prop2_no_noise_drift_shape():
     printed = printed_coefficients(+1)  # qt branch: classical backward shape
-    a_nf = specialize_no_noise(printed["A"])
-    F, Fs, Pi, Q, Gq = (sym(n) for n in ("F", "Fs", "Pi", "Q", "Gq"))
-    want = sp.expand(-(Fs * Pi + Pi * F + Q - Pi * Gq * Pi))
-    assert sp.expand(a_nf - want) == 0
-    assert specialize_no_noise(printed["B1"]) == 0
-    assert specialize_no_noise(printed["B2"]) == 0
+    F, Fs, Pi, Q, Gq = syms("F F* Pi Q Gq")
+    assert printed["A"].set_zero(*NOISE_COUPLINGS) == -(Fs * Pi + Pi * F + Q - Pi * Gq * Pi)
+    assert printed["B1"].set_zero(*NOISE_COUPLINGS).is_zero()
+    assert printed["B2"].set_zero(*NOISE_COUPLINGS).is_zero()
 
 
 def test_prop2_w_zero_kills_noise_couplings():
-    import sympy as sp
-
     printed = printed_coefficients(-1)  # q0 branch
-    a_w0 = specialize_w_zero(printed["A"])
-    F, Fs, Pi, Q, Gq = (sym(n) for n in ("F", "Fs", "Pi", "Q", "Gq"))
-    want = sp.expand(Fs * Pi + Pi * F + Q - Pi * Gq * Pi)
-    assert sp.expand(a_w0 - want) == 0
-    assert specialize_w_zero(printed["B1"]) == 0
+    F, Fs, Pi, Q, Gq = syms("F F* Pi Q Gq")
+    assert printed["A"].set_zero("w", "w*") == Fs * Pi + Pi * F + Q - Pi * Gq * Pi
+    assert printed["B1"].set_zero("w", "w*").is_zero()
 
 
 # ---------------------------------------------------------------- validation
