@@ -157,7 +157,7 @@ def solve_are(a_mat, q_mat):
         closed = a_mat - pi
         nxt = solve_continuous_lyapunov(closed.T, -(q_mat + pi @ pi))
         nxt = 0.5 * (nxt + nxt.T)
-        residual = fro(a_mat.T @ nxt + nxt @ a_mat + q_mat - nxt @ nxt)
+        residual = are_residual(a_mat, q_mat, nxt)
         pi = nxt
         if residual <= 1e-10:
             break
@@ -177,7 +177,7 @@ def are_residual(a_mat, q_mat, pi):
 # ------------------------------------------------------------- simulation
 
 
-def _gain_schedule(problem, riccati, perturbation):
+def _gain_schedule(riccati, perturbation):
     """Per-step feedback gains; ``perturbation`` is None, ('offset', D) or
     ('scale', c)."""
     gains = riccati.gains
@@ -206,7 +206,8 @@ def lqr_simulate(problem, control=None, steps=400, riccati=None):
     riccati = riccati if riccati is not None else solve_riccati_ode(problem, steps)
     steps = len(riccati.times) - 1
     dt = problem.horizon / steps
-    gains = _gain_schedule(problem, riccati, control)
+    gains = _gain_schedule(riccati, control)
+    halves = expm((problem.A - gains[:steps]) * (dt / 2.0))
     x = problem.x0
 
     cost = 0.0
@@ -214,8 +215,7 @@ def lqr_simulate(problem, control=None, steps=400, riccati=None):
     states[0] = x
     for k in range(steps):
         gain = gains[k]
-        closed = problem.A - gain
-        half = expm(closed * (dt / 2.0))
+        half = halves[k]
         x_mid = half @ x
         x_new = half @ x_mid
         weight = problem.Q + gain.T @ gain
@@ -278,7 +278,7 @@ def lqg_simulate(problem, seed, n_paths, steps=400, perturbation=None, riccati=N
     steps = len(riccati.times) - 1
     dt = problem.horizon / steps
     n = problem.dim
-    gains = _gain_schedule(problem, riccati, perturbation)
+    gains = _gain_schedule(riccati, perturbation)
     p_path = filter_covariance(problem, steps)
     c_mat = problem.C if problem.C is not None else np.zeros((n, n))
     h_mat = problem.H_obs
@@ -289,15 +289,15 @@ def lqg_simulate(problem, seed, n_paths, steps=400, perturbation=None, riccati=N
     # z = (x, xh),  dz = M_k z dt + noise,  filter gain K_k = P_k H*/r.
     # The running cost uses the same per-step Simpson rule as lqr_simulate,
     # so the zero-noise run reproduces the deterministic cost to rounding.
-    halves = np.empty((steps, 2 * n, 2 * n))
-    k_filters = np.empty((steps, n, n))
-    for k in range(steps):
-        gain = gains[k]
-        k_f = p_path[k] @ h_mat.T * inv_r
-        k_filters[k] = k_f
-        m_top = np.hstack([problem.A, -gain])
-        m_bot = np.hstack([k_f @ h_mat, problem.A - gain - k_f @ h_mat])
-        halves[k] = expm(np.vstack([m_top, m_bot]) * (dt / 2.0))
+    held = gains[:steps]
+    k_filters = p_path[:steps] @ h_mat.T * inv_r
+    k_h = k_filters @ h_mat
+    generators = np.empty((steps, 2 * n, 2 * n))
+    generators[:, :n, :n] = problem.A
+    generators[:, :n, n:] = -held
+    generators[:, n:, :n] = k_h
+    generators[:, n:, n:] = problem.A - held - k_h
+    halves = expm(generators * (dt / 2.0))
 
     # Pre-draw all increments path by path (seed-splitting contract), then
     # run the time loop vectorized over the whole ensemble.

