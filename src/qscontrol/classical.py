@@ -15,11 +15,13 @@ Conventions (real matrices throughout):
 The control weight is fixed to the identity; the general weight R lives in
 the representation-free module.
 
-Time stepping: the Riccati equation is solved first on a uniform grid with
-fixed-step RK4; state integrations share that grid, freeze the gain per
-step, and propagate the drift exactly (matrix exponential of the frozen
-closed loop), adding Euler-Maruyama noise increments.  The zero-noise LQG
-run therefore reproduces the deterministic LQR trajectory to rounding.
+Time stepping: one fixed-step RK4 kernel solves both Riccati equations
+on a uniform grid.  State integrations share that grid, freeze the gain
+per step, and propagate the drift exactly (matrix exponential of the
+frozen closed loop); all laws of a run share one batch axis of one sweep,
+and lqg adds Euler-Maruyama increments drawn once for every law.  The
+zero-noise LQG run therefore reproduces the deterministic LQR trajectory
+to rounding.
 """
 
 from __future__ import annotations
@@ -27,11 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, solve_continuous_lyapunov
+from scipy.linalg import block_diag, expm, solve_continuous_lyapunov
 
 from .errors import BlowUpError, NotConvergedError, ShapeError
-from .linalg import as_matrix, fro, herm, is_hermitian
-from .seeding import spawn_rngs
+from .linalg import as_matrix, fro, is_hermitian
+from .seeding import spawn_rngs, standard_error
 
 BLOWUP_NORM = 1e12
 
@@ -97,42 +99,49 @@ class RiccatiSolution:
 # ------------------------------------------------------------ Riccati ODEs
 
 
+def _riccati_rk4(m_mat, n_mat, k_mat, start, dt, steps, reverse=False):
+    """Fixed-step RK4 for X' = M X + X M* + N - X K X, symmetrized per step.
+
+    ``K = None`` stands for the identity (X K X = X X, one product fewer).
+    Returns X on the grid k dt, k = 0..steps, with ``start`` at t = 0, or at
+    t = steps dt integrated in reversed time when ``reverse``.  Raises
+    ``BlowUpError`` with the escape time if X leaves the ||X|| <= 1e12 ball.
+    """
+    m_adj = m_mat.T
+
+    def rhs(x):
+        quad = x @ x if k_mat is None else x @ k_mat @ x
+        return m_mat @ x + x @ m_adj + n_mat - quad
+
+    slots = range(steps, -1, -1) if reverse else range(steps + 1)
+    out = np.empty((steps + 1, *start.shape))
+    out[slots[0]] = x = start
+    for slot in slots[1:]:
+        k1 = rhs(x)
+        k2 = rhs(x + 0.5 * dt * k1)
+        k3 = rhs(x + 0.5 * dt * k2)
+        k4 = rhs(x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        x = 0.5 * (x + x.T)
+        if not np.all(np.isfinite(x)) or fro(x) > BLOWUP_NORM:
+            raise BlowUpError(f"Riccati solution escaped at t = {slot * dt:.6g}",
+                              escape_time=slot * dt)
+        out[slot] = x
+    return out
+
+
 def solve_riccati_ode(problem, steps=400):
     """Integrate Pi' = Pi^2 - A*Pi - Pi A - Q backward from Pi(T) = Pi_T.
 
-    Fixed-step RK4 in reversed time with per-step symmetrization; raises
-    ``BlowUpError`` with the escape time if the solution leaves the
+    The RK4 kernel in reversed time s = T - t with (M, N, K) = (A*, Q, I);
+    raises ``BlowUpError`` with the escape time if the solution leaves the
     ||Pi|| <= 1e12 ball (finite-time blow-up travels backward from T).
     """
     if steps < 10:
         raise ShapeError("need at least 10 steps")
-    a_mat, q_mat = problem.A, problem.Q
-    horizon = problem.horizon
-    dt = horizon / steps
-
-    def rhs(sig):
-        # reversed time s = T - t: d(Sig)/ds = A* Sig + Sig A + Q - Sig^2
-        return a_mat.T @ sig + sig @ a_mat + q_mat - sig @ sig
-
-    gains = np.empty((steps + 1, problem.dim, problem.dim))
-    sig = problem.Pi_T.copy()
-    gains[steps] = sig
-    for k in range(steps):
-        s0 = k * dt
-        k1 = rhs(sig)
-        k2 = rhs(sig + 0.5 * dt * k1)
-        k3 = rhs(sig + 0.5 * dt * k2)
-        k4 = rhs(sig + dt * k3)
-        sig = sig + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        sig = 0.5 * (sig + sig.T)
-        if not np.all(np.isfinite(sig)) or fro(sig) > BLOWUP_NORM:
-            raise BlowUpError(
-                f"Riccati solution escaped at t = {horizon - (s0 + dt):.6g}",
-                escape_time=horizon - (s0 + dt),
-            )
-        gains[steps - 1 - k] = sig
-    times = np.linspace(0.0, horizon, steps + 1)
-    return RiccatiSolution(times, gains)
+    dt = problem.horizon / steps
+    gains = _riccati_rk4(problem.A.T, problem.Q, None, problem.Pi_T, dt, steps, reverse=True)
+    return RiccatiSolution(np.linspace(0.0, problem.horizon, steps + 1), gains)
 
 
 def solve_are(a_mat, q_mat):
@@ -177,96 +186,106 @@ def are_residual(a_mat, q_mat, pi):
 # ------------------------------------------------------------- simulation
 
 
-def _gain_schedule(riccati, perturbation):
-    """Per-step feedback gains; ``perturbation`` is None, ('offset', D) or
-    ('scale', c)."""
-    gains = riccati.gains
-    if perturbation is None:
-        return gains
-    kind, val = perturbation
-    if kind == "offset":
-        return gains + np.asarray(val, dtype=float)
-    if kind == "scale":
-        return float(val) * gains
-    raise ShapeError(f"unknown perturbation kind {kind!r}")
+def _held_gains(riccati, laws):
+    """Each law's gain held over each step, shape (steps, laws, n, n).
+
+    A law is None for the optimal gain Pi_k, ("scale", c) for c Pi_k or
+    ("offset", D) for Pi_k + D with D an n x n matrix.
+    """
+    gains = riccati.gains[:-1]
+    n = gains.shape[-1]
+    if not laws:
+        raise ShapeError("need at least one law")
+    held = np.empty((len(gains), len(laws), n, n))
+    for idx, law in enumerate(laws):
+        kind, val = law if law is not None else ("scale", 1.0)
+        if kind not in ("scale", "offset"):
+            raise ShapeError(f"unknown perturbation kind {kind!r}")
+        if kind == "offset" and np.shape(val) != (n, n):
+            raise ShapeError(f"offset must be a {n}x{n} matrix")
+        held[:, idx] = float(val) * gains if kind == "scale" else gains + np.asarray(val, float)
+    return held
 
 
-def lqr_simulate(problem, control=None, steps=400, riccati=None):
-    """Deterministic closed-loop run; returns (times, states, cost).
+def _quad(z, weight):
+    """<z, W z> over the last axis of a batch of (symmetric) weights."""
+    return np.sum((z @ weight) * z, axis=-1)
 
-    ``control`` is None for the optimal feedback u = -Pi_t x, or a
-    ('offset', D) / ('scale', c) perturbation of the gain.  The gain is
-    frozen per step (zero-order hold) and the closed loop propagated by
-    matrix exponentials; the running cost uses per-step Simpson quadrature.
+
+def _sweep(generators, weights, terminal, z, dt, kicks=None):
+    """The zero-order-hold closed loop of every law, stepped at once.
+
+    ``generators``/``weights`` (steps, laws, m, m) are each law's frozen
+    drift and running-cost weight, ``z`` (laws, paths, m) the start.  Each
+    step propagates exactly over two half steps, adds the Simpson cost of
+    <z, W z> and, given ``kicks`` = (db, C, dw, K) for the joint state
+    z = (x, xh), the noise shared by every law: db[:, k] C* on x and
+    dw[:, k] K_k* on xh.  Returns the costs (laws, paths) with the terminal
+    <z, terminal z>, and the squared filter error |x - xh|^2 summed over
+    paths and steps; it does not depend on the law, so the first law's is
+    taken.
+    """
+    halves = np.swapaxes(expm(generators * (dt / 2.0)), -1, -2)
+    costs = np.zeros(z.shape[:-1])
+    n = z.shape[-1] // 2
+    sq_err = 0.0
+    for k, (half, weight) in enumerate(zip(halves, weights)):
+        z_mid = z @ half
+        z_end = z_mid @ half
+        costs += (dt / 6.0) * (
+            _quad(z, weight) + 4.0 * _quad(z_mid, weight) + _quad(z_end, weight)
+        )
+        z = z_end
+        if kicks is not None:
+            db, c_mat, dw, k_filters = kicks
+            z[..., :n] += db[:, k] @ c_mat.T
+            z[..., n:] += dw[:, k] @ k_filters[k].T
+            sq_err += float(np.sum((z[0, :, :n] - z[0, :, n:]) ** 2))
+    return costs + _quad(z, terminal), sq_err
+
+
+def lqr_simulate(problem, laws=(None,), steps=400, riccati=None):
+    """Deterministic closed-loop cost of each law, shape (len(laws),).
+
+    A law is None for the optimal feedback u = -Pi_t x, or a ("scale", c) /
+    ("offset", D) perturbation of the gain.  The gain is frozen per step
+    (zero-order hold) and the closed loop propagated by matrix exponentials;
+    the running cost uses per-step Simpson quadrature with weight Q + K*K.
     """
     if problem.C is not None:
         raise ShapeError("lqr_simulate expects a deterministic problem (C absent)")
     if problem.x0 is None:
         raise ShapeError("problem must carry x0")
     riccati = riccati if riccati is not None else solve_riccati_ode(problem, steps)
-    steps = len(riccati.times) - 1
-    dt = problem.horizon / steps
-    gains = _gain_schedule(riccati, control)
-    halves = expm((problem.A - gains[:steps]) * (dt / 2.0))
-    x = problem.x0
-
-    cost = 0.0
-    states = np.empty((steps + 1, problem.dim))
-    states[0] = x
-    for k in range(steps):
-        gain = gains[k]
-        half = halves[k]
-        x_mid = half @ x
-        x_new = half @ x_mid
-        weight = problem.Q + gain.T @ gain
-        cost += (dt / 6.0) * (
-            x @ weight @ x + 4.0 * (x_mid @ weight @ x_mid) + x_new @ weight @ x_new
-        )
-        x = x_new
-        states[k + 1] = x
-    cost += x @ problem.Pi_T @ x
-    return riccati.times, states, float(cost)
+    dt = problem.horizon / (len(riccati.times) - 1)
+    held = _held_gains(riccati, laws)
+    start = np.broadcast_to(problem.x0, (len(laws), 1, problem.dim))
+    costs, _ = _sweep(problem.A - held, problem.Q + np.swapaxes(held, -1, -2) @ held,
+                      problem.Pi_T, start, dt)
+    return costs[:, 0]
 
 
 def filter_covariance(problem, steps=400):
-    """Kalman-Bucy error covariance P on the shared grid, P(0) = 0."""
+    """Kalman-Bucy error covariance P on the shared grid, P(0) = 0: the
+    RK4 kernel with (M, N, K) = (A, C C*, H* H / r)."""
     if problem.H_obs is None:
         raise ShapeError("filter covariance needs an observation matrix")
-    n = problem.dim
-    c_mat = problem.C if problem.C is not None else np.zeros((n, n))
-    cc = c_mat @ c_mat.T
-    h_mat = problem.H_obs
+    zero = np.zeros_like(problem.A)
+    cc = problem.C @ problem.C.T if problem.C is not None else zero
     # dy = H x dt + sqrt(r) dW has innovation intensity r; the information
     # form scales H* H by 1/r.  r = 0 degenerates to a noiseless observer.
     inv_r = 0.0 if problem.obs_noise == 0 else 1.0 / problem.obs_noise
-    dt = problem.horizon / steps
-
-    def rhs(p):
-        drift = problem.A @ p + p @ problem.A.T + cc
-        if inv_r:
-            drift = drift - p @ h_mat.T @ h_mat @ p * inv_r
-        return drift
-
-    out = np.empty((steps + 1, n, n))
-    p = np.zeros((n, n))
-    out[0] = p
-    for k in range(steps):
-        k1 = rhs(p)
-        k2 = rhs(p + 0.5 * dt * k1)
-        k3 = rhs(p + 0.5 * dt * k2)
-        k4 = rhs(p + dt * k3)
-        p = herm(p + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)).real
-        out[k + 1] = p
-    return out
+    return _riccati_rk4(problem.A, cc, problem.H_obs.T @ problem.H_obs * inv_r, zero,
+                        problem.horizon / steps, steps)
 
 
-def lqg_simulate(problem, seed, n_paths, steps=400, perturbation=None, riccati=None):
-    """Monte Carlo LQG run with the standard Kalman-Bucy filter.
+def lqg_simulate(problem, seed, n_paths, laws=(None,), steps=400, riccati=None):
+    """Monte Carlo LQG run of each law with the standard Kalman-Bucy filter.
 
-    Returns a dict with the cost mean, its standard error, per-path costs,
-    and filter-error statistics.  Path k draws its noise from the seed
-    splitting rule in ``qscontrol.seeding``; using the same seed with a
-    perturbed gain therefore yields paired (common random numbers) runs.
+    Returns a dict with the per-path costs (laws, n_paths), their mean and
+    standard error per law, and the mean squared filter error.  Path k
+    draws its noise from the seed splitting rule in ``qscontrol.seeding``,
+    once for all laws, so the laws are paired (common random numbers).
     """
     if problem.H_obs is None:
         raise ShapeError("lqg_simulate needs an observation matrix")
@@ -278,64 +297,40 @@ def lqg_simulate(problem, seed, n_paths, steps=400, perturbation=None, riccati=N
     steps = len(riccati.times) - 1
     dt = problem.horizon / steps
     n = problem.dim
-    gains = _gain_schedule(riccati, perturbation)
+    held = _held_gains(riccati, laws)
     p_path = filter_covariance(problem, steps)
-    c_mat = problem.C if problem.C is not None else np.zeros((n, n))
-    h_mat = problem.H_obs
-    sqrt_r = np.sqrt(problem.obs_noise)
     inv_r = 0.0 if problem.obs_noise == 0 else 1.0 / problem.obs_noise
 
-    # Per-step half-step joint propagators for the frozen-gain closed loop:
-    # z = (x, xh),  dz = M_k z dt + noise,  filter gain K_k = P_k H*/r.
-    # The running cost uses the same per-step Simpson rule as lqr_simulate,
-    # so the zero-noise run reproduces the deterministic cost to rounding.
-    held = gains[:steps]
-    k_filters = p_path[:steps] @ h_mat.T * inv_r
-    k_h = k_filters @ h_mat
-    generators = np.empty((steps, 2 * n, 2 * n))
-    generators[:, :n, :n] = problem.A
-    generators[:, :n, n:] = -held
-    generators[:, n:, :n] = k_h
-    generators[:, n:, n:] = problem.A - held - k_h
-    halves = expm(generators * (dt / 2.0))
+    # Joint state z = (x, xh), dz = M_k z dt + noise with filter gain
+    # K_k = P_k H*/r; the running cost weighs z with blockdiag(Q, G* G)
+    # for the held gain G, so the zero-noise run reproduces lqr_simulate.
+    k_filters = p_path[:steps] @ problem.H_obs.T * inv_r
+    k_h = (k_filters @ problem.H_obs)[:, None]
+    generators = np.empty((steps, len(laws), 2 * n, 2 * n))
+    generators[..., :n, :n] = problem.A
+    generators[..., :n, n:] = -held
+    generators[..., n:, :n] = k_h
+    generators[..., n:, n:] = problem.A - held - k_h
+    weights = np.zeros_like(generators)
+    weights[..., :n, :n] = problem.Q
+    weights[..., n:, n:] = np.swapaxes(held, -1, -2) @ held
 
-    # Pre-draw all increments path by path (seed-splitting contract), then
-    # run the time loop vectorized over the whole ensemble.
-    rngs = spawn_rngs(seed, n_paths)
+    # Path k draws db then dw (seed-splitting contract), once for all laws;
+    # the observation increment is stored already scaled by sqrt(r).
     db = np.empty((n_paths, steps, n))
     dw = np.empty((n_paths, steps, n))
-    for idx, rng in enumerate(rngs):
+    sqrt_r = np.sqrt(problem.obs_noise)
+    for idx, rng in enumerate(spawn_rngs(seed, n_paths)):
         db[idx] = rng.normal(size=(steps, n)) * np.sqrt(dt)
-        dw[idx] = rng.normal(size=(steps, n)) * np.sqrt(dt)
+        dw[idx] = sqrt_r * (rng.normal(size=(steps, n)) * np.sqrt(dt))
+    c_mat = problem.C if problem.C is not None else np.zeros((n, n))
 
-    def running(z, gain):
-        x_part, xh_part = z[:, :n], z[:, n:]
-        u_part = xh_part @ gain.T
-        return np.einsum("pi,ij,pj->p", x_part, problem.Q, x_part) + np.sum(
-            u_part * u_part, axis=1
-        )
-
-    z = np.tile(np.concatenate([problem.x0, problem.x0]), (n_paths, 1))
-    costs = np.zeros(n_paths)
-    sq_err = 0.0
-    for k in range(steps):
-        gain = gains[k]
-        z_mid = z @ halves[k].T
-        z_end = z_mid @ halves[k].T
-        costs += (dt / 6.0) * (
-            running(z, gain) + 4.0 * running(z_mid, gain) + running(z_end, gain)
-        )
-        z = z_end.copy()
-        z[:, :n] += db[:, k] @ c_mat.T
-        z[:, n:] += (sqrt_r * dw[:, k]) @ k_filters[k].T
-        sq_err += float(np.sum((z[:, :n] - z[:, n:]) ** 2))
-    costs += np.einsum("pi,ij,pj->p", z[:, :n], problem.Pi_T, z[:, :n])
-    mean = float(np.mean(costs))
-    stderr = float(np.std(costs, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
+    start = np.broadcast_to(np.tile(problem.x0, 2), (len(laws), n_paths, 2 * n))
+    terminal = block_diag(problem.Pi_T, np.zeros((n, n)))
+    costs, sq_err = _sweep(generators, weights, terminal, start, dt, (db, c_mat, dw, k_filters))
     return {
-        "cost_mean": mean,
-        "cost_stderr": stderr,
         "costs": costs,
+        "cost_mean": np.mean(costs, axis=-1),
+        "cost_stderr": np.array([standard_error(row) for row in costs]),
         "mean_sq_filter_error": sq_err / (n_paths * steps),
-        "filter_covariance_final": p_path[-1],
     }

@@ -479,18 +479,18 @@ def weyl_series(lam, z, k, n_terms=40):
     return total
 
 
-def characteristic_functional(kind, s, lam, t, config=None):
+def characteristic_functional(kind, s, lam, t, dt=1e-4):
     """Vacuum characteristic functional of Brownian / Poisson realizations.
 
     Simulates f' = c f with the dt coefficient c of the Weyl differential
-    (RK4 at the configured step) and returns (simulated, closed_form):
-    exp(-s^2 t / 2) for Brownian, exp(lam (e^{is} - 1) t) for Poisson.
+    (RK4 over max(1, round(t / dt)) equal steps) and returns (simulated,
+    closed_form): exp(-s^2 t / 2) for Brownian, exp(lam (e^{is} - 1) t) for
+    Poisson.
     """
     if kind not in ("brownian", "poisson"):
         raise ValueError("kind must be 'brownian' or 'poisson'")
-    config = config or TruncationConfig(dt=1e-4, horizon=max(t, 1e-4))
-    if t > config.horizon + 1e-12:
-        raise ShapeError("t exceeds the configured horizon")
+    if dt <= 0:
+        raise ShapeError("dt must be positive")
     if kind == "brownian":
         bracket = weyl_increment(0.0, s, 0.0)
         closed = np.exp(-0.5 * s**2 * t)
@@ -502,7 +502,7 @@ def characteristic_functional(kind, s, lam, t, config=None):
     c_val = bracket.coeff(HpLabel.TIME)
     if t == 0.0:
         return 1.0 + 0.0j, complex(closed)
-    steps = max(1, round(t / config.dt))
+    steps = max(1, round(t / dt))
     grid = np.linspace(0.0, t, steps + 1)
     states = _rk4(lambda _t, y: c_val * y, 1.0 + 0.0j, grid)
     return complex(states[-1]), complex(closed)

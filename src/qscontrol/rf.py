@@ -82,7 +82,7 @@ import numpy as np
 
 from .errors import NotConvergedError, ShapeError
 from .linalg import as_matrix, herm, is_hermitian
-from .seeding import spawn_rngs
+from .seeding import spawn_rngs, standard_error
 
 # --------------------------------------------------------------- surrogate
 
@@ -654,11 +654,6 @@ def _edge_terms(problem, a_col, b_col, xi_col):
             _linear(a_col[edge], problem.boundary_linear, xi_col))
 
 
-def _stderr(samples):
-    """Standard error of the mean (0 for a single sample)."""
-    return float(np.std(samples, ddof=1) / math.sqrt(len(samples))) if len(samples) > 1 else 0.0
-
-
 def cost_tilde(problem, u_path, xi, x_path, dt):
     """Per-path quadratic cost (trapezoid in time) and ensemble stats.
 
@@ -681,7 +676,7 @@ def cost_tilde(problem, u_path, xi, x_path, dt):
     quad, lin = _edge_terms(problem, x_col, x_col, col)
     costs = _trapezoid(running, dt) + quad.real
     costs = costs + 2.0 * lin.real
-    return float(np.mean(costs)), _stderr(costs), costs
+    return float(np.mean(costs)), standard_error(costs), costs
 
 
 # ---------------------------------------------------------------- r-path
@@ -858,7 +853,7 @@ def verify_feedback_optimality(problem, xi, path, perturbations, n_max, tol):
     comparisons = []
     for law, diffs in zip(perturbations, diff_chunks):
         diff = np.concatenate(diffs)
-        stderr = _stderr(diff)
+        stderr = standard_error(diff)
         comparisons.append({
             "perturbation": (law[0], np.asarray(law[1]).tolist()),
             "mean_excess": float(np.mean(diff)),

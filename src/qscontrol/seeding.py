@@ -23,3 +23,8 @@ def spawn_rngs(root_seed, n):
 
 def single_rng(root_seed):
     return np.random.default_rng(np.random.SeedSequence(root_seed))
+
+
+def standard_error(samples):
+    """Standard error of the mean of a path ensemble (0 for one path)."""
+    return float(np.std(samples, ddof=1) / np.sqrt(len(samples))) if len(samples) > 1 else 0.0

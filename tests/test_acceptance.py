@@ -150,14 +150,14 @@ def test_criterion_07_lqg(tmp_path):
 def test_criterion_08_cost_value_identity(tmp_path):
     crit = Criterion(8, "quadratic cost equals <xi, Pi xi>, perturbations up", 60.0)
     for config in ({"seed": 801}, {"seed": 802, "dim": 3}):
-        _run_kind(crit, {"kind": "hp-control", **config}, 5, tmp_path)
+        _run_kind(crit, {"kind": "hp-control", **config}, 6, tmp_path)
     crit.close()
 
 
 def test_criterion_09_synthesis_and_obstruction(tmp_path):
     crit = Criterion(9, "synthesis residuals and trace obstruction", 5.0)
     for config in ({"seed": 901}, {"seed": 902, "dim": 3}):
-        _run_kind(crit, {"kind": "hp-control", **config}, 5, tmp_path)
+        _run_kind(crit, {"kind": "hp-control", **config}, 6, tmp_path)
     crit.close()
 
 

@@ -92,6 +92,16 @@ def test_run_characteristic_contains_closed_form_comparison(tmp_path):
     assert any("brownian" in n for n in names) and any("poisson" in n for n in names)
 
 
+def test_characteristic_t_off_the_ode_grid_passes(tmp_path):
+    # t = 0.5 is no whole number of ode_dt = 0.3 steps: the ODE takes
+    # round(t / ode_dt) = 2 equal steps to t
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "characteristic", "t": 0.5, "ode_dt": 0.3}))
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "characteristic_report.json").read_text())
+    assert len(report["checks"]) == 9 and report["passed"]
+
+
 def test_run_swn_table_at_the_benchmark_size(tmp_path):
     config = parse_config({"kind": "swn-table", "max_index": 3, "truncation": 40})
     report, code = run(config, out_dir=tmp_path)

@@ -194,12 +194,11 @@ def test_characteristic_functional_at_s_zero():
 
 
 def test_characteristic_functionals_one_percent_grid():
-    config = TruncationConfig(dt=1e-4, horizon=1.0)
     for s in (0.5, 1.0, 2.0):
-        sim, closed = characteristic_functional("brownian", s, 1.0, 1.0, config)
+        sim, closed = characteristic_functional("brownian", s, 1.0, 1.0, dt=1e-4)
         assert abs(sim - closed) <= 0.01 * abs(closed)
         for lam in (0.5, 1.0):
-            sim, closed = characteristic_functional("poisson", s, lam, 1.0, config)
+            sim, closed = characteristic_functional("poisson", s, lam, 1.0, dt=1e-4)
             assert abs(sim - closed) <= 0.01 * abs(closed)
 
 

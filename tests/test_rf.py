@@ -263,6 +263,21 @@ def test_r_richardson_halving():
     assert 1.4 <= ratio <= 3.2
 
 
+
+def test_noise_free_degeneration_is_second_order():
+    # the vacuum Picard limit against the classical RK4 Riccati on the same
+    # grid at T = 1: 3.858e-6, 9.645e-7, 2.411e-7, 6.028e-8 at 250 to 2000
+    # steps, each halving ratio 4.0000
+    problem = noise_free_scalar_problem()
+    classical_lq = LqProblem(A=problem.F, Q=problem.Q, Pi_T=problem.boundary_gain, horizon=1.0)
+    errors = []
+    for steps in (500, 1000):
+        path = build_levy_surrogate(FOCK_VACUUM, steps, 1.0 / steps, seed=1)
+        det = iterate_riccati(problem, path, n_max=40, tol=1e-10)
+        classical = solve_riccati_ode(classical_lq, steps=steps)
+        errors.append(np.max(np.abs(det.final[0, :, 0, 0] - classical.gains[::-1, 0, 0])))
+    assert 3.8 <= errors[0] / errors[1] <= 4.2
+
 # ---------------------------------------------------------------- feedback
 
 
