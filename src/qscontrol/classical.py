@@ -15,13 +15,13 @@ Conventions (real matrices throughout):
 The control weight is fixed to the identity; the general weight R lives in
 the representation-free module.
 
-Time stepping: one fixed-step RK4 kernel solves both Riccati equations
-on a uniform grid.  State integrations share that grid, freeze the gain
-per step, and propagate the drift exactly (matrix exponential of the
-frozen closed loop); all laws of a run share one batch axis of one sweep,
-and lqg adds Euler-Maruyama increments drawn once for every law.  The
-zero-noise LQG run therefore reproduces the deterministic LQR trajectory
-to rounding.
+Time stepping: ``linalg.rk4`` solves both Riccati equations on a uniform
+grid, unsymmetrized, and one scan afterwards finds a blow-up.  State
+integrations share that grid, freeze the gain per step, and propagate the
+drift exactly (matrix exponential of the frozen closed loop); all laws of
+a run share one batch axis of one sweep, and lqg adds Euler-Maruyama
+increments drawn once for every law.  The zero-noise LQG run therefore
+reproduces the deterministic LQR trajectory to rounding.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg import block_diag, expm, solve_continuous_lyapunov
 
 from .errors import BlowUpError, NotConvergedError, ShapeError
-from .linalg import as_matrix, fro, is_hermitian
+from .linalg import as_matrix, fro, is_hermitian, rk4
 from .seeding import spawn_rngs, standard_error
 
 BLOWUP_NORM = 1e12
@@ -99,49 +99,41 @@ class RiccatiSolution:
 # ------------------------------------------------------------ Riccati ODEs
 
 
-def _riccati_rk4(m_mat, n_mat, k_mat, start, dt, steps, reverse=False):
-    """Fixed-step RK4 for X' = M X + X M* + N - X K X, symmetrized per step.
+def _riccati(m_mat, n_mat, k_mat, start, grid):
+    """RK4 states of X' = M X + X M* + N - X K X on ``grid``, X(grid[0]) = start.
 
-    ``K = None`` stands for the identity (X K X = X X, one product fewer).
-    Returns X on the grid k dt, k = 0..steps, with ``start`` at t = 0, or at
-    t = steps dt integrated in reversed time when ``reverse``.  Raises
-    ``BlowUpError`` with the escape time if X leaves the ||X|| <= 1e12 ball.
+    No step symmetrizes X (``symmetry_defect`` measures the result).  The
+    first grid point where ||X||_F is not <= 1e12, inf and NaN included,
+    raises ``BlowUpError`` with that time.
     """
     m_adj = m_mat.T
 
-    def rhs(x):
-        quad = x @ x if k_mat is None else x @ k_mat @ x
-        return m_mat @ x + x @ m_adj + n_mat - quad
+    def deriv(_t, x):
+        return m_mat @ x + x @ m_adj + n_mat - x @ k_mat @ x
 
-    slots = range(steps, -1, -1) if reverse else range(steps + 1)
-    out = np.empty((steps + 1, *start.shape))
-    out[slots[0]] = x = start
-    for slot in slots[1:]:
-        k1 = rhs(x)
-        k2 = rhs(x + 0.5 * dt * k1)
-        k3 = rhs(x + 0.5 * dt * k2)
-        k4 = rhs(x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        x = 0.5 * (x + x.T)
-        if not np.all(np.isfinite(x)) or fro(x) > BLOWUP_NORM:
-            raise BlowUpError(f"Riccati solution escaped at t = {slot * dt:.6g}",
-                              escape_time=slot * dt)
-        out[slot] = x
-    return out
+    # past an escape the states overflow to inf and NaN; the scan reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = rk4(deriv, start, grid)
+        norms = np.linalg.norm(states, axis=(1, 2))
+    escaped = np.flatnonzero(~(norms <= BLOWUP_NORM))
+    if escaped.size:
+        t_esc = float(grid[escaped[0]])
+        raise BlowUpError(f"Riccati solution escaped at t = {t_esc:.6g}", escape_time=t_esc)
+    return states
 
 
 def solve_riccati_ode(problem, steps=400):
     """Integrate Pi' = Pi^2 - A*Pi - Pi A - Q backward from Pi(T) = Pi_T.
 
-    The RK4 kernel in reversed time s = T - t with (M, N, K) = (A*, Q, I);
+    The RK4 kernel on the decreasing grid with (M, N, K) = (-A*, -Q, -I);
     raises ``BlowUpError`` with the escape time if the solution leaves the
     ||Pi|| <= 1e12 ball (finite-time blow-up travels backward from T).
     """
     if steps < 10:
         raise ShapeError("need at least 10 steps")
-    dt = problem.horizon / steps
-    gains = _riccati_rk4(problem.A.T, problem.Q, None, problem.Pi_T, dt, steps, reverse=True)
-    return RiccatiSolution(np.linspace(0.0, problem.horizon, steps + 1), gains)
+    times = np.linspace(0.0, problem.horizon, steps + 1)
+    gains = _riccati(-problem.A.T, -problem.Q, -np.eye(problem.dim), problem.Pi_T, times[::-1])
+    return RiccatiSolution(times, gains[::-1])
 
 
 def solve_are(a_mat, q_mat):
@@ -275,8 +267,8 @@ def filter_covariance(problem, steps=400):
     # dy = H x dt + sqrt(r) dW has innovation intensity r; the information
     # form scales H* H by 1/r.  r = 0 degenerates to a noiseless observer.
     inv_r = 0.0 if problem.obs_noise == 0 else 1.0 / problem.obs_noise
-    return _riccati_rk4(problem.A, cc, problem.H_obs.T @ problem.H_obs * inv_r, zero,
-                        problem.horizon / steps, steps)
+    return _riccati(problem.A, cc, problem.H_obs.T @ problem.H_obs * inv_r, zero,
+                    np.linspace(0.0, problem.horizon, steps + 1))
 
 
 def lqg_simulate(problem, seed, n_paths, laws=(None,), steps=400, riccati=None):

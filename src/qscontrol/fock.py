@@ -4,8 +4,8 @@ Two computational routes coexist on purpose:
 
 * the production route reduces exponential-vector matrix elements of a
   quantum stochastic evolution to a system-space linear ODE (the
-  fundamental-theorem reduction) and integrates it with fixed-step RK4 --
-  no discretization of the noise at all;
+  fundamental-theorem reduction) and integrates it with the package's
+  fixed-step RK4 (``linalg.rk4``) -- no discretization of the noise at all;
 * the oracle route (``step_tensor_evolution``, O2) discretizes time,
   attaches a fresh d-level truncated mode to every step, applies the
   Euler-Ito one-step update and contracts consumed modes against the
@@ -41,7 +41,7 @@ from .ito import SymbolicDifferential, hp_mul
 from .ito.labels import HpLabel
 from .ito.module_ops import inner, r_map
 from .ito.sl2 import rho_plus_matrix, theta
-from .linalg import as_matrix, is_hermitian, is_unitary
+from .linalg import as_matrix, is_hermitian, is_unitary, rk4
 
 DEFAULT_TENSOR_BUDGET = 1 << 22  # complex entries in a state vector
 DEFAULT_MATRIX_BUDGET = 1 << 24  # complex entries in a full propagator
@@ -238,22 +238,7 @@ def _coefficients(spec):
     raise TypeError(f"unsupported spec type {type(spec)!r}")
 
 
-# -------------------------------------------------------------- RK4 driver
-
-
-def _rk4(deriv, y0, grid):
-    """Fixed-step classical RK4 along a given time grid; returns all states."""
-    states = [y0]
-    y = y0
-    for t0, t1 in zip(grid, grid[1:]):
-        h = t1 - t0
-        k1 = deriv(t0, y)
-        k2 = deriv(t0 + 0.5 * h, y + 0.5 * h * k1)
-        k3 = deriv(t0 + 0.5 * h, y + 0.5 * h * k2)
-        k4 = deriv(t1, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        states.append(y)
-    return states
+# ------------------------------------------------------------- time grid
 
 
 def _grid_with_breaks(horizon, dt, breaks=()):
@@ -300,8 +285,8 @@ def _matrix_element_series(gen, dim, f, g, u, v, horizon, dt):
     v = np.asarray(v, dtype=complex).reshape(dim)
     grid = _grid_with_breaks(horizon, dt, f.segment_edges(horizon) + g.segment_edges(horizon))
     v0 = np.exp(f.overlap(g, horizon)) * np.eye(dim, dtype=complex)
-    states = _rk4(lambda t, V: gen(t) @ V, v0, grid)
-    values = np.array([u.conj() @ V @ v for V in states])
+    states = rk4(lambda t, V: gen(t) @ V, v0, grid)
+    values = (states @ v) @ u.conj()
     return ExpectationSeries(grid, values)
 
 
@@ -504,7 +489,7 @@ def characteristic_functional(kind, s, lam, t, dt=1e-4):
         return 1.0 + 0.0j, complex(closed)
     steps = max(1, round(t / dt))
     grid = np.linspace(0.0, t, steps + 1)
-    states = _rk4(lambda _t, y: c_val * y, 1.0 + 0.0j, grid)
+    states = rk4(lambda _t, y: c_val * y, 1.0 + 0.0j, grid)
     return complex(states[-1]), complex(closed)
 
 
@@ -530,8 +515,8 @@ def _master_expectation(drift, jumps, x_mat, state, horizon, dt):
     rho0 = np.outer(state, state.conj())
     gen = _master_generator(drift, jumps)
     grid = _grid_with_breaks(horizon, dt)
-    states = _rk4(lambda _t, rho: gen(rho), rho0, grid)
-    values = np.array([np.trace(rho @ x_mat) for rho in states])
+    states = rk4(lambda _t, rho: gen(rho), rho0, grid)
+    values = np.einsum("kij,ji->k", states, x_mat)
     return ExpectationSeries(grid, values)
 
 

@@ -54,3 +54,23 @@ def psd_sqrt(mat, tol=1e-10):
 
 def commutator(a, b):
     return a @ b - b @ a
+
+
+def rk4(deriv, y0, grid):
+    """Classical RK4 for y' = deriv(t, y) along ``grid`` (which may decrease).
+
+    Returns the states at every grid point, shape (len(grid), *y0.shape),
+    in y0's dtype: ``deriv`` must not promote it.
+    """
+    y = np.asarray(y0)
+    states = np.empty((len(grid), *y.shape), dtype=y.dtype)
+    states[0] = y
+    for k, (t0, t1) in enumerate(zip(grid, grid[1:]), start=1):
+        h = t1 - t0
+        k1 = deriv(t0, y)
+        k2 = deriv(t0 + 0.5 * h, y + 0.5 * h * k1)
+        k3 = deriv(t0 + 0.5 * h, y + 0.5 * h * k2)
+        k4 = deriv(t1, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        states[k] = y
+    return states

@@ -33,7 +33,7 @@ import numpy as np
 from scipy import optimize
 
 from .errors import ShapeError
-from .fock import GenericQsdeSpec, HpEvolutionSpec, _master_generator, _rk4
+from .fock import GenericQsdeSpec, HpEvolutionSpec, _master_generator
 from .freealg import FreePoly
 from .ito.hp import HP_TABLE
 from .ito.labels import HpLabel
@@ -46,7 +46,7 @@ from .ito.module_ops import (
     module_ito_mul,
     r_map,
 )
-from .linalg import as_matrix, commutator, fro, is_hermitian, is_unitary, psd_sqrt
+from .linalg import as_matrix, commutator, fro, is_hermitian, is_unitary, psd_sqrt, rk4
 
 
 # ----------------------------------------------------------- problem data
@@ -217,12 +217,13 @@ def _herm_unpack(vec, n):
     return mat
 
 
-def reduced_riccati_obstruction(h_mat, x_mat, n_starts=3, seed=0):
+def reduced_riccati_obstruction(h_mat, x_mat):
     """Trace obstruction for i[H,Pi] + Pi^2 + X^2 = 0 in finite dimensions.
 
     Returns the lower bound tr(X^2)/sqrt(n), valid for every Hermitian Pi
     (the commutator is traceless; Cauchy-Schwarz against the identity),
-    together with a numerically minimized residual over Hermitian Pi.
+    together with a numerically minimized residual over Hermitian Pi: the
+    best of three L-BFGS-B runs, from 0 and from two fixed random starts.
     With X = 0 the bound is 0 and Pi = 0 attains it.
     """
     h_mat, x_mat = as_matrix(h_mat), as_matrix(x_mat)
@@ -242,9 +243,9 @@ def reduced_riccati_obstruction(h_mat, x_mat, n_starts=3, seed=0):
             grad[idx] = 2.0 * np.trace(e_mat @ grad_mat).real
         return fro(res) ** 2, grad
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     best_val, best_pi = np.inf, np.zeros((n, n), dtype=complex)
-    starts = [np.zeros(n * n)] + [0.3 * rng.normal(size=n * n) for _ in range(n_starts - 1)]
+    starts = [np.zeros(n * n)] + [0.3 * rng.normal(size=n * n) for _ in range(2)]
     for start in starts:
         result = optimize.minimize(objective, start, jac=True, method="L-BFGS-B")
         if result.fun < best_val:
@@ -278,7 +279,7 @@ def _density_cost(drift, jumps, xi, horizon, weight_fn, terminal_fn):
 
     steps = max(50, round(horizon / 0.01))
     grid = np.linspace(0.0, horizon, steps + 1)
-    states = _rk4(deriv, y0, grid)
+    states = rk4(deriv, y0, grid)
     rho_final = states[-1][:dim]
     return float((states[-1][dim, 0] + terminal_fn(rho_final)).real)
 

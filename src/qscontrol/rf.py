@@ -114,6 +114,8 @@ class LevyPairSurrogate:
         self.dm1 = np.ascontiguousarray(np.atleast_2d(np.asarray(self.dm1, dtype=complex)).T).T
         if self.n_steps < 1:
             raise ShapeError("path must carry at least one step")
+        if self.n_paths < 1:
+            raise ShapeError("ensemble must carry at least one path")
         self.sigma = np.asarray(self.sigma, dtype=complex).reshape(2, 2)
 
     @property

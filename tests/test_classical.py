@@ -39,6 +39,17 @@ def test_scalar_riccati_closed_form():
         assert abs(g[0, 0] - want) <= 1e-8
 
 
+def test_riccati_rk4_is_fourth_order_backward():
+    # a = 0, q = 0, Pi_T = 2 on [0, 1]: Pi(t) = 2 / (1 + 2 (1 - t)); halving
+    # the step divides the largest error by 2^4 (measured 15.64)
+    problem = scalar_problem(pi_T=2.0, horizon=1.0)
+    errors = []
+    for steps in (20, 40):
+        sol = solve_riccati_ode(problem, steps=steps)
+        errors.append(np.max(np.abs(sol.gains[:, 0, 0] - 2.0 / (3.0 - 2.0 * sol.times))))
+    assert 15.0 <= errors[0] / errors[1] <= 16.5
+
+
 def test_stationary_terminal_value_stays_constant():
     a_mat = np.array([[-1.0, 0.3], [0.0, -0.5]])
     q_mat = np.eye(2)

@@ -193,6 +193,13 @@ def test_characteristic_functional_at_s_zero():
         assert sim == 1.0 and closed == 1.0
 
 
+def test_characteristic_functional_rk4_is_fourth_order_forward():
+    # halving dt divides the error by 2^4 (measured 16.48)
+    errors = [abs(np.subtract(*characteristic_functional("poisson", 2.0, 1.0, 1.0, dt)))
+              for dt in (0.05, 0.025)]
+    assert 15.5 <= errors[0] / errors[1] <= 17.5
+
+
 def test_characteristic_functionals_one_percent_grid():
     for s in (0.5, 1.0, 2.0):
         sim, closed = characteristic_functional("brownian", s, 1.0, 1.0, dt=1e-4)

@@ -364,10 +364,10 @@ def test_swn_flow_ode_matches_simulation():
         rep = derive_flow_swn(h_mat, d_minus, w_op, x_now)
         return rep["computed"].time
 
-    from qscontrol.fock import _rk4
+    from qscontrol.linalg import rk4
 
     grid = sim.times
-    xs = _rk4(lambda _t, x_now: generator(x_now), x_mat.astype(complex), grid[:: 50])
+    xs = rk4(lambda _t, x_now: generator(x_now), x_mat.astype(complex), grid[:: 50])
     for x_now, t in zip(xs, grid[::50]):
         idx = int(round(t / (grid[1] - grid[0])))
         want = state.conj() @ x_now @ state

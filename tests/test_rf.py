@@ -109,6 +109,15 @@ def test_fock_vacuum_table_and_scalar_realization():
     assert np.all(path.dm1 == 0) and np.all(path.dm2 == 0)
 
 
+@pytest.mark.parametrize("kind", [PLANAR_BROWNIAN, FOCK_VACUUM])
+def test_empty_path_ensemble_is_rejected(kind):
+    # an empty ensemble would only fail later, inside the Picard sweep
+    with pytest.raises(ShapeError):
+        build_levy_surrogate(kind, 8, 0.125, seed=2, n_paths=0)
+    with pytest.raises(ShapeError):
+        build_levy_surrogate(kind, 8, 0.125, seed=2, n_paths=3).pick(np.arange(0))
+
+
 # -------------------------------------------------------------------- state
 
 
