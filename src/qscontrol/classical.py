@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg import block_diag, expm, solve_continuous_lyapunov
 
 from .errors import BlowUpError, NotConvergedError, ShapeError
-from .linalg import as_matrix, fro, is_hermitian, rk4
+from .linalg import as_matrix, fro, is_hermitian, parse_law, rk4
 from .seeding import spawn_rngs, standard_error
 
 BLOWUP_NORM = 1e12
@@ -179,23 +179,16 @@ def are_residual(a_mat, q_mat, pi):
 
 
 def _held_gains(riccati, laws):
-    """Each law's gain held over each step, shape (steps, laws, n, n).
-
-    A law is None for the optimal gain Pi_k, ("scale", c) for c Pi_k or
-    ("offset", D) for Pi_k + D with D an n x n matrix.
-    """
+    """Each law's gain scale * Pi_k + offset held over each step, shape
+    (steps, laws, n, n), with the law's (scale, offset) from ``parse_law``."""
     gains = riccati.gains[:-1]
     n = gains.shape[-1]
     if not laws:
         raise ShapeError("need at least one law")
     held = np.empty((len(gains), len(laws), n, n))
     for idx, law in enumerate(laws):
-        kind, val = law if law is not None else ("scale", 1.0)
-        if kind not in ("scale", "offset"):
-            raise ShapeError(f"unknown perturbation kind {kind!r}")
-        if kind == "offset" and np.shape(val) != (n, n):
-            raise ShapeError(f"offset must be a {n}x{n} matrix")
-        held[:, idx] = float(val) * gains if kind == "scale" else gains + np.asarray(val, float)
+        scale, offset = parse_law(law, n)
+        held[:, idx] = scale * gains + offset
     return held
 
 

@@ -485,8 +485,6 @@ def characteristic_functional(kind, s, lam, t, dt=1e-4):
         bracket = weyl_increment(s * lam, s * math.sqrt(lam), s)
         closed = np.exp(lam * (np.exp(1j * s) - 1.0) * t)
     c_val = bracket.coeff(HpLabel.TIME)
-    if t == 0.0:
-        return 1.0 + 0.0j, complex(closed)
     steps = max(1, round(t / dt))
     grid = np.linspace(0.0, t, steps + 1)
     states = rk4(lambda _t, y: c_val * y, 1.0 + 0.0j, grid)

@@ -10,9 +10,17 @@ s22, which every word carries sorted at its front; nothing else commutes
 unless cancellation makes it so.  This is deliberately weaker than matrix
 arithmetic: an identity that holds here holds for every choice of bounded
 operators and every table.
+
+``Terms`` is the sparse linear structure the package's symbolic objects
+share: a finite map key -> coefficient with no zero terms, its sums,
+scalar multiples, equality and canonical dump.  ``FreePoly`` adds the word
+product; ``qscontrol.ito.SymbolicDifferential`` adds the Ito tables, with
+coefficients that may themselves be polynomials.
 """
 
 from __future__ import annotations
+
+from numbers import Number
 
 _STAR = {
     "H": "H", "X": "X", "Pi": "Pi", "L": "L*", "L*": "L", "W": "W*", "W*": "W",
@@ -43,24 +51,94 @@ def _reduce(word):
     return tuple(letters)
 
 
-class FreePoly:
-    """Noncommutative polynomial: finite map word -> complex coefficient."""
+class Terms:
+    """Finite map key -> coefficient with no zero terms.
+
+    Numbers are stored as complex; ``Terms`` coefficients (polynomials in a
+    differential) are kept as they are.  Subclasses set the key normal form
+    ``_key`` and the dump's ``_order`` and ``_name`` of a key.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         clean = {}
-        if terms:
-            for word, coeff in terms.items():
-                word = _reduce(tuple(word))
-                c = complex(coeff)
-                if c != 0:
-                    clean[word] = clean.get(word, 0) + c
-        self.terms = {w: c for w, c in clean.items() if c != 0}
+        for key, coeff in (terms or {}).items():
+            if not isinstance(coeff, Terms):
+                coeff = complex(coeff) + 0  # + 0 turns -0.0 into 0.0, so dumps print "+0"
+            if coeff:
+                key = self._key(key)
+                clean[key] = clean[key] + coeff if key in clean else coeff
+        self.terms = {k: c for k, c in clean.items() if c}
+
+    @staticmethod
+    def _key(key):
+        return key
 
     @classmethod
     def zero(cls):
         return cls()
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for key, coeff in other.terms.items():
+            out[key] = out[key] + coeff if key in out else coeff
+        return type(self)(out)
+
+    def __sub__(self, other):
+        return self + (-1.0) * other
+
+    def __neg__(self):
+        return (-1.0) * self
+
+    def __rmul__(self, scalar):
+        """Left scalar multiple: ``scalar`` multiplies each coefficient from the left."""
+        return type(self)({k: scalar * c for k, c in self.terms.items()})
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def is_zero(self):
+        return not self.terms
+
+    def max_coeff_diff(self, other):
+        keys = self.terms.keys() | other.terms.keys()
+        return max(
+            (abs(self.terms.get(k, 0) - other.terms.get(k, 0)) for k in keys),
+            default=0.0,
+        )
+
+    def canonical_str(self):
+        """Deterministic human-readable dump, suitable for golden files."""
+        named = sorted((self._order(k), self._name(k), c) for k, c in self.terms.items())
+        return " + ".join(f"({c.real:+.12g}{c.imag:+.12g}j)*{name}" for _, name, c in named) or "0"
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.canonical_str()})"
+
+
+class FreePoly(Terms):
+    """Noncommutative polynomial: finite map word -> complex coefficient."""
+
+    __slots__ = ()
+
+    _key = staticmethod(_reduce)
+
+    @staticmethod
+    def _order(word):
+        return len(word), word
+
+    @staticmethod
+    def _name(word):
+        return ".".join(word) or "1"
 
     @classmethod
     def one(cls):
@@ -72,30 +150,17 @@ class FreePoly:
             raise ValueError(f"unknown generator {name!r}")
         return cls({(name,): coeff})
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return FreePoly(out)
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
     def __mul__(self, other):
-        if isinstance(other, FreePoly):
-            out = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    word = _reduce(w1 + w2)
-                    out[word] = out.get(word, 0) + c1 * c2
-            return FreePoly(out)
-        return FreePoly({w: complex(other) * c for w, c in self.terms.items()})
-
-    def __rmul__(self, scalar):
-        return self * scalar
-
-    def __neg__(self):
-        return self * (-1.0)
+        if isinstance(other, Number):
+            return other * self
+        if not isinstance(other, FreePoly):
+            return NotImplemented
+        out = {}
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
+                word = _reduce(w1 + w2)
+                out[word] = out.get(word, 0) + c1 * c2
+        return FreePoly(out)
 
     def adjoint(self):
         return FreePoly(
@@ -105,40 +170,11 @@ class FreePoly:
             }
         )
 
+    conjugate = adjoint  # the star of a polynomial coefficient
+
     def set_zero(self, *names):
         """Set the named generators to zero: drop every word containing one."""
         gone = frozenset(names)
         if not gone <= _STAR.keys():
             raise ValueError(f"unknown generators {sorted(gone - _STAR.keys())}")
         return FreePoly({w: c for w, c in self.terms.items() if gone.isdisjoint(w)})
-
-    def __eq__(self, other):
-        if not isinstance(other, FreePoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self):
-        return not self.terms
-
-    def max_coeff_diff(self, other):
-        words = set(self.terms) | set(other.terms)
-        return max(
-            (abs(self.terms.get(w, 0) - other.terms.get(w, 0)) for w in words),
-            default=0.0,
-        )
-
-    def canonical_str(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for word in sorted(self.terms, key=lambda w: (len(w), w)):
-            c = self.terms[word]
-            name = ".".join(word) if word else "1"
-            parts.append(f"({c.real:+.12g}{c.imag:+.12g}j)*{name}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"FreePoly({self.canonical_str()})"

@@ -1,56 +1,39 @@
 """Finite linear combinations of noise-differential basis labels.
 
-``SymbolicDifferential`` is the common container for both label families.
-Coefficients are complex scalars.  Structure constants of the tables are
-computed in exact integer arithmetic before they ever touch a coefficient;
-the square roots coming from the sl(2) representation weights are the one
-irrational ingredient, so approximate comparisons default to 1e-12.
+``SymbolicDifferential`` is the common container for every label family:
+the sparse ``Terms`` of ``qscontrol.freealg`` keyed by label.
+Coefficients are complex scalars or, for derivations in the free
+*-algebra, ``FreePoly`` polynomials; products keep their order, so a
+polynomial coefficient never commutes past another.  Structure constants
+of the tables are computed in exact integer arithmetic before they ever
+touch a coefficient; the square roots coming from the sl(2)
+representation weights are the one irrational ingredient, so approximate
+comparisons default to 1e-12.
 """
 
 from __future__ import annotations
 
+from ..freealg import Terms
+
 COMPARISON_TOL = 1e-12
 
 
-class SymbolicDifferential:
-    """Immutable-by-convention map ``label -> complex`` with no zero terms."""
+class SymbolicDifferential(Terms):
+    """Immutable-by-convention map ``label -> coefficient`` with no zero terms."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for label, coeff in terms.items():
-                c = complex(coeff)
-                if c != 0:
-                    clean[label] = clean.get(label, 0) + c
-        self.terms = {k: v for k, v in clean.items() if v != 0}
-
-    @classmethod
-    def zero(cls):
-        return cls()
+    _order = _name = str
 
     @classmethod
     def basis(cls, label, coeff=1.0):
         return cls({label: coeff})
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for label, coeff in other.terms.items():
-            out[label] = out.get(label, 0) + coeff
-        return SymbolicDifferential(out)
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
-    def __neg__(self):
-        return (-1.0) * self
-
-    def __mul__(self, scalar):
-        s = complex(scalar)
-        return SymbolicDifferential({l: s * c for l, c in self.terms.items()})
-
-    __rmul__ = __mul__
+    def __mul__(self, other):
+        """Right multiple: ``other`` multiplies each coefficient from the right."""
+        if isinstance(other, SymbolicDifferential):
+            return NotImplemented
+        return SymbolicDifferential({l: c * other for l, c in self.terms.items()})
 
     def adjoint(self):
         return SymbolicDifferential(
@@ -60,45 +43,17 @@ class SymbolicDifferential:
     def coeff(self, label):
         return self.terms.get(label, 0j)
 
-    def __eq__(self, other):
-        if not isinstance(other, SymbolicDifferential):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def approx_eq(self, other, tol=COMPARISON_TOL):
-        labels = set(self.terms) | set(other.terms)
+        labels = self.terms.keys() | other.terms.keys()
         return all(abs(self.coeff(l) - other.coeff(l)) <= tol for l in labels)
-
-    def max_coeff_diff(self, other):
-        labels = set(self.terms) | set(other.terms)
-        if not labels:
-            return 0.0
-        return max(abs(self.coeff(l) - other.coeff(l)) for l in labels)
-
-    def is_zero(self):
-        return not self.terms
-
-    def canonical_str(self):
-        """Deterministic human-readable dump, suitable for golden files."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for label in sorted(self.terms, key=str):
-            c = self.terms[label]
-            parts.append(f"({c.real:+.12g}{c.imag:+.12g}j)*{label}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"SymbolicDifferential({self.canonical_str()})"
 
 
 def bilinear_extension(basis_product):
     """Lift a basis-pair product rule to a bilinear map on differentials.
 
-    ``basis_product(la, lb)`` must return a ``SymbolicDifferential``.
+    ``basis_product(la, lb)`` must return a ``SymbolicDifferential`` or
+    None for a vanishing product.  The coefficient of ``la lb`` is
+    ``ca * cb`` times the table's, in that order.
     """
 
     def mul(a, b):
@@ -110,7 +65,8 @@ def bilinear_extension(basis_product):
                     continue
                 scale = ca * cb
                 for label, coeff in prod.terms.items():
-                    out[label] = out.get(label, 0) + scale * coeff
+                    add = scale * coeff
+                    out[label] = out[label] + add if label in out else add
         return SymbolicDifferential(out)
 
     return mul

@@ -252,24 +252,9 @@ def r_map(d1, dplus):
 
 
 def l_map(e1, dminus):
-    """Right action of a conservation operator on an annihilation-slot operator."""
-    e1._check(dminus)
-    _require(e1, e1.is_cons, "l_map expects conservation labels in e1")
-    _require(dminus, dminus.is_mode, "l_map expects mode labels in dminus")
-    out = {}
-    modes = dminus.mode_terms()
-    for (alpha, beta, gamma), emat in e1.cons_terms().items():
-        for j, dmat in modes.items():
-            n = j - alpha + gamma
-            if n < 0:
-                continue
-            weight = theta(gamma, beta, alpha, j)
-            if weight == 0.0:
-                continue
-            key = _mode_key(n)
-            add = weight * (dmat @ emat)
-            out[key] = out[key] + add if key in out else add
-    return ModuleOperator(out, dim=e1.dim)
+    """Right action of a conservation operator on an annihilation-slot operator:
+    the mirror of ``r_map`` under the adjoint, l_map(E1, Dm) = r_map(E1*, Dm*)*."""
+    return r_map(e1.adjoint(), dminus.adjoint()).adjoint()
 
 
 class ModuleDifferential:

@@ -5,7 +5,7 @@ Nonzero basis products over ``SwnLabel``:
     dL_{a,b,g} dL_{a',b',c'} = sum of conservation labels with the exact
                                integer structure constants of ``sl2``
     dL_{a,b,g} dA+_n         = theta(a,b,g,n) dA+_{a+n-g}
-    dA_m dL_{a',b',c'}       = theta(c',b',a',m) dA_{c'+m-a'}
+    dA_m dL_{a',b',c'}       = theta(c',b',a',m) dA_{c'+m-a'}   (adjoint of the row above)
     dA_m dA+_n               = delta_{mn} dt
 
 All other products of differentials vanish.  The sl(2) generators enter
@@ -39,16 +39,11 @@ def swn_basis_product(la, lb):
             return None
         return SymbolicDifferential.basis(SwnLabel.cre(alpha + n - gamma), weight)
     if ka == "ann" and kb == "cons":
-        (m,) = la.idx
-        a, b, c = lb.idx
-        weight = theta(c, b, a, m)
-        if weight == 0.0:
-            return None
-        return SymbolicDifferential.basis(SwnLabel.ann(c + m - a), weight)
-    if ka == "ann" and kb == "cre":
-        if la.idx == lb.idx:
-            return SymbolicDifferential.basis(SwnLabel.time())
-        return None
+        # the mirror of (cons, cre): dA_m dL = ((dL)* dA+_m)*
+        mirror = swn_basis_product(lb.adjoint(), la.adjoint())
+        return None if mirror is None else mirror.adjoint()
+    if ka == "ann" and kb == "cre" and la.idx == lb.idx:
+        return SymbolicDifferential.basis(SwnLabel.time())
     return None
 
 

@@ -56,6 +56,20 @@ def commutator(a, b):
     return a @ b - b @ a
 
 
+def parse_law(law, dim):
+    """(scale, offset) of a feedback law, applied as scale * optimal + offset:
+    None is the optimal law, ("scale", c) c times it, ("offset", M) it plus
+    M, a dim x dim matrix."""
+    kind, val = law if law is not None else ("scale", 1.0)
+    if kind not in ("scale", "offset"):
+        raise ShapeError(f"unknown perturbation kind {kind!r}")
+    if kind == "offset" and np.shape(val) != (dim, dim):
+        raise ShapeError(f"offset must be a {dim}x{dim} matrix")
+    if kind == "scale":
+        return float(val), np.zeros((dim, dim))
+    return 1.0, np.asarray(val)
+
+
 def rk4(deriv, y0, grid):
     """Classical RK4 for y' = deriv(t, y) along ``grid`` (which may decrease).
 

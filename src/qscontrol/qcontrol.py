@@ -35,7 +35,8 @@ from scipy import optimize
 from .errors import ShapeError
 from .fock import GenericQsdeSpec, HpEvolutionSpec, _master_generator
 from .freealg import FreePoly
-from .ito.hp import HP_TABLE
+from .ito.differential import SymbolicDifferential
+from .ito.hp import hp_mul
 from .ito.labels import HpLabel
 from .ito.module_ops import (
     ModuleDifferential,
@@ -163,17 +164,20 @@ def check_swn_riccati_system(pi_mat, f_mat, psi_op, phi_op, z_op, x_mat):
 # --------------------------------------------------------------- synthesis
 
 
-def synthesize_hp(pi_mat, w1=None, w2=None, tol=1e-10):
+_SYNTHESIS_TOL = 1e-10  # unitarity of W1, W2 and their commutation with Pi
+
+
+def synthesize_hp(pi_mat, w1=None, w2=None):
     """Optimal (L, W) from a PSD gain: L = sqrt(2) Pi^(1/2) W1, W = W2."""
     pi_mat = as_matrix(pi_mat)
     dim = pi_mat.shape[0]
     w1 = as_matrix(w1 if w1 is not None else np.eye(dim), dim, name="W1")
     w2 = as_matrix(w2 if w2 is not None else np.eye(dim), dim, name="W2")
     for name, mat in (("W1", w1), ("W2", w2)):
-        if not is_unitary(mat, tol):
+        if not is_unitary(mat, _SYNTHESIS_TOL):
             raise ShapeError(f"{name} must be unitary")
         defect = fro(commutator(mat, pi_mat))
-        if defect > tol:
+        if defect > _SYNTHESIS_TOL:
             raise ShapeError(f"[{name}, Pi] does not vanish (norm {defect:.3e})")
     l_mat = math.sqrt(2.0) * psd_sqrt(pi_mat) @ w1
     return l_mat, w2
@@ -336,7 +340,7 @@ def cost_J_hp(problem, l_mat, w_mat):
     )
 
 
-def exact_condition_instance(rng, dim=2, horizon=1.0):
+def exact_condition_instance(rng, dim=2):
     """A coefficient set whose condition residuals vanish to rounding.
 
     Built diagonally (commuting core) and conjugated by a random unitary:
@@ -379,22 +383,10 @@ class FlowDerivationReport:
 
     def mismatch_dump(self):
         lines = []
-        for key in self.computed:
-            comp = self.computed[key]
-            exp = self.expected.get(key)
-            lines.append(f"[{key}] computed: {_dump(comp)}")
-            lines.append(f"[{key}] expected: {_dump(exp)}")
+        for key, comp in self.computed.items():
+            lines.append(f"[{key}] computed: {comp.canonical_str()}")
+            lines.append(f"[{key}] expected: {self.expected[key].canonical_str()}")
         return "\n".join(lines)
-
-
-def _dump(value):
-    if value is None:
-        return "<absent>"
-    if isinstance(value, FreePoly):
-        return value.canonical_str()
-    if isinstance(value, np.ndarray):
-        return np.array2string(value, precision=10)
-    return repr(value)
 
 
 def derive_flow_hp(x=None, l=None, w=None):
@@ -423,20 +415,16 @@ def derive_flow_hp(x=None, l=None, w=None):
     x_sym = x if x is not None else FreePoly.sym("X")
     one = FreePoly.one()
 
-    right = {
+    right = SymbolicDifferential({
         HpLabel.TIME: -(i * h_sym + 0.5 * ls_sym * l_sym),
         HpLabel.ANN: -(ls_sym * w_sym),
         HpLabel.CRE: l_sym,
         HpLabel.CONS: w_sym - one,
-    }
-    # Adjoint of the differential: coefficients star AND the dA/dA+ slots
-    # swap, since (dA)* = dA+.
-    left = {label: right[label.adjoint()].adjoint() for label in right}
-
-    computed = {label: left[label] * x_sym + x_sym * right[label] for label in HpLabel}
-    # the Ito correction dU* X dU: each nonzero basis product dla dlb = dout
-    for (la, lb), out in HP_TABLE.items():
-        computed[out] = computed[out] + left[la] * x_sym * right[lb]
+    })
+    # the adjoint stars the coefficients AND swaps dA/dA+, since (dA)* = dA+
+    left = right.adjoint()
+    flow = left * x_sym + x_sym * right + hp_mul(left * x_sym, right)
+    computed = {label: flow.terms.get(label, FreePoly.zero()) for label in HpLabel}
 
     expected = {
         HpLabel.TIME: i * (h_sym * x_sym - x_sym * h_sym)

@@ -81,7 +81,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NotConvergedError, ShapeError
-from .linalg import as_matrix, herm, is_hermitian
+from .linalg import as_matrix, herm, is_hermitian, parse_law
 from .seeding import spawn_rngs, standard_error
 
 # --------------------------------------------------------------- surrogate
@@ -139,7 +139,7 @@ class LevyPairSurrogate:
 
     def pick(self, indices):
         """Sub-ensemble with the given path indices."""
-        idx = np.atleast_1d(indices)
+        idx = np.atleast_1d(np.asarray(indices, dtype=np.intp))
         return replace(self, dm1=self.dm1[idx])
 
 
@@ -766,14 +766,8 @@ def closed_loop_state(problem, pi_values, r_values, path, law=None):
     G* Pi) and b_k gains dt G (c (-R^{-1} (G* r + eta*)) + M).  The
     feedback is evaluated once, on all T+1 state points of the result.
     """
-    kind, val = law if law is not None else (None, None)
-    if kind not in (None, "scale", "offset"):
-        raise ShapeError(f"unknown perturbation kind {kind!r}")
-    if kind == "offset" and np.shape(val) != (problem.dim, problem.dim):
-        raise ShapeError(f"offset must be a {problem.dim}x{problem.dim} matrix")
+    scale, offset = parse_law(law, problem.dim)
     forward = problem.direction == QT
-    scale = float(val) if kind == "scale" else 1.0
-    offset = np.asarray(val, dtype=complex) if kind == "offset" else 0.0
     rinv = np.linalg.inv(problem.R)
     gain = _const(-path.dt * scale * (problem.G @ rinv @ problem.G.conj().T))
     pi, r_vals = _time_major(pi_values), _time_major(r_values)
@@ -786,10 +780,8 @@ def closed_loop_state(problem, pi_values, r_values, path, law=None):
     del maps, offsets
 
     u_path = feedback_control(_public(pi), _public(r_vals), _public(x_store), problem)
-    if kind == "scale":
-        u_path *= scale
-    elif kind == "offset":
-        u_path += offset
+    u_path *= scale
+    u_path += offset
     return _public(x_store), u_path
 
 
@@ -829,6 +821,8 @@ def verify_feedback_optimality(problem, xi, path, perturbations, n_max, tol):
     taken; the cross-term (K) identity defect is taken on the first
     ``_K_IDENTITY_PATHS`` paths.
     """
+    if not perturbations:
+        raise ShapeError("need at least one perturbation")
     base_chunks = []
     diff_chunks = [[] for _ in perturbations]
     k_defects = []

@@ -11,27 +11,47 @@ performs that extraction in the free *-algebra of ``qscontrol.freealg``
 against the printed specialization.  Coefficients never commute; only the
 four table scalars s_ba, central letters of the algebra, do.
 
-Differentials are dicts {"dt": poly, "m1": poly, "m2": poly} with the
-multiplication table
+Differentials are ``SymbolicDifferential``s over the labels dt, dM1, dM2
+with polynomial coefficients, multiplied by the table
 
     dM1 dM1 = s21 dt    dM1 dM2 = s22 dt
     dM2 dM1 = s11 dt    dM2 dM2 = s12 dt
     dt  d*  = d* dt = 0,
 
-i.e. dM_b* dM_a = s_ba dt with M1* = M2.
+i.e. dM_b* dM_a = s_ba dt with dM1* = dM2.
 """
 
 from __future__ import annotations
 
-from .freealg import FreePoly
+from enum import Enum
 
-ZERO = FreePoly.zero()
-SIGMA = {
-    ("m1", "m1"): FreePoly.sym("s21"),
-    ("m1", "m2"): FreePoly.sym("s22"),
-    ("m2", "m1"): FreePoly.sym("s11"),
-    ("m2", "m2"): FreePoly.sym("s12"),
+from .freealg import FreePoly
+from .ito.differential import SymbolicDifferential, bilinear_extension
+
+
+class _Noise(Enum):
+    TIME = "dt"
+    M1 = "dM1"
+    M2 = "dM2"
+
+    def adjoint(self):
+        return {_Noise.M1: _Noise.M2, _Noise.M2: _Noise.M1}.get(self, self)
+
+
+_SIGMA = {
+    (_Noise.M1, _Noise.M1): "s21",
+    (_Noise.M1, _Noise.M2): "s22",
+    (_Noise.M2, _Noise.M1): "s11",
+    (_Noise.M2, _Noise.M2): "s12",
 }
+
+
+def _sigma_product(la, lb):
+    name = _SIGMA.get((la, lb))
+    return None if name is None else SymbolicDifferential.basis(_Noise.TIME, FreePoly.sym(name))
+
+
+_sigma_mul = bilinear_extension(_sigma_product)
 
 
 def syms(names):
@@ -39,60 +59,29 @@ def syms(names):
     return [FreePoly.sym(name) for name in names.split()]
 
 
-def diff_add(*diffs):
-    return {key: sum((d[key] for d in diffs), ZERO) for key in ("dt", "m1", "m2")}
-
-
-def diff_scale(scalar, d):
-    return {key: scalar * val for key, val in d.items()}
-
-
-def diff_lmul(poly, d):
-    """Left-multiply every slot coefficient by an operator polynomial."""
-    return {key: poly * val for key, val in d.items()}
-
-
-def diff_rmul(d, poly):
-    return {key: val * poly for key, val in d.items()}
-
-
-def diff_mul(d1, d2):
-    """Ito product: only increment-increment pairs survive, landing in dt."""
-    total = ZERO
-    for (a, b), sigma in SIGMA.items():
-        total = total + sigma * d1[a] * d2[b]
-    return {"dt": total, "m1": ZERO, "m2": ZERO}
-
-
-def diff_star(d):
-    """Adjoint of a differential: dM1* = dM2 swaps the increment slots."""
-    return {"dt": d["dt"].adjoint(), "m1": d["m2"].adjoint(), "m2": d["m1"].adjoint()}
-
-
-def _condition_equation(sign, dpi):
-    """The three slots of the condition equation for a given dPi."""
+def _condition_equation(sign, a, b1, b2):
+    """The condition equation for dPi = a dt + b1 dM1 + b2 dM2, as a differential."""
     F, Fs, Pi, Q, Gq, w, F1, F2 = syms("F F* Pi Q Gq w F1 F2")
-    v_diff = {"dt": ZERO, "m1": F1 * w, "m2": F2 * w}
-    v_star = diff_star(v_diff)
-    # (V + sign id)* dPi (V + sign id), expanded: V* dPi V is a triple
-    # product of increments and vanishes; the identity slots attach dPi and
-    # its one-sided products.
-    sandwich = diff_add(
-        diff_scale(sign, diff_mul(v_star, dpi)),
-        diff_scale(sign, diff_mul(dpi, v_diff)),
-        dpi,
-    )
-    return diff_add(
-        {"dt": Fs * Pi + Pi * F + Q - Pi * Gq * Pi, "m1": ZERO, "m2": ZERO},
-        diff_rmul(v_star, Pi),
-        diff_lmul(Pi, v_diff),
-        diff_scale(sign, diff_mul(diff_rmul(v_star, Pi), v_diff)),
-        diff_scale(sign, sandwich),
+    dpi = SymbolicDifferential({_Noise.TIME: a, _Noise.M1: b1, _Noise.M2: b2})
+    v = SymbolicDifferential({_Noise.M1: F1 * w, _Noise.M2: F2 * w})
+    v_star = v.adjoint()
+    # sign (V + sign id)* dPi (V + sign id), expanded: V* dPi V is a triple
+    # product of increments and vanishes, and sign^2 = 1
+    return (
+        SymbolicDifferential.basis(_Noise.TIME, Fs * Pi + Pi * F + Q - Pi * Gq * Pi)
+        + v_star * Pi
+        + Pi * v
+        + sign * _sigma_mul(v_star * Pi, v)
+        + _sigma_mul(v_star, dpi)
+        + _sigma_mul(dpi, v)
+        + sign * dpi
     )
 
 
-def _isolate(sign, slot, unknown):
-    """Solve ``slot = 0`` for an unknown the slot carries as ``sign * unknown``."""
+def _isolate(sign, equation, label, unknown):
+    """Solve the ``label`` slot of ``equation`` = 0 for an unknown the slot
+    carries as ``sign * unknown``."""
+    slot = equation.terms.get(label, FreePoly.zero())
     rest = slot.set_zero(unknown)
     residual = slot - (sign * FreePoly.sym(unknown) + rest)
     if not residual.is_zero():
@@ -114,13 +103,13 @@ def extract_riccati_coefficients(sign):
     extraction is a direct solve.
     """
     a_sym, b1_sym, b2_sym = syms("A B1 B2")
-    equation = _condition_equation(sign, {"dt": a_sym, "m1": b1_sym, "m2": b2_sym})
-    b1_sol = _isolate(sign, equation["m1"], "B1")
-    b2_sol = _isolate(sign, equation["m2"], "B2")
+    equation = _condition_equation(sign, a_sym, b1_sym, b2_sym)
+    b1_sol = _isolate(sign, equation, _Noise.M1, "B1")
+    b2_sol = _isolate(sign, equation, _Noise.M2, "B2")
     # A depends on B1, B2 through the quadratic-variation cross terms, so
     # the dt slot is rebuilt with the solved martingale coefficients.
-    equation = _condition_equation(sign, {"dt": a_sym, "m1": b1_sol, "m2": b2_sol})
-    return {"A": _isolate(sign, equation["dt"], "A"), "B1": b1_sol, "B2": b2_sol}
+    equation = _condition_equation(sign, a_sym, b1_sol, b2_sol)
+    return {"A": _isolate(sign, equation, _Noise.TIME, "A"), "B1": b1_sol, "B2": b2_sol}
 
 
 def printed_coefficients(sign):

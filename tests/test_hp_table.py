@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from qscontrol.freealg import FreePoly
 from qscontrol.ito import DA, DAD, DL, DT, HpLabel, SymbolicDifferential, hp_mul
 
 BASIS = {
@@ -68,3 +69,17 @@ def test_adjoint_antihomomorphism_random(cs1, cs2):
 def test_adjoint_is_involution(cs):
     a = combo(cs)
     assert a.adjoint().adjoint() == a
+
+
+def test_polynomial_coefficients_keep_their_order():
+    # noncommuting coefficients: dA(L) dA+(W) = dt(L W), never dt(W L)
+    L, Ls, W, Ws = (FreePoly.sym(name) for name in ("L", "L*", "W", "W*"))
+    ann_l = SymbolicDifferential.basis(HpLabel.ANN, L)
+    got = hp_mul(ann_l, SymbolicDifferential.basis(HpLabel.CRE, W))
+    assert got == SymbolicDifferential.basis(HpLabel.TIME, L * W)
+    assert got != SymbolicDifferential.basis(HpLabel.TIME, W * L)
+    # polynomials multiply a differential's coefficients on their own side
+    assert W * ann_l * L == SymbolicDifferential.basis(HpLabel.ANN, W * L * L)
+    # the adjoint stars each coefficient and swaps dA and dA+
+    d = SymbolicDifferential({HpLabel.ANN: L * W, HpLabel.CONS: 2j * W})
+    assert d.adjoint() == SymbolicDifferential({HpLabel.CRE: Ws * Ls, HpLabel.CONS: -2j * Ws})

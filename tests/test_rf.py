@@ -114,8 +114,10 @@ def test_empty_path_ensemble_is_rejected(kind):
     # an empty ensemble would only fail later, inside the Picard sweep
     with pytest.raises(ShapeError):
         build_levy_surrogate(kind, 8, 0.125, seed=2, n_paths=0)
-    with pytest.raises(ShapeError):
-        build_levy_surrogate(kind, 8, 0.125, seed=2, n_paths=3).pick(np.arange(0))
+    path = build_levy_surrogate(kind, 8, 0.125, seed=2, n_paths=3)
+    for empty in (np.arange(0), [], range(0)):
+        with pytest.raises(ShapeError):
+            path.pick(empty)
 
 
 # -------------------------------------------------------------------- state
@@ -774,6 +776,17 @@ def test_scalar_offset_is_rejected():
         with pytest.raises(ShapeError):
             verify_feedback_optimality(problem, np.array([0.8, 0.6]), path,
                                        [("offset", offset)], n_max=30, tol=1e-8)
+
+
+def test_optimality_check_needs_a_perturbation(monkeypatch):
+    # rejected before any work, not by an empty maximum after a Picard chunk
+    from qscontrol import rf
+
+    monkeypatch.setattr(rf, "iterate_riccati", lambda *args, **kwargs: pytest.fail("ran Picard"))
+    path = build_levy_surrogate(PLANAR_BROWNIAN, 10, 1e-1, seed=26, n_paths=2)
+    with pytest.raises(ShapeError):
+        verify_feedback_optimality(stochastic_2x2_problem(), np.array([0.8, 0.6]), path, [],
+                                   n_max=30, tol=1e-8)
 
 
 # ------------------------------------------------------------ time reversal

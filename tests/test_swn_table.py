@@ -171,6 +171,20 @@ def test_cons_cre_shifts_mode_with_theta_weight():
                 assert got == want
 
 
+def test_ann_cons_lowers_mode_with_theta_weight():
+    for a, b, c in itertools.product(range(3), repeat=3):
+        for m in range(3):
+            got = swn_mul(
+                SymbolicDifferential.basis(SwnLabel.ann(m)),
+                SymbolicDifferential.basis(SwnLabel.cons(a, b, c)),
+            )
+            weight = theta(c, b, a, m)
+            if weight == 0.0:
+                assert got.is_zero()
+            else:
+                assert got == SymbolicDifferential.basis(SwnLabel.ann(c + m - a), weight)
+
+
 def test_cre_annihilates_from_left_and_time_from_both_sides():
     labels = [SwnLabel.time(), SwnLabel.ann(0), SwnLabel.cre(1), SwnLabel.cons(1, 0, 1)]
     for lab in labels:
