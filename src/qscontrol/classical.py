@@ -179,8 +179,11 @@ def are_residual(a_mat, q_mat, pi):
 
 
 def _held_gains(riccati, laws):
-    """Each law's gain scale * Pi_k + offset held over each step, shape
-    (steps, laws, n, n), with the law's (scale, offset) from ``parse_law``."""
+    """Each law's gain held over each step, shape (steps, laws, n, n).
+
+    A law is None for the optimal gain Pi_k, ("scale", c) for c Pi_k or
+    ("offset", D) for Pi_k + D with D an n x n matrix (see ``parse_law``).
+    """
     gains = riccati.gains[:-1]
     n = gains.shape[-1]
     if not laws:

@@ -55,8 +55,10 @@ class Terms:
     """Finite map key -> coefficient with no zero terms.
 
     Numbers are stored as complex; ``Terms`` coefficients (polynomials in a
-    differential) are kept as they are.  Subclasses set the key normal form
-    ``_key`` and the dump's ``_order`` and ``_name`` of a key.
+    differential) are kept as they are.  The arithmetic, equality and dump
+    take either; ``max_coeff_diff`` (and ``approx_eq`` of a differential)
+    need numeric coefficients.  Subclasses set the key normal form ``_key``
+    and the dump's ``_order`` and ``_name`` of a key.
     """
 
     __slots__ = ("terms",)
@@ -117,9 +119,18 @@ class Terms:
         )
 
     def canonical_str(self):
-        """Deterministic human-readable dump, suitable for golden files."""
-        named = sorted((self._order(k), self._name(k), c) for k, c in self.terms.items())
-        return " + ".join(f"({c.real:+.12g}{c.imag:+.12g}j)*{name}" for _, name, c in named) or "0"
+        """Deterministic human-readable dump, suitable for golden files.
+        A polynomial coefficient prints as its own dump in brackets."""
+        if not self.terms:
+            return "0"
+        parts = []
+        for key in sorted(self.terms, key=self._order):
+            c = self.terms[key]
+            if isinstance(c, Terms):
+                parts.append(f"[{c.canonical_str()}]*{self._name(key)}")
+            else:
+                parts.append(f"({c.real:+.12g}{c.imag:+.12g}j)*{self._name(key)}")
+        return " + ".join(parts)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.canonical_str()})"

@@ -42,8 +42,10 @@ def swn_basis_product(la, lb):
         # the mirror of (cons, cre): dA_m dL = ((dL)* dA+_m)*
         mirror = swn_basis_product(lb.adjoint(), la.adjoint())
         return None if mirror is None else mirror.adjoint()
-    if ka == "ann" and kb == "cre" and la.idx == lb.idx:
-        return SymbolicDifferential.basis(SwnLabel.time())
+    if ka == "ann" and kb == "cre":
+        if la.idx == lb.idx:
+            return SymbolicDifferential.basis(SwnLabel.time())
+        return None
     return None
 
 

@@ -59,14 +59,14 @@ def commutator(a, b):
 def parse_law(law, dim):
     """(scale, offset) of a feedback law, applied as scale * optimal + offset:
     None is the optimal law, ("scale", c) c times it, ("offset", M) it plus
-    M, a dim x dim matrix."""
+    M, a dim x dim matrix.  A law without an offset returns the scalar 0.0."""
     kind, val = law if law is not None else ("scale", 1.0)
     if kind not in ("scale", "offset"):
         raise ShapeError(f"unknown perturbation kind {kind!r}")
     if kind == "offset" and np.shape(val) != (dim, dim):
         raise ShapeError(f"offset must be a {dim}x{dim} matrix")
     if kind == "scale":
-        return float(val), np.zeros((dim, dim))
+        return float(val), 0.0
     return 1.0, np.asarray(val)
 
 

@@ -139,7 +139,9 @@ class LevyPairSurrogate:
 
     def pick(self, indices):
         """Sub-ensemble with the given path indices."""
-        idx = np.atleast_1d(np.asarray(indices, dtype=np.intp))
+        idx = np.atleast_1d(indices)
+        if idx.size == 0:  # [] and range(0) come out float; let them reach ShapeError
+            idx = idx.astype(np.intp)
         return replace(self, dm1=self.dm1[idx])
 
 
@@ -780,8 +782,10 @@ def closed_loop_state(problem, pi_values, r_values, path, law=None):
     del maps, offsets
 
     u_path = feedback_control(_public(pi), _public(r_vals), _public(x_store), problem)
-    u_path *= scale
-    u_path += offset
+    if scale != 1.0:
+        u_path *= scale
+    if np.any(offset):
+        u_path += offset
     return _public(x_store), u_path
 
 

@@ -83,3 +83,5 @@ def test_polynomial_coefficients_keep_their_order():
     # the adjoint stars each coefficient and swaps dA and dA+
     d = SymbolicDifferential({HpLabel.ANN: L * W, HpLabel.CONS: 2j * W})
     assert d.adjoint() == SymbolicDifferential({HpLabel.CRE: Ws * Ls, HpLabel.CONS: -2j * Ws})
+    # a polynomial coefficient dumps as its own canonical string
+    assert repr(d) == "SymbolicDifferential([(+1+0j)*L.W]*dA + [(+0+2j)*W]*dL)"

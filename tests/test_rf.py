@@ -115,9 +115,17 @@ def test_empty_path_ensemble_is_rejected(kind):
     with pytest.raises(ShapeError):
         build_levy_surrogate(kind, 8, 0.125, seed=2, n_paths=0)
     path = build_levy_surrogate(kind, 8, 0.125, seed=2, n_paths=3)
-    for empty in (np.arange(0), [], range(0)):
+    for empty in (np.arange(0), [], range(0), [False, False, False]):
         with pytest.raises(ShapeError):
             path.pick(empty)
+
+
+def test_pick_takes_integer_indices_and_boolean_masks():
+    path = build_levy_surrogate(PLANAR_BROWNIAN, 8, 0.125, seed=2, n_paths=3)
+    np.testing.assert_array_equal(path.pick([True, False, True]).dm1, path.dm1[[0, 2]])
+    np.testing.assert_array_equal(path.pick(range(1, 3)).dm1, path.dm1[1:])
+    with pytest.raises(IndexError):
+        path.pick([0.0, 1.0])
 
 
 # -------------------------------------------------------------------- state
