@@ -494,7 +494,7 @@ def _run_swn_control(config, outputs, out_dir):
     sz = np.diag([1.0, -1.0])
     pi_mat = np.diag([0.5, 1.25]).astype(complex)
     d0 = math.sqrt(2.0) * np.diag(np.sqrt(np.diag(pi_mat).real))
-    d_minus = ModuleOperator.from_modes({0: d0}, dim=dim)
+    d_minus = ModuleOperator.from_ann({0: d0}, dim=dim)
     u_mat = np.diag(np.exp(1j * np.array([0.4, -1.1])))
     w_op = ModuleOperator.from_cons({(0, 0, 0): u_mat})
     h_mat = np.diag([0.2, 0.9]).astype(complex)
@@ -515,7 +515,7 @@ def _run_swn_control(config, outputs, out_dir):
     # i[X,H] - {(Dm*|Dm*), X}/2 + (Dm*|X Dm*)
     rng = np.random.default_rng(config.seed)
     d_mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    d_seeded = ModuleOperator.from_modes({0: d_mat}, dim=dim)
+    d_seeded = ModuleOperator.from_ann({0: d_mat}, dim=dim)
     h_seeded = np.diag([0.4, -0.1])
     w_ident = derive_flow_swn(h_seeded, d_seeded, ModuleOperator.identity_cons(dim), sz)
     checks.append(_check("W = I flow matches proposition form",
@@ -534,7 +534,7 @@ def _run_swn_control(config, outputs, out_dir):
     fock_config = TruncationConfig(dt=config.params["dt"], horizon=config.params["horizon"],
                                    swn_modes=1)
     splus = np.array([[0.0, 1.0], [0.0, 0.0]])
-    damping = ModuleOperator.from_modes({0: splus}, dim=dim)
+    damping = ModuleOperator.from_ann({0: splus}, dim=dim)
     sim = swn_simulate(np.zeros((2, 2)), damping, w_op, sz, [1.0, 0.0], fock_config)
     closed = 2.0 * np.exp(-sim.times) - 1.0
     checks.append(_check("single-mode damping closed form",

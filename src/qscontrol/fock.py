@@ -39,7 +39,7 @@ import numpy as np
 from .errors import IndexEscapeError, ResourceLimitError, ShapeError
 from .ito import SymbolicDifferential, hp_mul
 from .ito.labels import HpLabel
-from .ito.module_ops import inner, r_map
+from .ito.module_ops import inner, r_map, require_slot
 from .ito.sl2 import rho_plus_matrix, theta
 from .linalg import as_matrix, is_hermitian, is_unitary, rk4
 
@@ -553,10 +553,13 @@ def _swn_checked_coefficients(h_mat, d_minus, w_op, k_modes):
     """(F0, Phi, rho+ images of the conservation labels) at multiplicity
     truncation K: the drift F0 = -(Dm*|Dm*)/2 + iH and the creation-slot
     coefficient Phi = -r(W) Dm* of the SWN evolution, after rejecting a
-    non-Hermitian H, annihilation or creation indices >= K, and
+    non-Hermitian H, a D- with other than annihilation labels, a W with
+    other than conservation labels, mode indices of D- or Phi >= K, and
     conservation labels whose action escapes the K-window (clipping would
     corrupt the table).  This is the whole admission rule of both SWN
     routes."""
+    require_slot(d_minus, "ann", "d_minus")
+    require_slot(w_op, "cons", "w_op")
     h_mat = as_matrix(h_mat, d_minus.dim, name="H")
     if not is_hermitian(h_mat):
         raise ShapeError("H must be Hermitian")

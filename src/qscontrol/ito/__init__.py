@@ -4,7 +4,6 @@ from .differential import SymbolicDifferential
 from .hp import DA, DAD, DL, DT, hp_mul
 from .labels import HpLabel, SwnLabel
 from .module_ops import (
-    ModuleDifferential,
     ModuleOperator,
     circ,
     inner,
@@ -50,7 +49,6 @@ __all__ = [
     "rho_plus_matrix",
     "swn_structure_constants",
     "ModuleOperator",
-    "ModuleDifferential",
     "circ",
     "pairing",
     "inner",

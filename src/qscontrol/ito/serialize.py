@@ -1,6 +1,6 @@
 """JSON round-tripping for symbolic differentials and module operators.
 
-Schema (version "1"), see docs/output_schema.md:
+Schemas, see docs/output_schema.md:
 
 * label: tagged object
     {"kind": "time"} | {"kind": "ann", "m": int} | {"kind": "cre", "m": int}
@@ -11,8 +11,8 @@ Schema (version "1"), see docs/output_schema.md:
 * SymbolicDifferential:
     {"schema": "symbolic-differential/1", "family": "hp"|"swn",
      "terms": [{"label": ..., "coeff": [re, im]}, ...]}
-* ModuleOperator:
-    {"schema": "module-operator/1", "dim": int,
+* ModuleOperator (SWN labels):
+    {"schema": "module-operator/2", "dim": int,
      "terms": [{"label": ..., "matrix": ...}, ...]}
 """
 
@@ -98,32 +98,17 @@ def differential_from_json(obj):
 
 
 def module_operator_to_json(op):
-    terms = []
-    for key in sorted(op.terms, key=str):
-        mat = op.terms[key]
-        if key[0] == "mode":
-            label = {"kind": "mode", "m": key[1]}
-        else:
-            n, k, l = key[1]
-            label = {"kind": "cons", "n": n, "k": k, "l": l}
-        terms.append({"label": label, "matrix": _matrix_out(mat)})
-    return {"schema": "module-operator/1", "dim": op.dim, "terms": terms}
+    terms = [
+        {"label": _label_out(label), "matrix": _matrix_out(op.terms[label])}
+        for label in sorted(op.terms, key=str)
+    ]
+    return {"schema": "module-operator/2", "dim": op.dim, "terms": terms}
 
 
 def module_operator_from_json(obj):
-    if obj.get("schema") != "module-operator/1":
+    if obj.get("schema") != "module-operator/2":
         raise ValueError(f"unsupported schema {obj.get('schema')!r}")
-    modes, cons = {}, {}
-    for term in obj["terms"]:
-        label = term["label"]
-        mat = _matrix_in(term["matrix"])
-        if label["kind"] == "mode":
-            modes[label["m"]] = mat
-        else:
-            cons[(label["n"], label["k"], label["l"])] = mat
-    out = ModuleOperator.zero(obj["dim"])
-    if modes:
-        out = out + ModuleOperator.from_modes(modes, dim=obj["dim"])
-    if cons:
-        out = out + ModuleOperator.from_cons(cons, dim=obj["dim"])
-    return out
+    return ModuleOperator(
+        {_label_in(t["label"], "swn"): _matrix_in(t["matrix"]) for t in obj["terms"]},
+        dim=obj["dim"],
+    )

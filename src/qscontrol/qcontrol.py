@@ -38,15 +38,7 @@ from .freealg import FreePoly
 from .ito.differential import SymbolicDifferential
 from .ito.hp import hp_mul
 from .ito.labels import HpLabel
-from .ito.module_ops import (
-    ModuleDifferential,
-    ModuleOperator,
-    circ,
-    inner,
-    l_map,
-    module_ito_mul,
-    r_map,
-)
+from .ito.module_ops import ModuleOperator, circ, inner, l_map, module_ito_mul, r_map, require_slot
 from .linalg import as_matrix, commutator, fro, is_hermitian, is_unitary, psd_sqrt, rk4
 
 
@@ -79,58 +71,22 @@ class HpControlProblem:
         return self.H.shape[0]
 
 
-@dataclass
-class SwnControlProblem:
-    """Quadratic-cost data for the SWN Langevin flow."""
-
-    H: np.ndarray
-    X: np.ndarray
-    d_minus: ModuleOperator
-    w_op: ModuleOperator
-    xi: np.ndarray
-    horizon: float
-
-    def __post_init__(self):
-        self.H = as_matrix(self.H, name="H")
-        dim = self.H.shape[0]
-        self.X = as_matrix(self.X, dim, name="X")
-        if not is_hermitian(self.H) or not is_hermitian(self.X):
-            raise ShapeError("H and X must be Hermitian")
-        if not self.d_minus.is_mode() or not self.w_op.is_cons():
-            raise ShapeError("d_minus must be a mode operator, w_op a conservation operator")
-        self.xi = np.asarray(self.xi, dtype=complex).reshape(dim)
-        defect = self.w_unitarity_defect()
-        if defect > 1e-9:
-            raise ShapeError(f"w_op is not circ-unitary (defect {defect:.3e})")
-
-    def w_unitarity_defect(self):
-        ident = ModuleOperator.identity_cons(self.w_op.dim)
-        w_star = self.w_op.adjoint()
-        return max(
-            (circ(w_star, self.w_op) - ident).norm(),
-            (circ(self.w_op, w_star) - ident).norm(),
-        )
-
-
 # ------------------------------------------------------ Riccati residuals
 
 
 def check_hp_riccati_system(pi_mat, f_mat, psi_mat, phi_mat, z_mat, x_mat):
-    """Frobenius residuals (r1, r2, r3) of the three condition equations."""
-    pi_mat, f_mat, psi_mat, phi_mat, z_mat, x_mat = (
-        as_matrix(m) for m in (pi_mat, f_mat, psi_mat, phi_mat, z_mat, x_mat)
+    """Frobenius residuals (r1, r2, r3) of the three condition equations:
+    the K = 1 case of the SWN system, with Psi on dA_0, Phi on dA+_0 and Z
+    on dL(0,0,0)."""
+    dim = as_matrix(pi_mat).shape[0]
+    return check_swn_riccati_system(
+        pi_mat,
+        f_mat,
+        ModuleOperator.from_ann({0: psi_mat}, dim=dim),
+        ModuleOperator.from_cre({0: phi_mat}, dim=dim),
+        ModuleOperator.from_cons({(0, 0, 0): z_mat}, dim=dim),
+        x_mat,
     )
-    phi_dag, z_dag = phi_mat.conj().T, z_mat.conj().T
-    r1 = fro(
-        pi_mat @ f_mat
-        + f_mat.conj().T @ pi_mat
-        + phi_dag @ pi_mat @ phi_mat
-        - pi_mat @ pi_mat
-        + x_mat @ x_mat
-    )
-    r2 = fro(pi_mat @ psi_mat + phi_dag @ pi_mat + phi_dag @ pi_mat @ z_mat)
-    r3 = fro(pi_mat @ z_mat + z_dag @ pi_mat + z_dag @ pi_mat @ z_mat)
-    return r1, r2, r3
 
 
 def check_swn_riccati_system(pi_mat, f_mat, psi_op, phi_op, z_op, x_mat):
@@ -138,8 +94,12 @@ def check_swn_riccati_system(pi_mat, f_mat, psi_op, phi_op, z_op, x_mat):
 
     r1 uses the (Phi | Pi Phi) pairing, r2 the annihilation-slot equation
     Pi Psi + Phi* Pi + l(Pi Z) Phi*, r3 the conservation-slot equation
-    Pi Z + Z* Pi + (Z* Pi) circ Z.
+    Pi Z + Z* Pi + (Z* Pi) circ Z.  Psi carries annihilation labels, Phi
+    creation labels and Z conservation labels.
     """
+    require_slot(psi_op, "ann", "psi_op")
+    require_slot(phi_op, "cre", "phi_op")
+    require_slot(z_op, "cons", "z_op")
     pi_mat, f_mat, x_mat = as_matrix(pi_mat), as_matrix(f_mat), as_matrix(x_mat)
     r1 = fro(
         pi_mat @ f_mat
@@ -463,20 +423,21 @@ def derive_flow_swn(h_mat, d_minus, w_op, x_mat):
     i[X,H] (note the orientation: the SWN evolution has +iH drift where
     the first-order one has -iH).
     """
+    require_slot(d_minus, "ann", "d_minus")
+    require_slot(w_op, "cons", "w_op")
     dim = d_minus.dim
     h_mat = as_matrix(h_mat, dim, name="H")
     x_mat = as_matrix(x_mat, dim, name="X")
-    ident = np.eye(dim)
     dm_star = d_minus.adjoint()
     w_star = w_op.adjoint()
     quad = inner(dm_star, dm_star)
+    r_w_dm = r_map(w_op, dm_star)
 
-    right = ModuleDifferential(
-        dim,
-        time=-0.5 * quad + 1j * h_mat,
-        ann=d_minus,
-        cre=-1.0 * r_map(w_op, dm_star),
-        cons=w_op - ModuleOperator.identity_cons(dim),
+    right = (
+        ModuleOperator.from_time(-0.5 * quad + 1j * h_mat)
+        + d_minus
+        - r_w_dm
+        + (w_op - ModuleOperator.identity_cons(dim))
     )
     left = right.adjoint()
 
@@ -484,8 +445,7 @@ def derive_flow_swn(h_mat, d_minus, w_op, x_mat):
         left.right_mul(x_mat), right
     )
 
-    r_w_dm = r_map(w_op, dm_star)
-    time_expected = (
+    time_expected = ModuleOperator.from_time(
         1j * (x_mat @ h_mat - h_mat @ x_mat)
         - 0.5 * (quad @ x_mat + x_mat @ quad)
         + inner(r_w_dm, r_w_dm.left_mul(x_mat))
@@ -493,19 +453,17 @@ def derive_flow_swn(h_mat, d_minus, w_op, x_mat):
     wx_op = w_star.right_mul(x_mat)  # components (W*)_{abg} X
     cons_expected = circ(wx_op, w_op) - ModuleOperator.from_cons({(0, 0, 0): x_mat})
 
-    prop_form = ModuleDifferential(
-        dim,
-        time=time_expected,
-        cre=dm_star.right_mul(x_mat) - r_map(wx_op, r_map(w_op, dm_star)),
-        ann=d_minus.left_mul(x_mat) - l_map(w_op.left_mul(x_mat), l_map(w_star, d_minus)),
-        cons=cons_expected,
+    prop_form = (
+        time_expected
+        + dm_star.right_mul(x_mat) - r_map(wx_op, r_w_dm)
+        + d_minus.left_mul(x_mat) - l_map(w_op.left_mul(x_mat), l_map(w_star, d_minus))
+        + cons_expected
     )
-    composed_form = ModuleDifferential(
-        dim,
-        time=time_expected,
-        cre=dm_star.right_mul(x_mat) - r_map(circ(wx_op, w_op), dm_star),
-        ann=d_minus.left_mul(x_mat) - l_map(circ(w_star, w_op.left_mul(x_mat)), d_minus),
-        cons=cons_expected,
+    composed_form = (
+        time_expected
+        + dm_star.right_mul(x_mat) - r_map(circ(wx_op, w_op), dm_star)
+        + d_minus.left_mul(x_mat) - l_map(circ(w_star, w_op.left_mul(x_mat)), d_minus)
+        + cons_expected
     )
 
     diff_prop = (computed - prop_form).norm()

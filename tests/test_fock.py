@@ -383,7 +383,7 @@ def test_swn_single_mode_damping_matches_first_order_flow():
     # jump operator D-*, since -r(I) Dm* = -Dm* enters only through
     # Phi rho Phi* and (Dm*|Dm*) = Dm Dm*.
     dim = 2
-    d_minus = ModuleOperator.from_modes({0: SMINUS.conj().T}, dim=dim)
+    d_minus = ModuleOperator.from_ann({0: SMINUS.conj().T}, dim=dim)
     w_ident = ModuleOperator.identity_cons(dim)
     config = TruncationConfig(dt=1e-3, horizon=1.0, swn_modes=1)
     swn = swn_simulate(np.zeros((2, 2)), d_minus, w_ident, SZ, EXCITED, config)
@@ -397,7 +397,7 @@ def test_swn_two_mode_damping_rates_add():
     # D- carried by two modes gives two jump channels; rates add:
     # <sz>(t) = 2 exp(-(1 + 1/4) t) - 1.
     dim = 2
-    d_minus = ModuleOperator.from_modes(
+    d_minus = ModuleOperator.from_ann(
         {0: SMINUS.conj().T, 1: 0.5 * SMINUS.conj().T}, dim=dim
     )
     w_ident = ModuleOperator.identity_cons(dim)
@@ -411,7 +411,7 @@ def test_swn_matrix_element_vacuum_equals_first_order_route():
     # D- on mode 0 with W = I is the first-order evolution with L = D-*,
     # so the vacuum matrix elements of both routes coincide.
     dim = 2
-    d_minus = ModuleOperator.from_modes({0: SMINUS.conj().T}, dim=dim)
+    d_minus = ModuleOperator.from_ann({0: SMINUS.conj().T}, dim=dim)
     w_ident = ModuleOperator.identity_cons(dim)
     config = TruncationConfig(dt=1e-3, horizon=1.0, swn_modes=1)
     u = np.array([1.0, 0.0])
@@ -474,7 +474,7 @@ def test_piecewise_constant_right_endpoint_carries_last_segment():
 
 def test_swn_rejects_escaping_indices():
     dim = 2
-    d_minus = ModuleOperator.from_modes({3: SMINUS}, dim=dim)
+    d_minus = ModuleOperator.from_ann({3: SMINUS}, dim=dim)
     w_ident = ModuleOperator.identity_cons(dim)
     config = TruncationConfig(dt=1e-3, horizon=0.1, swn_modes=2)
     with pytest.raises(IndexEscapeError):
@@ -484,7 +484,7 @@ def test_swn_rejects_escaping_indices():
     with pytest.raises(IndexEscapeError):
         swn_simulate(
             np.zeros((2, 2)),
-            ModuleOperator.from_modes({0: SMINUS}, dim=dim),
+            ModuleOperator.from_ann({0: SMINUS}, dim=dim),
             raising,
             SZ,
             EXCITED,

@@ -8,17 +8,15 @@ import pytest
 
 from qscontrol.errors import ShapeError
 from qscontrol.ito import (
-    ModuleDifferential,
     ModuleOperator,
     SwnLabel,
-    SymbolicDifferential,
     circ,
     inner,
     l_map,
     module_ito_mul,
     pairing,
     r_map,
-    swn_mul,
+    rho_plus_matrix,
 )
 from qscontrol.seeding import single_rng
 
@@ -76,30 +74,30 @@ def test_circ_rejects_dimension_mismatch():
 def test_pairing_single_matching_index():
     rng = single_rng(3)
     s_mat, t_mat = _rand(rng), _rand(rng)
-    a = ModuleOperator.from_modes({0: s_mat})
-    b = ModuleOperator.from_modes({0: t_mat})
+    a = ModuleOperator.from_ann({0: s_mat})
+    b = ModuleOperator.from_cre({0: t_mat})
     assert np.allclose(pairing(a, b), s_mat @ t_mat)
 
 
 def test_pairing_disjoint_supports_is_zero():
     rng = single_rng(4)
-    a = ModuleOperator.from_modes({0: _rand(rng)})
-    b = ModuleOperator.from_modes({1: _rand(rng)})
+    a = ModuleOperator.from_ann({0: _rand(rng)})
+    b = ModuleOperator.from_cre({1: _rand(rng)})
     assert np.allclose(pairing(a, b), 0.0)
 
 
 def test_pairing_sums_over_matching_indices():
     rng = single_rng(5)
     s0, s1, t0, t1 = (_rand(rng) for _ in range(4))
-    a = ModuleOperator.from_modes({0: s0, 1: s1})
-    b = ModuleOperator.from_modes({0: t0, 1: t1})
+    a = ModuleOperator.from_ann({0: s0, 1: s1})
+    b = ModuleOperator.from_cre({0: t0, 1: t1})
     assert np.allclose(pairing(a, b), s0 @ t0 + s1 @ t1)
 
 
 def test_inner_is_pairing_of_adjoint():
     rng = single_rng(6)
-    a = ModuleOperator.from_modes({0: _rand(rng), 2: _rand(rng)})
-    b = ModuleOperator.from_modes({0: _rand(rng), 2: _rand(rng)})
+    a = ModuleOperator.from_cre({0: _rand(rng), 2: _rand(rng)})
+    b = ModuleOperator.from_cre({0: _rand(rng), 2: _rand(rng)})
     assert np.allclose(inner(a, b), pairing(a.adjoint(), b))
 
 
@@ -109,82 +107,81 @@ def test_inner_is_pairing_of_adjoint():
 def test_r_map_identity_acts_trivially():
     rng = single_rng(8)
     ident = ModuleOperator.identity_cons(2)
-    dplus = ModuleOperator.from_modes({0: _rand(rng), 3: _rand(rng)})
+    dplus = ModuleOperator.from_cre({0: _rand(rng), 3: _rand(rng)})
     assert r_map(ident, dplus).approx_eq(dplus, 1e-12)
 
 
 def test_r_map_raising_label_shifts_and_weights():
     t_mat = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
     d1 = ModuleOperator.from_cons({(1, 0, 0): np.eye(2)})
-    dplus = ModuleOperator.from_modes({0: t_mat})
+    dplus = ModuleOperator.from_cre({0: t_mat})
     got = r_map(d1, dplus)
-    want = ModuleOperator.from_modes({1: math.sqrt(2) * t_mat})
+    want = ModuleOperator.from_cre({1: math.sqrt(2) * t_mat})
     assert got.approx_eq(want, 1e-12)
 
 
 def test_l_map_identity_and_lowering_label():
     rng = single_rng(9)
     ident = ModuleOperator.identity_cons(2)
-    dminus = ModuleOperator.from_modes({0: _rand(rng), 1: _rand(rng)})
+    dminus = ModuleOperator.from_ann({0: _rand(rng), 1: _rand(rng)})
     assert l_map(ident, dminus).approx_eq(dminus, 1e-12)
 
     t_mat = _rand(rng)
     e1 = ModuleOperator.from_cons({(0, 0, 1): np.eye(2)})
-    got = l_map(e1, ModuleOperator.from_modes({0: t_mat}))
-    want = ModuleOperator.from_modes({1: math.sqrt(2) * t_mat})
+    got = l_map(e1, ModuleOperator.from_ann({0: t_mat}))
+    want = ModuleOperator.from_ann({1: math.sqrt(2) * t_mat})
     assert got.approx_eq(want, 1e-12)
 
 
+def _single_mode_image(mode_op):
+    return {m: complex(mat[0, 0]) for m, mat in mode_op.mode_terms().items()}
+
+
 def test_r_map_consistent_with_symbolic_table():
-    # dL(x) dA+_j = dA+(r(x) e_j) for scalar coefficients, indices <= 2.
+    # dL(x) dA+_j = dA+(r(x) e_j) for scalar coefficients, indices <= 2:
+    # the coefficient at mode n is the rho+ matrix element <e_n, rho+(x) e_j>
+    N = 12
     for x in itertools.product(range(3), repeat=3):
+        image = rho_plus_matrix(*x, N)
         for j in range(3):
-            symbolic = swn_mul(
-                SymbolicDifferential.basis(SwnLabel.cons(*x)),
-                SymbolicDifferential.basis(SwnLabel.cre(j)),
-            )
-            moduleside = r_map(
+            got = _single_mode_image(r_map(
                 ModuleOperator.from_cons({x: np.eye(1)}),
-                ModuleOperator.from_modes({j: np.eye(1)}, dim=1),
-            )
-            got = {m: complex(mat[0, 0]) for m, mat in moduleside.mode_terms().items()}
-            want = {
-                lab.idx[0]: coeff
-                for lab, coeff in symbolic.terms.items()
-                if lab.kind == "cre"
-            }
+                ModuleOperator.from_cre({j: np.eye(1)}, dim=1),
+            ))
+            want = {n: image[n, j] for n in range(N) if image[n, j] != 0.0}
             assert set(got) == set(want)
             for m in got:
                 assert abs(got[m] - want[m]) <= 1e-12 * max(1.0, abs(want[m]))
 
 
 def test_l_map_consistent_with_symbolic_table():
-    # dA_j dL(x) = dA(l(x) e_j) for scalar coefficients, indices <= 2.
+    # dA_j dL(x) = dA(l(x) e_j) for scalar coefficients, indices <= 2:
+    # the coefficient at mode n is the rho+ matrix element <e_j, rho+(x) e_n>
+    N = 12
     for x in itertools.product(range(3), repeat=3):
+        image = rho_plus_matrix(*x, N)
         for j in range(3):
-            symbolic = swn_mul(
-                SymbolicDifferential.basis(SwnLabel.ann(j)),
-                SymbolicDifferential.basis(SwnLabel.cons(*x)),
-            )
-            moduleside = l_map(
+            got = _single_mode_image(l_map(
                 ModuleOperator.from_cons({x: np.eye(1)}),
-                ModuleOperator.from_modes({j: np.eye(1)}, dim=1),
-            )
-            got = {m: complex(mat[0, 0]) for m, mat in moduleside.mode_terms().items()}
-            want = {
-                lab.idx[0]: coeff
-                for lab, coeff in symbolic.terms.items()
-                if lab.kind == "ann"
-            }
+                ModuleOperator.from_ann({j: np.eye(1)}, dim=1),
+            ))
+            want = {n: image[j, n] for n in range(N) if image[j, n] != 0.0}
             assert set(got) == set(want)
             for m in got:
                 assert abs(got[m] - want[m]) <= 1e-12 * max(1.0, abs(want[m]))
 
 
+def test_r_map_rejects_an_annihilation_argument():
+    rng = single_rng(18)
+    ident = ModuleOperator.identity_cons(2)
+    with pytest.raises(ShapeError, match="dplus"):
+        r_map(ident, ModuleOperator.from_ann({0: _rand(rng)}))
+
+
 def test_adjoint_swaps_r_and_l():
     rng = single_rng(10)
     d1 = ModuleOperator.from_cons({(1, 1, 0): _rand(rng), (0, 0, 2): _rand(rng)})
-    dplus = ModuleOperator.from_modes({0: _rand(rng), 2: _rand(rng)})
+    dplus = ModuleOperator.from_cre({0: _rand(rng), 2: _rand(rng)})
     lhs = r_map(d1, dplus).adjoint()
     rhs = l_map(d1.adjoint(), dplus.adjoint())
     assert lhs.approx_eq(rhs, 1e-10)
@@ -195,46 +192,45 @@ def test_adjoint_swaps_r_and_l():
 
 def test_module_table_ann_cre_gives_pairing_dt():
     rng = single_rng(12)
-    dm = ModuleOperator.from_modes({0: _rand(rng), 1: _rand(rng)})
-    dp = ModuleOperator.from_modes({0: _rand(rng), 1: _rand(rng)})
-    x = ModuleDifferential(2, ann=dm)
-    y = ModuleDifferential(2, cre=dp)
-    prod = module_ito_mul(x, y)
-    assert np.allclose(prod.time, pairing(dm, dp))
-    assert prod.ann.is_zero() and prod.cre.is_zero() and prod.cons.is_zero()
+    s0, s1, t0, t1 = (_rand(rng) for _ in range(4))
+    dm = ModuleOperator.from_ann({0: s0, 1: s1})
+    dp = ModuleOperator.from_cre({0: t0, 1: t1})
+    prod = module_ito_mul(dm, dp)
+    assert np.allclose(prod.time, s0 @ t0 + s1 @ t1)
+    assert set(prod.terms) == {SwnLabel.time()}
 
 
 def test_module_table_reverse_order_vanishes():
     rng = single_rng(13)
-    dm = ModuleOperator.from_modes({0: _rand(rng)})
-    dp = ModuleOperator.from_modes({0: _rand(rng)})
-    prod = module_ito_mul(ModuleDifferential(2, cre=dp), ModuleDifferential(2, ann=dm))
+    dm = ModuleOperator.from_ann({0: _rand(rng)})
+    dp = ModuleOperator.from_cre({0: _rand(rng)})
+    prod = module_ito_mul(dp, dm)
     assert prod.norm() == 0.0
 
 
 def test_module_table_cons_acts_by_r_and_l():
     rng = single_rng(14)
     ident = ModuleOperator.identity_cons(2)
-    dp = ModuleOperator.from_modes({1: _rand(rng)})
-    prod = module_ito_mul(ModuleDifferential(2, cons=ident), ModuleDifferential(2, cre=dp))
-    assert prod.cre.approx_eq(dp, 1e-12)
+    dp = ModuleOperator.from_cre({1: _rand(rng)})
+    assert module_ito_mul(ident, dp).approx_eq(dp, 1e-12)
+    dm = ModuleOperator.from_ann({1: _rand(rng)})
+    assert module_ito_mul(dm, ident).approx_eq(dm, 1e-12)
 
-    d1 = ModuleOperator.from_cons({(1, 0, 0): _rand(rng)})
-    e1 = ModuleOperator.from_cons({(0, 2, 1): _rand(rng)})
-    prod = module_ito_mul(ModuleDifferential(2, cons=d1), ModuleDifferential(2, cons=e1))
-    assert prod.cons.approx_eq(circ(d1, e1), 1e-12)
+
+def _rand_diff(rng, ann, cre, cons):
+    """A random differential: a dt term and the given labels in the other slots."""
+    return (
+        ModuleOperator.from_time(_rand(rng))
+        + ModuleOperator.from_ann({m: _rand(rng) for m in ann})
+        + ModuleOperator.from_cre({m: _rand(rng) for m in cre})
+        + ModuleOperator.from_cons({x: _rand(rng) for x in cons})
+    )
 
 
 def test_module_table_time_is_absorbing():
     rng = single_rng(15)
-    x = ModuleDifferential(2, time=_rand(rng))
-    y = ModuleDifferential(
-        2,
-        time=_rand(rng),
-        ann=ModuleOperator.from_modes({0: _rand(rng)}),
-        cre=ModuleOperator.from_modes({0: _rand(rng)}),
-        cons=ModuleOperator.from_cons({(1, 1, 1): _rand(rng)}),
-    )
+    x = ModuleOperator.from_time(_rand(rng))
+    y = _rand_diff(rng, ann=(0,), cre=(0,), cons=((1, 1, 1),))
     assert module_ito_mul(x, y).norm() == 0.0
     assert module_ito_mul(y, x).norm() == 0.0
 
@@ -243,13 +239,7 @@ def test_module_ito_mul_associative():
     rng = single_rng(17)
 
     def rand_diff():
-        return ModuleDifferential(
-            2,
-            time=_rand(rng),
-            ann=ModuleOperator.from_modes({0: _rand(rng), 1: _rand(rng)}),
-            cre=ModuleOperator.from_modes({0: _rand(rng), 1: _rand(rng)}),
-            cons=ModuleOperator.from_cons({(1, 0, 0): _rand(rng), (0, 1, 1): _rand(rng)}),
-        )
+        return _rand_diff(rng, ann=(0, 1), cre=(0, 1), cons=((1, 0, 0), (0, 1, 1)))
 
     x, y, z = rand_diff(), rand_diff(), rand_diff()
     lhs = module_ito_mul(module_ito_mul(x, y), z)
@@ -259,20 +249,8 @@ def test_module_ito_mul_associative():
 
 def test_module_differential_adjoint_is_antihomomorphism():
     rng = single_rng(16)
-    x = ModuleDifferential(
-        2,
-        time=_rand(rng),
-        ann=ModuleOperator.from_modes({0: _rand(rng)}),
-        cre=ModuleOperator.from_modes({1: _rand(rng)}),
-        cons=ModuleOperator.from_cons({(1, 0, 1): _rand(rng)}),
-    )
-    y = ModuleDifferential(
-        2,
-        time=_rand(rng),
-        ann=ModuleOperator.from_modes({1: _rand(rng)}),
-        cre=ModuleOperator.from_modes({0: _rand(rng)}),
-        cons=ModuleOperator.from_cons({(0, 1, 1): _rand(rng)}),
-    )
+    x = _rand_diff(rng, ann=(0,), cre=(1,), cons=((1, 0, 1),))
+    y = _rand_diff(rng, ann=(1,), cre=(0,), cons=((0, 1, 1),))
     lhs = module_ito_mul(x, y).adjoint()
     rhs = module_ito_mul(y.adjoint(), x.adjoint())
     assert lhs.approx_eq(rhs, 1e-9)

@@ -12,7 +12,6 @@ from qscontrol.ito.module_ops import ModuleOperator, r_map
 from qscontrol.linalg import commutator, fro
 from qscontrol.qcontrol import (
     HpControlProblem,
-    SwnControlProblem,
     check_hp_riccati_system,
     check_swn_riccati_system,
     cost_J_hp,
@@ -246,6 +245,11 @@ def test_derive_flow_hp_heisenberg_case():
         assert report.computed[label].is_zero()
 
 
+def _slot(op, kind):
+    """The terms of ``op`` whose labels have kind ``kind``."""
+    return ModuleOperator({k: v for k, v in op.terms.items() if k.kind == kind}, dim=op.dim)
+
+
 def test_derive_flow_swn_no_noise_reduces_to_heisenberg():
     dim = 2
     zero_modes = ModuleOperator.zero(dim)
@@ -255,7 +259,8 @@ def test_derive_flow_swn_no_noise_reduces_to_heisenberg():
     comp = report["computed"]
     want = 1j * (SZ @ h_mat - h_mat @ SZ)
     assert np.max(np.abs(comp.time - want)) <= 1e-14
-    assert comp.ann.is_zero() and comp.cre.is_zero() and comp.cons.norm() <= 1e-14
+    assert _slot(comp, "ann").is_zero() and _slot(comp, "cre").is_zero()
+    assert _slot(comp, "cons").norm() <= 1e-14
 
 
 def test_derive_flow_swn_nontrivial_w():
@@ -267,7 +272,7 @@ def test_derive_flow_swn_nontrivial_w():
     u_mat = np.diag(phases)
     w_op = ModuleOperator.from_cons({(0, 0, 0): u_mat})
     d_mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    d_minus = ModuleOperator.from_modes({0: d_mat, 1: 0.5 * d_mat}, dim=dim)
+    d_minus = ModuleOperator.from_ann({0: d_mat, 1: 0.5 * d_mat}, dim=dim)
     report = derive_flow_swn(SZ, d_minus, w_op, SX)
     assert report["matches_proposition_form"]
     assert report["matches_composed_form"]
@@ -275,14 +280,33 @@ def test_derive_flow_swn_nontrivial_w():
 
 def test_derive_flow_swn_x_identity_gives_zero_generator():
     dim = 2
-    d_minus = ModuleOperator.from_modes({0: SX}, dim=dim)
+    d_minus = ModuleOperator.from_ann({0: SX}, dim=dim)
     w_ident = ModuleOperator.identity_cons(dim)
-    report = derive_flow_swn(SZ, d_minus, w_ident, np.eye(dim))
-    comp = report["computed"]
-    assert np.max(np.abs(comp.time)) <= 1e-12
-    assert comp.ann.is_zero(1e-12) and comp.cre.is_zero(1e-12)
-    # conservation slot: W* circ W - I = 0 for unitary W
-    assert comp.cons.norm() <= 1e-12
+    w_phase = ModuleOperator.from_cons({(0, 0, 0): np.diag([1.0, 1.0j])})
+    for w_op in (w_ident, w_phase):
+        report = derive_flow_swn(SZ, d_minus, w_op, np.eye(dim))
+        comp = report["computed"]
+        assert np.max(np.abs(comp.time)) <= 1e-12
+        assert _slot(comp, "ann").is_zero(1e-12) and _slot(comp, "cre").is_zero(1e-12)
+        # conservation slot: W* circ W - I = 0 for unitary W
+        assert _slot(comp, "cons").norm() <= 1e-12
+
+
+def test_swn_coefficients_in_the_wrong_slot_are_rejected():
+    dim = 2
+    d_cre = ModuleOperator.from_cre({0: SX}, dim=dim)
+    d_ann = ModuleOperator.from_ann({0: SX}, dim=dim)
+    w_ident = ModuleOperator.identity_cons(dim)
+    config = TruncationConfig(dt=1e-2, horizon=0.1, swn_modes=1)
+    with pytest.raises(ShapeError, match="d_minus"):
+        derive_flow_swn(SZ, d_cre, w_ident, SZ)
+    with pytest.raises(ShapeError, match="d_minus"):
+        swn_simulate(SZ, d_cre, w_ident, SZ, [1.0, 0.0], config)
+    with pytest.raises(ShapeError, match="w_op"):
+        swn_simulate(SZ, d_ann, d_ann, SZ, [1.0, 0.0], config)
+    zero = np.zeros((dim, dim))
+    with pytest.raises(ShapeError, match="phi_op"):
+        check_swn_riccati_system(zero, zero, d_ann, d_ann, w_ident, zero)
 
 
 # ------------------------------------------------------- SWN residual set
@@ -301,7 +325,7 @@ def test_swn_riccati_synthesis_cancellation():
     dim = 2
     pi_mat = np.diag([0.5, 1.25]).astype(complex)
     d0 = math.sqrt(2.0) * np.diag(np.sqrt(np.diag(pi_mat).real))
-    d_minus = ModuleOperator.from_modes({0: d0}, dim=dim)
+    d_minus = ModuleOperator.from_ann({0: d0}, dim=dim)
     u_mat = np.diag(np.exp(1j * np.array([0.4, -1.1])))
     w_op = ModuleOperator.from_cons({(0, 0, 0): u_mat})
     h_mat = np.diag([0.2, 0.9]).astype(complex)
@@ -318,28 +342,6 @@ def test_swn_riccati_synthesis_cancellation():
     assert abs(r1 - want) <= 1e-9
 
 
-def test_swn_control_problem_validates_w():
-    dim = 2
-    good = SwnControlProblem(
-        H=SZ,
-        X=SX,
-        d_minus=ModuleOperator.from_modes({0: SX}, dim=dim),
-        w_op=ModuleOperator.from_cons({(0, 0, 0): np.diag([1.0, 1.0j])}),
-        xi=[1.0, 0.0],
-        horizon=1.0,
-    )
-    assert good.w_unitarity_defect() <= 1e-12
-    with pytest.raises(ShapeError):
-        SwnControlProblem(
-            H=SZ,
-            X=SX,
-            d_minus=ModuleOperator.from_modes({0: SX}, dim=dim),
-            w_op=ModuleOperator.from_cons({(0, 0, 0): np.diag([1.0, 0.5])}),
-            xi=[1.0, 0.0],
-            horizon=1.0,
-        )
-
-
 # ------------------------------------------------ mutual oracle with fock
 
 
@@ -350,7 +352,7 @@ def test_swn_flow_ode_matches_simulation():
     dim = 2
     rng = single_rng(10)
     d_mat = 0.8 * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-    d_minus = ModuleOperator.from_modes({0: d_mat}, dim=dim)
+    d_minus = ModuleOperator.from_ann({0: d_mat}, dim=dim)
     u_mat = np.diag(np.exp(1j * np.array([0.3, 1.7])))
     w_op = ModuleOperator.from_cons({(0, 0, 0): u_mat})
     h_mat = SX

@@ -1,6 +1,9 @@
-"""JSON schemas for differentials and module operators round-trip."""
+"""JSON schemas: differentials and module operators round-trip, and every
+schema the package writes is the one docs/output_schema.md documents."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,11 +54,15 @@ def test_differential_schema_shape():
 
 
 def test_module_operator_roundtrip():
-    op = ModuleOperator.from_modes(
-        {0: np.array([[1.0, 2.0j], [0.0, -1.0]]), 2: np.eye(2)}
-    ) + ModuleOperator.from_cons({(1, 0, 1): np.array([[0.0, 1.0], [1.0, 0.0]])})
+    op = (
+        ModuleOperator.from_ann({0: np.array([[1.0, 2.0j], [0.0, -1.0]]), 2: np.eye(2)})
+        + ModuleOperator.from_cre({2: 0.5j * np.eye(2)})
+        + ModuleOperator.from_cons({(1, 0, 1): np.array([[0.0, 1.0], [1.0, 0.0]])})
+        + ModuleOperator.from_time(np.diag([0.25, -1.0]))
+    )
     doc = module_operator_to_json(op)
-    assert doc["schema"] == "module-operator/1"
+    assert doc["schema"] == "module-operator/2"
+    assert [t["label"]["kind"] for t in doc["terms"]] == ["cre", "ann", "ann", "cons", "time"]
     back = module_operator_from_json(json.loads(json.dumps(doc)))
     assert back.approx_eq(op, 0.0)
 
@@ -84,3 +91,17 @@ def test_rejects_unknown_schema():
         differential_from_json({"schema": "nope/9", "family": "hp", "terms": []})
     with pytest.raises(ValueError):
         module_operator_from_json({"schema": "nope/9", "dim": 1, "terms": []})
+
+
+def test_schema_names_in_code_match_the_documented_ones():
+    root = Path(__file__).resolve().parents[1]
+    in_code = {
+        name
+        for path in (root / "src" / "qscontrol").rglob("*.py")
+        for name in re.findall(r'"schema":\s*"([\w-]+/\d+)"', path.read_text())
+    }
+    documented = set(
+        re.findall(r"^## `([\w-]+/\d+)`", (root / "docs" / "output_schema.md").read_text(),
+                   flags=re.MULTILINE)
+    )
+    assert in_code == documented
