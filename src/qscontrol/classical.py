@@ -16,7 +16,9 @@ The control weight is fixed to the identity; the general weight R lives in
 the representation-free module.
 
 Time stepping: ``linalg.rk4`` solves both Riccati equations on a uniform
-grid, unsymmetrized, and one scan afterwards finds a blow-up.  State
+grid, unsymmetrized (they are nonlinear, so they step one RK4 stage
+formula at a time; the package's linear ODEs run as RK4 step maps,
+``linalg.rk4_linear``), and one scan afterwards finds a blow-up.  State
 integrations share that grid, freeze the gain per step, and propagate the
 drift exactly (matrix exponential of the frozen closed loop); all laws of
 a run share one batch axis of one sweep, and lqg adds Euler-Maruyama

@@ -5,7 +5,7 @@ Two computational routes coexist on purpose:
 * the production route reduces exponential-vector matrix elements of a
   quantum stochastic evolution to a system-space linear ODE (the
   fundamental-theorem reduction) and integrates it with the package's
-  fixed-step RK4 (``linalg.rk4``) -- no discretization of the noise at all;
+  fixed-step RK4 -- no discretization of the noise at all;
 * the oracle route (``step_tensor_evolution``, O2) discretizes time,
   attaches a fresh d-level truncated mode to every step, applies the
   Euler-Ito one-step update and contracts consumed modes against the
@@ -25,6 +25,13 @@ Heisenberg flows close on the system space as the master equation
 rho' = D rho + rho D* + sum_J J rho J* (``_master_generator``), which
 ``flow_expectation``, ``swn_simulate`` and the quadratic costs of
 ``qcontrol`` integrate.
+
+Every ODE here is linear with a generator that is constant on each run of
+equal steps: the matrix-element reduction between the breakpoints of the
+test functions, the master equations and the characteristic functionals
+throughout.  They all run as RK4 step maps (``linalg.rk4_linear``), one
+matrix per run instead of four generator calls per step; only the
+nonlinear Riccati equations of ``classical`` step with ``linalg.rk4``.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from .ito import SymbolicDifferential, hp_mul
 from .ito.labels import HpLabel
 from .ito.module_ops import inner, r_map, require_slot
 from .ito.sl2 import rho_plus_matrix, theta
-from .linalg import as_matrix, is_hermitian, is_unitary, rk4
+from .linalg import as_matrix, is_hermitian, is_unitary, rk4_linear
 
 DEFAULT_TENSOR_BUDGET = 1 << 22  # complex entries in a state vector
 DEFAULT_MATRIX_BUDGET = 1 << 24  # complex entries in a full propagator
@@ -143,8 +150,9 @@ class PiecewiseConstant:
         last = len(self.breaks) - 1
         for idx, (edge, val) in enumerate(zip(self.breaks, self.values)):
             # segments are right-open except the final one, so the right
-            # endpoint of the domain carries the last segment's value (RK4
-            # stages evaluate there)
+            # endpoint of the domain carries the last segment's value; the
+            # ODE routes never evaluate at a breakpoint (each segment runs
+            # with its generator at the segment midpoint)
             if t < edge or (idx == last and t <= edge):
                 return val
         return np.zeros_like(self.values[0])
@@ -242,13 +250,20 @@ def _coefficients(spec):
 
 
 def _grid_with_breaks(horizon, dt, breaks=()):
-    """Uniform-dt grid refined so every breakpoint is a grid node."""
+    """Uniform-dt grid refined so every breakpoint is a grid node.
+
+    Returns (grid, runs): the segment between two consecutive breakpoints
+    is one run (a, b, steps) of equal steps of at most dt, the form
+    ``rk4_linear`` takes.
+    """
     edges = sorted({0.0, float(horizon)} | {float(b) for b in breaks if 0 < b < horizon})
     grid = [0.0]
+    runs = []
     for a, b in zip(edges, edges[1:]):
         steps = max(1, math.ceil((b - a) / dt - 1e-12))
         grid.extend(a + (b - a) * (j + 1) / steps for j in range(steps))
-    return np.array(grid)
+        runs.append((a, b, steps))
+    return np.array(grid), runs
 
 
 # ------------------------------------------------- matrix-element evolution
@@ -263,8 +278,8 @@ def matrix_element_evolution(spec, f, g, u, v, horizon, dt=1e-3):
         V' = (conj(f) g E + g F + conj(f) G + H0) V,
         V_0 = exp(<f, g>) * identity,
 
-    integrated by fixed-step RK4 on a grid aligned with the segment
-    breakpoints of f and g.
+    integrated as the RK4 step map of each segment between the
+    breakpoints of f and g (fourth order across the breakpoints).
     """
     e_mat, f_mat, g_mat, h_mat = _coefficients(spec)
     f = f if f is not None else PiecewiseConstant.zero(horizon)
@@ -279,15 +294,23 @@ def matrix_element_evolution(spec, f, g, u, v, horizon, dt=1e-3):
 
 
 def _matrix_element_series(gen, dim, f, g, u, v, horizon, dt):
-    """<u, V_t v> for V' = gen(t) V, V_0 = exp(<f, g>) id on C^dim: RK4 on
-    a grid aligned with the segment breakpoints of f and g."""
+    """<u, V_t v> for V' = gen(t) V, V_0 = exp(<f, g>) id on C^dim.
+
+    x_t = V_t v solves x' = gen(t) x from exp(<f, g>) v.  The grid is
+    aligned with the segment breakpoints of f and g, and each segment is
+    one run of ``rk4_linear`` with its own generator, evaluated at the
+    segment's midpoint: the segments are right-open, so a stage at the
+    breakpoint would see the next segment's generator and cost the
+    fourth order.
+    """
     u = np.asarray(u, dtype=complex).reshape(dim)
     v = np.asarray(v, dtype=complex).reshape(dim)
-    grid = _grid_with_breaks(horizon, dt, f.segment_edges(horizon) + g.segment_edges(horizon))
-    v0 = np.exp(f.overlap(g, horizon)) * np.eye(dim, dtype=complex)
-    states = rk4(lambda t, V: gen(t) @ V, v0, grid)
-    values = (states @ v) @ u.conj()
-    return ExpectationSeries(grid, values)
+    grid, runs = _grid_with_breaks(
+        horizon, dt, f.segment_edges(horizon) + g.segment_edges(horizon)
+    )
+    x0 = np.exp(f.overlap(g, horizon)) * v
+    states = rk4_linear(lambda t, x: x @ gen(t).T, x0, runs)
+    return ExpectationSeries(grid, states @ u.conj())
 
 
 # --------------------------------------------------------- tensor oracle O2
@@ -468,9 +491,9 @@ def characteristic_functional(kind, s, lam, t, dt=1e-4):
     """Vacuum characteristic functional of Brownian / Poisson realizations.
 
     Simulates f' = c f with the dt coefficient c of the Weyl differential
-    (RK4 over max(1, round(t / dt)) equal steps) and returns (simulated,
-    closed_form): exp(-s^2 t / 2) for Brownian, exp(lam (e^{is} - 1) t) for
-    Poisson.
+    (the RK4 step map over max(1, round(t / dt)) equal steps) and returns
+    (simulated, closed_form): exp(-s^2 t / 2) for Brownian,
+    exp(lam (e^{is} - 1) t) for Poisson.
     """
     if kind not in ("brownian", "poisson"):
         raise ValueError("kind must be 'brownian' or 'poisson'")
@@ -485,9 +508,7 @@ def characteristic_functional(kind, s, lam, t, dt=1e-4):
         bracket = weyl_increment(s * lam, s * math.sqrt(lam), s)
         closed = np.exp(lam * (np.exp(1j * s) - 1.0) * t)
     c_val = bracket.coeff(HpLabel.TIME)
-    steps = max(1, round(t / dt))
-    grid = np.linspace(0.0, t, steps + 1)
-    states = rk4(lambda _t, y: c_val * y, 1.0 + 0.0j, grid)
+    states = rk4_linear(lambda _t, y: c_val * y, 1.0 + 0.0j, [(0.0, t, max(1, round(t / dt)))])
     return complex(states[-1]), complex(closed)
 
 
@@ -512,8 +533,8 @@ def _master_expectation(drift, jumps, x_mat, state, horizon, dt):
     state = np.asarray(state, dtype=complex).reshape(x_mat.shape[0])
     rho0 = np.outer(state, state.conj())
     gen = _master_generator(drift, jumps)
-    grid = _grid_with_breaks(horizon, dt)
-    states = rk4(lambda _t, rho: gen(rho), rho0, grid)
+    grid, runs = _grid_with_breaks(horizon, dt)
+    states = rk4_linear(lambda _t, rho: gen(rho), rho0, runs)
     values = np.einsum("kij,ji->k", states, x_mat)
     return ExpectationSeries(grid, values)
 

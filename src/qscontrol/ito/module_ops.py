@@ -41,7 +41,12 @@ class ModuleOperator:
         self.terms = {}
         self.dim = dim
         for key, mat in terms.items():
-            mat = as_matrix(mat, self.dim, name=f"coefficient of {key}")
+            try:
+                mat = as_matrix(mat, self.dim)
+            except ShapeError:
+                # name the coefficient only on failure: formatting the label
+                # for every term costs more than the coercion
+                as_matrix(mat, self.dim, name=f"coefficient of {key}")
             if self.dim is None:
                 self.dim = mat.shape[0]
             if np.any(mat):

@@ -39,7 +39,7 @@ from .ito.differential import SymbolicDifferential
 from .ito.hp import hp_mul
 from .ito.labels import HpLabel
 from .ito.module_ops import ModuleOperator, circ, inner, l_map, module_ito_mul, r_map, require_slot
-from .linalg import as_matrix, commutator, fro, is_hermitian, is_unitary, psd_sqrt, rk4
+from .linalg import as_matrix, commutator, fro, is_hermitian, is_unitary, psd_sqrt, rk4_linear
 
 
 # ----------------------------------------------------------- problem data
@@ -227,23 +227,26 @@ def reduced_riccati_obstruction(h_mat, x_mat):
 
 def _density_cost(drift, jumps, xi, horizon, weight_fn, terminal_fn):
     """Integrate the vacuum master equation rho' = drift rho + rho drift*
-    + sum J rho J* together with the running cost dJ = weight_fn(rho) dt;
-    both ride one RK4 pass of max(50, round(horizon / 0.01)) steps."""
+    + sum J rho J* together with the running cost dJ = weight_fn(rho) dt.
+
+    Both are one linear ODE with a constant generator on the stacked state
+    (rho; J), run as the RK4 step map of ``rk4_linear`` over
+    max(50, round(horizon / 0.01)) equal steps; ``weight_fn`` must map a
+    stack of densities (leading axis) to a stack of values.
+    """
     dim = drift.shape[0]
     gen = _master_generator(drift, jumps)
     y0 = np.zeros((dim + 1, dim), dtype=complex)
     y0[:dim] = np.outer(xi, xi.conj())
 
     def deriv(_t, y):
-        rho = y[:dim]
+        rho = y[..., :dim, :]
         out = np.zeros_like(y)
-        out[:dim] = gen(rho)
-        out[dim, 0] = weight_fn(rho)
+        out[..., :dim, :] = gen(rho)
+        out[..., dim, 0] = weight_fn(rho)
         return out
 
-    steps = max(50, round(horizon / 0.01))
-    grid = np.linspace(0.0, horizon, steps + 1)
-    states = rk4(deriv, y0, grid)
+    states = rk4_linear(deriv, y0, [(0.0, horizon, max(50, round(horizon / 0.01)))])
     rho_final = states[-1][:dim]
     return float((states[-1][dim, 0] + terminal_fn(rho_final)).real)
 
@@ -270,7 +273,7 @@ def cost_Q(spec, x_mat, xi, horizon):
         [phi_mat],
         xi,
         horizon,
-        weight_fn=lambda rho: np.trace(rho @ (x_sq + pi_sq)),
+        weight_fn=lambda rho: np.trace(rho @ (x_sq + pi_sq), axis1=-2, axis2=-1),
         terminal_fn=lambda rho: np.trace(rho @ pi_mat),
     )
 
@@ -295,7 +298,7 @@ def cost_J_hp(problem, l_mat, w_mat):
         [phi_mat],
         problem.xi,
         problem.horizon,
-        weight_fn=lambda rho: np.trace(rho @ (x_sq + 0.25 * ll_sq)),
+        weight_fn=lambda rho: np.trace(rho @ (x_sq + 0.25 * ll_sq), axis1=-2, axis2=-1),
         terminal_fn=lambda rho: 0.5 * np.trace(rho @ ll),
     )
 

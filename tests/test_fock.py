@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qscontrol.errors import IndexEscapeError, ResourceLimitError, ShapeError
 from qscontrol.fock import (
@@ -75,6 +76,26 @@ def test_exponential_vector_prefactor():
     assert abs(series.values[-1] - np.exp(overlap)) <= 1e-12
     # breakpoints must be grid nodes
     assert any(abs(series.times - 0.25) < 1e-15)
+
+
+def test_matrix_element_is_fourth_order_across_breakpoints():
+    # f breaks at 0.37 and g at 0.61; every segment is stepped with its own
+    # generator, so halving dt (which halves every segment's step here)
+    # divides the error by 2^4 (measured 16.09).  A stage at a right-open
+    # breakpoint seeing the next segment made the route first order.
+    spec = HpEvolutionSpec(H=np.array([[0.5, 0.2], [0.2, -0.3]]), L=0.6 * SMINUS)
+    f = PiecewiseConstant([0.37, 1.0], [0.8 - 0.3j, -0.5 + 0.4j])
+    g = PiecewiseConstant([0.61, 1.0], [0.6 + 0.2j, 1.1 - 0.7j])
+    u = np.array([0.6, 0.8j])
+    v = np.array([1.0, 0.5 - 0.5j])
+    e_mat, f_mat, g_mat, h_mat = spec.qsde_coefficients()
+    exact = np.exp(f.overlap(g, 1.0)) * v
+    for a, b in zip([0.0, 0.37, 0.61], [0.37, 0.61, 1.0]):
+        fv, gv = np.conj(f.value(0.5 * (a + b))[0]), g.value(0.5 * (a + b))[0]
+        exact = expm((b - a) * (fv * gv * e_mat + gv * f_mat + fv * g_mat + h_mat)) @ exact
+    errors = [abs(matrix_element_evolution(spec, f, g, u, v, 1.0, dt).final - np.vdot(u, exact))
+              for dt in (0.025, 0.0125)]
+    assert 15.5 <= errors[0] / errors[1] <= 17.5
 
 
 def test_nonunitary_w_rejected_at_construction():
@@ -233,6 +254,14 @@ def test_two_level_decay_closed_form():
     series = flow_expectation(spec, SZ, EXCITED, horizon=1.0, dt=1e-3)
     for t, val in zip(series.times, series.values):
         assert abs(val - (2 * math.exp(-t) - 1.0)) <= 1e-8
+
+
+def test_flow_expectation_rk4_is_fourth_order_forward():
+    # halving dt divides the two-level decay error by 2^4 (measured 16.34)
+    spec = HpEvolutionSpec(H=np.zeros((2, 2)), L=SMINUS)
+    errors = [abs(flow_expectation(spec, SZ, EXCITED, horizon=1.0, dt=dt).final
+                  - (2 * math.exp(-1.0) - 1.0)) for dt in (0.05, 0.025)]
+    assert 15.5 <= errors[0] / errors[1] <= 17.5
 
 
 def test_flow_rejects_non_hermitian_observable():
@@ -427,8 +456,6 @@ def test_swn_matrix_element_conservation_only_second_quantization():
     # dU = dL(E1) U with constant coherent inputs: the matrix element is
     # exp(<f, g>) expm(t <f, rho+ g> S), the second-quantization closed
     # form, independent of the ODE reduction.
-    from scipy.linalg import expm
-
     from qscontrol.ito.sl2 import rho_plus_matrix
 
     dim, k_modes = 2, 2

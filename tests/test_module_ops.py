@@ -68,6 +68,13 @@ def test_circ_rejects_dimension_mismatch():
         circ(a, b)
 
 
+def test_misshaped_coefficient_is_named_by_its_label():
+    with pytest.raises(ShapeError, match=r"^coefficient of dA_1 has dimension 3, expected 2$"):
+        ModuleOperator.from_ann({0: np.eye(2), 1: np.eye(3)})
+    with pytest.raises(ShapeError, match=r"^coefficient of dA_0 must be square"):
+        ModuleOperator.from_ann({0: np.ones((2, 3))})
+
+
 # ---------------------------------------------------------------- pairing
 
 

@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qscontrol.errors import ShapeError
 from qscontrol.fock import GenericQsdeSpec, TruncationConfig, swn_simulate
 from qscontrol.ito.module_ops import ModuleOperator, r_map
-from qscontrol.linalg import commutator, fro
+from qscontrol.linalg import commutator, fro, psd_sqrt
 from qscontrol.qcontrol import (
     HpControlProblem,
     check_hp_riccati_system,
@@ -98,6 +99,34 @@ def test_feedback_perturbations_increase_cost():
             F=spec.F, Psi=spec.Psi, Phi=spec.Phi, Z=spec.Z, feedback=pi_mat + bump
         )
         assert cost_Q(pert, x_mat, xi, horizon=1.0) > base + 1e-6
+
+
+def test_cost_q_rk4_is_fourth_order_forward():
+    # cost_Q steps by 0.01 on horizons of at least 0.5.  Doubling the
+    # generator of (rho; J) (F' - Pi = 2 (F - Pi), Phi' = sqrt(2) Phi,
+    # X'^2 = 2 X^2 + Pi^2) on half the horizon keeps the exact cost, the
+    # expm of the stacked (vec rho; J) generator, and doubles the step:
+    # the error grows by 2^4 (measured 16.66) for a non-optimal feedback
+    rng = single_rng(3)
+    spec, pi_mat, x_mat = exact_condition_instance(rng, dim=2)
+    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    gain = pi_mat + 0.5 * (g @ g.conj().T)
+    pert = GenericQsdeSpec(F=spec.F, Psi=spec.Psi, Phi=spec.Phi, Z=spec.Z, feedback=gain)
+    doubled = GenericQsdeSpec(F=2 * spec.F - gain, Psi=spec.Psi, Phi=math.sqrt(2) * spec.Phi,
+                              Z=spec.Z, feedback=gain)
+    x_doubled = psd_sqrt(2 * x_mat @ x_mat + gain @ gain)
+    xi = np.array([0.6, 0.8j])
+    drift, eye = spec.F - gain, np.eye(2)
+    # column-major vec: vec(A rho B) = (B^T kron A) vec(rho)
+    stacked = np.zeros((5, 5), dtype=complex)
+    stacked[:4, :4] = (np.kron(eye, drift) + np.kron(drift.conj(), eye)
+                       + np.kron(spec.Phi.conj(), spec.Phi))
+    stacked[4, :4] = (x_mat @ x_mat + gain @ gain).reshape(-1)  # vec(W^T), column-major
+    final = expm(2.0 * stacked) @ np.append(np.outer(xi, xi.conj()).reshape(-1, order="F"), 0)
+    exact = (final[4] + np.trace(final[:4].reshape(2, 2, order="F") @ gain)).real
+    errors = [abs(cost_Q(doubled, x_doubled, xi, horizon=1.0) - exact),
+              abs(cost_Q(pert, x_mat, xi, horizon=2.0) - exact)]
+    assert 15.5 <= errors[0] / errors[1] <= 17.5
 
 
 # ---------------------------------------------------------------- cost_J
