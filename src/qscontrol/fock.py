@@ -29,9 +29,12 @@ rho' = D rho + rho D* + sum_J J rho J* (``_master_generator``), which
 Every ODE here is linear with a generator that is constant on each run of
 equal steps: the matrix-element reduction between the breakpoints of the
 test functions, the master equations and the characteristic functionals
-throughout.  They all run as RK4 step maps (``linalg.rk4_linear``), one
-matrix per run instead of four generator calls per step; only the
-nonlinear Riccati equations of ``classical`` step with ``linalg.rk4``.
+throughout.  They all go through ``linalg.rk4_linear``, which runs them
+as RK4 step maps, one matrix per run instead of four generator calls per
+step, wherever the map costs no more than stepping (no more state
+entries than steps, nor than sixteen times the state's trailing
+dimension); only the nonlinear Riccati equations of ``classical`` always
+step with ``linalg.rk4``.
 """
 
 from __future__ import annotations

@@ -104,17 +104,26 @@ def rk4_linear(apply, y0, runs):
     """Classical RK4 for the linear ODE y' = apply(t, y), run by run.
 
     ``runs`` are contiguous (t0, t1, steps) triples: ``steps`` equal steps
-    from t0 to t1, on which the generator is constant.  ``apply(t, Y)``
-    maps a stack Y of states (leading axis) and is called once per run, at
-    the run's midpoint, on the basis stack: one ``rk4_increment`` of it is
-    the run's increment map E = S - 1 of the RK4 step map S.  States are
-    propagated in blocks of b steps as y + E_j y with the increments of
-    the powers, E_j = S^j - 1 = E + E_{j-1} + E E_{j-1}, which keep the
-    small part that forming S^j itself would round away.  Building the b
-    powers takes b - 1 products of n x n matrices (n = y0.size), about
-    b n^3 flops, no more than the steps n^2 flops of stepping one state at
-    a time while b <= steps / n; b <= sqrt(steps) balances the b calls that
-    build the powers against the steps / b calls that use them.
+    from t0 to t1, on which the generator is constant: ``apply(t, y)`` is
+    evaluated at the run's midpoint only.  It maps a state, or a stack of
+    states along a leading axis.  One ``rk4_increment`` of it on the basis
+    stack is the run's increment map E = S - 1 of the RK4 step map S.
+    States are propagated in blocks of b steps as y + E_j y with the
+    increments of the powers, E_j = S^j - 1 = E + E_{j-1} + E E_{j-1},
+    which keep the small part that forming S^j itself would round away.
+    Building the b powers takes b - 1 products of n x n matrices
+    (n = y0.size), about b n^3 flops, no more than the steps n^2 flops of
+    stepping one state at a time while b <= steps / n; b <= sqrt(steps)
+    balances the b calls that build the powers against the steps / b
+    calls that use them.
+
+    The map is used only where it costs no more than stepping: forming it
+    applies the generator to n basis states against 4 states per step, so
+    n <= steps; and each of its steps is one n x n product against 4
+    generator applications of about 4 products with the state's trailing
+    dimension m each (the package's generators are a few such products),
+    so n <= 16 m.  Any other run steps state by state (``rk4``, with the
+    same midpoint generator).
 
     Returns the start and the state after every step, shape
     (1 + sum of steps, *y0.shape), in y0's dtype: ``apply`` must not
@@ -122,15 +131,24 @@ def rk4_linear(apply, y0, runs):
     """
     y = np.asarray(y0)
     size = y.size
-    basis = np.eye(size, dtype=y.dtype).reshape(size, *y.shape)
+    trailing = y.shape[-1] if y.ndim else 1
     total = sum(steps for _, _, steps in runs)
     states = np.empty((total + 1, size), dtype=y.dtype)
     states[0] = y.reshape(size)
     k = 0
     for t0, t1, steps in runs:
         mid = 0.5 * (t0 + t1)
-        inc = rk4_increment(lambda _t, stack: apply(mid, stack), t0, (t1 - t0) / steps, basis)
-        inc = inc.reshape(size, size).T
+
+        def frozen(_t, state, mid=mid):
+            return apply(mid, state)
+
+        if size > min(steps, 16 * trailing):
+            run = rk4(frozen, states[k].reshape(y.shape), np.linspace(t0, t1, steps + 1))
+            states[k + 1 : k + 1 + steps] = run[1:].reshape(steps, size)
+            k += steps
+            continue
+        basis = np.eye(size, dtype=y.dtype).reshape(size, *y.shape)
+        inc = rk4_increment(frozen, t0, (t1 - t0) / steps, basis).reshape(size, size).T
         block = max(1, min(math.isqrt(steps), steps // size))
         powers = np.empty((block, size, size), dtype=y.dtype)
         powers[0] = inc

@@ -92,3 +92,26 @@ def test_rk4_linear_keeps_the_stepwise_roundoff_over_1e5_steps():
         states = rk4_linear(lambda _t, y, c=c_val: c * y, 1.0 + 0.0j, [(0.0, 1.0, 10**5)])
         assert states.shape == (10**5 + 1,)
         assert abs(states[-1] - np.exp(c_val)) <= 5e-14 * abs(np.exp(c_val))
+
+
+@pytest.mark.parametrize(
+    "shape, steps, stepped",
+    [((3, 3), 9, False), ((3, 3), 8, True), ((17, 1), 40, True), ((16, 1), 40, False)],
+)
+def test_rk4_linear_steps_state_by_state_where_the_map_costs_more(shape, steps, stepped):
+    # the map applies the generator to y0.size basis states and costs a
+    # y0.size^2 product per step: it is used only for size <= steps and
+    # size <= 16 x the trailing dimension; either way the result is RK4's
+    rng = np.random.default_rng(14)
+    gen = 0.5 * _rand(rng, shape[0], shape[0])
+    calls = []
+
+    def apply(_t, y):
+        calls.append(y.shape)
+        return gen @ y
+
+    y0 = _rand(rng, *shape)
+    got = rk4_linear(apply, y0, [(0.0, 0.6, steps)])
+    assert calls == ([shape] * 4 * steps if stepped else [(y0.size, *shape)] * 4)
+    want = rk4(lambda _t, y: gen @ y, y0, np.linspace(0.0, 0.6, steps + 1))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
