@@ -222,9 +222,8 @@ def _sweep(generators, weights, terminal, z, dt, kicks=None):
     for k, (half, weight) in enumerate(zip(halves, weights)):
         z_mid = z @ half
         z_end = z_mid @ half
-        costs += (dt / 6.0) * (
-            _quad(z, weight) + 4.0 * _quad(z_mid, weight) + _quad(z_end, weight)
-        )
+        simpson = (z @ weight) * z + 4.0 * (z_mid @ weight) * z_mid + (z_end @ weight) * z_end
+        costs += (dt / 6.0) * np.sum(simpson, axis=-1)
         z = z_end
         if kicks is not None:
             db, c_mat, dw, k_filters = kicks

@@ -410,8 +410,11 @@ def _run_lqg(config, outputs, out_dir):
     det = LqProblem(A=[[0.1, 0.4], [-0.2, -0.3]], Q=np.eye(2), Pi_T=0.5 * np.eye(2),
                     horizon=1.0, x0=[1.0, 0.5])
     noise_free = replace(det, C=np.zeros((2, 2)), H_obs=np.eye(2), obs_noise=0.0)
-    (lqr_cost,) = lqr_simulate(det, steps=steps)
-    report = lqg_simulate(noise_free, seed=config.seed, n_paths=2, steps=steps)
+    # noise_free differs from det only in C, H_obs and obs_noise, which the
+    # control Riccati equation does not read: one solution serves both
+    det_riccati = solve_riccati_ode(det, steps=steps)
+    (lqr_cost,) = lqr_simulate(det, riccati=det_riccati)
+    report = lqg_simulate(noise_free, seed=config.seed, n_paths=2, riccati=det_riccati)
     checks.append(_check("noise-free degeneration equals deterministic cost",
                          abs(report["cost_mean"][0] - lqr_cost), 1e-6))
     checks.append(_check("noise-free paths agree (cost standard error)",
@@ -576,7 +579,7 @@ def _run_rf_riccati(config, outputs, out_dir):
     margin = min(result.monotone_margins[1:]) if len(result.monotone_margins) > 1 else 0.0
     checks.append(_check("monotone PSD decrease margin", -margin, 1e-8 * max(1.0, dt_scale)))
     checks.append(_check("pathwise positivity", -float(np.min(min_eig_batch(result.final))), 1e-10))
-    checks.append(_check("Hermitian symmetrization residual", result.herm_residual, 1e-12))
+    checks.append(_check("Hermitian defect of the Riccati iterate", result.herm_residual, 1e-12))
     defect = residual_integral(problem, result.final, path)
     # first order in dt at a fixed horizon: 5.9e-6, 1.45e-5, 2.6e-5 at
     # dt = 1e-3, 2e-3, 4e-3 over T = 1 (worst of seeds 100-119, 4 paths),

@@ -116,7 +116,7 @@ class ExpectationSeries:
             writer = csv.writer(handle)
             writer.writerow(["t", "re", "im"])
             for t, v in zip(self.times, self.values):
-                writer.writerow([repr(float(t)), repr(v.real), repr(v.imag)])
+                writer.writerow([repr(float(t)), repr(float(v.real)), repr(float(v.imag))])
 
     def to_json_dict(self):
         return {

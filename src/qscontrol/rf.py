@@ -60,8 +60,10 @@ Duhamel form of the propagator representation,
 with cay the Cayley approximant of the exponential and C_a = F_a w.  Every
 step is a congruence plus a PSD increment, so the iterates stay PSD
 pathwise exactly (positivity is never projected in, per the no-projection
-rule); quadratic-variation terms enter through the realized increment
-products, which converge to the sigma-weighted drift.  In the noise-free
+rule).  Hermiticity is not enforced either: each congruence is Hermitian
+up to rounding, and ``herm_residual`` measures max |Pi - Pi*| of the
+returned iterate.  Quadratic-variation terms enter through the realized
+increment products, which converge to the sigma-weighted drift.  In the noise-free
 limit the scheme is second order, which is what lets the deterministic
 degeneration meet a 1e-6 comparison against the classical Riccati ODE at
 dt = 1e-3.
@@ -70,7 +72,10 @@ Optimality check.  ``verify_feedback_optimality`` runs an ensemble in
 chunks of ``_CHUNK_PATHS`` = 500 paths, so a 2x2 stack of 1001 points
 stays at 32 MB, and pools the paired cost differences of all chunks.
 Picard stops on the chunk's sup-norm, so the chunk size shapes the report
-and is fixed, not an option.
+and is fixed, not an option.  The cross term K of the completion of
+squares is the polarization of the cost (``_cost_form``) between the
+optimal closed loop and a perturbed one's deviation from it, read off the
+controls the closed loops return.
 """
 
 from __future__ import annotations
@@ -428,7 +433,12 @@ def _affine_sweep(maps, offsets, start, out, forward):
 
 
 def min_eig_batch(arr):
-    """Smallest eigenvalue of stacked Hermitian matrices."""
+    """Smallest eigenvalue of stacked Hermitian matrices.
+
+    Only one triangle is read, so a matrix that is Hermitian up to rounding
+    needs no symmetrizing first: the upper triangle and the real part of
+    the diagonal for d = 2, ``eigvalsh``'s lower triangle otherwise.
+    """
     d = arr.shape[-1]
     if d == 2:
         a = arr[..., 0, 0].real
@@ -494,30 +504,24 @@ def _step_factors(problem, path, gain):
 def _duhamel_sweep(problem, path, gain, half_w):
     """Run Pi(j+1) = M_j [Pi(j) + dt/2 W(j)] M_j* + dt/2 W(j+1) away from the
     boundary gain, with M_j the step factors of the store ``gain`` and
-    ``half_w`` = dt/2 W, W the time-major PSD inhomogeneity.  q0 steps
-    forward from Pi(0); qt runs the same loop on time-reversed views, from
-    Pi(T).
+    ``half_w`` = dt/2 W, W the time-major inhomogeneity.  q0 steps forward
+    from Pi(0); qt runs the same loop on time-reversed views, from Pi(T).
 
-    Each step symmetrizes the congruence output; the largest
-    pre-symmetrization defect is kept elementwise per (entry, path) and
-    reduced once.  Returns (store, defect).
+    Nothing is symmetrized: for Hermitian W every step is Hermitian up to
+    rounding, and ``iterate_riccati`` measures the defect on its result.
+    Returns the store.
     """
     forward = problem.direction == Q0
     factors = _step_factors(problem, path, gain)
     out = np.empty(gain.shape, dtype=complex)
     pi_k, m_k, m_adj_k, w_k = (_along(arr, forward)
                                for arr in (out, factors, _adj(factors), half_w))
-    worst = np.zeros(out.shape[1:])
     pi_k[0] = _const(problem.boundary_gain)
     for m, m_adj, w_now, w_next, pi_now, pi_next in zip(
             m_k, m_adj_k, w_k[:-1], w_k[1:], pi_k[:-1], pi_k[1:]):
-        nxt = _mm(_mm(m, pi_now + w_now), m_adj)
-        nxt += w_next
-        nxt_adj = _adj(nxt)
-        np.maximum(worst, np.abs(nxt - nxt_adj), out=worst)
-        np.add(nxt, nxt_adj, out=pi_next)
-        pi_next *= 0.5
-    return out, float(np.max(worst))
+        _mm(_mm(m, pi_now + w_now), m_adj, out=pi_next)
+        pi_next += w_next
+    return out
 
 
 def iterate_riccati(problem, path, n_max=30, tol=1e-6, initial=None):
@@ -541,18 +545,14 @@ def iterate_riccati(problem, path, n_max=30, tol=1e-6, initial=None):
     current = _time_major(np.broadcast_to(start, (path.n_paths, n_steps + 1, dim, dim)))
 
     sup_diffs, margins = [], []
-    herm_res = 0.0
     for _ in range(2, n_max + 1):
         half_w = 0.5 * path.dt * (_const(problem.Q) + _mm(_mm(current, gq), current))
-        nxt, step_defect = _duhamel_sweep(problem, path, current, half_w)
+        nxt = _duhamel_sweep(problem, path, current, half_w)
         del half_w
-        herm_res = max(herm_res, step_defect)
         diff = current - nxt  # monotone decrease means diff is PSD
         sup_diffs.append(_sup_frobenius(diff))
-        diff_herm = diff + _adj(diff)
-        diff_herm *= 0.5
-        margins.append(float(np.min(min_eig_batch(_public(diff_herm)))))
-        del diff, diff_herm
+        margins.append(float(np.min(min_eig_batch(_public(diff)))))
+        del diff
         current = nxt
         if sup_diffs[-1] <= tol:
             break
@@ -563,7 +563,7 @@ def iterate_riccati(problem, path, n_max=30, tol=1e-6, initial=None):
         converged=bool(sup_diffs) and sup_diffs[-1] <= tol,
         sup_diffs=sup_diffs,
         monotone_margins=margins,
-        herm_residual=herm_res,
+        herm_residual=float(np.max(np.abs(current - _adj(current)))),
     )
 
 
@@ -578,7 +578,7 @@ def residual_integral(problem, pi_path, path):
     pi = _time_major(pi_path)
     gq = _const(problem.gain_quad())
     half_w = 0.5 * path.dt * (_const(problem.Q) - _mm(_mm(pi, gq), pi))
-    rebuilt, _ = _duhamel_sweep(problem, path, np.zeros_like(pi), half_w)
+    rebuilt = _duhamel_sweep(problem, path, np.zeros_like(pi), half_w)
     return _sup_frobenius(rebuilt - pi)
 
 
@@ -650,12 +650,28 @@ def _trapezoid(integrand, dt):
     return weights @ integrand
 
 
-def _edge_terms(problem, a_col, b_col, xi_col):
-    """<a, Q0 b> and <a, m0* xi> on stacked column stores (T+1, d, 1, P) at
-    the edge the boundary cost weighs: t = 0 for q0, t = T for qt."""
+def _columns(problem, xi, x_path, u_path):
+    """The column of ``xi`` and the (state, control) column stores X xi,
+    U xi (T+1, d, 1, P) of stacked paths."""
+    col = np.asarray(xi, dtype=complex).reshape(problem.dim, 1)
+    return col, tuple(_mm(_time_major(arr), _const(col)) for arr in (x_path, u_path))
+
+
+def _cost_form(problem, a, b, col, dt, linear):
+    """B(a, b) + linear L(a) per path, for (state, control) column stores
+    ``a`` = (a_x, a_u) and ``b`` = (b_x, b_u).
+
+    B(a, b) = int <a_x, Q b_x> + <a_u, R b_u> dt + <a_x, Q0 b_x>|_edge and
+    L(a) = int <a_x, m* xi> + <a_u, eta* xi> dt + <a_x, m0* xi>|_edge, by
+    trapezoid in time, with the edge the boundary cost weighs: t = 0 for
+    q0, t = T for qt.  The cost is Re B(x, x) + 2 L(x).
+    """
+    (a_x, a_u), (b_x, b_u) = a, b
     edge = 0 if problem.direction == Q0 else -1
-    return (_pair(a_col[edge], problem.boundary_gain, b_col[edge]),
-            _linear(a_col[edge], problem.boundary_linear, xi_col))
+    running = _pair(a_x, problem.Q, b_x) + _pair(a_u, problem.R, b_u)
+    running += linear * (_linear(a_x, problem.m, col) + _linear(a_u, problem.eta, col))
+    return (_trapezoid(running, dt) + _pair(a_x[edge], problem.boundary_gain, b_x[edge])
+            + linear * _linear(a_x[edge], problem.boundary_linear, col))
 
 
 def cost_tilde(problem, u_path, xi, x_path, dt):
@@ -664,22 +680,10 @@ def cost_tilde(problem, u_path, xi, x_path, dt):
     Returns (mean, stderr, per-path array).  The boundary terms follow the
     problem direction: initial-state weights for q0, terminal for qt.
     """
-    xi = np.asarray(xi, dtype=complex).reshape(problem.dim)
     if np.linalg.norm(xi) == 0:
         raise ShapeError("xi must be nonzero")
-
-    col = xi[:, None]
-    x_col = _mm(_time_major(x_path), _const(col))
-    u_col = _mm(_time_major(u_path), _const(col))
-    running = (
-        _pair(x_col, problem.Q, x_col).real
-        + _pair(u_col, problem.R, u_col).real
-        + 2.0 * _linear(x_col, problem.m, col).real
-        + 2.0 * _linear(u_col, problem.eta, col).real
-    )
-    quad, lin = _edge_terms(problem, x_col, x_col, col)
-    costs = _trapezoid(running, dt) + quad.real
-    costs = costs + 2.0 * lin.real
+    col, cols = _columns(problem, xi, x_path, u_path)
+    costs = _cost_form(problem, cols, cols, col, dt, 2.0).real
     return float(np.mean(costs)), standard_error(costs), costs
 
 
@@ -840,15 +844,18 @@ def verify_feedback_optimality(problem, xi, path, perturbations, n_max, tol):
         r_values = solve_r(problem, pi_values, chunk)
         x_opt, u_opt = closed_loop_state(problem, pi_values, r_values, chunk)
         _, _, base_costs = cost_tilde(problem, u_opt, xi, x_opt, chunk.dt)
-        del u_opt  # only x_opt enters the K identity; free it for the loop below
         base_chunks.append(base_costs)
+        # copies, so the full stacks are freed for the loop below
+        opt_k = x_opt[:_K_IDENTITY_PATHS].copy(), u_opt[:_K_IDENTITY_PATHS].copy()
+        del x_opt, u_opt
         for law, diffs in zip(perturbations, diff_chunks):
             x_pert, u_pert = closed_loop_state(problem, pi_values, r_values, chunk, law=law)
             _, _, pert_costs = cost_tilde(problem, u_pert, xi, x_pert, chunk.dt)
             diffs.append(pert_costs - base_costs)
             if start == 0:
                 k_defects.append(_k_identity_defect(
-                    problem, xi, pi_values, r_values, x_opt, x_pert, u_pert, chunk.dt))
+                    problem, xi, *opt_k, x_pert[:_K_IDENTITY_PATHS],
+                    u_pert[:_K_IDENTITY_PATHS], chunk.dt))
 
     comparisons = []
     for law, diffs in zip(perturbations, diff_chunks):
@@ -868,43 +875,25 @@ def verify_feedback_optimality(problem, xi, path, perturbations, n_max, tol):
     }
 
 
-def _k_identity_defect(problem, xi, pi_values, r_values, x_opt, x_pert, u_pert, dt):
+def _k_identity_defect(problem, xi, x_opt, u_opt, x_pert, u_pert, dt):
     """Cross term of the completion-of-squares decomposition.
 
-    With Lambda = -R^{-1}G*Pi and lam = -R^{-1}(G*r + eta*), the proof's
-    cross term
+    The closed loops evaluate the feedback law on their own states, so with
+    Lambda = -R^{-1}G*Pi, lam = -R^{-1}(G*r + eta*) and Xh = X_pert - Y
+    (Y = X_opt), the optimal control is Lambda Y + lam = U_opt and the
+    perturbation's is Lambda Xh + mu = U_pert - U_opt.  The proof's cross
+    term
 
         K = int <xi, [Xh* Q Y + (Lambda Xh + mu)* R (Lambda Y + lam)
                       + Xh* m* + (Lambda Xh + mu)* eta*] xi> dt
             + <xi, [Xh(0)* m0* + Xh(0)* Q0 Y(0)] xi>
 
-    vanishes in the continuum; here it is evaluated by trapezoid quadrature
-    on the first ``_K_IDENTITY_PATHS`` paths and its magnitude is the
-    returned defect (boundary terms mirror for qt).
+    is therefore the polarization B(Xh, Y) + L(Xh) of the cost
+    (``_cost_form``; boundary terms mirror for qt).  It vanishes in the
+    continuum; its largest magnitude over the given paths, by trapezoid
+    quadrature, is the returned defect.
     """
-    xi = np.asarray(xi, dtype=complex).reshape(problem.dim)
-    rinv = _const(np.linalg.inv(problem.R))
-    gs = _const(problem.G.conj().T)
-    pi, r_vals, y, x_p, u_p = (_time_major(arr[:_K_IDENTITY_PATHS])
-                               for arr in (pi_values, r_values, x_opt, x_pert, u_pert))
-    x_hat = x_p - y
-    lam_gain = -_mm(rinv, _mm(gs, pi))
-    lam_aff = -_mm(rinv, _mm(gs, r_vals) + _const(problem.eta.conj().T))
-    mu = u_p - _mm(lam_gain, x_p) - lam_aff
-
-    lam_y = _mm(lam_gain, y) + lam_aff
-    lam_xh_mu = _mm(lam_gain, x_hat) + mu
-
-    col = xi[:, None]
-    xi_col = _const(col)
-    xh_col, y_col = _mm(x_hat, xi_col), _mm(y, xi_col)
-    lxh_col, ly_col = _mm(lam_xh_mu, xi_col), _mm(lam_y, xi_col)
-    integrand = (
-        _pair(xh_col, problem.Q, y_col)
-        + _pair(lxh_col, problem.R, ly_col)
-        + _linear(xh_col, problem.m, col)
-        + _linear(lxh_col, problem.eta, col)
-    )
-    quad, lin = _edge_terms(problem, xh_col, y_col, col)
-    k_val = _trapezoid(integrand, dt) + lin + quad
-    return float(np.max(np.abs(k_val)))
+    col, opt = _columns(problem, xi, x_opt, u_opt)
+    _, pert = _columns(problem, xi, x_pert, u_pert)
+    hat = tuple(p - o for p, o in zip(pert, opt))
+    return float(np.max(np.abs(_cost_form(problem, hat, opt, col, dt, 1.0))))

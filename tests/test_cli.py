@@ -257,6 +257,24 @@ def test_lq_kinds_build_their_problem_from_every_matrix_key(monkeypatch, tmp_pat
     )
 
 
+@pytest.mark.parametrize("given, header", [
+    ({"kind": "flow", "horizon": 0.2, "dt": 1e-3}, "t,re,im"),
+    ({"kind": "lqg", "n_paths": 3, "steps": 20, "write_paths": True}, "path,cost"),
+    ({"kind": "rf-riccati", "n_steps": 50, "dt": 2e-2, "n_paths": 2, "write_traces": True},
+     "t,re_00,re_01,re_10,re_11"),
+], ids=["flow", "lqg", "rf-riccati"])
+def test_every_csv_a_run_writes_is_numeric(tmp_path, given, header):
+    report, _ = run(parse_config(given), out_dir=tmp_path)
+    (csv_path,) = [Path(name) for name in report["outputs"] if name.endswith(".csv")]
+    rows = csv_path.read_text().splitlines()
+    assert rows[0] == header and len(rows) > 1
+    for row in rows[1:]:
+        cells = row.split(",")
+        assert len(cells) == len(header.split(","))
+        for cell in cells:
+            float(cell)  # raises on anything but a plain number
+
+
 def test_lqg_paths_csv_holds_plain_numbers(tmp_path):
     config = parse_config({"kind": "lqg", "n_paths": 3, "steps": 20, "write_paths": True})
     run(config, out_dir=tmp_path)

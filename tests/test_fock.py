@@ -546,6 +546,9 @@ def test_series_export_roundtrip(tmp_path):
     rows = csv_path.read_text().strip().splitlines()
     assert rows[0] == "t,re,im"
     assert len(rows) == 4
+    # plain floats, not numpy scalar reprs such as np.float64(0.5)
+    parsed = [[float(cell) for cell in row.split(",")] for row in rows[1:]]
+    assert parsed == [[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [1.0, -1.0, 0.0]]
     json_path = tmp_path / "series.json"
     series.to_json(json_path)
     import json as _json

@@ -447,8 +447,8 @@ def _adjoint(arr):
 
 def _ref_duhamel(problem, path, gain, half_w):
     """Duhamel sweep one step at a time (see ``_duhamel_sweep``): the Cayley
-    factor by ``np.linalg.solve``, every product by ``np.matmul``; returns
-    the path and the largest pre-symmetrization defect."""
+    factor by ``np.linalg.solve``, every product by ``np.matmul``, nothing
+    symmetrized; returns the path."""
     steps, start = _ref_grid(problem, path, state=False)
     eye = np.eye(problem.dim)
     gq = problem.gain_quad()
@@ -457,16 +457,14 @@ def _ref_duhamel(problem, path, gain, half_w):
     drift_const = problem.F + sign * problem.drift_quadratic(path.sigma)
     out = np.empty(gain.shape, dtype=complex)
     out[:, start] = problem.boundary_gain
-    defect = 0.0
     for j, after, inc in steps:
         mid_gain = 0.5 * (gain[:, inc] + gain[:, inc + 1])
         half = 0.5 * path.dt * _adjoint(np.matmul(-gq, mid_gain) + drift_const)
         mart = eye + path.dm1[:, inc, None, None] * c1 + path.dm2[:, inc, None, None] * c2
         m = np.matmul(np.linalg.solve(eye - half, eye + half), _adjoint(mart))
-        y = np.matmul(np.matmul(m, out[:, j] + half_w[:, j]), _adjoint(m)) + half_w[:, after]
-        defect = max(defect, float(np.max(np.abs(y - _adjoint(y)))))
-        out[:, after] = 0.5 * (y + _adjoint(y))
-    return out, defect
+        out[:, after] = (np.matmul(np.matmul(m, out[:, j] + half_w[:, j]), _adjoint(m))
+                         + half_w[:, after])
+    return out
 
 
 def _ref_picard(problem, path, n_max, tol):
@@ -477,7 +475,7 @@ def _ref_picard(problem, path, n_max, tol):
     sup_diffs, margins = [], []
     for _ in range(2, n_max + 1):
         half_w = 0.5 * path.dt * (problem.Q + np.matmul(np.matmul(current, gq), current))
-        nxt, _ = _ref_duhamel(problem, path, current, half_w)
+        nxt = _ref_duhamel(problem, path, current, half_w)
         diff = current - nxt
         sup_diffs.append(float(np.max(np.linalg.norm(diff, axis=(-2, -1)))))
         margins.append(float(np.min(np.linalg.eigvalsh(0.5 * (diff + _adjoint(diff)))[..., 0])))
@@ -488,21 +486,20 @@ def _ref_picard(problem, path, n_max, tol):
 
 
 @pytest.mark.parametrize("direction", ["q0", "qt"])
-def test_duhamel_sweep_reports_the_largest_symmetrization_defect(direction):
+def test_duhamel_sweep_does_not_symmetrize(direction):
     # an inhomogeneity with an anti-Hermitian part makes every congruence
-    # output non-Hermitian by O(1), so the defect the sweep reduces once
-    # after its loop is held to the per-step reference at 1e-12
+    # output non-Hermitian by O(1); the sweep still equals the reference
+    # that symmetrizes nothing, so no step of it symmetrizes
     problem = replace(stochastic_2x2_problem(), direction=direction)
     path = build_levy_surrogate(PLANAR_BROWNIAN, 20, 5e-2, seed=26, n_paths=3)
     rng = np.random.default_rng(26)
     shape = (3, 21, 2, 2)
     gain = np.broadcast_to(problem.boundary_gain, shape) + 0.1 * rng.normal(size=shape)
     half_w = 0.1 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
-    out, defect = _duhamel_sweep(problem, path, _time_major(gain), _time_major(half_w))
-    want_out, want_defect = _ref_duhamel(problem, path, gain, half_w)
-    assert want_defect > 0.1
-    assert abs(defect - want_defect) <= 1e-12 * want_defect
-    assert _relative_gap(_public(out), want_out) <= 1e-12
+    out = _public(_duhamel_sweep(problem, path, _time_major(gain), _time_major(half_w)))
+    want = _ref_duhamel(problem, path, gain, half_w)
+    assert np.max(np.abs(want - _adjoint(want))) > 0.1
+    assert _relative_gap(out, want) <= 1e-12
 
 
 def _check_against_reference_loops(problem, seed):
@@ -734,6 +731,54 @@ def test_feedback_optimality_qt_branch_full_chain():
     assert report["k_identity_max_defect"] <= 1e-4
 
 
+def _ref_k_identity(problem, xi, pi, r, x_opt, x_pert, u_pert, dt):
+    """The completion-of-squares cross term K per path, rebuilt from Pi and
+    r: Lambda = -R^{-1} G* Pi, lam = -R^{-1} (G* r + eta*), Xh = X_pert -
+    X_opt and mu = U_pert - Lambda X_pert - lam (see
+    ``rf._k_identity_defect``), trapezoid in time."""
+    rinv = np.linalg.inv(problem.R)
+    lam_gain = -np.matmul(rinv @ problem.G.conj().T, pi)
+    lam_aff = -np.matmul(rinv, np.matmul(problem.G.conj().T, r) + problem.eta.conj().T)
+    x_hat = x_pert - x_opt
+    mu = u_pert - np.matmul(lam_gain, x_pert) - lam_aff
+    lam_y = np.matmul(lam_gain, x_opt) + lam_aff
+    lam_xh_mu = np.matmul(lam_gain, x_hat) + mu
+    xi = np.asarray(xi, dtype=complex)
+
+    def pair(a, weight, b):
+        return np.einsum("pti,ij,ptj->pt", (a @ xi).conj(), weight, b @ xi)
+
+    def linear(a, weight):
+        return (a @ xi).conj() @ (weight.conj().T @ xi)
+
+    integrand = (pair(x_hat, problem.Q, x_opt) + pair(lam_xh_mu, problem.R, lam_y)
+                 + linear(x_hat, problem.m) + linear(lam_xh_mu, problem.eta))
+    weights = np.full(integrand.shape[1], dt)
+    weights[[0, -1]] *= 0.5
+    edge = 0 if problem.direction == "q0" else -1
+    return (integrand @ weights + pair(x_hat, problem.boundary_gain, x_opt)[:, edge]
+            + linear(x_hat, problem.boundary_linear)[:, edge])
+
+
+@pytest.mark.parametrize("direction", ["q0", "qt"])
+def test_k_identity_is_the_cost_polarization(direction):
+    # the controls the closed loops return carry Lambda, lam and mu, so the
+    # polarization of the cost equals the cross term rebuilt from Pi and r
+    from qscontrol import rf
+
+    problem, xi = replace(stochastic_2x2_problem(), direction=direction), np.array([0.8, 0.6])
+    path = build_levy_surrogate(PLANAR_BROWNIAN, 50, 2e-2, seed=27, n_paths=3)
+    pi_values = iterate_riccati(problem, path, n_max=40, tol=1e-8).final
+    r_values = solve_r(problem, pi_values, path)
+    x_opt, u_opt = closed_loop_state(problem, pi_values, r_values, path)
+    for law in [("scale", 0.7), ("scale", 1.3), ("offset", np.fliplr(0.1 * np.eye(2)))]:
+        x_p, u_p = closed_loop_state(problem, pi_values, r_values, path, law=law)
+        want = np.max(np.abs(_ref_k_identity(problem, xi, pi_values, r_values, x_opt, x_p,
+                                             u_p, path.dt)))
+        got = rf._k_identity_defect(problem, xi, x_opt, u_opt, x_p, u_p, path.dt)
+        assert abs(got - want) <= 1e-12 * want, law
+
+
 def test_feedback_optimality_pools_chunks(monkeypatch):
     # chunks of 4, 4 and 2 paths, each with its own Picard iteration (at
     # this seed and tol the last stops after 5 iterates, all 10 paths after
@@ -756,8 +801,9 @@ def test_feedback_optimality_pools_chunks(monkeypatch):
         for law_costs, (x_path, u_path) in zip(costs, runs):
             law_costs.append(cost_tilde(problem, u_path, xi, x_path, path.dt)[2])
         if paths.start == 0:  # the K identity reads the first 3 paths
-            k_defects = [rf._k_identity_defect(problem, xi, pi_values[:3], r_values[:3],
-                                               runs[0][0][:3], x_p[:3], u_p[:3], path.dt)
+            x_opt, u_opt = runs[0]
+            k_defects = [rf._k_identity_defect(problem, xi, x_opt[:3], u_opt[:3],
+                                               x_p[:3], u_p[:3], path.dt)
                          for x_p, u_p in runs[1:]]
     base = np.concatenate(costs[0])
     assert report["base_cost_mean"] == float(np.mean(base))
@@ -845,9 +891,14 @@ def test_picard_iterates_stay_psd_and_hermitian(dim, seed, direction):
     problem = random_problem(dim, seed, direction)
     path = build_levy_surrogate(PLANAR_BROWNIAN, 40, 2.5e-2, seed=seed, n_paths=2)
     for n_max in (2, 3, 4):  # the second, third and fourth iterates
-        final = iterate_riccati(problem, path, n_max=n_max, tol=0.0).final
-        # each step stores (Y + Y*)/2, which is Hermitian bit for bit
-        assert np.array_equal(final, final.conj().swapaxes(-1, -2))
+        result = iterate_riccati(problem, path, n_max=n_max, tol=0.0)
+        final = result.final
+        # nothing symmetrizes: the residual is the measured defect of the
+        # returned iterate, a rounding error that grows with the step count
+        # (worst 0.08 of this bound over 10 800 cases drawn like these)
+        assert result.herm_residual == np.max(np.abs(final - _adjoint(final)))
+        bound = 4.0 * np.finfo(float).eps * np.max(np.abs(final)) * path.n_steps
+        assert result.herm_residual <= bound
         # congruences of PSD matrices plus PSD increments: PSD to rounding
         assert np.min(min_eig_batch(final)) >= -1e-12 * np.max(np.abs(final))
 
