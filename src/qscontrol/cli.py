@@ -490,8 +490,8 @@ def _run_hp_control(config, outputs, out_dir):
 
 
 def _run_swn_control(config, outputs, out_dir):
-    from .fock import TruncationConfig, swn_simulate
-    from .ito.module_ops import ModuleOperator, inner, r_map
+    from .fock import TruncationConfig, swn_generator, swn_simulate
+    from .ito.module_ops import ModuleOperator, inner
     from .qcontrol import check_swn_riccati_system, derive_flow_swn
 
     dim = 2
@@ -504,10 +504,9 @@ def _run_swn_control(config, outputs, out_dir):
     h_mat = np.diag([0.2, 0.9]).astype(complex)
     x_mat = np.diag([1.0, 0.7]).astype(complex)
 
-    dm_star = d_minus.adjoint()
-    phi_op = -1.0 * r_map(w_op, dm_star)
-    z_op = w_op - ModuleOperator.identity_cons(dim)
-    r1, r2, r3 = check_swn_riccati_system(pi_mat, 1j * h_mat, d_minus, phi_op, z_op, x_mat)
+    evolution = swn_generator(h_mat, d_minus, w_op)
+    r1, r2, r3 = check_swn_riccati_system(pi_mat, 1j * h_mat, evolution.slot("ann"),
+                                          evolution.slot("cre"), evolution.slot("cons"), x_mat)
     checks = [_check("annihilation-slot cancellation", r2, 1e-9),
               _check("conservation-slot cancellation", r3, 1e-9)]
 

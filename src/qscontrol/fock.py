@@ -1,5 +1,14 @@
 """Truncated-Fock numerics for first-order and SWN quantum noise.
 
+Every evolution is read in one format, its generator: a ``ModuleOperator``
+G with dU = G U on the labels dt, dA_m, dA+_m and dL(n, k, l).  A
+first-order evolution is the multiplicity K = 1 case:
+``HpEvolutionSpec.generator`` and ``GenericQsdeSpec.generator`` fill dt,
+dA_0, dA+_0 and dL(0,0,0).  ``swn_generator`` is the one builder of the
+SWN evolution (-(Dm*|Dm*)/2 + iH) dt + dA(D-) + dA+(-r(W) Dm*) + dL(W - I),
+for both SWN routes here and for ``qcontrol``; ``_admitted_images`` is the
+one check of a generator at K.
+
 Two computational routes coexist on purpose:
 
 * the production route reduces exponential-vector matrix elements of a
@@ -17,14 +26,15 @@ Two computational routes coexist on purpose:
   the final state, not ``steps`` times it, and the budgets still bound
   the final full-space size.
 
-Each route is written once and shared by both calculi.  The Euler-Ito
-one-step operator (``_euler_ito_step``) drives the tensor oracle and the
-unitarity defect; the matrix-element reduction (``_matrix_element_series``)
-serves the first-order and the SWN evolutions; and vacuum expectations of
-Heisenberg flows close on the system space as the master equation
-rho' = D rho + rho D* + sum_J J rho J* (``_master_generator``), which
-``flow_expectation``, ``swn_simulate`` and the quadratic costs of
-``qcontrol`` integrate.
+Each route is written once and reads only the generator.  The Euler-Ito
+one-step operator (``_euler_ito_step``) reads the four K = 1 slots and
+drives the tensor oracle and the unitarity defect; one matrix-element
+kernel (``_matrix_element_series``) serves both calculi at any K, the
+conservation slot entering through its rho+_K images; and vacuum
+expectations of Heisenberg flows close on the system space as the master
+equation rho' = D rho + rho D* + sum_J J rho J*, D the dt slot and J the
+creation slot (``_master_generator``), which ``flow_expectation``,
+``swn_simulate`` and the quadratic costs of ``qcontrol`` integrate.
 
 Every ODE here is linear with a generator that is constant on each run of
 equal steps: the matrix-element reduction between the breakpoints of the
@@ -48,8 +58,8 @@ import numpy as np
 
 from .errors import IndexEscapeError, ResourceLimitError, ShapeError
 from .ito import SymbolicDifferential, hp_mul
-from .ito.labels import HpLabel
-from .ito.module_ops import inner, r_map, require_slot
+from .ito.labels import HpLabel, SwnLabel
+from .ito.module_ops import ModuleOperator, inner, r_map, require_slot
 from .ito.sl2 import rho_plus_matrix, theta
 from .linalg import as_matrix, is_hermitian, is_unitary, rk4_linear
 
@@ -144,6 +154,8 @@ class PiecewiseConstant:
             raise ShapeError("need one value per segment (breaks are right edges)")
         if any(b2 <= b1 for b1, b2 in zip(self.breaks, self.breaks[1:])):
             raise ShapeError("breakpoints must increase")
+        if any(val.shape != self.values[0].shape for val in self.values):
+            raise ShapeError("every segment must take values of one shape")
 
     @classmethod
     def zero(cls, horizon, modes=1):
@@ -199,15 +211,13 @@ class HpEvolutionSpec:
     def dim(self):
         return self.H.shape[0]
 
-    def qsde_coefficients(self):
-        """(E, F, G, H0) = (dL, dA, dA+, dt) coefficients of dU = (...)U."""
-        eye = np.eye(self.dim)
-        drift = -(1j * self.H + 0.5 * self.L.conj().T @ self.L)
-        return (
-            self.W - eye,
+    def generator(self):
+        """dU = G U: -(iH + L*L/2) dt - L*W dA_0 + L dA+_0 + (W - 1) dL(0,0,0)."""
+        return _first_order_generator(
+            -(1j * self.H + 0.5 * self.L.conj().T @ self.L),
             -self.L.conj().T @ self.W,
-            self.L.copy(),
-            drift,
+            self.L,
+            self.W - np.eye(self.dim),
         )
 
 
@@ -238,15 +248,18 @@ class GenericQsdeSpec:
     def dim(self):
         return self.F.shape[0]
 
-    def qsde_coefficients(self):
+    def generator(self):
+        """dU = G U: (F - Pi) dt + Psi dA_0 + Phi dA+_0 + Z dL(0,0,0)."""
         drift = self.F if self.feedback is None else self.F - self.feedback
-        return self.Z.copy(), self.Psi.copy(), self.Phi.copy(), drift
+        return _first_order_generator(drift, self.Psi, self.Phi, self.Z)
 
 
-def _coefficients(spec):
-    if isinstance(spec, (HpEvolutionSpec, GenericQsdeSpec)):
-        return spec.qsde_coefficients()
-    raise TypeError(f"unsupported spec type {type(spec)!r}")
+_FIRST_ORDER_LABELS = (SwnLabel.time(), SwnLabel.ann(0), SwnLabel.cre(0), SwnLabel.cons(0, 0, 0))
+
+
+def _first_order_generator(*slots):
+    """The K = 1 generator with these dt, dA_0, dA+_0 and dL(0,0,0) slots."""
+    return ModuleOperator(dict(zip(_FIRST_ORDER_LABELS, slots)))
 
 
 # ------------------------------------------------------------- time grid
@@ -276,38 +289,61 @@ def matrix_element_evolution(spec, f, g, u, v, horizon, dt=1e-3):
     """<u (x) psi(f), U_t v (x) psi(g)> on a time grid.
 
     f, g are ``PiecewiseConstant`` scalar test functions (None = vacuum).
-    The reduction: the matrix element equals <u, V_t v> with
+    This is the K = 1 call of the matrix-element kernel on
+    ``spec.generator()``: with (Z, Psi, Phi, D) the (dL, dA, dA+, dt)
+    slots the matrix element equals <u, V_t v> with
 
-        V' = (conj(f) g E + g F + conj(f) G + H0) V,
+        V' = (conj(f) g Z + g Psi + conj(f) Phi + D) V,
         V_0 = exp(<f, g>) * identity,
 
     integrated as the RK4 step map of each segment between the
     breakpoints of f and g (fourth order across the breakpoints).
     """
-    e_mat, f_mat, g_mat, h_mat = _coefficients(spec)
-    f = f if f is not None else PiecewiseConstant.zero(horizon)
-    g = g if g is not None else PiecewiseConstant.zero(horizon)
+    return _matrix_element_series(spec.generator(), 1, f, g, u, v, horizon, dt)
+
+
+def _matrix_element_series(op, K, f, g, u, v, horizon, dt):
+    """<u (x) psi(f), U_t v (x) psi(g)> for dU = op U at multiplicity K.
+
+    f, g are C^K-valued ``PiecewiseConstant`` test functions (None =
+    vacuum).  The matrix element is <u, V_t v> for
+
+        V' = ( T + sum_m g_m A_m + sum_n conj(f_n) C_n
+               + sum_labels <f, rho+_K(label) g> Z_label ) V,
+        V_0 = exp(<f, g>) id,
+
+    with T, A_m, C_n and Z_label the dt, dA_m, dA+_n and dL(label)
+    coefficients of ``op``; rho+_K(0,0,0) is the identity, so the -I of a
+    conservation slot W - I carries the -<f, g> term.  The grid is aligned
+    with the segment breakpoints of f and g, and each segment is one run
+    of ``rk4_linear`` with its own generator, evaluated at the segment's
+    midpoint: the segments are right-open, so a stage at the breakpoint
+    would see the next segment's generator and cost the fourth order.
+    """
+    f = f if f is not None else PiecewiseConstant.zero(horizon, K)
+    g = g if g is not None else PiecewiseConstant.zero(horizon, K)
+    for name, func in (("f", f), ("g", g)):
+        if any(val.shape != (K,) for val in func.values):
+            raise ShapeError(f"{name} must take values in C^{K}")
+    images = _admitted_images(op, K)
+    u = np.asarray(u, dtype=complex).reshape(op.dim)
+    v = np.asarray(v, dtype=complex).reshape(op.dim)
 
     def gen(t):
-        fv = complex(f.value(t)[0].conjugate())
-        gv = complex(g.value(t)[0])
-        return fv * gv * e_mat + gv * f_mat + fv * g_mat + h_mat
+        conj_f, g_val = f.value(t).conj(), g.value(t)
+        total = np.zeros((op.dim, op.dim), dtype=complex)
+        for key, mat in op.terms.items():
+            if key.kind == "time":
+                weight = 1.0
+            elif key.kind == "ann":
+                weight = g_val[key.idx[0]]
+            elif key.kind == "cre":
+                weight = conj_f[key.idx[0]]
+            else:
+                weight = conj_f @ images[key.idx] @ g_val
+            total += complex(weight) * mat
+        return total
 
-    return _matrix_element_series(gen, e_mat.shape[0], f, g, u, v, horizon, dt)
-
-
-def _matrix_element_series(gen, dim, f, g, u, v, horizon, dt):
-    """<u, V_t v> for V' = gen(t) V, V_0 = exp(<f, g>) id on C^dim.
-
-    x_t = V_t v solves x' = gen(t) x from exp(<f, g>) v.  The grid is
-    aligned with the segment breakpoints of f and g, and each segment is
-    one run of ``rk4_linear`` with its own generator, evaluated at the
-    segment's midpoint: the segments are right-open, so a stage at the
-    breakpoint would see the next segment's generator and cost the
-    fourth order.
-    """
-    u = np.asarray(u, dtype=complex).reshape(dim)
-    v = np.asarray(v, dtype=complex).reshape(dim)
     grid, runs = _grid_with_breaks(
         horizon, dt, f.segment_edges(horizon) + g.segment_edges(horizon)
     )
@@ -322,20 +358,19 @@ def _matrix_element_series(gen, dim, f, g, u, v, horizon, dt):
 def _euler_ito_step(spec, d, dt):
     """Euler-Ito one-step operator on system (x) one fresh d-level mode,
 
-        1 + dt H0 + sqrt(dt) (F a + G a+) + E a+ a,
+        1 + dt D + sqrt(dt) (Psi a + Phi a+) + Z a+ a,
 
-    with (E, F, G, H0) the (dL, dA, dA+, dt) coefficients of ``spec``."""
-    e_mat, f_mat, g_mat, h_mat = _coefficients(spec)
-    dim = e_mat.shape[0]
+    with (D, Psi, Phi, Z) the (dt, dA_0, dA+_0, dL(0,0,0)) slots of the
+    K = 1 generator of ``spec``: each slot's label becomes its increment
+    on the fresh mode."""
+    op = spec.generator()
     a_op = np.diag(np.sqrt(np.arange(1, d, dtype=float)), 1)
-    adag_op = a_op.conj().T
-    return (
-        np.kron(np.eye(dim), np.eye(d))
-        + dt * np.kron(h_mat, np.eye(d))
-        + math.sqrt(dt) * np.kron(f_mat, a_op)
-        + math.sqrt(dt) * np.kron(g_mat, adag_op)
-        + np.kron(e_mat, adag_op @ a_op)
-    )
+    increments = dict(zip(_FIRST_ORDER_LABELS, (
+        dt * np.eye(d), math.sqrt(dt) * a_op, math.sqrt(dt) * a_op.T, a_op.T @ a_op)))
+    step_op = np.kron(np.eye(op.dim), np.eye(d))
+    for label, mat in op.terms.items():
+        step_op = step_op + np.kron(mat, increments[label])
+    return step_op
 
 
 def step_tensor_evolution(spec, config, *, u=None, v=None, observable=None):
@@ -518,9 +553,12 @@ def characteristic_functional(kind, s, lam, t, dt=1e-4):
 # ------------------------------------------------------- Heisenberg flows
 
 
-def _master_generator(drift, jumps):
-    """Vacuum master equation rho -> D rho + rho D* + sum_J J rho J*."""
+def _master_generator(op):
+    """Vacuum master equation rho -> D rho + rho D* + sum_J J rho J* of
+    dU = op U: D is the dt slot and the jumps J the creation slot."""
+    drift = op.time
     drift_star = drift.conj().T
+    jumps = list(op.slot("cre").terms.values())
 
     def gen(rho):
         out = drift @ rho + rho @ drift_star
@@ -531,11 +569,15 @@ def _master_generator(drift, jumps):
     return gen
 
 
-def _master_expectation(drift, jumps, x_mat, state, horizon, dt):
-    """t -> tr(rho_t X) along the master equation from the pure state."""
-    state = np.asarray(state, dtype=complex).reshape(x_mat.shape[0])
+def _master_expectation(op, observable, state, horizon, dt):
+    """t -> tr(rho_t X) along the master equation of ``op`` from the pure
+    state, for a Hermitian observable X."""
+    x_mat = as_matrix(observable, op.dim)
+    if not is_hermitian(x_mat):
+        raise ShapeError("observable must be Hermitian")
+    state = np.asarray(state, dtype=complex).reshape(op.dim)
     rho0 = np.outer(state, state.conj())
-    gen = _master_generator(drift, jumps)
+    gen = _master_generator(op)
     grid, runs = _grid_with_breaks(horizon, dt)
     states = rk4_linear(lambda _t, rho: gen(rho), rho0, runs)
     values = np.einsum("kij,ji->k", states, x_mat)
@@ -549,122 +591,87 @@ def flow_expectation(spec, observable, state, horizon, dt=1e-3):
     jump L for the conditional state and returns t -> tr(rho_t X) with
     rho_0 the pure system state.
     """
-    x_mat = as_matrix(observable, spec.dim)
-    if not is_hermitian(x_mat):
-        raise ShapeError("observable must be Hermitian")
-    _, _, jump, drift = spec.qsde_coefficients()
-    return _master_expectation(drift, [jump], x_mat, state, horizon, dt)
+    return _master_expectation(spec.generator(), observable, state, horizon, dt)
 
 
 # -------------------------------------------------------------- SWN route
 
 
-def _rho_plus_window(label, K):
-    """K x K rho+ image; rejects labels whose action escapes the window."""
-    n, k, l = label
-    for m in range(K):
-        if theta(n, k, l, m) != 0.0 and n + m - l >= K:
+def _admitted_images(op, K):
+    """K x K rho+ images of the conservation labels of the generator
+    ``op``, after admitting it at multiplicity truncation K: rejects
+    conservation labels whose action raises a mode of the K-window out of
+    it (clipping would corrupt the table), then mode indices >= K.  A
+    first-order generator passes by construction.  This is the whole
+    multiplicity rule of both SWN routes."""
+    images = {}
+    for n, k, l in op.cons_terms():
+        for m in range(K):
+            if theta(n, k, l, m) != 0.0 and n + m - l >= K:
+                raise IndexEscapeError(
+                    f"conservation label {(n, k, l)} raises mode {m} to {n + m - l}, "
+                    f"outside multiplicity truncation K={K}",
+                    needed=n + m - l + 1,
+                    limit=K,
+                )
+        images[n, k, l] = rho_plus_matrix(n, k, l, K)
+    for key in op.terms:
+        if key.kind in ("ann", "cre") and key.idx[0] >= K:
             raise IndexEscapeError(
-                f"conservation label {label} raises mode {m} to {n + m - l}, "
-                f"outside multiplicity truncation K={K}",
-                needed=n + m - l + 1,
+                f"{key} has a mode index outside multiplicity truncation K={K}",
+                needed=key.idx[0] + 1,
                 limit=K,
             )
-    return rho_plus_matrix(n, k, l, K)
+    return images
 
 
-def _swn_checked_coefficients(h_mat, d_minus, w_op, k_modes):
-    """(F0, Phi, rho+ images of the conservation labels) at multiplicity
-    truncation K: the drift F0 = -(Dm*|Dm*)/2 + iH and the creation-slot
-    coefficient Phi = -r(W) Dm* of the SWN evolution, after rejecting a
-    non-Hermitian H, a D- with other than annihilation labels, a W with
-    other than conservation labels, mode indices of D- or Phi >= K, and
-    conservation labels whose action escapes the K-window (clipping would
-    corrupt the table).  This is the whole admission rule of both SWN
-    routes."""
+def swn_generator(h_mat, d_minus, w_op):
+    """The SWN evolution dU = G U with
+
+        G = (-(Dm*|Dm*)/2 + iH) dt + dA(D-) + dA+(-r(W) Dm*) + dL(W - I),
+
+    after rejecting a non-Hermitian H, a D- with other than annihilation
+    labels and a W with other than conservation labels."""
     require_slot(d_minus, "ann", "d_minus")
     require_slot(w_op, "cons", "w_op")
-    h_mat = as_matrix(h_mat, d_minus.dim, name="H")
+    dim = d_minus.dim
+    h_mat = as_matrix(h_mat, dim, name="H")
     if not is_hermitian(h_mat):
         raise ShapeError("H must be Hermitian")
-    if d_minus.max_index() >= k_modes:
-        raise IndexEscapeError(
-            f"annihilation coefficient indices exceed K={k_modes}",
-            needed=d_minus.max_index() + 1, limit=k_modes,
-        )
-    images = {label: _rho_plus_window(label, k_modes) for label in w_op.cons_terms()}
     dm_star = d_minus.adjoint()
-    f0 = -0.5 * inner(dm_star, dm_star) + 1j * h_mat
-    phi = -1.0 * r_map(w_op, dm_star)
-    if phi.max_index() >= k_modes:
-        raise IndexEscapeError(
-            f"creation coefficient escapes K={k_modes}",
-            needed=phi.max_index() + 1, limit=k_modes,
-        )
-    return f0, phi, images
+    return (
+        ModuleOperator.from_time(-0.5 * inner(dm_star, dm_star) + 1j * h_mat)
+        + d_minus
+        - r_map(w_op, dm_star)
+        + (w_op - ModuleOperator.identity_cons(dim))
+    )
 
 
 def swn_matrix_element_evolution(h_mat, d_minus, w_op, u, v, config, f=None, g=None):
     """<u (x) psi(f), U_t v (x) psi(g)> for the SWN evolution, K modes.
 
-    The SWN unitary maps to a multiplicity-K first-order evolution: the
-    conservation coefficient W - I acts through the K-truncated rho+
-    images, the annihilation slot carries D-, the creation slot
-    -r(W) Dm*.  For piecewise-constant C^K-valued test functions f, g the
-    matrix element reduces to the system ODE
-
-        V' = ( sum_labels <f, rho+_K(label) g> (W - I)_label
-               + sum_m g_m D_{-,m} + sum_n conj(f_n) Phi_n + F0 ) V,
-        V(0) = exp(<f, g>) id,
-
-    with F0 = -(Dm*|Dm*)/2 + iH and Phi = -r(W) Dm*.  Conservation labels
-    whose action escapes the K-window reject (clipping would corrupt the
-    table).
+    The matrix-element kernel on ``swn_generator`` at K =
+    ``config.swn_modes``: the SWN unitary acts as a multiplicity-K
+    first-order evolution whose conservation slot W - I enters through
+    the K-truncated rho+ images, for piecewise-constant C^K-valued test
+    functions f, g.  Conservation labels whose action escapes the
+    K-window reject (clipping would corrupt the table).
     """
-    k_modes = config.swn_modes
-    dim = d_minus.dim
-    horizon = config.horizon
-    f = f if f is not None else PiecewiseConstant.zero(horizon, k_modes)
-    g = g if g is not None else PiecewiseConstant.zero(horizon, k_modes)
-    for name, func in (("f", f), ("g", g)):
-        if func.values[0].shape != (k_modes,):
-            raise ShapeError(f"{name} must take values in C^{k_modes}")
-    f0, phi, cons_images = _swn_checked_coefficients(h_mat, d_minus, w_op, k_modes)
-    cons = w_op.cons_terms()
-    modes_minus = d_minus.mode_terms()
-    modes_phi = phi.mode_terms()
-
-    def gen(t):
-        f_val = f.value(t)
-        g_val = g.value(t)
-        total = f0.copy()
-        for label, sys_mat in cons.items():
-            image = cons_images[label]
-            weight = complex(f_val.conj() @ image @ g_val)
-            total = total + weight * sys_mat
-        # the conservation slot carries W - I; the -I part contracts to
-        # <f, g> times the system identity
-        total = total - complex(f_val.conj() @ g_val) * np.eye(dim)
-        for m, mat in modes_minus.items():
-            total = total + complex(g_val[m]) * mat
-        for n, mat in modes_phi.items():
-            total = total + complex(f_val[n].conjugate()) * mat
-        return total
-
-    return _matrix_element_series(gen, dim, f, g, u, v, horizon, config.dt)
+    return _matrix_element_series(
+        swn_generator(h_mat, d_minus, w_op), config.swn_modes, f, g, u, v,
+        config.horizon, config.dt,
+    )
 
 
 def swn_simulate(h_mat, d_minus, w_op, observable, state, config):
     """Vacuum expectation of the SWN Heisenberg flow of ``observable``.
 
-    Maps the SWN evolution to a multiplicity-K first-order evolution
-    (conservation coefficients through their rho+ images, mode vectors as
-    K-mode annihilators/creators) and integrates the induced master
-    equation rho' = F0 rho + rho F0* + sum_n Phi_n rho Phi_n*.  It admits
-    exactly the coefficients the matrix-element route admits.
+    Integrates the master equation of ``swn_generator``,
+    rho' = F0 rho + rho F0* + sum_n Phi_n rho Phi_n* with F0 its dt slot
+    and Phi its creation slot -r(W) Dm*.  It admits exactly the
+    coefficients the SWN matrix-element route admits and the observables
+    ``flow_expectation`` admits.
     """
-    f0, phi, _ = _swn_checked_coefficients(h_mat, d_minus, w_op, config.swn_modes)
-    x_mat = as_matrix(observable, d_minus.dim)
-    return _master_expectation(
-        f0, list(phi.mode_terms().values()), x_mat, state, config.horizon, config.dt
-    )
+    op = swn_generator(h_mat, d_minus, w_op)
+    _admitted_images(op, config.swn_modes)
+    return _master_expectation(op, observable, state, config.horizon, config.dt)

@@ -91,9 +91,11 @@ class ModuleOperator:
         """The dt coefficient (a zero matrix when there is none)."""
         return self.terms.get(SwnLabel.time(), np.zeros((self.dim, self.dim), dtype=complex))
 
-    def mode_terms(self):
-        """{m: matrix} over the dA_m and dA+_m labels."""
-        return {key.idx[0]: mat for key, mat in self.terms.items() if key.kind in ("ann", "cre")}
+    def slot(self, kind):
+        """The terms whose labels have kind ``kind``, as an operator."""
+        return ModuleOperator(
+            {key: mat for key, mat in self.terms.items() if key.kind == kind}, dim=self.dim
+        )
 
     def cons_terms(self):
         return {key.idx: mat for key, mat in self.terms.items() if key.kind == "cons"}

@@ -33,7 +33,7 @@ import numpy as np
 from scipy import optimize
 
 from .errors import ShapeError
-from .fock import GenericQsdeSpec, HpEvolutionSpec, _master_generator
+from .fock import GenericQsdeSpec, HpEvolutionSpec, _master_generator, swn_generator
 from .freealg import FreePoly
 from .ito.differential import SymbolicDifferential
 from .ito.hp import hp_mul
@@ -225,17 +225,17 @@ def reduced_riccati_obstruction(h_mat, x_mat):
 # ------------------------------------------------------------------ costs
 
 
-def _density_cost(drift, jumps, xi, horizon, weight_fn, terminal_fn):
-    """Integrate the vacuum master equation rho' = drift rho + rho drift*
-    + sum J rho J* together with the running cost dJ = weight_fn(rho) dt.
+def _density_cost(op, xi, horizon, weight_fn, terminal_fn):
+    """Integrate the vacuum master equation of dU = op U together with the
+    running cost dJ = weight_fn(rho) dt.
 
     Both are one linear ODE with a constant generator on the stacked state
     (rho; J), run as the RK4 step map of ``rk4_linear`` over
     max(50, round(horizon / 0.01)) equal steps; ``weight_fn`` must map a
     stack of densities (leading axis) to a stack of values.
     """
-    dim = drift.shape[0]
-    gen = _master_generator(drift, jumps)
+    dim = op.dim
+    gen = _master_generator(op)
     y0 = np.zeros((dim + 1, dim), dtype=complex)
     y0[:dim] = np.outer(xi, xi.conj())
 
@@ -264,13 +264,11 @@ def cost_Q(spec, x_mat, xi, horizon):
         raise TypeError("expected a GenericQsdeSpec")
     x_mat = as_matrix(x_mat, spec.dim)
     pi_mat = spec.feedback if spec.feedback is not None else np.zeros((spec.dim, spec.dim))
-    _, _, phi_mat, drift = spec.qsde_coefficients()
     xi = np.asarray(xi, dtype=complex).reshape(spec.dim)
     x_sq = x_mat @ x_mat
     pi_sq = pi_mat @ pi_mat
     return _density_cost(
-        drift,
-        [phi_mat],
+        spec.generator(),
         xi,
         horizon,
         weight_fn=lambda rho: np.trace(rho @ (x_sq + pi_sq), axis1=-2, axis2=-1),
@@ -292,10 +290,8 @@ def cost_J_hp(problem, l_mat, w_mat):
     ll = l_mat.conj().T @ l_mat
     x_sq = problem.X @ problem.X
     ll_sq = ll @ ll
-    _, _, phi_mat, drift = spec.qsde_coefficients()
     return _density_cost(
-        drift,
-        [phi_mat],
+        spec.generator(),
         problem.xi,
         problem.horizon,
         weight_fn=lambda rho: np.trace(rho @ (x_sq + 0.25 * ll_sq), axis1=-2, axis2=-1),
@@ -408,7 +404,7 @@ def derive_flow_hp(x=None, l=None, w=None):
 def derive_flow_swn(h_mat, d_minus, w_op, x_mat):
     """Expand the SWN flow differential and compare both printed forms.
 
-    The evolution pair is
+    The evolution pair is ``fock.swn_generator``'s
 
         dU  = ((-(Dm*|Dm*)/2 + iH) dt + dA(Dm) + dA+(-r(W)Dm*) + dL(W - I)) U
         dU* = U* ((-(Dm*|Dm*)/2 - iH) dt + dA+(Dm*) + dA(-l(W*)Dm) + dL(W* - I))
@@ -424,25 +420,16 @@ def derive_flow_swn(h_mat, d_minus, w_op, x_mat):
     antihomomorphism, which the associativity of the table guarantees;
     the report records each comparison separately.  The time slot carries
     i[X,H] (note the orientation: the SWN evolution has +iH drift where
-    the first-order one has -iH).
+    the first-order one has -iH).  The builder rejects a non-Hermitian H.
     """
-    require_slot(d_minus, "ann", "d_minus")
-    require_slot(w_op, "cons", "w_op")
-    dim = d_minus.dim
-    h_mat = as_matrix(h_mat, dim, name="H")
-    x_mat = as_matrix(x_mat, dim, name="X")
+    right = swn_generator(h_mat, d_minus, w_op)
+    left = right.adjoint()
+    h_mat = as_matrix(h_mat)
+    x_mat = as_matrix(x_mat, right.dim, name="X")
     dm_star = d_minus.adjoint()
     w_star = w_op.adjoint()
     quad = inner(dm_star, dm_star)
     r_w_dm = r_map(w_op, dm_star)
-
-    right = (
-        ModuleOperator.from_time(-0.5 * quad + 1j * h_mat)
-        + d_minus
-        - r_w_dm
-        + (w_op - ModuleOperator.identity_cons(dim))
-    )
-    left = right.adjoint()
 
     computed = left.right_mul(x_mat) + right.left_mul(x_mat) + module_ito_mul(
         left.right_mul(x_mat), right

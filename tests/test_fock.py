@@ -20,19 +20,29 @@ from qscontrol.fock import (
     matrix_element_evolution,
     step_tensor_evolution,
     swn_matrix_element_evolution,
+    swn_generator,
     swn_simulate,
     unitarity_defect,
     weyl_increment,
     weyl_series,
 )
 from qscontrol.ito import ModuleOperator
-from qscontrol.ito.labels import HpLabel
+from qscontrol.ito.labels import HpLabel, SwnLabel
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SMINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # maps e=(1,0) to g=(0,1)
 EXCITED = np.array([1.0, 0.0], dtype=complex)
 W_DENSE = np.array([[0.6, 0.8j], [0.8j, 0.6]])  # unitary, W != I
+
+
+def _first_order_slots(spec):
+    """(E, F, G, H0): the dL(0,0,0), dA_0, dA+_0 and dt slots of the K = 1
+    generator of ``spec``."""
+    op = spec.generator()
+    zero = np.zeros((spec.dim, spec.dim), dtype=complex)
+    return tuple(op.terms.get(label, zero) for label in (
+        SwnLabel.cons(0, 0, 0), SwnLabel.ann(0), SwnLabel.cre(0), SwnLabel.time()))
 
 
 # ------------------------------------------------- matrix element evolution
@@ -88,7 +98,7 @@ def test_matrix_element_is_fourth_order_across_breakpoints():
     g = PiecewiseConstant([0.61, 1.0], [0.6 + 0.2j, 1.1 - 0.7j])
     u = np.array([0.6, 0.8j])
     v = np.array([1.0, 0.5 - 0.5j])
-    e_mat, f_mat, g_mat, h_mat = spec.qsde_coefficients()
+    e_mat, f_mat, g_mat, h_mat = _first_order_slots(spec)
     exact = np.exp(f.overlap(g, 1.0)) * v
     for a, b in zip([0.0, 0.37, 0.61], [0.37, 0.61, 1.0]):
         fv, gv = np.conj(f.value(0.5 * (a + b))[0]), g.value(0.5 * (a + b))[0]
@@ -96,6 +106,44 @@ def test_matrix_element_is_fourth_order_across_breakpoints():
     errors = [abs(matrix_element_evolution(spec, f, g, u, v, 1.0, dt).final - np.vdot(u, exact))
               for dt in (0.025, 0.0125)]
     assert 15.5 <= errors[0] / errors[1] <= 17.5
+
+
+def test_first_order_matrix_element_rejects_vector_valued_test_functions():
+    # the route is the K = 1 kernel: a C^2-valued f used to scale the result
+    # by exp(|f_1|^2) (e^0.49 for f_1 = 0.7), its generator reading only
+    # component 0 and the prefactor exp(<f, g>) every component
+    spec = HpEvolutionSpec(H=SZ, L=SMINUS)
+    wide = PiecewiseConstant([1.0], [[0.3, 0.7]])
+    for f, g in ((wide, wide), (wide, None), (None, wide)):
+        with pytest.raises(ShapeError, match=r"C\^1"):
+            matrix_element_evolution(spec, f, g, EXCITED, EXCITED, horizon=1.0, dt=1e-2)
+
+
+def test_first_order_spec_is_the_swn_evolution_at_k1():
+    # HpEvolutionSpec(H, L, W) is the SWN evolution (-H, D- = -L*W, W) at
+    # K = 1: -(Dm*|Dm*)/2 - iH = -(iH + L*L/2) and -r(W) Dm* = L.  The two
+    # differ by the roundoff of (L*W)(W*L) against L*L; the routes agreed
+    # to 5.6e-17 in matrix elements and in the flow
+    spec = HpEvolutionSpec(H=0.3 * SX + 0.2 * SZ, L=SMINUS + 0.1 * SZ, W=W_DENSE)
+    d_minus = ModuleOperator.from_ann({0: -spec.L.conj().T @ spec.W}, dim=2)
+    w_op = ModuleOperator.from_cons({(0, 0, 0): spec.W})
+    config = TruncationConfig(dt=1e-3, horizon=1.0, swn_modes=1)
+    assert spec.generator().approx_eq(swn_generator(-spec.H, d_minus, w_op), 1e-15)
+
+    f = PiecewiseConstant([0.37, 1.0], [0.8 - 0.3j, -0.5 + 0.4j])
+    g = PiecewiseConstant([0.61, 1.0], [0.6 + 0.2j, 1.1 - 0.7j])
+    u = np.array([0.6, 0.8j])
+    v = np.array([1.0, 0.5 - 0.5j])
+    first = matrix_element_evolution(spec, f, g, u, v, 1.0, dt=1e-3)
+    swn = swn_matrix_element_evolution(-spec.H, d_minus, w_op, u, v, config, f=f, g=g)
+    assert np.max(np.abs(first.values - first.values[0])) > 0.1  # the element moves
+    assert np.max(np.abs(first.values - swn.values)) <= 1e-14
+
+    x_mat = SZ + 0.4 * SX
+    flow = flow_expectation(spec, x_mat, u, 1.0, dt=1e-3)
+    sim = swn_simulate(-spec.H, d_minus, w_op, x_mat, u, config)
+    assert np.max(np.abs(flow.values - flow.values[0])) > 0.1
+    assert np.max(np.abs(flow.values - sim.values)) <= 1e-14
 
 
 def test_nonunitary_w_rejected_at_construction():
@@ -265,9 +313,15 @@ def test_flow_expectation_rk4_is_fourth_order_forward():
 
 
 def test_flow_rejects_non_hermitian_observable():
+    # both flow routes share the master-equation readout and its admission
+    # (swn_simulate used to accept a non-Hermitian one)
     spec = HpEvolutionSpec(H=np.zeros((2, 2)), L=SMINUS)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="Hermitian"):
         flow_expectation(spec, SMINUS, EXCITED, horizon=0.1)
+    config = TruncationConfig(dt=1e-2, horizon=0.1, swn_modes=1)
+    with pytest.raises(ShapeError, match="Hermitian"):
+        swn_simulate(np.zeros((2, 2)), ModuleOperator.zero(2), ModuleOperator.identity_cons(2),
+                     SMINUS.T, EXCITED, config)
 
 
 def test_flow_agrees_with_tensor_observable_route():
@@ -307,7 +361,7 @@ def test_unitarity_defect_hamiltonian_taylor_bound():
 
 def _dense_kronecker_steps(spec, d, steps, dt):
     """Every Euler-Ito step lifted to a dense operator on system (x) modes."""
-    e_mat, f_mat, g_mat, h_mat = spec.qsde_coefficients()
+    e_mat, f_mat, g_mat, h_mat = _first_order_slots(spec)
     a_op = np.diag(np.sqrt(np.arange(1, d, dtype=float)), 1)
     total = spec.dim * d**steps
 
@@ -499,6 +553,13 @@ def test_piecewise_constant_right_endpoint_carries_last_segment():
     assert func.value(1.1)[0] == 0.0
 
 
+def test_piecewise_constant_rejects_segments_of_different_shapes():
+    # the SWN route checked only the first segment and later failed with a
+    # bare ValueError from a reshape
+    with pytest.raises(ShapeError, match="one shape"):
+        PiecewiseConstant([0.5, 1.0], [[1.0, 0.0], [2.0]])
+
+
 def test_swn_rejects_escaping_indices():
     dim = 2
     d_minus = ModuleOperator.from_ann({3: SMINUS}, dim=dim)
@@ -517,6 +578,15 @@ def test_swn_rejects_escaping_indices():
             EXCITED,
             TruncationConfig(dt=1e-3, horizon=0.1, swn_modes=1),
         )
+
+    # with D- = 0 there is no creation slot to escape: the window check
+    # alone rejects the raising label, which truncation would clip
+    config = TruncationConfig(dt=1e-2, horizon=0.1, swn_modes=1)
+    zero = ModuleOperator.zero(dim)
+    with pytest.raises(IndexEscapeError, match="conservation label"):
+        swn_simulate(np.zeros((2, 2)), zero, raising, SZ, EXCITED, config)
+    with pytest.raises(IndexEscapeError, match="conservation label"):
+        swn_matrix_element_evolution(np.zeros((2, 2)), zero, raising, EXCITED, EXCITED, config)
 
 
 def test_swn_routes_admit_the_same_conservation_labels():

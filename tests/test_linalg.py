@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from qscontrol.fock import _grid_with_breaks, _master_generator
+from qscontrol.ito import ModuleOperator
+from qscontrol.ito.labels import SwnLabel
 from qscontrol.linalg import rk4, rk4_linear
 
 
@@ -16,9 +18,16 @@ def _scalar_case(rng):
     return (lambda _t, y: c_val * y), np.complex128(0.4 - 0.2j)
 
 
+def _master_op(rng, dim):
+    """A generator with a random dt slot and a random dA+_0 jump."""
+    return ModuleOperator({
+        SwnLabel.time(): 0.3 * _rand(rng, dim, dim), SwnLabel.cre(0): 0.4 * _rand(rng, dim, dim)
+    })
+
+
 def _master_case(rng):
     dim = 3
-    gen = _master_generator(0.3 * _rand(rng, dim, dim), [0.4 * _rand(rng, dim, dim)])
+    gen = _master_generator(_master_op(rng, dim))
     psi = _rand(rng, dim)
     return (lambda _t, rho: gen(rho)), np.outer(psi, psi.conj())
 
@@ -26,7 +35,7 @@ def _master_case(rng):
 def _density_cost_case(rng):
     # the stacked (rho; J) state of qcontrol's quadratic costs
     dim = 2
-    gen = _master_generator(0.3 * _rand(rng, dim, dim), [0.4 * _rand(rng, dim, dim)])
+    gen = _master_generator(_master_op(rng, dim))
     weight = _rand(rng, dim, dim)
 
     def deriv(_t, y):

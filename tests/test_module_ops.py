@@ -141,7 +141,7 @@ def test_l_map_identity_and_lowering_label():
 
 
 def _single_mode_image(mode_op):
-    return {m: complex(mat[0, 0]) for m, mat in mode_op.mode_terms().items()}
+    return {key.idx[0]: complex(mat[0, 0]) for key, mat in mode_op.terms.items()}
 
 
 def test_r_map_consistent_with_symbolic_table():

@@ -274,11 +274,6 @@ def test_derive_flow_hp_heisenberg_case():
         assert report.computed[label].is_zero()
 
 
-def _slot(op, kind):
-    """The terms of ``op`` whose labels have kind ``kind``."""
-    return ModuleOperator({k: v for k, v in op.terms.items() if k.kind == kind}, dim=op.dim)
-
-
 def test_derive_flow_swn_no_noise_reduces_to_heisenberg():
     dim = 2
     zero_modes = ModuleOperator.zero(dim)
@@ -288,8 +283,8 @@ def test_derive_flow_swn_no_noise_reduces_to_heisenberg():
     comp = report["computed"]
     want = 1j * (SZ @ h_mat - h_mat @ SZ)
     assert np.max(np.abs(comp.time - want)) <= 1e-14
-    assert _slot(comp, "ann").is_zero() and _slot(comp, "cre").is_zero()
-    assert _slot(comp, "cons").norm() <= 1e-14
+    assert comp.slot("ann").is_zero() and comp.slot("cre").is_zero()
+    assert comp.slot("cons").norm() <= 1e-14
 
 
 def test_derive_flow_swn_nontrivial_w():
@@ -316,9 +311,9 @@ def test_derive_flow_swn_x_identity_gives_zero_generator():
         report = derive_flow_swn(SZ, d_minus, w_op, np.eye(dim))
         comp = report["computed"]
         assert np.max(np.abs(comp.time)) <= 1e-12
-        assert _slot(comp, "ann").is_zero(1e-12) and _slot(comp, "cre").is_zero(1e-12)
+        assert comp.slot("ann").is_zero(1e-12) and comp.slot("cre").is_zero(1e-12)
         # conservation slot: W* circ W - I = 0 for unitary W
-        assert _slot(comp, "cons").norm() <= 1e-12
+        assert comp.slot("cons").norm() <= 1e-12
 
 
 def test_swn_coefficients_in_the_wrong_slot_are_rejected():
