@@ -2,8 +2,9 @@
 
 Subpackages / modules:
 
-* ``qscontrol.ito``       exact Ito tables (first order and square of white
-                          noise), sl(2) representation, module operations
+* ``qscontrol.ito``       exact square-of-white-noise Ito table (the first-
+                          order table on its K = 1 labels), sl(2)
+                          representation, module operations
 * ``qscontrol.fock``      truncated-Fock numerics: matrix-element ODEs,
                           tensor oracle, characteristic functionals, flows
 * ``qscontrol.classical`` LQR / LQG reference implementations

@@ -229,19 +229,16 @@ def _write_json(path, data):
 
 
 def _run_ito_table(config, outputs, out_dir):
-    from .ito import DA, DAD, DL, DT, HpLabel, SymbolicDifferential, hp_mul
+    from .ito import FIRST_ORDER, SymbolicDifferential, swn_mul
 
-    basis = {HpLabel.TIME: DT, HpLabel.ANN: DA, HpLabel.CRE: DAD, HpLabel.CONS: DL}
-    expected = {
-        (HpLabel.ANN, HpLabel.CRE): DT,
-        (HpLabel.ANN, HpLabel.CONS): DA,
-        (HpLabel.CONS, HpLabel.CRE): DAD,
-        (HpLabel.CONS, HpLabel.CONS): DL,
-    }
+    basis = SymbolicDifferential.basis
+    dt, da, dad, dl = FIRST_ORDER
+    expected = {(da, dad): basis(dt), (da, dl): basis(da), (dl, dad): basis(dad),
+                (dl, dl): basis(dl)}
     checks = []
-    for la, lb in itertools.product(HpLabel, repeat=2):
+    for la, lb in itertools.product(FIRST_ORDER, repeat=2):
         want = expected.get((la, lb), SymbolicDifferential.zero())
-        got = hp_mul(basis[la], basis[lb])
+        got = swn_mul(basis(la), basis(lb))
         checks.append(_check(f"product {la} * {lb}", got.max_coeff_diff(want), 0.0))
     return checks
 
@@ -492,17 +489,11 @@ def _run_hp_control(config, outputs, out_dir):
 def _run_swn_control(config, outputs, out_dir):
     from .fock import TruncationConfig, swn_generator, swn_simulate
     from .ito.module_ops import ModuleOperator, inner
-    from .qcontrol import check_swn_riccati_system, derive_flow_swn
+    from .qcontrol import check_swn_riccati_system, derive_flow_swn, swn_commuting_instance
 
     dim = 2
     sz = np.diag([1.0, -1.0])
-    pi_mat = np.diag([0.5, 1.25]).astype(complex)
-    d0 = math.sqrt(2.0) * np.diag(np.sqrt(np.diag(pi_mat).real))
-    d_minus = ModuleOperator.from_ann({0: d0}, dim=dim)
-    u_mat = np.diag(np.exp(1j * np.array([0.4, -1.1])))
-    w_op = ModuleOperator.from_cons({(0, 0, 0): u_mat})
-    h_mat = np.diag([0.2, 0.9]).astype(complex)
-    x_mat = np.diag([1.0, 0.7]).astype(complex)
+    pi_mat, d_minus, w_op, h_mat, x_mat = swn_commuting_instance()
 
     evolution = swn_generator(h_mat, d_minus, w_op)
     r1, r2, r3 = check_swn_riccati_system(pi_mat, 1j * h_mat, evolution.slot("ann"),

@@ -3,11 +3,13 @@
 Every evolution is read in one format, its generator: a ``ModuleOperator``
 G with dU = G U on the labels dt, dA_m, dA+_m and dL(n, k, l).  A
 first-order evolution is the multiplicity K = 1 case:
-``HpEvolutionSpec.generator`` and ``GenericQsdeSpec.generator`` fill dt,
-dA_0, dA+_0 and dL(0,0,0).  ``swn_generator`` is the one builder of the
-SWN evolution (-(Dm*|Dm*)/2 + iH) dt + dA(D-) + dA+(-r(W) Dm*) + dL(W - I),
-for both SWN routes here and for ``qcontrol``; ``_admitted_images`` is the
-one check of a generator at K.
+``HpEvolutionSpec.generator`` and ``GenericQsdeSpec.generator`` fill the
+K = 1 labels ``ito.labels.FIRST_ORDER`` (dt, dA_0, dA+_0, dL(0,0,0)), and
+the Weyl differentials multiply on them with the SWN table.
+``swn_generator`` is the one builder of the SWN evolution
+(-(Dm*|Dm*)/2 + iH) dt + dA(D-) + dA+(-r(W) Dm*) + dL(W - I), for both SWN
+routes here and for ``qcontrol``; ``_admitted_images`` is the one check of
+a generator at K.
 
 Two computational routes coexist on purpose:
 
@@ -57,8 +59,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IndexEscapeError, ResourceLimitError, ShapeError
-from .ito import SymbolicDifferential, hp_mul
-from .ito.labels import HpLabel, SwnLabel
+from .ito import SymbolicDifferential, swn_mul
+from .ito.labels import FIRST_ORDER
 from .ito.module_ops import ModuleOperator, inner, r_map, require_slot
 from .ito.sl2 import rho_plus_matrix, theta
 from .linalg import as_matrix, is_hermitian, is_unitary, rk4_linear
@@ -152,6 +154,8 @@ class PiecewiseConstant:
         self.values = [np.atleast_1d(np.asarray(v, dtype=complex)) for v in values]
         if len(self.breaks) != len(self.values):
             raise ShapeError("need one value per segment (breaks are right edges)")
+        if not self.values:
+            raise ShapeError("need at least one segment")
         if any(b2 <= b1 for b1, b2 in zip(self.breaks, self.breaks[1:])):
             raise ShapeError("breakpoints must increase")
         if any(val.shape != self.values[0].shape for val in self.values):
@@ -254,12 +258,9 @@ class GenericQsdeSpec:
         return _first_order_generator(drift, self.Psi, self.Phi, self.Z)
 
 
-_FIRST_ORDER_LABELS = (SwnLabel.time(), SwnLabel.ann(0), SwnLabel.cre(0), SwnLabel.cons(0, 0, 0))
-
-
 def _first_order_generator(*slots):
     """The K = 1 generator with these dt, dA_0, dA+_0 and dL(0,0,0) slots."""
-    return ModuleOperator(dict(zip(_FIRST_ORDER_LABELS, slots)))
+    return ModuleOperator(dict(zip(FIRST_ORDER, slots)))
 
 
 # ------------------------------------------------------------- time grid
@@ -365,7 +366,7 @@ def _euler_ito_step(spec, d, dt):
     on the fresh mode."""
     op = spec.generator()
     a_op = np.diag(np.sqrt(np.arange(1, d, dtype=float)), 1)
-    increments = dict(zip(_FIRST_ORDER_LABELS, (
+    increments = dict(zip(FIRST_ORDER, (
         dt * np.eye(d), math.sqrt(dt) * a_op, math.sqrt(dt) * a_op.T, a_op.T @ a_op)))
     step_op = np.kron(np.eye(op.dim), np.eye(d))
     for label, mat in op.terms.items():
@@ -471,53 +472,38 @@ def weyl_increment(lam, z, k):
     """Differential of exp(i E_t), E_t = lam t + z A_t + conj(z) A+_t + k L_t.
 
     Closed form of the exponential series of i dE under the first-order
-    table: for k != 0 the bracket is
+    table (the SWN table on the K = 1 labels): for k != 0 the bracket is
 
-        (i lam + |z|^2 M / k^2) dt + (i z + z M / k) dA
-        + (i conj(z) + conj(z) M / k) dA+ + (i k + M) dL,
+        (i lam + |z|^2 M / k^2) dt + (i z + z M / k) dA_0
+        + (i conj(z) + conj(z) M / k) dA+_0 + (i k + M) dL(0,0,0),
         M = exp(ik) - 1 - ik,
 
     and for k = 0 the series terminates at second order:
 
-        (i lam - |z|^2 / 2) dt + i z dA + i conj(z) dA+.
+        (i lam - |z|^2 / 2) dt + i z dA_0 + i conj(z) dA+_0.
     """
     z = complex(z)
     z_sq = (z * z.conjugate()).real  # |z|^2 via the same product the series forms
     if k != 0:
         m_val = np.exp(1j * k) - 1.0 - 1j * k
-        return SymbolicDifferential(
-            {
-                HpLabel.TIME: 1j * lam + (z_sq / k**2) * m_val,
-                HpLabel.ANN: 1j * z + (z / k) * m_val,
-                HpLabel.CRE: 1j * z.conjugate() + (z.conjugate() / k) * m_val,
-                HpLabel.CONS: 1j * k + m_val,
-            }
-        )
-    return SymbolicDifferential(
-        {
-            HpLabel.TIME: 1j * lam - 0.5 * z_sq,
-            HpLabel.ANN: 1j * z,
-            HpLabel.CRE: 1j * z.conjugate(),
-        }
-    )
+        coeffs = (1j * lam + (z_sq / k**2) * m_val, 1j * z + (z / k) * m_val,
+                  1j * z.conjugate() + (z.conjugate() / k) * m_val, 1j * k + m_val)
+    else:
+        coeffs = (1j * lam - 0.5 * z_sq, 1j * z, 1j * z.conjugate(), 0.0)
+    return SymbolicDifferential(dict(zip(FIRST_ORDER, coeffs)))
 
 
 def weyl_series(lam, z, k, n_terms=40):
-    """Partial sum of sum_{n>=1} (i dE)^n / n! under hp_mul (test oracle)."""
-    de = SymbolicDifferential(
-        {
-            HpLabel.TIME: complex(lam),
-            HpLabel.ANN: complex(z),
-            HpLabel.CRE: complex(z).conjugate(),
-            HpLabel.CONS: complex(k),
-        }
-    )
+    """Partial sum of sum_{n>=1} (i dE)^n / n! under the SWN table on the
+    K = 1 labels (test oracle)."""
+    de = SymbolicDifferential(dict(zip(FIRST_ORDER, (complex(lam), complex(z),
+                                                     complex(z).conjugate(), complex(k)))))
     ide = 1j * de
     total = SymbolicDifferential.zero()
     power = None
     factorial = 1.0
     for n in range(1, n_terms + 1):
-        power = ide if power is None else hp_mul(power, ide)
+        power = ide if power is None else swn_mul(power, ide)
         factorial *= n
         total = total + (1.0 / factorial) * power
         if power.is_zero():
@@ -545,7 +531,7 @@ def characteristic_functional(kind, s, lam, t, dt=1e-4):
             raise ShapeError("Poisson intensity must be positive")
         bracket = weyl_increment(s * lam, s * math.sqrt(lam), s)
         closed = np.exp(lam * (np.exp(1j * s) - 1.0) * t)
-    c_val = bracket.coeff(HpLabel.TIME)
+    c_val = bracket.coeff(FIRST_ORDER[0])
     states = rk4_linear(lambda _t, y: c_val * y, 1.0 + 0.0j, [(0.0, t, max(1, round(t / dt)))])
     return complex(states[-1]), complex(closed)
 

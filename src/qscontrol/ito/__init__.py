@@ -1,8 +1,8 @@
-"""Exact symbolic arithmetic for quantum Ito tables (first order and SWN)."""
+"""Exact symbolic arithmetic for the quantum Ito table: the SWN table, whose
+multiplicity K = 1 labels ``FIRST_ORDER`` carry the first-order table."""
 
 from .differential import SymbolicDifferential
-from .hp import DA, DAD, DL, DT, hp_mul
-from .labels import HpLabel, SwnLabel
+from .labels import FIRST_ORDER, SwnLabel
 from .module_ops import (
     ModuleOperator,
     circ,
@@ -30,15 +30,10 @@ from .swn import d_bminus, d_bplus, d_m, swn_basis_product, swn_mul
 
 __all__ = [
     "SymbolicDifferential",
-    "HpLabel",
     "SwnLabel",
-    "hp_mul",
+    "FIRST_ORDER",
     "swn_mul",
     "swn_basis_product",
-    "DT",
-    "DA",
-    "DAD",
-    "DL",
     "d_bminus",
     "d_bplus",
     "d_m",

@@ -1,37 +1,19 @@
 """Basis labels for quantum noise differentials.
 
-Two families:
-
-* ``HpLabel`` — the four first-order differentials dt, dA, dA†, dΛ.
-* ``SwnLabel`` — the square-of-white-noise family: dt, dA_m, dA†_m and the
-  conservation differentials dΛ_{n,k,l} indexed by three naturals.
+``SwnLabel`` keys every differential of the package: dt, dA_m, dA†_m and
+the conservation differentials dΛ_{n,k,l} indexed by three naturals.  The
+first-order differentials dt, dA, dA†, dΛ are the multiplicity K = 1
+labels ``FIRST_ORDER`` = (dt, dA_0, dA†_0, dΛ_{0,0,0}), on which the
+square-of-white-noise table is the first-order table.
 
 Adjoints act on labels only (coefficient conjugation lives in
-``SymbolicDifferential``): dA ↔ dA†, dA_m ↔ dA†_m, dΛ_{n,k,l} ↔ dΛ_{l,k,n},
-dt and dΛ fixed.
+``SymbolicDifferential``): dA_m ↔ dA†_m, dΛ_{n,k,l} ↔ dΛ_{l,k,n}, dt
+fixed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-
-
-class HpLabel(Enum):
-    TIME = "dt"
-    ANN = "dA"
-    CRE = "dA+"
-    CONS = "dL"
-
-    def adjoint(self):
-        if self is HpLabel.ANN:
-            return HpLabel.CRE
-        if self is HpLabel.CRE:
-            return HpLabel.ANN
-        return self
-
-    def __str__(self):
-        return self.value
 
 
 @dataclass(frozen=True, order=True)
@@ -85,3 +67,6 @@ class SwnLabel:
             return f"dA+_{self.idx[0]}"
         n, k, l = self.idx
         return f"dL({n},{k},{l})"
+
+
+FIRST_ORDER = (SwnLabel.time(), SwnLabel.ann(0), SwnLabel.cre(0), SwnLabel.cons(0, 0, 0))

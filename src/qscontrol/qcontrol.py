@@ -36,9 +36,9 @@ from .errors import ShapeError
 from .fock import GenericQsdeSpec, HpEvolutionSpec, _master_generator, swn_generator
 from .freealg import FreePoly
 from .ito.differential import SymbolicDifferential
-from .ito.hp import hp_mul
-from .ito.labels import HpLabel
+from .ito.labels import FIRST_ORDER
 from .ito.module_ops import ModuleOperator, circ, inner, l_map, module_ito_mul, r_map, require_slot
+from .ito.swn import swn_mul
 from .linalg import as_matrix, commutator, fro, is_hermitian, is_unitary, psd_sqrt, rk4_linear
 
 
@@ -330,6 +330,23 @@ def exact_condition_instance(rng, dim=2):
     return spec, pi_mat, x_mat
 
 
+def swn_commuting_instance():
+    """The commuting SWN control instance: Pi = diag(0.5, 1.25), D- =
+    sqrt(2) Pi^(1/2) on mode 0, W = diag(e^{0.4i}, e^{-1.1i}) on
+    dL(0,0,0), H = diag(0.2, 0.9) and X = diag(1, 0.7).
+
+    Everything commutes with Pi, so the annihilation and conservation
+    conditions cancel exactly.  Returns (pi_mat, d_minus, w_op, h_mat, x_mat).
+    """
+    pi_mat = np.diag([0.5, 1.25]).astype(complex)
+    d0 = math.sqrt(2.0) * np.diag(np.sqrt(np.diag(pi_mat).real))
+    d_minus = ModuleOperator.from_ann({0: d0}, dim=2)
+    w_op = ModuleOperator.from_cons({(0, 0, 0): np.diag(np.exp(1j * np.array([0.4, -1.1])))})
+    h_mat = np.diag([0.2, 0.9]).astype(complex)
+    x_mat = np.diag([1.0, 0.7]).astype(complex)
+    return pi_mat, d_minus, w_op, h_mat, x_mat
+
+
 # ------------------------------------------------- symbolic flow derivation
 
 
@@ -351,7 +368,8 @@ class FlowDerivationReport:
 def derive_flow_hp(x=None, l=None, w=None):
     """Expand dj(X) = dU* X U + U* X dU + dU* X dU in the free *-algebra.
 
-    Uses the unitary-evolution coefficients (dt, dA, dA+, dL slots):
+    Uses the unitary-evolution coefficients on the K = 1 labels (dt, dA_0,
+    dA+_0, dL(0,0,0) slots), multiplied with the SWN table:
 
         dU  = -((iH + L*L/2) dt + L*W dA - L dA+ + (1 - W) dL) U
         dU* = -U* ((-iH + L*L/2) dt - L* dA + W*L dA+ + (1 - W*) dL)
@@ -374,25 +392,26 @@ def derive_flow_hp(x=None, l=None, w=None):
     x_sym = x if x is not None else FreePoly.sym("X")
     one = FreePoly.one()
 
+    dt, da, dad, dl = FIRST_ORDER
     right = SymbolicDifferential({
-        HpLabel.TIME: -(i * h_sym + 0.5 * ls_sym * l_sym),
-        HpLabel.ANN: -(ls_sym * w_sym),
-        HpLabel.CRE: l_sym,
-        HpLabel.CONS: w_sym - one,
+        dt: -(i * h_sym + 0.5 * ls_sym * l_sym),
+        da: -(ls_sym * w_sym),
+        dad: l_sym,
+        dl: w_sym - one,
     })
     # the adjoint stars the coefficients AND swaps dA/dA+, since (dA)* = dA+
     left = right.adjoint()
-    flow = left * x_sym + x_sym * right + hp_mul(left * x_sym, right)
-    computed = {label: flow.terms.get(label, FreePoly.zero()) for label in HpLabel}
+    flow = left * x_sym + x_sym * right + swn_mul(left * x_sym, right)
+    computed = {label: flow.terms.get(label, FreePoly.zero()) for label in FIRST_ORDER}
 
     expected = {
-        HpLabel.TIME: i * (h_sym * x_sym - x_sym * h_sym)
+        dt: i * (h_sym * x_sym - x_sym * h_sym)
         - 0.5 * (ls_sym * l_sym * x_sym + x_sym * ls_sym * l_sym - 2.0 * ls_sym * x_sym * l_sym),
-        HpLabel.ANN: (ls_sym * x_sym - x_sym * ls_sym) * w_sym,
-        HpLabel.CRE: ws_sym * (x_sym * l_sym - l_sym * x_sym),
-        HpLabel.CONS: ws_sym * x_sym * w_sym - x_sym,
+        da: (ls_sym * x_sym - x_sym * ls_sym) * w_sym,
+        dad: ws_sym * (x_sym * l_sym - l_sym * x_sym),
+        dl: ws_sym * x_sym * w_sym - x_sym,
     }
-    matches = all(computed[k] == expected[k] for k in HpLabel)
+    matches = all(computed[k] == expected[k] for k in FIRST_ORDER)
     return FlowDerivationReport(
         computed=computed,
         expected=expected,

@@ -27,7 +27,7 @@ from qscontrol.fock import (
     weyl_series,
 )
 from qscontrol.ito import ModuleOperator
-from qscontrol.ito.labels import HpLabel, SwnLabel
+from qscontrol.ito.labels import FIRST_ORDER, SwnLabel
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -197,25 +197,27 @@ def test_ccr_of_truncated_increments():
 
 # --------------------------------------------------------------------- Weyl
 
+DT, DA, DAD, DL = FIRST_ORDER
+
 
 def test_weyl_scalar_branch():
     got = weyl_increment(2.5, 0.0, 0.0)
-    assert got.terms == {HpLabel.TIME: 2.5j}
+    assert got.terms == {DT: 2.5j}
 
 
 def test_weyl_k0_branch_spec_values():
     got = weyl_increment(0.0, 1.0, 0.0)
-    assert got.coeff(HpLabel.TIME) == -0.5
-    assert got.coeff(HpLabel.ANN) == 1j
-    assert got.coeff(HpLabel.CRE) == 1j
-    assert got.coeff(HpLabel.CONS) == 0.0
+    assert got.coeff(DT) == -0.5
+    assert got.coeff(DA) == 1j
+    assert got.coeff(DAD) == 1j
+    assert got.coeff(DL) == 0.0
 
 
 def test_weyl_k_two_pi_kills_conservation_term():
     got = weyl_increment(0.0, 0.0, 2 * math.pi)
     # M = exp(2 pi i) - 1 - 2 pi i = -2 pi i, so ik + M = 0 (up to rounding).
-    assert abs(got.coeff(HpLabel.CONS)) <= 1e-12
-    assert abs(got.coeff(HpLabel.TIME)) <= 1e-12
+    assert abs(got.coeff(DL)) <= 1e-12
+    assert abs(got.coeff(DT)) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -558,6 +560,13 @@ def test_piecewise_constant_rejects_segments_of_different_shapes():
     # bare ValueError from a reshape
     with pytest.raises(ShapeError, match="one shape"):
         PiecewiseConstant([0.5, 1.0], [[1.0, 0.0], [2.0]])
+
+
+def test_piecewise_constant_rejects_no_segments():
+    # an empty function used to construct and then fail with a bare
+    # IndexError inside the matrix-element route
+    with pytest.raises(ShapeError, match="at least one segment"):
+        PiecewiseConstant([], [])
 
 
 def test_swn_rejects_escaping_indices():

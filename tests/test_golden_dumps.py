@@ -5,16 +5,15 @@ free-algebra engine or the evolution coefficients that alters the
 derivation shows up here first.
 """
 
-from qscontrol.ito.labels import HpLabel
+from qscontrol.ito.labels import FIRST_ORDER
 from qscontrol.qcontrol import derive_flow_hp
 
-GOLDEN_FLOW = {
-    HpLabel.TIME: "(+0+1j)*H.X + (+0-1j)*X.H + (-0.5+0j)*L*.L.X"
-    " + (+1+0j)*L*.X.L + (-0.5+0j)*X.L*.L",
-    HpLabel.ANN: "(+1+0j)*L*.X.W + (-1+0j)*X.L*.W",
-    HpLabel.CRE: "(-1+0j)*W*.L.X + (+1+0j)*W*.X.L",
-    HpLabel.CONS: "(-1+0j)*X + (+1+0j)*W*.X.W",
-}
+GOLDEN_FLOW = dict(zip(FIRST_ORDER, (
+    "(+0+1j)*H.X + (+0-1j)*X.H + (-0.5+0j)*L*.L.X + (+1+0j)*L*.X.L + (-0.5+0j)*X.L*.L",
+    "(+1+0j)*L*.X.W + (-1+0j)*X.L*.W",
+    "(-1+0j)*W*.L.X + (+1+0j)*W*.X.L",
+    "(-1+0j)*X + (+1+0j)*W*.X.W",
+)))
 
 
 def test_flow_generator_canonical_dump():

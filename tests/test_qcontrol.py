@@ -21,6 +21,7 @@ from qscontrol.qcontrol import (
     derive_flow_swn,
     exact_condition_instance,
     reduced_riccati_obstruction,
+    swn_commuting_instance,
     synthesize_hp,
     synthesis_residuals,
 )
@@ -265,12 +266,13 @@ def test_derive_flow_hp_unitality():
 
 def test_derive_flow_hp_heisenberg_case():
     from qscontrol.freealg import FreePoly
-    from qscontrol.ito.labels import HpLabel
+    from qscontrol.ito.labels import FIRST_ORDER
 
     report = derive_flow_hp(l=FreePoly.zero(), w=FreePoly.one())
     h_sym, x_sym = FreePoly.sym("H"), FreePoly.sym("X")
-    assert report.computed[HpLabel.TIME] == 1j * (h_sym * x_sym - x_sym * h_sym)
-    for label in (HpLabel.ANN, HpLabel.CRE, HpLabel.CONS):
+    dt, *noise = FIRST_ORDER
+    assert report.computed[dt] == 1j * (h_sym * x_sym - x_sym * h_sym)
+    for label in noise:
         assert report.computed[label].is_zero()
 
 
@@ -347,13 +349,7 @@ def test_swn_riccati_trivial_zeroes():
 def test_swn_riccati_synthesis_cancellation():
     # Commuting family: diagonal Pi, D-, H; W = u (x) identity label.
     dim = 2
-    pi_mat = np.diag([0.5, 1.25]).astype(complex)
-    d0 = math.sqrt(2.0) * np.diag(np.sqrt(np.diag(pi_mat).real))
-    d_minus = ModuleOperator.from_ann({0: d0}, dim=dim)
-    u_mat = np.diag(np.exp(1j * np.array([0.4, -1.1])))
-    w_op = ModuleOperator.from_cons({(0, 0, 0): u_mat})
-    h_mat = np.diag([0.2, 0.9]).astype(complex)
-    x_mat = np.diag([1.0, 0.7]).astype(complex)
+    pi_mat, d_minus, w_op, h_mat, x_mat = swn_commuting_instance()
 
     dm_star = d_minus.adjoint()
     psi_op = d_minus

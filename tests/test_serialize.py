@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qscontrol.ito import (
-    HpLabel,
+    FIRST_ORDER,
     ModuleOperator,
     SwnLabel,
     SymbolicDifferential,
@@ -22,9 +22,9 @@ from qscontrol.ito import (
 
 
 def test_hp_differential_roundtrip():
-    diff = SymbolicDifferential(
-        {HpLabel.TIME: 1.5 - 0.5j, HpLabel.ANN: 2.0j, HpLabel.CONS: -1.0}
-    )
+    # a first-order differential lives on the K = 1 labels
+    dt, da, _, dl = FIRST_ORDER
+    diff = SymbolicDifferential({dt: 1.5 - 0.5j, da: 2.0j, dl: -1.0})
     blob = json.dumps(differential_to_json(diff), sort_keys=True)
     back = differential_from_json(json.loads(blob))
     assert back == diff
@@ -46,11 +46,10 @@ def test_swn_differential_roundtrip():
 def test_differential_schema_shape():
     diff = SymbolicDifferential({SwnLabel.cons(1, 0, 2): 2.0})
     doc = differential_to_json(diff)
-    assert doc["schema"] == "symbolic-differential/1"
-    assert doc["family"] == "swn"
-    assert doc["terms"] == [
-        {"label": {"kind": "cons", "n": 1, "k": 0, "l": 2}, "coeff": [2.0, 0.0]}
-    ]
+    assert doc == {
+        "schema": "symbolic-differential/2",
+        "terms": [{"label": {"kind": "cons", "n": 1, "k": 0, "l": 2}, "coeff": [2.0, 0.0]}],
+    }
 
 
 def test_module_operator_roundtrip():
@@ -89,6 +88,10 @@ def test_differential_roundtrip_property(terms):
 def test_rejects_unknown_schema():
     with pytest.raises(ValueError):
         differential_from_json({"schema": "nope/9", "family": "hp", "terms": []})
+    # the first version carried a label family; its files are not read
+    with pytest.raises(ValueError, match="unsupported schema"):
+        differential_from_json({"schema": "symbolic-differential/1", "family": "swn",
+                                "terms": []})
     with pytest.raises(ValueError):
         module_operator_from_json({"schema": "nope/9", "dim": 1, "terms": []})
 
