@@ -15,26 +15,27 @@ Conventions (real matrices throughout):
 The control weight is fixed to the identity; the general weight R lives in
 the representation-free module.
 
-Time stepping: ``linalg.rk4`` solves both Riccati equations on a uniform
-grid, unsymmetrized (they are nonlinear, so they step one RK4 stage
-formula at a time; the package's linear ODEs run as RK4 step maps,
-``linalg.rk4_linear``), and one scan afterwards finds a blow-up.  State
-integrations share that grid, freeze the gain per step, and propagate the
-drift exactly (matrix exponential of the frozen closed loop); all laws of
-a run share one batch axis of one sweep, and lqg adds Euler-Maruyama
-increments drawn once for every law.  The zero-noise LQG run therefore
-reproduces the deterministic LQR trajectory to rounding.
+Time stepping: both Riccati equations are solved on a uniform grid by
+their exact flow map (``_riccati``: the linear-fractional map of one
+matrix exponential of the Hamiltonian, so no step error), unsymmetrized,
+and an escape is read off the map's denominator.  State integrations
+share that grid, freeze the gain per step, and propagate the drift
+exactly (matrix exponential of the frozen closed loop); all laws of a run
+share one batch axis of one sweep, and lqg adds Euler-Maruyama increments
+drawn once for every law.  The zero-noise LQG run therefore reproduces
+the deterministic LQR trajectory to rounding.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import block_diag, expm, solve_continuous_lyapunov
 
 from .errors import BlowUpError, NotConvergedError, ShapeError
-from .linalg import as_matrix, fro, is_hermitian, parse_law, rk4
+from .linalg import as_matrix, fro, is_hermitian, parse_law
 from .seeding import spawn_rngs, standard_error
 
 BLOWUP_NORM = 1e12
@@ -95,27 +96,60 @@ class RiccatiSolution:
         return self.gains[0]
 
     def symmetry_defect(self):
-        return max(fro(g - g.T) for g in self.gains)
+        skew = self.gains - np.swapaxes(self.gains, 1, 2)
+        return float(np.max(np.linalg.norm(skew, axis=(1, 2))))
 
 
 # ------------------------------------------------------------ Riccati ODEs
 
 
 def _riccati(m_mat, n_mat, k_mat, start, grid):
-    """RK4 states of X' = M X + X M* + N - X K X on ``grid``, X(grid[0]) = start.
+    """States of X' = M X + X M* + N - X K X on the uniform ``grid``,
+    X(grid[0]) = start, by the exact flow map.
+
+    X = Y Z^-1 for the linear Hamiltonian system [Z; Y]' = H [Z; Y],
+    H = [[-M*, K], [N, M]], from Z = 1, Y = X (Radon's lemma).  With
+    Phi = expm(H h), the state j steps after X0 is
+    (Phi^j_21 + Phi^j_22 X0)(Phi^j_11 + Phi^j_12 X0)^-1.  Each block of b
+    steps is one batched product and solve from the block's first state,
+    with the powers Phi^j, j <= b, formed once.  b <= sqrt(steps) balances
+    the powers against the blocks; b <= 1 / (||H||_F |h|) bounds each
+    block's growth by e (||H||_F >= ||H||_2 and needs no SVD).  Restarting
+    from each block's state keeps the map stable; the unrestarted method
+    is not (Kenney & Leipnik 1985).
 
     No step symmetrizes X (``symmetry_defect`` measures the result).  The
-    first grid point where ||X||_F is not <= 1e12, inf and NaN included,
-    raises ``BlowUpError`` with that time.
+    map passes a finite escape and returns finite, so the first grid point
+    where the block's det Z is not > 0, or where ||X||_F is not <= 1e12
+    (inf and NaN included), raises ``BlowUpError`` with that time.  A pole
+    of even multiplicity inside one step leaves det Z positive and shows
+    only through the norm.
     """
-    m_adj = m_mat.T
-
-    def deriv(_t, x):
-        return m_mat @ x + x @ m_adj + n_mat - x @ k_mat @ x
-
-    # past an escape the states overflow to inf and NaN; the scan reports it
+    n = m_mat.shape[0]
+    steps = len(grid) - 1
+    h = (grid[-1] - grid[0]) / steps
+    ham = np.block([[-m_mat.T, k_mat], [n_mat, m_mat]])
+    reach = np.linalg.norm(ham) * abs(h)
+    block = max(1, min(math.isqrt(steps), math.floor(1.0 / reach) if reach > 0 else steps))
+    powers = np.empty((block, 2 * n, 2 * n))
+    powers[0] = expm(ham * h)
+    for j in range(1, block):
+        powers[j] = powers[0] @ powers[j - 1]
+    states = np.empty((steps + 1, n, n))
+    states[0] = start
+    # near a pole the solve overflows to inf; past one, NaN marks the states
     with np.errstate(over="ignore", invalid="ignore"):
-        states = rk4(deriv, start, grid)
+        for first in range(0, steps, block):
+            count = min(block, steps - first)
+            z = powers[:count, :n, :n] + powers[:count, :n, n:] @ states[first]
+            y = powers[:count, n:, :n] + powers[:count, n:, n:] @ states[first]
+            poles = np.flatnonzero(~(np.linalg.det(z) > 0))
+            fine = poles[0] if poles.size else count
+            x = np.linalg.solve(np.swapaxes(z[:fine], 1, 2), np.swapaxes(y[:fine], 1, 2))
+            states[first + 1 : first + 1 + fine] = np.swapaxes(x, 1, 2)
+            if poles.size:
+                states[first + 1 + fine :] = np.nan
+                break
         norms = np.linalg.norm(states, axis=(1, 2))
     escaped = np.flatnonzero(~(norms <= BLOWUP_NORM))
     if escaped.size:
@@ -127,7 +161,7 @@ def _riccati(m_mat, n_mat, k_mat, start, grid):
 def solve_riccati_ode(problem, steps=400):
     """Integrate Pi' = Pi^2 - A*Pi - Pi A - Q backward from Pi(T) = Pi_T.
 
-    The RK4 kernel on the decreasing grid with (M, N, K) = (-A*, -Q, -I);
+    The flow-map kernel on the decreasing grid with (M, N, K) = (-A*, -Q, -I);
     raises ``BlowUpError`` with the escape time if the solution leaves the
     ||Pi|| <= 1e12 ball (finite-time blow-up travels backward from T).
     """
@@ -256,7 +290,7 @@ def lqr_simulate(problem, laws=(None,), steps=400, riccati=None):
 
 def filter_covariance(problem, steps=400):
     """Kalman-Bucy error covariance P on the shared grid, P(0) = 0: the
-    RK4 kernel with (M, N, K) = (A, C C*, H* H / r)."""
+    flow-map kernel with (M, N, K) = (A, C C*, H* H / r)."""
     if problem.H_obs is None:
         raise ShapeError("filter covariance needs an observation matrix")
     zero = np.zeros_like(problem.A)

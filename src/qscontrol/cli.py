@@ -346,7 +346,7 @@ def _run_lqr(config, outputs, out_dir):
     sol = solve_riccati_ode(problem, steps=1500)
     closed = p_term / (1.0 + p_term * (1.0 - sol.times))
     checks.append(_check("scalar Riccati closed form",
-                         float(np.max(np.abs(sol.gains[:, 0, 0] - closed))), 1e-8))
+                         float(np.max(np.abs(sol.gains[:, 0, 0] - closed))), 1e-12))
 
     for trial in range(3):
         a_mat = rng.normal(size=(4, 4))

@@ -45,8 +45,8 @@ throughout.  They all go through ``linalg.rk4_linear``, which runs them
 as RK4 step maps, one matrix per run instead of four generator calls per
 step, wherever the map costs no more than stepping (no more state
 entries than steps, nor than sixteen times the state's trailing
-dimension); only the nonlinear Riccati equations of ``classical`` always
-step with ``linalg.rk4``.
+dimension).  The nonlinear Riccati equations of ``classical`` take no
+RK4 step: they are solved by their exact flow map.
 """
 
 from __future__ import annotations

@@ -76,7 +76,9 @@ def rk4_increment(deriv, t0, h, y):
     """One classical RK4 increment y(t0 + h) - y(t0) of y' = deriv(t, y).
 
     The one definition of the RK4 step: ``rk4`` adds it to the state, and
-    ``rk4_linear`` applies it to a basis stack to get the step map.
+    ``rk4_linear`` applies it to a basis stack to get the step map.  The
+    Riccati equations do not use it: ``classical`` solves them by their
+    exact flow map.
     """
     k1 = deriv(t0, y)
     k2 = deriv(t0 + 0.5 * h, y + 0.5 * h * k1)
@@ -86,7 +88,8 @@ def rk4_increment(deriv, t0, h, y):
 
 
 def rk4(deriv, y0, grid):
-    """Classical RK4 for y' = deriv(t, y) along ``grid`` (which may decrease).
+    """Classical RK4 for y' = deriv(t, y) along ``grid`` (which may decrease):
+    ``rk4_linear``'s state-by-state fallback.
 
     Returns the states at every grid point, shape (len(grid), *y0.shape),
     in y0's dtype: ``deriv`` must not promote it.

@@ -17,6 +17,7 @@ from qscontrol.classical import (
     solve_riccati_ode,
 )
 from qscontrol.errors import ShapeError
+from qscontrol.linalg import rk4
 from qscontrol.seeding import single_rng
 
 
@@ -29,25 +30,76 @@ def scalar_problem(a=0.0, q=0.0, pi_T=1.0, horizon=1.0, **kw):
 # ------------------------------------------------------------ Riccati ODE
 
 
+def closed_scalar(times, horizon=1.0, pi_T=2.0):
+    # a = 0, q = 0: Pi(t) = Pi_T / (1 + Pi_T (T - t)), 2 / (3 - 2t) on [0, 1]
+    return pi_T / (1.0 + pi_T * (horizon - times))
+
+
 def test_scalar_riccati_closed_form():
-    # a = 0, q = 0: Pi(t) = p / (1 + p (T - t))
-    p_term = 2.0
-    problem = scalar_problem(pi_T=p_term, horizon=1.5)
-    sol = solve_riccati_ode(problem, steps=1500)
-    for t, g in zip(sol.times, sol.gains):
-        want = p_term / (1.0 + p_term * (problem.horizon - t))
-        assert abs(g[0, 0] - want) <= 1e-8
+    sol = solve_riccati_ode(scalar_problem(pi_T=2.0, horizon=1.5), steps=1500)
+    assert np.max(np.abs(sol.gains[:, 0, 0] - closed_scalar(sol.times, horizon=1.5))) <= 1e-12
+
+
+@pytest.mark.parametrize("steps", [20, 40, 10_000])
+def test_riccati_flow_map_is_exact_on_coarse_grids(steps):
+    # the flow map has no step error, only roundoff: 8.9e-16 at 20 and 40
+    # steps, where RK4 read 8.8e-7 and 5.6e-8, and 1.3e-15 at the
+    # classical reduction's 10 000
+    sol = solve_riccati_ode(scalar_problem(pi_T=2.0, horizon=1.0), steps=steps)
+    assert np.max(np.abs(sol.gains[:, 0, 0] - closed_scalar(sol.times))) <= 1e-13
 
 
 def test_riccati_rk4_is_fourth_order_backward():
-    # a = 0, q = 0, Pi_T = 2 on [0, 1]: Pi(t) = 2 / (1 + 2 (1 - t)); halving
-    # the step divides the largest error by 2^4 (measured 15.64)
-    problem = scalar_problem(pi_T=2.0, horizon=1.0)
+    # linalg.rk4 on Pi' = Pi^2 from Pi(1) = 2 backward to 0: halving the
+    # step divides the largest error by 2^4 (measured 15.64)
     errors = []
     for steps in (20, 40):
-        sol = solve_riccati_ode(problem, steps=steps)
-        errors.append(np.max(np.abs(sol.gains[:, 0, 0] - 2.0 / (3.0 - 2.0 * sol.times))))
+        grid = np.linspace(1.0, 0.0, steps + 1)
+        states = rk4(lambda _t, pi: pi @ pi, np.array([[2.0]]), grid)
+        errors.append(np.max(np.abs(states[:, 0, 0] - closed_scalar(grid))))
     assert 15.0 <= errors[0] / errors[1] <= 16.5
+
+
+def grid_problems():
+    # (problem, steps): the 2x2 and a seeded 4x4 over T = 10, where RK4
+    # read 5.3e-9 and 7.7e-7 against the finer grid, and a stiff 2x2 (an
+    # eigenvalue 200 in A) at 100 steps, where blocks of sqrt(steps)
+    # without the cap would grow by e^20 and lose 2.3e-8
+    rng = single_rng(23)
+    a_mat = rng.normal(size=(4, 4))
+    base = rng.normal(size=(4, 4))
+    return {
+        "2x2": (replace(matrix_problem(), horizon=10.0), 400),
+        "4x4": (LqProblem(A=a_mat, Q=base @ base.T + 0.1 * np.eye(4), Pi_T=np.eye(4),
+                          horizon=10.0), 400),
+        "stiff-2x2": (LqProblem(A=[[200.0, 50.0], [0.0, -1.0]], Q=np.diag([1.0, 2.0]),
+                                Pi_T=np.diag([1.0, 0.5]), horizon=1.0), 100),
+    }
+
+
+@pytest.mark.parametrize("name", ["2x2", "4x4", "stiff-2x2"])
+def test_riccati_flow_map_is_grid_independent(name):
+    # against the map on an 8x finer grid: measured 1.8e-14, 3.9e-15 and
+    # 7.5e-16 relative
+    problem, steps = grid_problems()[name]
+    coarse = solve_riccati_ode(problem, steps=steps)
+    fine = solve_riccati_ode(problem, steps=8 * steps)
+    gap = np.max(np.abs(coarse.gains - fine.gains[::8]))
+    assert gap <= 1e-12 * np.max(np.abs(fine.gains))
+
+
+def test_riccati_flow_map_stiff_scalar_closed_form():
+    # a = -200, q = 1, Pi_T = 1 on 400 steps, ||H|| |h| = 0.5, so the block
+    # cap, not sqrt(steps), sets the block length.  Pi' = (Pi - p+)(Pi - p-)
+    # with p+- = a +- s, s = sqrt(a^2 + q), so w = (Pi - p+)/(Pi - p-) decays
+    # backward as e^{-2 s (T - t)}; p+ = q / (s - a) avoids the cancellation
+    a, q, pi_T = -200.0, 1.0, 1.0
+    sol = solve_riccati_ode(scalar_problem(a=a, q=q, pi_T=pi_T), steps=400)
+    s = math.hypot(a, math.sqrt(q))
+    p_plus, p_minus = q / (s - a), a - s
+    w = (pi_T - p_plus) / (pi_T - p_minus) * np.exp(-2.0 * s * (1.0 - sol.times))
+    want = (p_plus - p_minus * w) / (1.0 - w)
+    assert np.max(np.abs(sol.gains[:, 0, 0] - want) / want) <= 1e-12
 
 
 def test_stationary_terminal_value_stays_constant():
@@ -66,7 +118,7 @@ def test_riccati_richardson_self_consistency():
     problem = LqProblem(A=a_mat, Q=np.eye(2), Pi_T=0.5 * np.eye(2), horizon=1.0)
     coarse = solve_riccati_ode(problem, steps=400)
     fine = solve_riccati_ode(problem, steps=800)
-    assert np.max(np.abs(coarse.gains - fine.gains[::2])) <= 1e-8
+    assert np.max(np.abs(coarse.gains - fine.gains[::2])) <= 1e-12
 
 
 def test_riccati_blowup_reports_escape_time():
@@ -80,6 +132,24 @@ def test_riccati_blowup_reports_escape_time():
     with pytest.raises(BlowUpError) as err:
         solve_riccati_ode(problem, steps=4000)
     assert err.value.escape_time == pytest.approx(0.5, abs=0.01)
+
+
+@pytest.mark.parametrize("pi_T,steps,want", [
+    ([[-2.0]], 11, 5 / 11),
+    (np.diag([-2.0, 1.0]), 301, 150 / 301),
+], ids=["scalar", "2x2"])
+def test_riccati_blowup_between_grid_points(pi_T, steps, want):
+    from qscontrol.errors import BlowUpError
+
+    # the pole at t = 1/2 falls between grid points, where the map returns
+    # finite: the escape is the first grid time past it
+    pi_T = np.asarray(pi_T)
+    problem = LqProblem(A=np.zeros_like(pi_T), Q=np.zeros_like(pi_T), Pi_T=np.eye(len(pi_T)),
+                        horizon=1.0)
+    problem.Pi_T = pi_T
+    with pytest.raises(BlowUpError) as err:
+        solve_riccati_ode(problem, steps=steps)
+    assert err.value.escape_time == pytest.approx(want, abs=1e-12)
 
 
 def test_riccati_solution_symmetric():
