@@ -39,14 +39,20 @@ surrogate keeps its increments time-major behind their (P, T) shape.
 Every product of stacked small matrices goes through ``_mm``, d broadcast
 rank-1 updates accumulated in place along the path axis; the Cayley
 factor of the Picard step has a closed-form inverse for d <= 2
-(``_cayley``).  The Euler state recursion, its closed loop under the
-feedback law, and the r-process are affine in their state, so each is one
-``_affine_sweep`` Y[k+1] = A_k Y[k] + b_k whose step maps A_k, b_k are
-built once per call, vectorized over all (step, path) pairs.  The closed
-loop folds the gain -R^{-1} G* Pi, the affine part and the perturbation
-into those maps and evaluates the feedback law once, on all T+1 state
-points of the result.  Only the Duhamel sweep of the Picard iteration, a
-congruence, keeps its own per-step loop.
+(``_cayley``).  Every recursion is affine in its state, so each runs on
+the one driver ``_affine_sweep``, Y[k+1] = act(A_k, Y[k] + lead_k) + b_k,
+whose step maps are built once per call, vectorized over all (step, path)
+pairs.  For the Euler state, its closed loop under the feedback law and
+the r-process, act is the left product A Y; for the Duhamel sweep of the
+Picard iteration it is the congruence A Y A*.  The closed loop folds the
+gain -R^{-1} G* Pi, the affine part and the perturbation into its maps
+and evaluates the feedback law once, on all T+1 state points of the
+result.  Where one step's stack is small (P d^2 <= ``_BLOCK_ENTRIES``,
+the few-path runs) the driver runs a two-level blocked scan, about
+2 sqrt(T) Python steps instead of T: blocks of isqrt(T) steps side by
+side from zero, then one call per block that adds the propagated first
+point to all of its points.  Larger stacks, where a step's arithmetic
+outweighs its interpreter overhead, step one at a time.
 
 Discretization of the Picard step.  The iterate recursion is the discrete
 Duhamel form of the propagator representation,
@@ -412,23 +418,83 @@ def _cayley(half):
     return cay
 
 
-def _affine_sweep(maps, offsets, start, out, forward):
-    """Run Y[k+1] = A_k Y[k] + b_k from Y[0] = ``start`` into ``out``.
+def _congruence(m, x, out=None):
+    """``m x m*`` for stacks of small matrices (see ``_mm``)."""
+    return _mm(_mm(m, x), _adj(m), out=out)
 
-    ``maps`` and ``offsets`` (T, d, d, P) hold A_k and b_k in stepping
+
+# Largest stacked step, P d^2 entries, that the sweeps run in blocks.
+# Blocking costs 2.5 (congruence) to 3 (left product) times the flops of
+# plain stepping, so it pays only while a step's interpreter overhead is
+# most of its time.  Measured at d = 2 over 1000 steps (2-vCPU Xeon, one
+# BLAS thread), blocked against plain: the Duhamel, closed-loop and r
+# sweeps run 1.9x, 1.4x and 1.2x faster at 32 paths (128 entries),
+# 1.3x, 1.1x and 1.0x at 64, no faster at 128, and 0.75x, 0.88x and
+# 0.91x at 500.  128 is the largest size where all three still gain.
+_BLOCK_ENTRIES = 128
+
+
+def _affine_sweep(maps, offsets, start, out, forward, act=_mm, lead=None):
+    """Run Y[k+1] = act(A_k, Y[k] + lead_k) + b_k from Y[0] = ``start``
+    into ``out``.
+
+    ``act`` is linear in its second argument: the left product A Y, or the
+    congruence A Y A* of the Duhamel sweep.  ``maps``, ``offsets`` and the
+    optional ``lead`` (T, d, d, P) hold A_k, b_k and lead_k in stepping
     order; the store ``out`` (T+1, d, d, P) is written through its
     ``_along`` view, so a recursion that runs backward in time fills it
-    from the end.  Callers allocate ``out`` before the maps, so the block
-    the maps free is reused by what follows instead of growing the heap
-    (glibc keeps freed blocks resident: two optimality passes at 64 paths
-    x 1000 steps, 11 laws each, peak at 72 MB RSS this way and at 80 MB
-    when the closed loop allocates its state after its maps).
+    from the end.
+
+    Where one step's stack is small (P d^2 <= ``_BLOCK_ENTRIES``) the
+    first nb b steps, b = isqrt(T), nb = T // b, run as a two-level scan
+    in about 2 sqrt(T) Python steps instead of T.  The nb blocks first
+    step side by side from zero, which leaves each block's particular
+    part in ``out`` and, in ``maps`` (overwritten), the products Phi of
+    its step maps up to each of its points (act composes by left products
+    of A).  One loop over the blocks then adds act(Phi, Y_first) to all
+    b points of each block in one call, once the block's first point
+    Y_first, the previous block's last, is known.  Blocks are cut in
+    stepping order, so a recursion run backward on time-reversed data
+    does the same arithmetic as its mirror.  The trailing T - nb b steps,
+    and all steps of larger stacks, step one at a time.
+
+    The scan keeps its products in the caller's ``maps`` and its parts in
+    ``out``, and its temporaries hold at most one block.  Callers allocate
+    ``out`` before the maps, so the block the maps free is reused by what
+    follows instead of growing the heap (glibc keeps freed blocks
+    resident: two optimality passes at 64 paths x 1000 steps, 11 laws
+    each, peak at 72 MB RSS this way and at 80 MB when the closed loop
+    allocates its state after its maps).
     """
     y_k = _along(out, forward)
     y_k[0] = _const(start)
-    for a_k, b_k, y_now, y_next in zip(maps, offsets, y_k[:-1], y_k[1:]):
-        _mm(a_k, y_now, out=y_next)
+    steps = len(maps)
+    leads = [None] * steps if lead is None else lead
+
+    def step(a_k, y_now, lead_k, b_k, y_next):
+        act(a_k, y_now if lead_k is None else y_now + lead_k, out=y_next)
         y_next += b_k
+
+    size = math.isqrt(steps)
+    n_blocks = steps // size if y_k[0].size <= _BLOCK_ENTRIES else 0
+    whole = n_blocks * size
+    if n_blocks:
+        def blocks(arr):  # the first nb b rows as (nb, b, ...) views
+            return arr[:whole].reshape(n_blocks, size, *arr.shape[1:])
+
+        phi, parts, b_j = blocks(maps), blocks(y_k[1:]), blocks(offsets)
+        lead_j = [None] * size if lead is None else blocks(lead).swapaxes(0, 1)
+        previous = np.zeros_like(parts[:, 0])
+        for j in range(size):
+            step(phi[:, j], previous, lead_j[j], b_j[:, j], parts[:, j])
+            if j:
+                phi[:, j] = _mm(phi[:, j], phi[:, j - 1])
+            previous = parts[:, j]
+        for first, block_phi, block in zip(y_k[:whole:size], phi, parts):
+            block += act(block_phi, first)
+    for a_k, lead_k, b_k, y_now, y_next in zip(maps[whole:], leads[whole:], offsets[whole:],
+                                              y_k[whole:-1], y_k[whole + 1:]):
+        step(a_k, y_now, lead_k, b_k, y_next)
     return out
 
 
@@ -507,21 +573,18 @@ def _duhamel_sweep(problem, path, gain, half_w):
     ``half_w`` = dt/2 W, W the time-major inhomogeneity.  q0 steps forward
     from Pi(0); qt runs the same loop on time-reversed views, from Pi(T).
 
-    Nothing is symmetrized: for Hermitian W every step is Hermitian up to
-    rounding, and ``iterate_riccati`` measures the defect on its result.
-    Returns the store.
+    Each step is affine in Pi, with the congruence Pi -> M_j Pi M_j* as its
+    linear part, so it runs on ``_affine_sweep``.  Nothing is symmetrized:
+    for Hermitian W every step is Hermitian up to rounding, and
+    ``iterate_riccati`` measures the defect on its result.  Returns the
+    store.
     """
     forward = problem.direction == Q0
     factors = _step_factors(problem, path, gain)
     out = np.empty(gain.shape, dtype=complex)
-    pi_k, m_k, m_adj_k, w_k = (_along(arr, forward)
-                               for arr in (out, factors, _adj(factors), half_w))
-    pi_k[0] = _const(problem.boundary_gain)
-    for m, m_adj, w_now, w_next, pi_now, pi_next in zip(
-            m_k, m_adj_k, w_k[:-1], w_k[1:], pi_k[:-1], pi_k[1:]):
-        _mm(_mm(m, pi_now + w_now), m_adj, out=pi_next)
-        pi_next += w_next
-    return out
+    w_k = _along(half_w, forward)
+    return _affine_sweep(_along(factors, forward), w_k[1:], problem.boundary_gain, out,
+                         forward, act=_congruence, lead=w_k[:-1])
 
 
 def iterate_riccati(problem, path, n_max=30, tol=1e-6, initial=None):

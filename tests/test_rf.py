@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qscontrol.classical import LqProblem, solve_riccati_ode
 from qscontrol.errors import ShapeError
@@ -19,6 +19,7 @@ from qscontrol.rf import (
     FOCK_VACUUM,
     PLANAR_BROWNIAN,
     RfProblem,
+    _BLOCK_ENTRIES,
     _cayley,
     _duhamel_sweep,
     _mm,
@@ -502,8 +503,8 @@ def test_duhamel_sweep_does_not_symmetrize(direction):
     assert _relative_gap(out, want) <= 1e-12
 
 
-def _check_against_reference_loops(problem, seed):
-    path = build_levy_surrogate(PLANAR_BROWNIAN, 50, 2e-2, seed=seed, n_paths=3)
+def _check_against_reference_loops(problem, seed, n_steps=50, n_paths=3):
+    path = build_levy_surrogate(PLANAR_BROWNIAN, n_steps, 2e-2, seed=seed, n_paths=n_paths)
     result = iterate_riccati(problem, path, n_max=30, tol=1e-8)
     pi_ref, sup_ref, margins_ref = _ref_picard(problem, path, n_max=30, tol=1e-8)
     pi = result.final
@@ -549,6 +550,44 @@ def test_affine_sweeps_match_per_step_reference_loops(direction):
     for problem, seed in ((random_problem(1, 31), 31), (stochastic_2x2_problem(), 24),
                           (random_problem(3, 33), 33)):
         _check_against_reference_loops(replace(problem, direction=direction), seed)
+    # both sides of the blocking rule: 3 paths of 2x2 run in blocks, 33 step
+    # one at a time
+    problem = replace(stochastic_2x2_problem(), direction=direction)
+    assert 3 * 4 <= _BLOCK_ENTRIES < 33 * 4
+    _check_against_reference_loops(problem, 24, n_paths=33)
+    # block lengths isqrt(T): 1 for T < 4, a square, and a trailing step
+    for n_steps in (1, 2, 3, 16, 17):
+        _check_against_reference_loops(problem, 24, n_steps=n_steps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       direction=st.sampled_from(["q0", "qt"]), dt=st.floats(1e-3, 0.1),
+       f_scale=st.floats(1.0, 20.0), n_steps=st.integers(1, 60), n_paths=st.integers(1, 3))
+def test_blocked_sweeps_match_reference_loops(dim, seed, direction, dt, f_scale, n_steps,
+                                              n_paths):
+    # stiff drifts (F up to 20x) and coarse steps, where a blocked scan's
+    # products of up to isqrt(T) step maps grow fastest
+    base = random_problem(dim, seed, direction)
+    problem = replace(base, F=f_scale * base.F)
+    path = build_levy_surrogate(PLANAR_BROWNIAN, n_steps, dt, seed=seed, n_paths=n_paths)
+    assert n_paths * dim**2 <= _BLOCK_ENTRIES
+    gain = np.broadcast_to(problem.boundary_gain, (n_paths, n_steps + 1, dim, dim))
+    half_w = 0.5 * dt * (problem.Q + gain @ problem.gain_quad() @ gain)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pi = _ref_duhamel(problem, path, gain, half_w)
+        r = _ref_r(problem, pi, path)
+        x = _ref_state(problem, path, lambda j, x_now: np.zeros_like(x_now))
+    # bounded cases only: the Euler r and state grow past overflow on some
+    # draws
+    assume(all(np.max(np.abs(want)) <= 1e6 for want in (pi, r, x)))
+    got = _public(_duhamel_sweep(problem, path, _time_major(gain), _time_major(half_w)))
+    # measured over 6000 draws like these: median 1e-15, p99 2e-14, worst
+    # 5.0e-14; plain stepping reads the same on such draws (worst 3.9e-14
+    # over 3000), so blocking adds no visible error; 2e-13 keeps 4x headroom
+    assert _relative_gap(got, pi) <= 2e-13
+    assert _relative_gap(solve_r(problem, pi, path), r) <= 2e-13
+    assert _relative_gap(simulate_state(problem, None, path), x) <= 2e-13
 
 
 def _matrix_last(arr):
