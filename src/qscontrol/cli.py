@@ -703,7 +703,7 @@ EXPERIMENTS = {
         "defect, and the noise-free degeneration to the classical Riccati ODE.",
         # without n_steps the horizon stays T = 1 when dt changes
         {"dt": ("positive", 1e-3),
-         "n_steps": ("int", lambda p: max(1, round(1.0 / p["dt"])), 1),
+         "n_steps": ("int", lambda p: round(1.0 / p["dt"]), 10),
          "n_max": ("int", 30, 1), "tol": ("positive", 1e-6), "n_paths": ("int", 4, 1),
          "write_traces": ("bool", False)},
     ),

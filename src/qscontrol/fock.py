@@ -87,15 +87,17 @@ class TruncationConfig:
             raise ShapeError("levels_per_mode must be >= 2")
         if self.dt <= 0 or self.horizon <= 0:
             raise ShapeError("dt and horizon must be positive")
-        steps = round(self.horizon / self.dt)
-        if abs(steps * self.dt - self.horizon) > 1e-12:
-            raise ShapeError("horizon must be an integer number of steps")
         if self.swn_modes < 1:
             raise ShapeError("swn_modes must be >= 1")
 
     @property
     def n_steps(self):
-        return round(self.horizon / self.dt)
+        """The whole number of dt steps in the horizon, which the tensor
+        routes step through; the master equations grid any dt."""
+        steps = round(self.horizon / self.dt)
+        if abs(steps * self.dt - self.horizon) > 1e-12:
+            raise ShapeError("horizon must be an integer number of steps")
+        return steps
 
 
 @dataclass

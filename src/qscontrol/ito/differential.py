@@ -1,7 +1,13 @@
-"""Finite linear combinations of noise-differential basis labels.
+"""Finite linear combinations of noise-differential basis labels, and the
+one Ito product loop.
 
 ``SymbolicDifferential`` is the common container for every label family:
 the sparse ``Terms`` of ``qscontrol.freealg`` keyed by label.
+``bilinear_extension`` lifts a table given as data, the nonzero
+``(label, weight)`` pairs of each basis pair, to a product of
+differentials: with ``*`` on scalar and polynomial coefficients
+(``swn.swn_mul``, ``rf_symbolic``) and with ``np.matmul`` on system
+matrices (``module_ops.module_ito_mul``).
 Coefficients are complex scalars or, for derivations in the free
 *-algebra, ``FreePoly`` polynomials; products keep their order, so a
 polynomial coefficient never commutes past another.  Structure constants
@@ -12,6 +18,8 @@ comparisons default to 1e-12.
 """
 
 from __future__ import annotations
+
+import operator
 
 from ..freealg import Terms
 
@@ -48,25 +56,29 @@ class SymbolicDifferential(Terms):
         return all(abs(self.coeff(l) - other.coeff(l)) <= tol for l in labels)
 
 
-def bilinear_extension(basis_product):
+def bilinear_extension(basis_product, coeff_product=operator.mul,
+                       container=SymbolicDifferential):
     """Lift a basis-pair product rule to a bilinear map on differentials.
 
-    ``basis_product(la, lb)`` must return a ``SymbolicDifferential`` or
-    None for a vanishing product.  The coefficient of ``la lb`` is
-    ``ca * cb`` times the table's, in that order.
+    ``basis_product(la, lb)`` returns the nonzero ``(label, weight)``
+    pairs of ``la lb``, ``()`` when it vanishes.  The coefficient of
+    ``la lb`` is ``coeff_product(ca, cb) * weight``, the factors in their
+    order: ``*`` for scalar and polynomial coefficients, ``np.matmul`` for
+    matrices.  The map collects the ``{label: coefficient}`` sums into
+    ``container``.
     """
 
     def mul(a, b):
         out = {}
         for la, ca in a.terms.items():
             for lb, cb in b.terms.items():
-                prod = basis_product(la, lb)
-                if prod is None:
+                pairs = basis_product(la, lb)
+                if not pairs:
                     continue
-                scale = ca * cb
-                for label, coeff in prod.terms.items():
-                    add = scale * coeff
+                prod = coeff_product(ca, cb)
+                for label, weight in pairs:
+                    add = prod * weight
                     out[label] = out[label] + add if label in out else add
-        return SymbolicDifferential(out)
+        return container(out)
 
     return mul

@@ -15,18 +15,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# the index names of each label kind, read by validation and serialization
+INDEX_NAMES = {"time": (), "ann": ("m",), "cre": ("m",), "cons": ("n", "k", "l")}
+
 
 @dataclass(frozen=True, order=True)
 class SwnLabel:
-    kind: str           # "time" | "ann" | "cre" | "cons"
-    idx: tuple = ()     # () | (m,) | (m,) | (n, k, l)
-
-    _KINDS = ("time", "ann", "cre", "cons")
+    kind: str           # a key of INDEX_NAMES
+    idx: tuple = ()     # one natural per index name of the kind
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in INDEX_NAMES:
             raise ValueError(f"unknown SWN label kind {self.kind!r}")
-        want = {"time": 0, "ann": 1, "cre": 1, "cons": 3}[self.kind]
+        want = len(INDEX_NAMES[self.kind])
         if len(self.idx) != want:
             raise ValueError(f"{self.kind} label needs {want} indices, got {self.idx}")
         if any((not isinstance(i, int)) or i < 0 for i in self.idx):

@@ -3,9 +3,11 @@
 A ``ModuleOperator`` is a finite sum of terms ``S (x) label`` where S is a
 complex system matrix and the label an ``SwnLabel``: dt, dA_m, dA+_m or
 dL(n, k, l).  It multiplies through the one SWN Ito table,
-``swn.swn_basis_product``, exactly as scalar differentials do; only the
-coefficient product changes, ``weight * (S_a @ S_b)`` in the order of the
-factors.  ``module_ito_mul`` is that product.
+``swn.swn_basis_product``, exactly as scalar differentials do:
+``module_ito_mul`` is the one product loop,
+``differential.bilinear_extension``, with ``np.matmul`` as the
+coefficient product, so the coefficient of ``la lb`` is
+``(S_a @ S_b) * weight`` in the order of the factors.
 
 The named operations are the slots of the table, each a check that its
 arguments carry the labels of the slot, then ``module_ito_mul``:
@@ -27,6 +29,7 @@ import numpy as np
 
 from ..errors import ShapeError
 from ..linalg import as_matrix, fro
+from .differential import bilinear_extension
 from .labels import SwnLabel
 from .sl2 import rho_plus_matrix
 from .swn import swn_basis_product
@@ -175,20 +178,13 @@ def require_slot(op, kind, name):
         raise ShapeError(f"{name} expects {kind} labels, got {stray}")
 
 
+_matrix_mul = bilinear_extension(swn_basis_product, np.matmul, dict)
+
+
 def module_ito_mul(x, y):
     """Ito product of two SWN differentials with matrix coefficients."""
     x._check(y)
-    out = {}
-    for la, sa in x.terms.items():
-        for lb, sb in y.terms.items():
-            prod = swn_basis_product(la, lb)
-            if prod is None:
-                continue
-            mat = sa @ sb
-            for label, weight in prod.terms.items():
-                add = weight * mat
-                out[label] = out[label] + add if label in out else add
-    return ModuleOperator(out, dim=x.dim)
+    return ModuleOperator(_matrix_mul(x, y), dim=x.dim)
 
 
 def circ(d1, e1):

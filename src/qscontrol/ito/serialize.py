@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .differential import SymbolicDifferential
-from .labels import SwnLabel
+from .labels import INDEX_NAMES, SwnLabel
 from .module_ops import ModuleOperator
 
 
@@ -35,23 +35,12 @@ def _complex_in(pair):
 
 
 def _label_out(label):
-    if label.kind == "time":
-        return {"kind": "time"}
-    if label.kind in ("ann", "cre"):
-        return {"kind": label.kind, "m": label.idx[0]}
-    n, k, l = label.idx
-    return {"kind": "cons", "n": n, "k": k, "l": l}
+    return {"kind": label.kind, **dict(zip(INDEX_NAMES[label.kind], label.idx))}
 
 
 def _label_in(obj):
     kind = obj["kind"]
-    if kind == "time":
-        return SwnLabel.time()
-    if kind == "ann":
-        return SwnLabel.ann(obj["m"])
-    if kind == "cre":
-        return SwnLabel.cre(obj["m"])
-    return SwnLabel.cons(obj["n"], obj["k"], obj["l"])
+    return SwnLabel(kind, tuple(obj[name] for name in INDEX_NAMES.get(kind, ())))
 
 
 def _matrix_out(mat):

@@ -76,13 +76,6 @@ def factorial_powers(x, n):
     return falling(x, n), rising(x, n)
 
 
-def int_pow(base, exp):
-    """base^exp with the 0^0 = 1 convention used by the table."""
-    if exp == 0:
-        return 1
-    return base**exp
-
-
 def theta(n, k, l, m):
     """Representation weight theta_{n,k,l,m}; 0 outside the Heaviside support."""
     if min(n, k, l, m) < 0:
@@ -103,7 +96,7 @@ def theta_int(n, k, l, m):
     """
     if n + m - l < 0:
         return 0
-    return (2**k) * rising(m - l + 1, n) * falling(m + 1, l) * int_pow(m - l + 1, k)
+    return (2**k) * rising(m - l + 1, n) * falling(m + 1, l) * (m - l + 1) ** k
 
 
 def rho_plus_int_entries(n, k, l, N):
@@ -119,14 +112,14 @@ def rho_plus_int_entries(n, k, l, N):
 
 
 def rho_plus_matrix(n, k, l, N):
-    """N x N truncation of rho+(Bplus^n M^k Bminus^l) on e_0..e_{N-1}."""
-    if N < 1:
-        raise ValueError("truncation size must be >= 1")
+    """N x N truncation of rho+(Bplus^n M^k Bminus^l) on e_0..e_{N-1}: the
+    integer parts of ``rho_plus_int_entries`` times sqrt((row+1)/(col+1)),
+    as ``theta`` evaluates them."""
+    if min(n, k, l) < 0 or N < 1:
+        raise ValueError(f"rho+ needs natural indices and N >= 1, got {(n, k, l)}, N = {N}")
     mat = np.zeros((N, N))
-    for m in range(N):
-        row = n + m - l
-        if 0 <= row < N:
-            mat[row, m] = theta(n, k, l, m)
+    for (row, col), val in rho_plus_int_entries(n, k, l, N).items():
+        mat[row, col] = val * math.sqrt((row + 1) / (col + 1))
     return mat
 
 
@@ -170,8 +163,8 @@ def swn_structure_constants(alpha, beta, gamma, a, b, c, stirling=stirling1):
                     mid = (
                         base
                         * math.comb(beta, omg)
-                        * int_pow(2, beta - omg)
-                        * int_pow(a - gamma + lam, beta - omg)
+                        * 2 ** (beta - omg)
+                        * (a - gamma + lam) ** (beta - omg)
                     )
                     if mid == 0:
                         continue
@@ -179,8 +172,8 @@ def swn_structure_constants(alpha, beta, gamma, a, b, c, stirling=stirling1):
                         coeff = (
                             mid
                             * math.comb(b, eps)
-                            * int_pow(2, b - eps)
-                            * int_pow(lam, b - eps)
+                            * 2 ** (b - eps)
+                            * lam ** (b - eps)
                         )
                         if coeff == 0:
                             continue

@@ -8,8 +8,13 @@ Nonzero basis products over ``SwnLabel``:
     dA_m dL_{a',b',c'}       = theta(c',b',a',m) dA_{c'+m-a'}   (adjoint of the row above)
     dA_m dA+_n               = delta_{mn} dt
 
-All other products of differentials vanish.  The sl(2) generators enter
-through their conservation realizations
+All other products of differentials vanish.  ``swn_basis_product`` is
+the table as data: the nonzero (label, weight) pairs of a basis pair, with
+real weights.  ``swn_mul`` is ``differential.bilinear_extension`` of it,
+and ``module_ops.module_ito_mul`` runs the same table on matrix
+coefficients.
+
+The sl(2) generators enter through their conservation realizations
 
     dBminus = dL(0,0,1) + dA_0,   dBplus = dL(1,0,0) + dA+_0,
     dM      = dL(0,1,0) + dt,
@@ -25,28 +30,22 @@ from .sl2 import swn_structure_constants, theta
 
 
 def swn_basis_product(la, lb):
-    ka, kb = la.kind, lb.kind
-    if ka == "cons" and kb == "cons":
+    """The nonzero ``(label, weight)`` pairs of ``la lb``, ``()`` when it vanishes."""
+    kinds = la.kind, lb.kind
+    if kinds == ("cons", "cons"):
         consts = swn_structure_constants(*la.idx, *lb.idx)
-        return SymbolicDifferential(
-            {SwnLabel.cons(*label): coeff for label, coeff in consts.items()}
-        )
-    if ka == "cons" and kb == "cre":
-        (n,) = lb.idx
-        alpha, beta, gamma = la.idx
+        return tuple((SwnLabel.cons(*label), coeff) for label, coeff in consts.items())
+    if kinds == ("cons", "cre"):
+        (alpha, beta, gamma), (n,) = la.idx, lb.idx
         weight = theta(alpha, beta, gamma, n)
-        if weight == 0.0:
-            return None
-        return SymbolicDifferential.basis(SwnLabel.cre(alpha + n - gamma), weight)
-    if ka == "ann" and kb == "cons":
-        # the mirror of (cons, cre): dA_m dL = ((dL)* dA+_m)*
+        return ((SwnLabel.cre(alpha + n - gamma), weight),) if weight else ()
+    if kinds == ("ann", "cons"):
+        # the mirror of (cons, cre): dA_m dL = ((dL)* dA+_m)*, with real weights
         mirror = swn_basis_product(lb.adjoint(), la.adjoint())
-        return None if mirror is None else mirror.adjoint()
-    if ka == "ann" and kb == "cre":
-        if la.idx == lb.idx:
-            return SymbolicDifferential.basis(SwnLabel.time())
-        return None
-    return None
+        return tuple((label.adjoint(), weight) for label, weight in mirror)
+    if kinds == ("ann", "cre") and la.idx == lb.idx:
+        return ((SwnLabel.time(), 1.0),)
+    return ()
 
 
 swn_mul = bilinear_extension(swn_basis_product)

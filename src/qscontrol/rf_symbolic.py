@@ -12,7 +12,8 @@ against the printed specialization.  Coefficients never commute; only the
 four table scalars s_ba, central letters of the algebra, do.
 
 Differentials are ``SymbolicDifferential``s over the labels dt, dM1, dM2
-with polynomial coefficients, multiplied by the table
+with polynomial coefficients, multiplied by the package's one product
+loop, ``ito.differential.bilinear_extension``, with the table
 
     dM1 dM1 = s21 dt    dM1 dM2 = s22 dt
     dM2 dM1 = s11 dt    dM2 dM2 = s12 dt
@@ -47,8 +48,9 @@ _SIGMA = {
 
 
 def _sigma_product(la, lb):
+    """The (label, weight) pairs of ``la lb``: one dt term, or () when it vanishes."""
     name = _SIGMA.get((la, lb))
-    return None if name is None else SymbolicDifferential.basis(_Noise.TIME, FreePoly.sym(name))
+    return () if name is None else ((_Noise.TIME, FreePoly.sym(name)),)
 
 
 _sigma_mul = bilinear_extension(_sigma_product)

@@ -227,6 +227,31 @@ def test_malformed_or_vacuous_config_exits_2_naming_the_key(tmp_path, capsys, co
     assert not list(tmp_path.glob("*_report.json"))
 
 
+@pytest.mark.parametrize("config", [{"dt": 0.5}, {"n_steps": 9}], ids=["dt-0.5", "n_steps-9"])
+def test_rf_riccati_under_ten_steps_exits_2_naming_n_steps(tmp_path, capsys, config):
+    # the noise-free degeneration runs the classical Riccati solver on
+    # n_steps steps, and that solver needs at least 10
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "rf-riccati", **config}))
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert "config error: n_steps: expected an integer >= 10" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_report.json"))
+
+
+@pytest.mark.parametrize("via", ["config", "flag"])
+def test_swn_control_dt_off_the_horizon_grid_writes_a_report(tmp_path, capsys, via):
+    # horizon 1 is no whole number of dt = 0.3 steps: the master equation
+    # takes 4 equal steps of 0.25, too coarse for the damping check alone
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "swn-control", **({"dt": 0.3} if via == "config" else {})}))
+    flag = ["--dt", "0.3"] if via == "flag" else []
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path), *flag]) == 1
+    assert "error" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "swn-control_report.json").read_text())
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == [
+        "single-mode damping closed form"]
+
+
 @pytest.mark.parametrize("kind", ["lqr", "lqg"])
 def test_lq_kinds_build_their_problem_from_every_matrix_key(monkeypatch, tmp_path, kind):
     import qscontrol.classical as classical
@@ -283,3 +308,38 @@ def test_lqg_paths_csv_holds_plain_numbers(tmp_path):
     for idx, row in enumerate(rows[1:]):
         path, cost = row.split(",")
         assert int(path) == idx and np.isfinite(float(cost))
+
+
+def _documented_keys():
+    """{kind: {key: (type, minimum cell or None)}} from the key tables of
+    docs/config_schema.md, one section per kind."""
+    text = (Path(__file__).resolve().parents[1] / "docs" / "config_schema.md").read_text()
+    tables = {}
+    for section in text.split("\n### ")[1:]:
+        kind = section.split("\n", 1)[0].strip("`")
+        rows = [[cell.strip() for cell in line.strip("|").split("|")]
+                for line in section.splitlines() if line.startswith("|")]
+        table = tables[kind] = {}
+        if not rows:
+            continue
+        header = rows[0]
+        for row in rows[2:]:  # below the header and its rule
+            cells = dict(zip(header, row))
+            for key in cells["key"].split(","):
+                table[key.strip().strip("`")] = (cells["type"], cells.get("minimum"))
+    return tables
+
+
+def test_config_schema_doc_lists_every_key_with_its_type_and_minimum():
+    documented = _documented_keys()
+    assert documented.keys() == EXPERIMENTS.keys()
+    for kind, experiment in EXPERIMENTS.items():
+        doc = documented[kind]
+        assert doc.keys() == experiment.keys.keys(), kind
+        for key, (kind_of, _, *minimum) in experiment.keys.items():
+            doc_type, doc_min = doc[key]
+            assert doc_type == kind_of, (kind, key)
+            if minimum and not callable(minimum[0]):
+                assert doc_min == str(minimum[0]), (kind, key)
+            elif not minimum:
+                assert not doc_min, (kind, key)

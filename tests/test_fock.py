@@ -181,6 +181,16 @@ def test_tensor_budget_rejection():
     assert err.value.required > err.value.budget
 
 
+def test_tensor_routes_reject_a_horizon_off_the_step_grid():
+    # the master equations grid any dt, so the config admits dt = 0.3 at
+    # horizon 1; the tensor routes take one fresh mode per whole dt step
+    spec = HpEvolutionSpec(H=SZ, L=SMINUS)
+    config = TruncationConfig(levels_per_mode=2, dt=0.3, horizon=1.0)
+    for route in (step_tensor_evolution, unitarity_defect):
+        with pytest.raises(ShapeError, match="integer number of steps"):
+            route(spec, config)
+
+
 def test_ccr_of_truncated_increments():
     for d in (2, 3, 5):
         a = np.diag(np.sqrt(np.arange(1, d, dtype=float)), 1)

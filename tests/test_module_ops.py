@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qscontrol.errors import ShapeError
 from qscontrol.ito import (
     ModuleOperator,
     SwnLabel,
+    SymbolicDifferential,
     circ,
     inner,
     l_map,
@@ -17,6 +19,8 @@ from qscontrol.ito import (
     pairing,
     r_map,
     rho_plus_matrix,
+    swn_basis_product,
+    swn_mul,
 )
 from qscontrol.seeding import single_rng
 
@@ -261,3 +265,31 @@ def test_module_differential_adjoint_is_antihomomorphism():
     lhs = module_ito_mul(x, y).adjoint()
     rhs = module_ito_mul(y.adjoint(), x.adjoint())
     assert lhs.approx_eq(rhs, 1e-9)
+
+
+# ----------------------------------------------------- one product loop
+
+_labels = st.one_of(
+    st.just(SwnLabel.time()),
+    st.integers(0, 2).map(SwnLabel.ann),
+    st.integers(0, 2).map(SwnLabel.cre),
+    st.tuples(*[st.integers(0, 2)] * 3).map(lambda nkl: SwnLabel.cons(*nkl)),
+)
+_scalar_terms = st.dictionaries(_labels, st.complex_numbers(
+    min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scalar_terms, _scalar_terms)
+def test_module_ito_mul_on_1x1_coefficients_is_swn_mul(a, b):
+    scalar = swn_mul(SymbolicDifferential(a), SymbolicDifferential(b))
+    x, y = (ModuleOperator({label: [[c]] for label, c in terms.items()}, dim=1)
+            for terms in (a, b))
+    module = module_ito_mul(x, y)
+    # the matrix product may round differently from the scalar one (BLAS)
+    scale = sum(abs(ca * cb * weight) for la, ca in a.items() for lb, cb in b.items()
+                for _, weight in swn_basis_product(la, lb))
+    for label in module.terms.keys() | scalar.terms.keys():
+        got = module.terms[label][0, 0] if label in module.terms else 0.0
+        assert abs(got - scalar.coeff(label)) <= 1e-14 * scale, label

@@ -27,6 +27,7 @@ from qscontrol.ito import (
     d_bplus,
     d_m,
     rho_plus_matrix,
+    swn_basis_product,
     swn_mul,
     swn_structure_constants,
     theta,
@@ -237,3 +238,32 @@ def test_associativity_on_triples_up_to_1():
 def _scale(*diffs):
     mags = [abs(c) for d in diffs for c in d.terms.values()]
     return max(1.0, max(mags, default=0.0))
+
+
+# every label kind, modes <= 2 and conservation indices <= 2
+SMALL_LABELS = [SwnLabel.time(), *map(SwnLabel.ann, range(3)), *map(SwnLabel.cre, range(3)),
+                *(SwnLabel.cons(*nkl) for nkl in itertools.product(range(3), repeat=3))]
+
+
+def test_swn_basis_product_is_empty_exactly_where_the_table_vanishes():
+    # nonzero read off the number-space representation: dL(x) dA+_n acts as
+    # rho+(x) on e_n, dA_m dL(y) as the mirror rho+(y*) on e_m, and
+    # dL(x) dL(y) as rho+(x) rho+(y) on the columns no truncation cuts
+    n_rep, margin = 16, 4
+    image = {x.idx: rho_plus_matrix(*x.idx, n_rep) for x in SMALL_LABELS if x.kind == "cons"}
+    for la, lb in itertools.product(SMALL_LABELS, repeat=2):
+        kinds = la.kind, lb.kind
+        if kinds == ("ann", "cre"):
+            nonzero = la.idx == lb.idx
+        elif kinds == ("cons", "cre"):
+            nonzero = np.any(image[la.idx][:, lb.idx[0]])
+        elif kinds == ("ann", "cons"):
+            nonzero = np.any(image[lb.adjoint().idx][:, la.idx[0]])
+        elif kinds == ("cons", "cons"):
+            nonzero = np.any((image[la.idx] @ image[lb.idx])[:, :n_rep - margin])
+        else:
+            nonzero = False
+        pairs = swn_basis_product(la, lb)
+        assert isinstance(pairs, tuple) and (pairs != ()) == nonzero, (la, lb)
+        assert len({label for label, _ in pairs}) == len(pairs)
+        assert all(isinstance(w, (int, float)) and w != 0 for _, w in pairs), (la, lb)
