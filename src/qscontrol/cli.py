@@ -194,12 +194,16 @@ def parse_config(path_or_dict):
         if val is not None:
             params[key] = val
     dim = _shared_dim(keys, params, errors)
-    # table order: a computed default sees every key listed before it
+    # table order: a computed default sees every key listed before it; one
+    # that cannot be computed raises a ConfigError naming the key it came from
     for key, (kind_of, default, *_) in keys.items():
         if key not in params:
-            params[key] = _default(kind_of, default, params, dim)
+            try:
+                params[key] = _default(kind_of, default, params, dim)
+            except ConfigError as err:
+                errors.extend(err.errors)
     for key, (kind_of, _, *minimum) in keys.items():
-        if minimum:
+        if minimum and key in params:
             low = minimum[0](params) if callable(minimum[0]) else minimum[0]
             if params[key] < low:
                 errors.append(f"{key}: expected an integer >= {low}, got {params[key]}")
@@ -610,6 +614,15 @@ def _run_rf_riccati(config, outputs, out_dir):
 # ----------------------------------------------------------- the kinds
 
 
+def _unit_horizon_steps(params):
+    """round(1 / dt), the step count of the horizon T = 1."""
+    steps = 1.0 / params["dt"]
+    if not math.isfinite(steps):
+        raise ConfigError([f"dt: {params['dt']!r} is too small: 1/dt overflows, so the "
+                           "default n_steps = round(1/dt) has no value"])
+    return round(steps)
+
+
 class _Experiment(NamedTuple):
     runner: Callable
     description: str
@@ -703,7 +716,7 @@ EXPERIMENTS = {
         "defect, and the noise-free degeneration to the classical Riccati ODE.",
         # without n_steps the horizon stays T = 1 when dt changes
         {"dt": ("positive", 1e-3),
-         "n_steps": ("int", lambda p: round(1.0 / p["dt"]), 10),
+         "n_steps": ("int", _unit_horizon_steps, 10),
          "n_max": ("int", 30, 1), "tol": ("positive", 1e-6), "n_paths": ("int", 4, 1),
          "write_traces": ("bool", False)},
     ),

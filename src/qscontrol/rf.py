@@ -41,18 +41,24 @@ rank-1 updates accumulated in place along the path axis; the Cayley
 factor of the Picard step has a closed-form inverse for d <= 2
 (``_cayley``).  Every recursion is affine in its state, so each runs on
 the one driver ``_affine_sweep``, Y[k+1] = act(A_k, Y[k] + lead_k) + b_k,
-whose step maps are built once per call, vectorized over all (step, path)
-pairs.  For the Euler state, its closed loop under the feedback law and
-the r-process, act is the left product A Y; for the Duhamel sweep of the
-Picard iteration it is the congruence A Y A*.  The closed loop folds the
-gain -R^{-1} G* Pi, the affine part and the perturbation into its maps
-and evaluates the feedback law once, on all T+1 state points of the
-result.  Where one step's stack is small (P d^2 <= ``_BLOCK_ENTRIES``,
-the few-path runs) the driver runs a two-level blocked scan, about
-2 sqrt(T) Python steps instead of T: blocks of isqrt(T) steps side by
-side from zero, then one call per block that adds the propagated first
-point to all of its points.  Larger stacks, where a step's arithmetic
-outweighs its interpreter overhead, step one at a time.
+which asks its caller for the step maps of a range of steps at a time,
+vectorized over those (step, path) pairs.  For the Euler state, its
+closed loop under the feedback law and the r-process, act is the left
+product A Y; for the Duhamel sweep of the Picard iteration it is the
+congruence A Y A*.  The closed loop folds the gain -R^{-1} G* Pi, the
+affine part and the perturbation into its maps.  Where one step's stack
+is small (P d^2 <= ``_BLOCK_ENTRIES``, the few-path runs) the driver asks
+for all steps at once and runs a two-level blocked scan, about 2 sqrt(T)
+Python steps instead of T: blocks of isqrt(T) steps side by side from
+zero, then one call per block that adds the propagated first point to all
+of its points.  Larger stacks, where a step's arithmetic outweighs its
+interpreter overhead, step one at a time through time blocks of
+``_STREAM_ENTRIES`` entries: each block's maps are built, swept and
+dropped while in cache, and the driver hands each finished block of
+points to its caller, which reduces it (the Picard step and margin, the
+fixed-point defect) or evaluates the feedback law on it.  The feedback
+law and the cost run through the same time blocks, so only the stores a
+function returns (Pi, r, x, u) are full size.
 
 Discretization of the Picard step.  The iterate recursion is the discrete
 Duhamel form of the propagator representation,
@@ -75,8 +81,10 @@ degeneration meet a 1e-6 comparison against the classical Riccati ODE at
 dt = 1e-3.
 
 Optimality check.  ``verify_feedback_optimality`` runs an ensemble in
-chunks of ``_CHUNK_PATHS`` = 500 paths, so a 2x2 stack of 1001 points
-stays at 32 MB, and pools the paired cost differences of all chunks.
+chunks of ``_CHUNK_PATHS`` = 500 paths, so each 2x2 store of 1001 points
+is 32 MB; a chunk holds at most four at once (Pi, r and one closed loop's
+x and u, or Pi and its successor during the iteration), plus block-sized
+temporaries.  It pools the paired cost differences of all chunks.
 Picard stops on the chunk's sup-norm, so the chunk size shapes the report
 and is fixed, not an option.  The cross term K of the completion of
 squares is the polarization of the cost (``_cost_form``) between the
@@ -88,6 +96,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -363,11 +372,10 @@ def _adj(arr):
     return arr.conj().swapaxes(-3, -2)
 
 
-def _increments(path, forward=True):
-    """dM1, dM2 = conj(dM1) as time-major (T, 1, 1, P) arrays in stepping
-    order (dM1 a view)."""
-    dm1 = _along(path.dm1.T, forward)[:, None, None]
-    return dm1, dm1.conj()
+def _increments(path, forward):
+    """dM1 as a time-major (T, 1, 1, P) view in stepping order; callers
+    take dM2 = conj(dM1) block by block."""
+    return _along(path.dm1.T, forward)[:, None, None]
 
 
 # ----------------------------------------------------------------- kernels
@@ -426,59 +434,94 @@ def _congruence(m, x, out=None):
 # Largest stacked step, P d^2 entries, that the sweeps run in blocks.
 # Blocking costs 2.5 (congruence) to 3 (left product) times the flops of
 # plain stepping, so it pays only while a step's interpreter overhead is
-# most of its time.  Measured at d = 2 over 1000 steps (2-vCPU Xeon, one
-# BLAS thread), blocked against plain: the Duhamel, closed-loop and r
-# sweeps run 1.9x, 1.4x and 1.2x faster at 32 paths (128 entries),
-# 1.3x, 1.1x and 1.0x at 64, no faster at 128, and 0.75x, 0.88x and
-# 0.91x at 500.  128 is the largest size where all three still gain.
+# most of its time.  Measured at d = 2 over 1000 steps against streamed
+# plain stepping (2-vCPU Xeon, one BLAS thread, medians of 11-15
+# interleaved pairs), blocked runs the Picard iteration, the closed loop
+# and the r sweep 1.43x, 1.28x and 1.00x as fast as plain at 16 paths,
+# 1.19x, 1.11x and 0.65x at 32 (128 entries), 0.96x, 0.93x and 0.59x at
+# 40, 0.74x, 0.72x and 0.51x at 64, and 0.69x, 0.70x and 0.50x at 128.
+# 128 is the largest size where the Picard iteration and the closed loop,
+# most of every rf run, still gain.
 _BLOCK_ENTRIES = 128
 
+# Entries of one time block of a stack, P d^2 per point: plain stepping
+# builds, sweeps and drops its step maps one such block at a time, and
+# every other full-length pass over a store (reductions, the feedback law,
+# the cost) works through blocks of this size, so their temporaries stay
+# in cache and only the stores a function returns are full size.  2^14
+# entries is 256 KB per complex stack: 64 steps at 64 paths of 2x2, 8 at
+# 500.  Over 16 rotating rf-dominance passes (64 paths x 1000 steps, same
+# host) blocks of 2^12, 2^13, 2^15 and 2^16 entries took 1.16, 1.06, 1.02
+# and 1.09 times as long as 2^14 (median ratios).
+_STREAM_ENTRIES = 2**14
 
-def _affine_sweep(maps, offsets, start, out, forward, act=_mm, lead=None):
-    """Run Y[k+1] = act(A_k, Y[k] + lead_k) + b_k from Y[0] = ``start``
-    into ``out``.
+
+def _block_len(store):
+    """Points (or steps) of one time block of a (T+1, d, d, P) store."""
+    return max(1, _STREAM_ENTRIES // store[0].size)
+
+
+def _time_blocks(store):
+    """Consecutive slices of the time axis of ``store``, one block each."""
+    size = _block_len(store)
+    return [slice(lo, min(lo + size, len(store))) for lo in range(0, len(store), size)]
+
+
+def _affine_sweep(build, start, shape, forward, act=_mm, emit=None):
+    """Run Y[k+1] = act(A_k, Y[k] + lead_k) + b_k from Y[0] = ``start``;
+    returns the store of all points, a complex array of ``shape``
+    (T+1, d, d, P).
 
     ``act`` is linear in its second argument: the left product A Y, or the
-    congruence A Y A* of the Duhamel sweep.  ``maps``, ``offsets`` and the
-    optional ``lead`` (T, d, d, P) hold A_k, b_k and lead_k in stepping
-    order; the store ``out`` (T+1, d, d, P) is written through its
-    ``_along`` view, so a recursion that runs backward in time fills it
-    from the end.
+    congruence A Y A* of the Duhamel sweep.  ``build(lo, hi)`` returns
+    (maps, offsets, lead): A_k, b_k and lead_k of the steps lo to hi as
+    fresh (hi - lo, d, d, P) stacks in stepping order, with lead None for a
+    recursion without one.  The store is written through its ``_along``
+    view, so a recursion that runs backward in time fills it from the end.
+    ``emit(rows, points)``, if given, is called with slices of the time
+    axis that cover each point once and the store's points there, each as
+    soon as they are final.
 
     Where one step's stack is small (P d^2 <= ``_BLOCK_ENTRIES``) the
-    first nb b steps, b = isqrt(T), nb = T // b, run as a two-level scan
-    in about 2 sqrt(T) Python steps instead of T.  The nb blocks first
-    step side by side from zero, which leaves each block's particular
-    part in ``out`` and, in ``maps`` (overwritten), the products Phi of
-    its step maps up to each of its points (act composes by left products
-    of A).  One loop over the blocks then adds act(Phi, Y_first) to all
-    b points of each block in one call, once the block's first point
-    Y_first, the previous block's last, is known.  Blocks are cut in
-    stepping order, so a recursion run backward on time-reversed data
-    does the same arithmetic as its mirror.  The trailing T - nb b steps,
-    and all steps of larger stacks, step one at a time.
+    driver asks for all T steps in one call, before it allocates the store
+    (which then takes memory the call's temporaries freed, not fresh
+    pages), and the first nb b steps, b = isqrt(T), nb = T // b, run as a
+    two-level scan in about 2 sqrt(T) Python steps instead of T.  The nb
+    blocks first step side by side from zero, which leaves each block's
+    particular part in the store and, in ``maps`` (overwritten), the
+    products Phi of its step maps up to each of its points (act composes by
+    left products of A).  One loop over the blocks then adds
+    act(Phi, Y_first) to all b points of each block in one call, once the
+    block's first point Y_first, the previous block's last, is known.
+    Blocks are cut in stepping order, so a recursion run backward on
+    time-reversed data does the same arithmetic as its mirror.  The
+    trailing T - nb b steps step one at a time.
 
-    The scan keeps its products in the caller's ``maps`` and its parts in
-    ``out``, and its temporaries hold at most one block.  Callers allocate
-    ``out`` before the maps, so the block the maps free is reused by what
-    follows instead of growing the heap (glibc keeps freed blocks
-    resident: two optimality passes at 64 paths x 1000 steps, 11 laws
-    each, peak at 72 MB RSS this way and at 80 MB when the closed loop
-    allocates its state after its maps).
+    Larger stacks step one at a time through blocks of ``_block_len``
+    steps: each block's maps are built, swept and dropped, and its points
+    emitted, while they are in cache.
     """
+    steps = shape[0] - 1
+    blocked = math.prod(shape[1:]) <= _BLOCK_ENTRIES
+    all_steps = build(0, steps) if blocked else None
+    out = np.empty(shape, dtype=complex)
     y_k = _along(out, forward)
     y_k[0] = _const(start)
-    steps = len(maps)
-    leads = [None] * steps if lead is None else lead
 
     def step(a_k, y_now, lead_k, b_k, y_next):
         act(a_k, y_now if lead_k is None else y_now + lead_k, out=y_next)
         y_next += b_k
 
-    size = math.isqrt(steps)
-    n_blocks = steps // size if y_k[0].size <= _BLOCK_ENTRIES else 0
-    whole = n_blocks * size
-    if n_blocks:
+    def run(lo, maps, offsets, lead):  # plain steps from step lo on
+        leads = [None] * len(maps) if lead is None else lead
+        for a_k, lead_k, b_k, y_now, y_next in zip(maps, leads, offsets, y_k[lo:], y_k[lo + 1:]):
+            step(a_k, y_now, lead_k, b_k, y_next)
+
+    def scan(maps, offsets, lead):  # the blocked scan, then the trailing steps
+        size = math.isqrt(steps)
+        n_blocks = steps // size
+        whole = n_blocks * size
+
         def blocks(arr):  # the first nb b rows as (nb, b, ...) views
             return arr[:whole].reshape(n_blocks, size, *arr.shape[1:])
 
@@ -492,9 +535,23 @@ def _affine_sweep(maps, offsets, start, out, forward, act=_mm, lead=None):
             previous = parts[:, j]
         for first, block_phi, block in zip(y_k[:whole:size], phi, parts):
             block += act(block_phi, first)
-    for a_k, lead_k, b_k, y_now, y_next in zip(maps[whole:], leads[whole:], offsets[whole:],
-                                              y_k[whole:-1], y_k[whole + 1:]):
-        step(a_k, y_now, lead_k, b_k, y_next)
+        run(whole, maps[whole:], offsets[whole:], None if lead is None else lead[whole:])
+
+    if blocked:
+        scan(*all_steps)
+        del all_steps  # the step maps are freed before the caller's reductions
+        if emit is not None:
+            for rows in _time_blocks(out):
+                emit(rows, out[rows])
+        return out
+    block = _block_len(out)
+    for lo in range(0, steps, block):
+        hi = min(lo + block, steps)
+        run(lo, *build(lo, hi))
+        if emit is not None:  # points lo to hi, the last block's end point too
+            hi += hi == steps
+            rows = slice(lo, hi) if forward else slice(steps + 1 - hi, steps + 1 - lo)
+            emit(rows, out[rows])
     return out
 
 
@@ -535,56 +592,70 @@ class RiccatiIteration:
     herm_residual: float
 
 
-def _step_factors(problem, path, gain):
+def _step_factors(problem, path, gain, forward):
     """Per-step left multipliers M_j for the closed-loop recursion.
 
     ``gain`` is the time-major store (T+1, d, d, P) of the previous iterate,
-    which supplies the midpoint gain samples; returns (T, d, d, P) in time
-    order.  The qt branch negates the drift quadratic (the reversed table
-    carries -sigma); the increments are the same on both branches.
+    which supplies the midpoint gain samples.  Returns the function
+    (lo, hi) -> the (hi - lo, d, d, P) factors of the steps lo to hi in
+    stepping order (time order when ``forward``).  The qt branch negates
+    the drift quadratic (the reversed table carries -sigma); the increments
+    are the same on both branches.
     """
     dt = path.dt
-    gq = problem.gain_quad()
+    neg_gq = _const(-problem.gain_quad())
     c1, c2 = problem.noise_couplings()
     sign = 1.0 if problem.direction == Q0 else -1.0
-    s_mat = sign * problem.drift_quadratic(path.sigma)
-
-    # each full stack is freed as soon as it is used: this call sets the
-    # peak memory of the Picard iteration
-    drift = _mm(_const(-gq), 0.5 * (gain[:-1] + gain[1:]))
-    drift += _const(problem.F + s_mat)
-    half_star = 0.5 * dt * _adj(drift)
-    del drift
-    cay = _cayley(half_star)
-    del half_star
-
+    drift_const = _const(problem.F + sign * problem.drift_quadratic(path.sigma))
     # (1 + dM1 C1 + dM2 C2)* = 1 + dM2 C1* + dM1 C2*, formed directly
     # (conjugation is exact, so this equals the adjoint bit for bit)
-    dm1, dm2 = _increments(path)
-    mart_adj = dm2 * _const(c1.conj().T)
-    mart_adj += _const(np.eye(problem.dim))
-    mart_adj += dm1 * _const(c2.conj().T)
-    return _mm(cay, mart_adj)
+    c1_adj, c2_adj = _const(c1.conj().T), _const(c2.conj().T)
+    eye = _const(np.eye(problem.dim))
+    samples, increments = _along(gain, forward), _increments(path, forward)
+
+    def factors(lo, hi):
+        # each stack is freed as soon as it is used: in the blocked scan,
+        # which asks for all steps at once, this sets the Picard peak
+        drift = _mm(neg_gq, 0.5 * (samples[lo:hi] + samples[lo + 1:hi + 1]))
+        drift += drift_const
+        half_star = 0.5 * dt * _adj(drift)
+        del drift
+        cay = _cayley(half_star)
+        del half_star
+        dm1 = increments[lo:hi]
+        mart_adj = dm1.conj() * c1_adj
+        mart_adj += eye
+        mart_adj += dm1 * c2_adj
+        return _mm(cay, mart_adj)
+
+    return factors
 
 
-def _duhamel_sweep(problem, path, gain, half_w):
+def _duhamel_sweep(problem, path, gain, half_w, source, emit=None):
     """Run Pi(j+1) = M_j [Pi(j) + dt/2 W(j)] M_j* + dt/2 W(j+1) away from the
     boundary gain, with M_j the step factors of the store ``gain`` and
-    ``half_w`` = dt/2 W, W the time-major inhomogeneity.  q0 steps forward
-    from Pi(0); qt runs the same loop on time-reversed views, from Pi(T).
+    dt/2 W = ``half_w(rows)`` on rows of the time-major store ``source``.
+    q0 steps forward from Pi(0); qt runs the same loop on time-reversed
+    views, from Pi(T).
 
     Each step is affine in Pi, with the congruence Pi -> M_j Pi M_j* as its
-    linear part, so it runs on ``_affine_sweep``.  Nothing is symmetrized:
-    for Hermitian W every step is Hermitian up to rounding, and
-    ``iterate_riccati`` measures the defect on its result.  Returns the
-    store.
+    linear part, so it runs on ``_affine_sweep``; each block of steps builds
+    its factors and its inhomogeneity (at both ends of each step) from the
+    rows of ``gain`` and ``source`` it spans.  Nothing is symmetrized: for
+    Hermitian W every step is Hermitian up to rounding, and
+    ``iterate_riccati`` measures the defect on its result.  ``emit`` is
+    passed to the driver.  Returns the store.
     """
     forward = problem.direction == Q0
-    factors = _step_factors(problem, path, gain)
-    out = np.empty(gain.shape, dtype=complex)
-    w_k = _along(half_w, forward)
-    return _affine_sweep(_along(factors, forward), w_k[1:], problem.boundary_gain, out,
-                         forward, act=_congruence, lead=w_k[:-1])
+    factors = _step_factors(problem, path, gain, forward)
+    rows = _along(source, forward)
+
+    def build(lo, hi):
+        w_k = half_w(rows[lo:hi + 1])
+        return factors(lo, hi), w_k[1:], w_k[:-1]
+
+    return _affine_sweep(build, problem.boundary_gain, gain.shape, forward, act=_congruence,
+                         emit=emit)
 
 
 def iterate_riccati(problem, path, n_max=30, tol=1e-6, initial=None):
@@ -596,10 +667,18 @@ def iterate_riccati(problem, path, n_max=30, tol=1e-6, initial=None):
     drops below ``tol``; a hit on ``n_max`` returns with ``converged``
     False rather than raising.  Positivity of every iterate is structural
     (congruences of PSD boundaries plus PSD increments); monotone decrease
-    is measured and reported, never enforced.
+    is measured and reported, never enforced.  The step and the margin are
+    reduced block by block as the sweep finishes each block of points.
     """
     n_steps, dim = path.n_steps, problem.dim
     gq = _const(problem.gain_quad())
+
+    def half_w(pi_rows):
+        return 0.5 * path.dt * (_const(problem.Q) + _mm(_mm(pi_rows, gq), pi_rows))
+
+    def measure(rows, points, old, gaps):
+        diff = old[rows] - points  # monotone decrease means diff is PSD
+        gaps.append((_sup_frobenius(diff), float(np.min(min_eig_batch(_public(diff))))))
 
     times = np.linspace(0.0, n_steps * path.dt, n_steps + 1)
     start = np.asarray(
@@ -609,13 +688,11 @@ def iterate_riccati(problem, path, n_max=30, tol=1e-6, initial=None):
 
     sup_diffs, margins = [], []
     for _ in range(2, n_max + 1):
-        half_w = 0.5 * path.dt * (_const(problem.Q) + _mm(_mm(current, gq), current))
-        nxt = _duhamel_sweep(problem, path, current, half_w)
-        del half_w
-        diff = current - nxt  # monotone decrease means diff is PSD
-        sup_diffs.append(_sup_frobenius(diff))
-        margins.append(float(np.min(min_eig_batch(_public(diff)))))
-        del diff
+        gaps = []
+        nxt = _duhamel_sweep(problem, path, current, half_w, current,
+                             emit=partial(measure, old=current, gaps=gaps))
+        sup_diffs.append(max(sup for sup, _ in gaps))
+        margins.append(min(margin for _, margin in gaps))
         current = nxt
         if sup_diffs[-1] <= tol:
             break
@@ -626,7 +703,8 @@ def iterate_riccati(problem, path, n_max=30, tol=1e-6, initial=None):
         converged=bool(sup_diffs) and sup_diffs[-1] <= tol,
         sup_diffs=sup_diffs,
         monotone_margins=margins,
-        herm_residual=float(np.max(np.abs(current - _adj(current)))),
+        herm_residual=max(float(np.max(np.abs(current[rows] - _adj(current[rows]))))
+                          for rows in _time_blocks(current)),
     )
 
 
@@ -636,44 +714,65 @@ def residual_integral(problem, pi_path, path):
     Rebuilds Phi(t,0) Q0 Phi(t,0)* + int_0^t Phi(t,s)(Q - Pi Gq Pi)(s)
     Phi(t,s)* ds through the open-loop recursion (same stepping as the
     iteration) and returns sup_t of the Frobenius defect against
-    ``pi_path``.  The q0/qt mirror follows the problem direction.
+    ``pi_path``, reduced block by block.  The q0/qt mirror follows the
+    problem direction.
     """
     pi = _time_major(pi_path)
     gq = _const(problem.gain_quad())
-    half_w = 0.5 * path.dt * (_const(problem.Q) - _mm(_mm(pi, gq), pi))
-    rebuilt = _duhamel_sweep(problem, path, np.zeros_like(pi), half_w)
-    return _sup_frobenius(rebuilt - pi)
+    defects = []
+
+    def half_w(pi_rows):
+        return 0.5 * path.dt * (_const(problem.Q) - _mm(_mm(pi_rows, gq), pi_rows))
+
+    def measure(rows, rebuilt):
+        defects.append(_sup_frobenius(rebuilt - pi[rows]))
+
+    open_loop = np.broadcast_to(np.zeros((), dtype=pi.dtype), pi.shape)
+    _duhamel_sweep(problem, path, open_loop, half_w, pi, emit=measure)
+    return max(defects)
 
 
 # ------------------------------------------------------------------ states
 
 
-def _state_sweep(problem, path, maps, offsets, out):
-    """Euler state store into ``out`` (T+1, d, d, P), with the control
-    terms already in ``maps``/``offsets`` (T, d, d, P), in stepping order.
+def _state_sweep(problem, path, control, emit=None):
+    """Euler state store (T+1, d, d, P).
 
-    Adds the uncontrolled step maps in place,
+    ``control(lo, hi)`` returns the control terms (maps, offsets) of the
+    steps lo to hi as fresh (hi - lo, d, d, P) stacks in stepping order; the
+    uncontrolled step maps are added to them in place, block by block,
 
         A_k += 1 + dt F + dM1 C1 + dM2 C2,   b_k += dt L + dM1 F1 z + dM2 F2 z,
 
-    and sweeps from C: backward from X(T) on q0, forward from X(0) on qt,
-    with the increments unchanged on both branches.
+    and the sweep runs from C: backward from X(T) on q0, forward from X(0)
+    on qt, with the increments unchanged on both branches.  ``emit`` is
+    passed to the driver.
     """
     forward = problem.direction == QT
-    dm1, dm2 = _increments(path, forward)
-    c1, c2 = problem.noise_couplings()
-    maps += dm1 * _const(c1)
-    maps += dm2 * _const(c2)
-    maps += _const(np.eye(problem.dim) + path.dt * problem.F)
-    offsets += dm1 * _const(problem.F1 @ problem.z)
-    offsets += dm2 * _const(problem.F2 @ problem.z)
-    offsets += _const(path.dt * problem.L)
-    return _affine_sweep(maps, offsets, problem.C, out, forward)
+    increments = _increments(path, forward)
+    c1, c2 = (_const(c) for c in problem.noise_couplings())
+    f1z, f2z = _const(problem.F1 @ problem.z), _const(problem.F2 @ problem.z)
+    drift = _const(np.eye(problem.dim) + path.dt * problem.F)
+    shift = _const(path.dt * problem.L)
+
+    def build(lo, hi):
+        maps, offsets = control(lo, hi)
+        dm1 = increments[lo:hi]
+        dm2 = dm1.conj()
+        maps += dm1 * c1
+        maps += dm2 * c2
+        maps += drift
+        offsets += dm1 * f1z
+        offsets += dm2 * f2z
+        offsets += shift
+        return maps, offsets, None
+
+    return _affine_sweep(build, problem.C, _store_shape(problem, path), forward, emit=emit)
 
 
-def _new_store(problem, path):
-    """An empty (T+1, d, d, P) state store."""
-    return np.empty((path.n_steps + 1, problem.dim, problem.dim, path.n_paths), dtype=complex)
+def _store_shape(problem, path):
+    """The (T+1, d, d, P) shape of a state store."""
+    return path.n_steps + 1, problem.dim, problem.dim, path.n_paths
 
 
 def simulate_state(problem, u, path):
@@ -684,14 +783,14 @@ def simulate_state(problem, u, path):
     forward).  The q0 state runs backward from X(T) = C, the qt state
     forward from X(0) = C; both use the increments unchanged.
     """
-    out = _new_store(problem, path)
-    maps = np.zeros_like(out[1:])
-    if u is None:
-        offsets = np.zeros_like(maps)
-    else:
-        u_steps = _along(_time_major(u), problem.direction == QT)[:-1]
-        offsets = _mm(_const(path.dt * problem.G), u_steps)
-    return _public(_state_sweep(problem, path, maps, offsets, out))
+    gain = _const(path.dt * problem.G)
+    u_steps = None if u is None else _along(_time_major(u), problem.direction == QT)
+
+    def control(lo, hi):
+        maps = np.zeros((hi - lo, *_store_shape(problem, path)[1:]), dtype=complex)
+        return maps, (np.zeros_like(maps) if u is None else _mm(gain, u_steps[lo:hi]))
+
+    return _public(_state_sweep(problem, path, control))
 
 
 def _pair(a_col, weight, b_col):
@@ -705,36 +804,46 @@ def _linear(a_col, weight, xi_col):
     return _mm(_adj(a_col), _const(weight.conj().T @ xi_col))[..., 0, 0, :]
 
 
-def _trapezoid(integrand, dt):
-    """Trapezoid rule along the time axis of (T+1, P) samples."""
-    weights = np.full(integrand.shape[0], dt)
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    return weights @ integrand
-
-
 def _columns(problem, xi, x_path, u_path):
-    """The column of ``xi`` and the (state, control) column stores X xi,
-    U xi (T+1, d, 1, P) of stacked paths."""
+    """The column of ``xi`` and, for each time block of the stacked paths in
+    time order, a function that returns the (state, control) columns X xi,
+    U xi (n, d, 1, P) at the block's points."""
     col = np.asarray(xi, dtype=complex).reshape(problem.dim, 1)
-    return col, tuple(_mm(_time_major(arr), _const(col)) for arr in (x_path, u_path))
+    stores = _time_major(x_path), _time_major(u_path)
+
+    def columns(rows):
+        return tuple(_mm(store[rows], _const(col)) for store in stores)
+
+    return col, [partial(columns, rows) for rows in _time_blocks(stores[0])]
 
 
 def _cost_form(problem, a, b, col, dt, linear):
-    """B(a, b) + linear L(a) per path, for (state, control) column stores
-    ``a`` = (a_x, a_u) and ``b`` = (b_x, b_u).
+    """B(a, b) + linear L(a) per path, for the (state, control) column
+    blocks ``a`` = (a_x, a_u) and ``b`` = (b_x, b_u) of ``_columns`` over the
+    same points.
 
     B(a, b) = int <a_x, Q b_x> + <a_u, R b_u> dt + <a_x, Q0 b_x>|_edge and
     L(a) = int <a_x, m* xi> + <a_u, eta* xi> dt + <a_x, m0* xi>|_edge, by
-    trapezoid in time, with the edge the boundary cost weighs: t = 0 for
-    q0, t = T for qt.  The cost is Re B(x, x) + 2 L(x).
+    trapezoid in time, summed block by block, with the edge the boundary
+    cost weighs: t = 0 for q0, t = T for qt.  The cost is Re B(x, x) + 2 L(x).
     """
-    (a_x, a_u), (b_x, b_u) = a, b
-    edge = 0 if problem.direction == Q0 else -1
-    running = _pair(a_x, problem.Q, b_x) + _pair(a_u, problem.R, b_u)
-    running += linear * (_linear(a_x, problem.m, col) + _linear(a_u, problem.eta, col))
-    return (_trapezoid(running, dt) + _pair(a_x[edge], problem.boundary_gain, b_x[edge])
-            + linear * _linear(a_x[edge], problem.boundary_linear, col))
+    total, last = 0.0, len(a) - 1
+    edge_block, edge = (0, 0) if problem.direction == Q0 else (last, -1)
+    for idx, (block_a, block_b) in enumerate(zip(a, b)):
+        a_x, a_u = block_a()
+        b_x, b_u = (a_x, a_u) if block_b is block_a else block_b()
+        running = _pair(a_x, problem.Q, b_x) + _pair(a_u, problem.R, b_u)
+        running += linear * (_linear(a_x, problem.m, col) + _linear(a_u, problem.eta, col))
+        weights = np.full(len(running), dt)
+        if idx == 0:
+            weights[0] *= 0.5
+        if idx == last:
+            weights[-1] *= 0.5
+        total = total + weights @ running
+        if idx == edge_block:
+            total = (total + _pair(a_x[edge], problem.boundary_gain, b_x[edge])
+                     + linear * _linear(a_x[edge], problem.boundary_linear, col))
+    return total
 
 
 def cost_tilde(problem, u_path, xi, x_path, dt):
@@ -778,7 +887,7 @@ def solve_r(problem, pi_path, path):
 
     The qt branch runs the same sweep on time-reversed views from
     r(T) = boundary_linear*, with negated table and the increments
-    unchanged.
+    unchanged.  The step maps are built block by block.
     """
     dt = path.dt
     forward = problem.direction == Q0
@@ -793,34 +902,59 @@ def solve_r(problem, pi_path, path):
     v2 = sig[0, 0] * f1z + sig[0, 1] * f2z
     r_drift = (problem.F.conj().T + c1s @ (sig[0, 0] * c2s + sig[0, 1] * c1s)
                + c2s @ (sig[1, 0] * c2s + sig[1, 1] * c1s))
+    drift = _const(np.eye(problem.dim) + dt * r_drift)
+    dt_gq = _const(dt * problem.gain_quad())
+    shift = _const(dt * (problem.L - eta_pull + c1 @ v1 + c2 @ v2))
+    dt_v1, dt_v2, dt_m = _const(dt * v1), _const(dt * v2), _const(dt * problem.m.conj().T)
+    c1s, c2s, f1z, f2z = (_const(mat) for mat in (c1s, c2s, f1z, f2z))
 
     pi = _time_major(pi_path)
-    out = np.empty_like(pi, dtype=complex)
-    pi_k = _along(pi, forward)[:-1]
-    dm1, dm2 = _increments(path, forward)
-    maps = dm1 * _const(c2s)
-    maps += dm2 * _const(c1s)
-    maps += _const(np.eye(problem.dim) + dt * r_drift)
-    maps -= _mm(pi_k, _const(dt * problem.gain_quad()))
-    weight = dm1 * _const(f1z)
-    weight += dm2 * _const(f2z)
-    weight += _const(dt * (problem.L - eta_pull + c1 @ v1 + c2 @ v2))
-    offsets = _mm(pi_k, weight)
-    del weight
-    offsets += _mm(_const(c2s), _mm(pi_k, _const(dt * v1)))
-    offsets += _mm(_const(c1s), _mm(pi_k, _const(dt * v2)))
-    offsets += _const(dt * problem.m.conj().T)
-    return _public(_affine_sweep(maps, offsets, problem.boundary_linear.conj().T, out, forward))
+    pi_steps, increments = _along(pi, forward), _increments(path, forward)
+
+    def build(lo, hi):
+        pi_k, dm1 = pi_steps[lo:hi], increments[lo:hi]
+        dm2 = dm1.conj()
+        maps = dm1 * c2s
+        maps += dm2 * c1s
+        maps += drift
+        maps -= _mm(pi_k, dt_gq)
+        weight = dm1 * f1z
+        weight += dm2 * f2z
+        weight += shift
+        offsets = _mm(pi_k, weight)
+        offsets += _mm(c2s, _mm(pi_k, dt_v1))
+        offsets += _mm(c1s, _mm(pi_k, dt_v2))
+        offsets += dt_m
+        return maps, offsets, None
+
+    return _public(_affine_sweep(build, problem.boundary_linear.conj().T, pi.shape, forward))
+
+
+def _feedback(problem):
+    """The feedback law as a function (pi, r, x, out) of time-major blocks
+    that writes u = -R^{-1} (G* (Pi X + r) + eta*) into ``out``."""
+    rinv = np.linalg.inv(problem.R)
+    gain = _const(-rinv @ problem.G.conj().T)
+    shift = _const(rinv @ problem.eta.conj().T)
+
+    def law(pi, r_vals, x, out):
+        inner = _mm(pi, x)
+        inner += r_vals
+        _mm(gain, inner, out=out)
+        out -= shift
+        return out
+
+    return law
 
 
 def feedback_control(pi_values, r_values, x_values, problem):
     """u = -R^{-1} (G* (Pi X + r) + eta*) on stacked arrays (paths first,
-    matrix axes last)."""
-    rinv = np.linalg.inv(problem.R)
-    inner = _mm(_time_major(pi_values), _time_major(x_values))
-    inner += _time_major(r_values)
-    u_values = _mm(_const(-rinv @ problem.G.conj().T), inner)
-    u_values -= _const(rinv @ problem.eta.conj().T)
+    matrix axes last), evaluated block by block in time."""
+    law = _feedback(problem)
+    pi, r_vals, x = (_time_major(arr) for arr in (pi_values, r_values, x_values))
+    u_values = np.empty(np.broadcast_shapes(pi.shape, x.shape), dtype=complex)
+    for rows in _time_blocks(u_values):
+        law(pi[rows], r_vals[rows], x[rows], u_values[rows])
     return _public(u_values)
 
 
@@ -833,27 +967,33 @@ def closed_loop_state(problem, pi_values, r_values, path, law=None):
     point, u = c (-R^{-1} G* Pi X - R^{-1} (G* r + eta*)) + M, is folded
     into the step maps of the state recursion: A_k gains dt c G (-R^{-1}
     G* Pi) and b_k gains dt G (c (-R^{-1} (G* r + eta*)) + M).  The
-    feedback is evaluated once, on all T+1 state points of the result.
+    feedback is evaluated once per state point, on each block of the
+    result as soon as the sweep has finished it.
     """
     scale, offset = parse_law(law, problem.dim)
     forward = problem.direction == QT
     rinv = np.linalg.inv(problem.R)
     gain = _const(-path.dt * scale * (problem.G @ rinv @ problem.G.conj().T))
+    shift = _const(path.dt * (problem.G @ (offset - scale * rinv @ problem.eta.conj().T)))
+    optimal = _feedback(problem)
     pi, r_vals = _time_major(pi_values), _time_major(r_values)
+    pi_steps, r_steps = _along(pi, forward), _along(r_vals, forward)
+    u_store = np.empty(_store_shape(problem, path), dtype=complex)
 
-    x_store = _new_store(problem, path)
-    maps = _mm(gain, _along(pi, forward)[:-1])
-    offsets = _mm(gain, _along(r_vals, forward)[:-1])
-    offsets += _const(path.dt * (problem.G @ (offset - scale * rinv @ problem.eta.conj().T)))
-    _state_sweep(problem, path, maps, offsets, x_store)
-    del maps, offsets
+    def control(lo, hi):
+        offsets = _mm(gain, r_steps[lo:hi])
+        offsets += shift
+        return _mm(gain, pi_steps[lo:hi]), offsets
 
-    u_path = feedback_control(_public(pi), _public(r_vals), _public(x_store), problem)
-    if scale != 1.0:
-        u_path *= scale
-    if np.any(offset):
-        u_path += offset
-    return _public(x_store), u_path
+    def feedback(rows, x_rows):
+        u_block = optimal(pi[rows], r_vals[rows], x_rows, u_store[rows])
+        if scale != 1.0:
+            u_block *= scale
+        if np.any(offset):
+            u_block += _const(offset)
+
+    x_store = _state_sweep(problem, path, control, emit=feedback)
+    return _public(x_store), _public(u_store)
 
 
 # ----------------------------------------------------------- time reversal
@@ -958,5 +1098,11 @@ def _k_identity_defect(problem, xi, x_opt, u_opt, x_pert, u_pert, dt):
     """
     col, opt = _columns(problem, xi, x_opt, u_opt)
     _, pert = _columns(problem, xi, x_pert, u_pert)
-    hat = tuple(p - o for p, o in zip(pert, opt))
+    hat = [partial(_deviation, p, o) for p, o in zip(pert, opt)]
     return float(np.max(np.abs(_cost_form(problem, hat, opt, col, dt, 1.0))))
+
+
+def _deviation(pert, opt):
+    """The (state, control) columns of a perturbed closed loop minus the
+    optimal one's, on one time block."""
+    return tuple(p - o for p, o in zip(pert(), opt()))

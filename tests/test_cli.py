@@ -62,6 +62,22 @@ def test_all_validation_errors_reported_not_just_first():
     assert len(err.value.errors) >= 3
 
 
+def test_rf_riccati_dt_too_small_for_the_default_step_count(tmp_path, capsys):
+    # 1/dt overflows below about 5.6e-309, so n_steps = round(1/dt) has no
+    # value: a config error naming dt, reported with the other problems
+    with pytest.raises(ConfigError) as err:
+        parse_config({"kind": "rf-riccati", "dt": 1e-320, "n_paths": 0})
+    assert [e.split(":")[0] for e in err.value.errors] == ["dt", "n_paths"]
+    # with n_steps given, no default is computed from dt
+    config = parse_config({"kind": "rf-riccati", "dt": 1e-320, "n_steps": 10})
+    assert config.params["n_steps"] == 10
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "rf-riccati", "dt": 1e-320}))
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert "dt: 1e-320 is too small" in capsys.readouterr().err
+    assert not (tmp_path / "rf-riccati_report.json").exists()
+
+
 def test_list_experiments_text_and_machine():
     text = list_experiments()
     assert len([l for l in text.splitlines() if not l.startswith(" ")]) == 10

@@ -20,6 +20,7 @@ from qscontrol.rf import (
     PLANAR_BROWNIAN,
     RfProblem,
     _BLOCK_ENTRIES,
+    _STREAM_ENTRIES,
     _cayley,
     _duhamel_sweep,
     _mm,
@@ -334,20 +335,11 @@ def test_feedback_matches_classical_gain_path():
 
 @pytest.mark.parametrize("direction", ["q0", "qt"])
 def test_closed_loop_evaluates_feedback_once_per_state_point(direction, monkeypatch):
-    from qscontrol import rf
-
     problem = replace(stochastic_2x2_problem(), direction=direction)
     path = build_levy_surrogate(PLANAR_BROWNIAN, 50, 2e-2, seed=23, n_paths=3)
     pi_values = iterate_riccati(problem, path, n_max=30, tol=1e-8).final
     r_values = solve_r(problem, pi_values, path)
-    original = rf.feedback_control
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(rf, "feedback_control", counting)
+    calls = _count_feedback_blocks(monkeypatch)
     offset = 0.1 * np.eye(2)
     laws = [(None, lambda u: u), (("scale", 0.7), lambda u: 0.7 * u),
             (("offset", offset), lambda u: u + offset)]
@@ -356,10 +348,55 @@ def test_closed_loop_evaluates_feedback_once_per_state_point(direction, monkeypa
         x_path, u_path = closed_loop_state(problem, pi_values, r_values, path, law=law)
         # one evaluation, on all T+1 state points of the result
         assert len(calls) == 1
-        assert calls[0][2].shape == (path.n_paths, path.n_steps + 1, 2, 2)
+        assert calls[0] == (path.n_steps + 1, 2, 2, path.n_paths)
         for j in range(path.n_steps + 1):
-            want = apply(original(pi_values[:, j], r_values[:, j], x_path[:, j], problem))
+            want = apply(feedback_control(pi_values[:, j], r_values[:, j], x_path[:, j], problem))
             assert np.array_equal(u_path[:, j], want), (law, j)
+
+
+def _count_feedback_blocks(monkeypatch):
+    """Record the (time-major) shape of every block the feedback law is
+    evaluated on."""
+    from qscontrol import rf
+
+    original, calls = rf._feedback, []
+
+    def counting(problem):
+        law = original(problem)
+
+        def counted(pi, r_vals, x, out):
+            calls.append(x.shape)
+            return law(pi, r_vals, x, out)
+
+        return counted
+
+    monkeypatch.setattr(rf, "_feedback", counting)
+    return calls
+
+
+@pytest.mark.parametrize("direction", ["q0", "qt"])
+def test_plain_closed_loop_evaluates_feedback_per_time_block(direction, monkeypatch):
+    # 40 paths of 2x2 step one at a time, through time blocks of
+    # _STREAM_ENTRIES entries; the law runs on each block of the state as
+    # the sweep finishes it, so every point is evaluated once
+    n_paths = 40
+    assert n_paths * 4 > _BLOCK_ENTRIES
+    block = _STREAM_ENTRIES // (n_paths * 4)
+    n_steps = 2 * block + 7  # two whole blocks of steps and a partial one
+    problem = replace(stochastic_2x2_problem(), direction=direction)
+    path = build_levy_surrogate(PLANAR_BROWNIAN, n_steps, 1.0 / n_steps, seed=23,
+                                n_paths=n_paths)
+    pi_values = iterate_riccati(problem, path, n_max=30, tol=1e-8).final
+    r_values = solve_r(problem, pi_values, path)
+    calls = _count_feedback_blocks(monkeypatch)
+    for law, apply in [(None, lambda u: u), (("scale", 0.7), lambda u: 0.7 * u),
+                       (("offset", 0.1 * np.eye(2)), lambda u: u + 0.1 * np.eye(2))]:
+        calls.clear()
+        x_path, u_path = closed_loop_state(problem, pi_values, r_values, path, law=law)
+        # the last block carries the end point
+        assert [shape[0] for shape in calls] == [block, block, 8], law
+        want = apply(feedback_control(pi_values, r_values, x_path, problem))
+        assert _relative_gap(u_path, want) <= 1e-15, law
 
 
 # -------------------------------------------- per-step reference loops
@@ -468,6 +505,13 @@ def _ref_duhamel(problem, path, gain, half_w):
     return out
 
 
+def _sweep(problem, path, gain, half_w):
+    """``_duhamel_sweep`` of public-layout ``gain`` with the inhomogeneity
+    dt/2 W given as the public-layout stack ``half_w``."""
+    return _public(_duhamel_sweep(problem, path, _time_major(gain), lambda rows: rows,
+                                  _time_major(half_w)))
+
+
 def _ref_picard(problem, path, n_max, tol):
     """Picard iteration on ``_ref_duhamel`` (see ``iterate_riccati``)."""
     dim = problem.dim
@@ -497,7 +541,7 @@ def test_duhamel_sweep_does_not_symmetrize(direction):
     shape = (3, 21, 2, 2)
     gain = np.broadcast_to(problem.boundary_gain, shape) + 0.1 * rng.normal(size=shape)
     half_w = 0.1 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
-    out = _public(_duhamel_sweep(problem, path, _time_major(gain), _time_major(half_w)))
+    out = _sweep(problem, path, gain, half_w)
     want = _ref_duhamel(problem, path, gain, half_w)
     assert np.max(np.abs(want - _adjoint(want))) > 0.1
     assert _relative_gap(out, want) <= 1e-12
@@ -558,6 +602,94 @@ def test_affine_sweeps_match_per_step_reference_loops(direction):
     # block lengths isqrt(T): 1 for T < 4, a square, and a trailing step
     for n_steps in (1, 2, 3, 16, 17):
         _check_against_reference_loops(problem, 24, n_steps=n_steps)
+    # 64 paths, the rf-dominance shape, step one at a time through time
+    # blocks of _STREAM_ENTRIES entries: one step, less than one block,
+    # exactly one, and two whole blocks and a partial one
+    block = _STREAM_ENTRIES // (64 * 4)
+    for n_steps in (1, block // 2 + 1, block, 2 * block + 5):
+        _check_against_reference_loops(problem, 25, n_steps=n_steps, n_paths=64)
+
+
+@pytest.mark.parametrize("direction", ["q0", "qt"])
+def test_streamed_cost_matches_whole_path_trapezoid(direction):
+    # 64 paths of 2x2: the cost is accumulated over time blocks of
+    # _STREAM_ENTRIES entries; the reference takes the trapezoid rule over
+    # the whole path at once, with the boundary term at the q0 or qt edge
+    problem = replace(stochastic_2x2_problem(), direction=direction)
+    n_steps = 2 * (_STREAM_ENTRIES // (64 * 4)) + 5
+    path = build_levy_surrogate(PLANAR_BROWNIAN, n_steps, 1.0 / n_steps, seed=29, n_paths=64)
+    pi_values = iterate_riccati(problem, path, n_max=30, tol=1e-8).final
+    r_values = solve_r(problem, pi_values, path)
+    x_path, u_path = closed_loop_state(problem, pi_values, r_values, path,
+                                       law=("offset", 0.1 * np.eye(2)))
+    xi = np.array([0.8, 0.6], dtype=complex)
+
+    def pair(a, weight, b):
+        return np.einsum("pti,ij,ptj->pt", (a @ xi).conj(), weight, b @ xi)
+
+    def linear(a, weight):
+        return (a @ xi).conj() @ (weight.conj().T @ xi)
+
+    integrand = (pair(x_path, problem.Q, x_path) + pair(u_path, problem.R, u_path)
+                 + 2.0 * (linear(x_path, problem.m) + linear(u_path, problem.eta)))
+    weights = np.full(n_steps + 1, path.dt)
+    weights[[0, -1]] *= 0.5
+    edge = 0 if direction == "q0" else -1
+    want = (integrand @ weights + pair(x_path, problem.boundary_gain, x_path)[:, edge]
+            + 2.0 * linear(x_path, problem.boundary_linear)[:, edge]).real
+    assert _relative_gap(cost_tilde(problem, u_path, xi, x_path, path.dt)[2], want) <= 1e-12
+
+
+def test_streamed_calls_allocate_no_full_size_temporaries():
+    # at the rf-dominance shape (64 paths x 1000 steps, 2x2) only the stores
+    # a call returns are full size; everything else lives one time block at
+    # a time.  Measured peaks over the call, in stores of 4.1 MB: the closed
+    # loop 2.27 (its x and u), the Picard iteration 2.39 (the iterate and
+    # its successor); 4.31 and 6.31 when the callers built whole step-map
+    # stacks
+    import tracemalloc
+
+    problem = stochastic_2x2_problem()
+    path = build_levy_surrogate(PLANAR_BROWNIAN, 1000, 1e-3, seed=28, n_paths=64)
+    store = 1001 * 4 * 64 * np.dtype(complex).itemsize
+
+    def peak(call):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+
+    tracemalloc.start()
+    try:
+        iteration, picard_peak = peak(lambda: iterate_riccati(problem, path, n_max=30, tol=1e-6))
+        r_values = solve_r(problem, iteration.final, path)
+        _, loop_peak = peak(lambda: closed_loop_state(problem, iteration.final, r_values, path))
+    finally:
+        tracemalloc.stop()
+    assert iteration.converged
+    assert loop_peak <= 1.25 * 2 * store
+    assert picard_peak <= 1.25 * 3 * store
+
+
+def test_blocked_runs_keep_the_stores_bit_for_bit():
+    # few-path runs (P d^2 <= _BLOCK_ENTRIES) ask the step-map builders for
+    # every step in one call, so the blocked scan does the arithmetic it did
+    # when the callers built whole step-map stacks: tests/golden/
+    # rf_stores.json holds the digests of those stores
+    import importlib.util
+    import json
+
+    script = Path(__file__).with_name("golden") / "make_rf_stores.py"
+    spec = importlib.util.spec_from_file_location("make_rf_stores", script)
+    make_rf_stores = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_rf_stores)
+    for _, problem, _, _, _, _, n_paths in make_rf_stores.CASES:
+        assert n_paths * problem.dim**2 <= _BLOCK_ENTRIES
+    want = json.loads(make_rf_stores.GOLDEN.read_text())
+    got = make_rf_stores.collect()
+    moved = [(case, key) for case in want for key in want[case]
+             if got[case][key] != want[case][key]]
+    assert not moved, moved
 
 
 @settings(max_examples=40, deadline=None)
@@ -581,7 +713,7 @@ def test_blocked_sweeps_match_reference_loops(dim, seed, direction, dt, f_scale,
     # bounded cases only: the Euler r and state grow past overflow on some
     # draws
     assume(all(np.max(np.abs(want)) <= 1e6 for want in (pi, r, x)))
-    got = _public(_duhamel_sweep(problem, path, _time_major(gain), _time_major(half_w)))
+    got = _sweep(problem, path, gain, half_w)
     # measured over 6000 draws like these: median 1e-15, p99 2e-14, worst
     # 5.0e-14; plain stepping reads the same on such draws (worst 3.9e-14
     # over 3000), so blocking adds no visible error; 2e-13 keeps 4x headroom
