@@ -20,10 +20,14 @@ their exact flow map (``_riccati``: the linear-fractional map of one
 matrix exponential of the Hamiltonian, so no step error), unsymmetrized,
 and an escape is read off the map's denominator.  State integrations
 share that grid, freeze the gain per step, and propagate the drift
-exactly (matrix exponential of the frozen closed loop); all laws of a run
-share one batch axis of one sweep, and lqg adds Euler-Maruyama increments
-drawn once for every law.  The zero-noise LQG run therefore reproduces
-the deterministic LQR trajectory to rounding.
+exactly (matrix exponential of the frozen closed loop); the running cost
+is Simpson's rule over each step.  All laws of a run share one batch axis
+of one sweep (``_sweep``), which builds each step's propagator and its
+Simpson cost folded into one quadratic form for every step and law at
+once, from one batched exponential (``linalg.expm_stack``), so a step is
+one product and one form.  lqg adds Euler-Maruyama increments drawn once
+for every law.  The zero-noise LQG run therefore reproduces the
+deterministic LQR trajectory to rounding.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import numpy as np
 from scipy.linalg import block_diag, expm, solve_continuous_lyapunov
 
 from .errors import BlowUpError, NotConvergedError, ShapeError
-from .linalg import as_matrix, fro, is_hermitian, parse_law
+from .linalg import as_matrix, expm_stack, fro, is_hermitian, parse_law
 from .seeding import spawn_rngs, standard_error
 
 BLOWUP_NORM = 1e12
@@ -240,31 +244,39 @@ def _sweep(generators, weights, terminal, z, dt, kicks=None):
     """The zero-order-hold closed loop of every law, stepped at once.
 
     ``generators``/``weights`` (steps, laws, m, m) are each law's frozen
-    drift and running-cost weight, ``z`` (laws, paths, m) the start.  Each
-    step propagates exactly over two half steps, adds the Simpson cost of
-    <z, W z> and, given ``kicks`` = (db, C, dw, K) for the joint state
-    z = (x, xh), the noise shared by every law: db[:, k] C* on x and
-    dw[:, k] K_k* on xh.  Returns the costs (laws, paths) with the terminal
-    <z, terminal z>, and the squared filter error |x - xh|^2 summed over
-    paths and steps; it does not depend on the law, so the first law's is
-    taken.
+    drift and running-cost weight, ``z`` (laws, paths, m) the start.  In
+    the row-vector convention z -> z H_k, H_k = expm(G_k dt/2)*, a step
+    propagates exactly by F_k = H_k H_k and adds the Simpson cost of
+    <z, W_k z> over its start, middle and end, which folds into one form
+    <z, S_k z> with S_k = dt/6 (W_k + 4 H_k W_k H_k* + F_k W_k F_k*); F and S
+    are built for every step and law before the loop.  Given ``kicks`` =
+    (db, C, dw, K) for the joint state z = (x, xh), each step then adds the
+    noise shared by every law: db[:, k] C* on x and dw[:, k] K_k* on xh.
+    Returns the costs (laws, paths) with the terminal <z, terminal z>, and
+    the squared filter error |x - xh|^2 summed over paths and steps; it
+    does not depend on the law, so the first law's is taken.
     """
-    halves = np.swapaxes(expm(generators * (dt / 2.0)), -1, -2)
-    costs = np.zeros(z.shape[:-1])
+
+    def congruence(mats):
+        return mats @ weights @ np.swapaxes(mats, -1, -2)
+
+    halves = np.swapaxes(expm_stack(generators * (dt / 2.0)), -1, -2)
+    props = halves @ halves
+    simpson = (dt / 6.0) * (weights + 4.0 * congruence(halves) + congruence(props))
+    # the forms' terms summed per component and reduced once at the end:
+    # a reduction over m entries per step costs more than the step's products
+    terms = np.zeros(z.shape)
     n = z.shape[-1] // 2
     sq_err = 0.0
-    for k, (half, weight) in enumerate(zip(halves, weights)):
-        z_mid = z @ half
-        z_end = z_mid @ half
-        simpson = (z @ weight) * z + 4.0 * (z_mid @ weight) * z_mid + (z_end @ weight) * z_end
-        costs += (dt / 6.0) * np.sum(simpson, axis=-1)
-        z = z_end
+    for k, (prop, form) in enumerate(zip(props, simpson)):
+        terms += (z @ form) * z
+        z = z @ prop
         if kicks is not None:
             db, c_mat, dw, k_filters = kicks
             z[..., :n] += db[:, k] @ c_mat.T
             z[..., n:] += dw[:, k] @ k_filters[k].T
             sq_err += float(np.sum((z[0, :, :n] - z[0, :, n:]) ** 2))
-    return costs + _quad(z, terminal), sq_err
+    return np.sum(terms, axis=-1) + _quad(z, terminal), sq_err
 
 
 def lqr_simulate(problem, laws=(None,), steps=400, riccati=None):
@@ -300,6 +312,22 @@ def filter_covariance(problem, steps=400):
     inv_r = 0.0 if problem.obs_noise == 0 else 1.0 / problem.obs_noise
     return _riccati(problem.A, cc, problem.H_obs.T @ problem.H_obs * inv_r, zero,
                     np.linspace(0.0, problem.horizon, steps + 1))
+
+
+def _path_noise(seed, n_paths, steps, n, dt, obs_noise):
+    """The increments (db, dw), each (n_paths, steps, n), of every path.
+
+    Path k draws db then dw from its own stream (the seed-splitting
+    contract), in one call: the (2, steps, n) draw is the two successive
+    (steps, n) draws bit for bit.  The observation increment is stored
+    already scaled by sqrt(r).
+    """
+    noise = np.empty((n_paths, 2, steps, n))
+    for idx, rng in enumerate(spawn_rngs(seed, n_paths)):
+        np.multiply(rng.normal(size=(2, steps, n)), np.sqrt(dt), out=noise[idx])
+    db, dw = noise[:, 0], noise[:, 1]
+    dw *= np.sqrt(obs_noise)
+    return db, dw
 
 
 def lqg_simulate(problem, seed, n_paths, laws=(None,), steps=400, riccati=None):
@@ -338,14 +366,7 @@ def lqg_simulate(problem, seed, n_paths, laws=(None,), steps=400, riccati=None):
     weights[..., :n, :n] = problem.Q
     weights[..., n:, n:] = np.swapaxes(held, -1, -2) @ held
 
-    # Path k draws db then dw (seed-splitting contract), once for all laws;
-    # the observation increment is stored already scaled by sqrt(r).
-    db = np.empty((n_paths, steps, n))
-    dw = np.empty((n_paths, steps, n))
-    sqrt_r = np.sqrt(problem.obs_noise)
-    for idx, rng in enumerate(spawn_rngs(seed, n_paths)):
-        db[idx] = rng.normal(size=(steps, n)) * np.sqrt(dt)
-        dw[idx] = sqrt_r * (rng.normal(size=(steps, n)) * np.sqrt(dt))
+    db, dw = _path_noise(seed, n_paths, steps, n, dt, problem.obs_noise)
     c_mat = problem.C if problem.C is not None else np.zeros((n, n))
 
     start = np.broadcast_to(np.tile(problem.x0, 2), (len(laws), n_paths, 2 * n))

@@ -72,6 +72,65 @@ def parse_law(law, dim):
     return 1.0, np.asarray(val)
 
 
+# Pade coefficients b_0..b_m of exp and the 1-norm up to which degree m
+# is accurate to double precision (Higham 2005, Table 2.3 and (2.11))
+_PADE = (
+    (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0,
+                            56.0, 1.0)),
+    (2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
+                           30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
+    (5.371920351148152e0, (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+                           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+                           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+                           960960.0, 16380.0, 182.0, 1.0)),
+)
+
+
+def _pade_exp(mats, coeffs):
+    """The Pade approximant (V - U)^-1 (V + U) of exp with coefficients
+    b_0..b_m: U = A sum b_odd A^(2j), V = sum b_even A^(2j)."""
+    powers = [np.eye(mats.shape[-1], dtype=mats.dtype), mats @ mats]
+    while len(powers) < len(coeffs) // 2:
+        powers.append(powers[-1] @ powers[1])
+    odd = mats @ sum(c * p for c, p in zip(coeffs[1::2], powers))
+    even = sum(c * p for c, p in zip(coeffs[::2], powers))
+    return np.linalg.solve(even - odd, even + odd)
+
+
+def expm_stack(mats):
+    """exp of every matrix in a stack (..., m, m), by Pade scaling and
+    squaring (Higham 2005, SIAM J. Matrix Anal. Appl. 26:1179).
+
+    Each matrix gets the degree (3, 5, 7, 9 or 13) and the scaling 2^-s
+    its own 1-norm asks for, so its exponential does not depend on the
+    rest of the stack; the matrices of one degree go through one batched
+    evaluation, and each squaring is one batched product over the matrices
+    that still need it.  A matrix with a non-finite entry returns NaN.
+    ``scipy.linalg.expm`` instead loops in Python over the stack for m > 1.
+    """
+    mats = np.asarray(mats)
+    size = mats.shape[-1]
+    flat = mats.reshape(-1, size, size)
+    norms = np.max(np.sum(np.abs(flat), axis=-2), axis=-1)
+    thetas = np.array([theta for theta, _ in _PADE])
+    finite = np.isfinite(norms)
+    degrees = np.minimum(np.searchsorted(thetas, norms), len(thetas) - 1)
+    scaled = finite & (norms > thetas[-1])
+    squarings = np.zeros(len(flat), dtype=int)
+    squarings[scaled] = np.ceil(np.log2(norms[scaled] / thetas[-1]))
+    result = np.full(flat.shape, np.nan, dtype=np.result_type(flat, 1.0))
+    for degree, (_, coeffs) in enumerate(_PADE):
+        chosen = finite & (degrees == degree)
+        if chosen.any():
+            result[chosen] = _pade_exp(flat[chosen] / 2.0 ** squarings[chosen, None, None], coeffs)
+    for done in range(int(np.max(squarings, initial=0))):
+        chosen = squarings > done
+        result[chosen] = result[chosen] @ result[chosen]
+    return result.reshape(mats.shape)
+
+
 def rk4_increment(deriv, t0, h, y):
     """One classical RK4 increment y(t0 + h) - y(t0) of y' = deriv(t, y).
 

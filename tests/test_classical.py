@@ -5,10 +5,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_continuous_are
+from scipy.linalg import expm, solve_continuous_are
 
 from qscontrol.classical import (
     LqProblem,
+    _path_noise,
+    _sweep,
     are_residual,
     filter_covariance,
     lqg_simulate,
@@ -270,6 +272,60 @@ def test_lqr_law_cost_in_a_batch_equals_its_cost_alone(problem):
     assert np.array_equal(batch, alone)
 
 
+def _sweep_reference(generators, weights, terminal, z, dt, kicks=None):
+    """The zero-order-hold step law by law: two half steps through scipy's
+    expm of each matrix and the three-point Simpson sum of <z, W z>."""
+    z = np.array(z, dtype=float)
+    costs = np.zeros(z.shape[:-1])
+    n = z.shape[-1] // 2
+    sq_err = 0.0
+    for k in range(len(generators)):
+        for law, (gen, weight) in enumerate(zip(generators[k], weights[k])):
+            half = expm(gen * (dt / 2.0)).T
+            start = z[law]
+            mid = start @ half
+            end = mid @ half
+            forms = [np.einsum("pi,ij,pj->p", x, weight, x) for x in (start, mid, end)]
+            costs[law] += (dt / 6.0) * (forms[0] + 4.0 * forms[1] + forms[2])
+            z[law] = end
+        if kicks is not None:
+            db, c_mat, dw, k_filters = kicks
+            z[..., :n] += db[:, k] @ c_mat.T
+            z[..., n:] += dw[:, k] @ k_filters[k].T
+            sq_err += float(np.sum((z[0, :, :n] - z[0, :, n:]) ** 2))
+    return costs + np.einsum("lpi,ij,lpj->lp", z, terminal, z), sq_err
+
+
+@pytest.mark.parametrize("laws, paths, dim, kicked", [(21, 1, 1, False), (21, 1, 2, False),
+                                                      (3, 50, 4, True)],
+                         ids=["lqr-n=1", "lqr-n=2", "lqg-m=4"])
+def test_folded_sweep_matches_the_per_step_scheme(laws, paths, dim, kicked):
+    # the folded step (one propagator and one Simpson form per step, the
+    # exponentials batched) against two half steps and three forms per
+    # step.  Largest relative differences on this seed: 3.8e-15 (lqr n=1),
+    # 2.7e-15 (n=2), 2.3e-15 on the costs and 4.3e-16 on sq_err (lqg m=4);
+    # over seeds 0-99 at most 7.3e-15, so 4e-14 leaves 5x
+    rng = np.random.default_rng(41)
+    steps = 60
+    dt = 1.0 / steps
+    generators = rng.normal(size=(steps, laws, dim, dim))
+    half_w = rng.normal(size=(steps, laws, dim, dim))
+    weights = half_w @ np.swapaxes(half_w, -1, -2)
+    terminal = np.diag(rng.uniform(0.2, 1.0, size=dim))
+    start = np.broadcast_to(rng.normal(size=dim), (laws, paths, dim))
+    kicks = None
+    if kicked:
+        n = dim // 2
+        kicks = (rng.normal(size=(paths, steps, n)) * math.sqrt(dt), rng.normal(size=(n, n)),
+                 rng.normal(size=(paths, steps, n)) * math.sqrt(dt),
+                 rng.normal(size=(steps, n, n)))
+    costs, sq_err = _sweep(generators, weights, terminal, start, dt, kicks)
+    want_costs, want_sq_err = _sweep_reference(generators, weights, terminal, start, dt, kicks)
+    assert costs.shape == (laws, paths)
+    assert np.max(np.abs(costs - want_costs)) <= 4e-14 * np.max(np.abs(want_costs))
+    assert abs(sq_err - want_sq_err) <= 4e-14 * want_sq_err
+
+
 # -------------------------------------------------------------------- LQG
 
 
@@ -318,6 +374,19 @@ def test_lqg_laws_share_the_noise_and_match_their_runs_alone():
     for law, costs in zip(laws, batch["costs"]):
         alone = lqg_simulate(problem, seed=9, n_paths=16, laws=[law], riccati=riccati)
         assert np.array_equal(alone["costs"][0], costs)
+
+
+def test_path_noise_is_the_two_successive_draws_bit_for_bit():
+    # one (2, steps, n) draw per path against the db-then-dw (steps, n)
+    # draws of the seed-splitting contract
+    seed, n_paths, steps, n, dt, obs_noise = 12, 4, 30, 2, 0.02, 0.35
+    db, dw = _path_noise(seed, n_paths, steps, n, dt, obs_noise)
+    assert db.shape == dw.shape == (n_paths, steps, n)
+    for k, child in enumerate(np.random.SeedSequence(seed).spawn(n_paths)):
+        rng = np.random.default_rng(child)
+        want_db = rng.normal(size=(steps, n)) * np.sqrt(dt)
+        want_dw = np.sqrt(obs_noise) * (rng.normal(size=(steps, n)) * np.sqrt(dt))
+        assert db[k].tobytes() == want_db.tobytes() and dw[k].tobytes() == want_dw.tobytes()
 
 
 def test_lqg_path_k_draws_state_noise_first_from_its_spawned_stream():
