@@ -121,10 +121,6 @@ class ExpectationSeries:
     def final(self):
         return complex(self.values[-1])
 
-    def at(self, t):
-        idx = int(np.argmin(np.abs(self.times - t)))
-        return complex(self.values[idx])
-
     def to_csv(self, path):
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)

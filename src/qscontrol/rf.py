@@ -20,22 +20,26 @@ its state runs backward from X(T) = C and its cost carries initial-state
 terms.  ``direction="qt"`` is the mirror image (Riccati backward from
 Pi(T) = QT, state forward from X(0) = C, terminal cost terms); boundary
 names are used because the state and the Riccati equation run in
-opposite time directions.  Each recursion is one loop stepping away from
-its boundary; one that runs backward in time runs that loop on
-time-reversed views (``_along``), so both branches share every line of
-arithmetic.  On qt the Riccati and r recursions (``_step_factors``,
-``solve_r``) negate the Ito table (a reversed-time table carries -sigma);
-every recursion uses the noise increments unchanged on both branches, so
+opposite time directions.  A qt problem runs as the q0 problem of its
+time reverse (``time_reverse``: s = T - t, the increments reversed, the
+Ito table sigma~ = -sigma).  Every kernel is q0-only: it steps the
+Riccati-side recursions forward from index 0 and the state backward from
+the last index of stores held in the problem's Riccati stepping order,
+time order on q0 and reversed on qt, and it reads the increments and the
+table through ``_noise``, which takes them from the reversed path on qt.
+Only the layout helpers ``_time_major`` and ``_public`` turn the stores'
+time axis, so the reversal convention lives in ``time_reverse`` alone, and
 the feedback law is built on the same noise as the state it steers.
 
 Layout and kernels.  Every stacked rf array is stored time-major, as a
 C-contiguous (T+1, d, d, P) array with the path axis last, so each
 step's arithmetic runs along the long, contiguous path axis instead of
-over trailing 2x2 axes.  Functions return the ``np.moveaxis`` view with
-the public (P, T+1, d, d) shape and indexing; such a view passed back in
-is read without a copy, and any other input (a C-ordered (P, T+1, d, d)
-array, say) is copied into the store layout once (``_time_major``).  The
-surrogate keeps its increments time-major behind their (P, T) shape.
+over trailing 2x2 axes.  Functions return the view of the store with the
+public (P, T+1, d, d) shape and time-order indexing (``_public``); such a
+view passed back in is read without a copy, and any other input (a
+C-ordered (P, T+1, d, d) array, say) is copied into the store layout once
+(``_time_major``).  The surrogate keeps its increments time-major behind
+their (P, T) shape.
 Every product of stacked small matrices goes through ``_mm``, d broadcast
 rank-1 updates accumulated in place along the path axis; the Cayley
 factor of the Picard step has a closed-form inverse for d <= 2
@@ -220,7 +224,8 @@ class RfProblem:
 
     State (q0 branch):  dX = -[dt (F X + G u + L) + sum_a dM_a F_a (w X + z)],
     X(T) = C; cost has initial-state weights (boundary_gain = Q0 matrix,
-    boundary_linear = m0).  The qt branch flips the time orientation.
+    boundary_linear = m0).  The qt branch flips the time orientation and
+    runs as the q0 problem of its time reverse (``time_reverse``).
     The Hermiticity pairing F2 = F1* with real w keeps Riccati paths
     Hermitian pathwise and is asserted at construction.
     """
@@ -341,20 +346,23 @@ def noise_free_scalar_problem():
 # ------------------------------------------------------------------ layout
 
 
-def _time_major(arr):
+def _time_major(arr, problem=None):
     """A public (P, T+1, d, d) stack (paths first) as the C-contiguous
-    (T+1, d, d, P) store the kernels run on.  A view the package returned
+    (T+1, d, d, P) store the kernels run on, its time axis in ``problem``'s
+    Riccati stepping order: time order on q0, reversed on qt (as given
+    without a problem, for pointwise use).  A view the package returned
     comes back as its store without a copy; any other input is copied once,
     so every kernel sees the same memory layout."""
     arr = np.asarray(arr)
     if arr.ndim < 3:
         raise ShapeError("expected a stacked array (paths first, matrix axes last)")
-    return np.ascontiguousarray(np.moveaxis(arr, 0, -1))
+    store = np.moveaxis(arr, 0, -1)
+    return np.ascontiguousarray(store[::-1] if problem and problem.direction == QT else store)
 
 
-def _public(store):
-    """The (P, T+1, d, d) view of a (T+1, d, d, P) store."""
-    return np.moveaxis(store, -1, 0)
+def _public(store, problem=None):
+    """The (P, T+1, d, d) time-order view of a store ``_time_major`` made."""
+    return np.moveaxis(store[::-1] if problem and problem.direction == QT else store, -1, 0)
 
 
 def _const(mat):
@@ -362,20 +370,18 @@ def _const(mat):
     return np.asarray(mat)[..., None]
 
 
-def _along(arr, forward):
-    """A time-major ``arr`` in stepping order: as it is for a recursion that
-    runs forward in time, time-reversed view otherwise."""
-    return arr if forward else arr[::-1]
-
-
 def _adj(arr):
     return arr.conj().swapaxes(-3, -2)
 
 
-def _increments(path, forward):
-    """dM1 as a time-major (T, 1, 1, P) view in stepping order; callers
-    take dM2 = conj(dM1) block by block."""
-    return _along(path.dm1.T, forward)[:, None, None]
+def _noise(problem, path):
+    """The increments dM1, a time-major (T, 1, 1, P) view in the Riccati
+    stepping order, and the Ito table that the q0 kernels read: those of
+    ``path`` on q0, of ``time_reverse``'s path on qt.  Callers take
+    dM2 = conj(dM1) block by block."""
+    if problem.direction == QT:
+        _, path = time_reverse(problem, path)
+    return path.dm1.T[:, None, None], path.sigma
 
 
 # ----------------------------------------------------------------- kernels
@@ -467,20 +473,19 @@ def _time_blocks(store):
     return [slice(lo, min(lo + size, len(store))) for lo in range(0, len(store), size)]
 
 
-def _affine_sweep(build, start, shape, forward, act=_mm, emit=None):
+def _affine_sweep(build, start, shape, act=_mm, emit=None, backward=False):
     """Run Y[k+1] = act(A_k, Y[k] + lead_k) + b_k from Y[0] = ``start``;
     returns the store of all points, a complex array of ``shape``
-    (T+1, d, d, P).
+    (T+1, d, d, P), with Y[k] at index k (index T - k when ``backward``,
+    the q0 state sweep).
 
     ``act`` is linear in its second argument: the left product A Y, or the
     congruence A Y A* of the Duhamel sweep.  ``build(lo, hi)`` returns
     (maps, offsets, lead): A_k, b_k and lead_k of the steps lo to hi as
     fresh (hi - lo, d, d, P) stacks in stepping order, with lead None for a
-    recursion without one.  The store is written through its ``_along``
-    view, so a recursion that runs backward in time fills it from the end.
-    ``emit(rows, points)``, if given, is called with slices of the time
-    axis that cover each point once and the store's points there, each as
-    soon as they are final.
+    recursion without one.  ``emit(rows, points)``, if given, is called
+    with slices of the time axis that cover each point once and the store's
+    points there, each as soon as they are final.
 
     Where one step's stack is small (P d^2 <= ``_BLOCK_ENTRIES``) the
     driver asks for all T steps in one call, before it allocates the store
@@ -493,9 +498,8 @@ def _affine_sweep(build, start, shape, forward, act=_mm, emit=None):
     left products of A).  One loop over the blocks then adds
     act(Phi, Y_first) to all b points of each block in one call, once the
     block's first point Y_first, the previous block's last, is known.
-    Blocks are cut in stepping order, so a recursion run backward on
-    time-reversed data does the same arithmetic as its mirror.  The
-    trailing T - nb b steps step one at a time.
+    Blocks are cut in stepping order.  The trailing T - nb b steps step one
+    at a time.
 
     Larger stacks step one at a time through blocks of ``_block_len``
     steps: each block's maps are built, swept and dropped, and its points
@@ -505,7 +509,7 @@ def _affine_sweep(build, start, shape, forward, act=_mm, emit=None):
     blocked = math.prod(shape[1:]) <= _BLOCK_ENTRIES
     all_steps = build(0, steps) if blocked else None
     out = np.empty(shape, dtype=complex)
-    y_k = _along(out, forward)
+    y_k = out[::-1] if backward else out
     y_k[0] = _const(start)
 
     def step(a_k, y_now, lead_k, b_k, y_next):
@@ -550,7 +554,7 @@ def _affine_sweep(build, start, shape, forward, act=_mm, emit=None):
         run(lo, *build(lo, hi))
         if emit is not None:  # points lo to hi, the last block's end point too
             hi += hi == steps
-            rows = slice(lo, hi) if forward else slice(steps + 1 - hi, steps + 1 - lo)
+            rows = slice(steps + 1 - hi, steps + 1 - lo) if backward else slice(lo, hi)
             emit(rows, out[rows])
     return out
 
@@ -592,31 +596,28 @@ class RiccatiIteration:
     herm_residual: float
 
 
-def _step_factors(problem, path, gain, forward):
+def _step_factors(problem, path, gain):
     """Per-step left multipliers M_j for the closed-loop recursion.
 
-    ``gain`` is the time-major store (T+1, d, d, P) of the previous iterate,
-    which supplies the midpoint gain samples.  Returns the function
-    (lo, hi) -> the (hi - lo, d, d, P) factors of the steps lo to hi in
-    stepping order (time order when ``forward``).  The qt branch negates
-    the drift quadratic (the reversed table carries -sigma); the increments
-    are the same on both branches.
+    ``gain`` is the store (T+1, d, d, P) of the previous iterate, which
+    supplies the midpoint gain samples.  Returns the function (lo, hi) ->
+    the (hi - lo, d, d, P) factors of the steps lo to hi, from index lo of
+    the store on, with the drift quadratic S of ``_noise``'s table.
     """
     dt = path.dt
     neg_gq = _const(-problem.gain_quad())
     c1, c2 = problem.noise_couplings()
-    sign = 1.0 if problem.direction == Q0 else -1.0
-    drift_const = _const(problem.F + sign * problem.drift_quadratic(path.sigma))
+    increments, sigma = _noise(problem, path)
+    drift_const = _const(problem.F + problem.drift_quadratic(sigma))
     # (1 + dM1 C1 + dM2 C2)* = 1 + dM2 C1* + dM1 C2*, formed directly
     # (conjugation is exact, so this equals the adjoint bit for bit)
     c1_adj, c2_adj = _const(c1.conj().T), _const(c2.conj().T)
     eye = _const(np.eye(problem.dim))
-    samples, increments = _along(gain, forward), _increments(path, forward)
 
     def factors(lo, hi):
         # each stack is freed as soon as it is used: in the blocked scan,
         # which asks for all steps at once, this sets the Picard peak
-        drift = _mm(neg_gq, 0.5 * (samples[lo:hi] + samples[lo + 1:hi + 1]))
+        drift = _mm(neg_gq, 0.5 * (gain[lo:hi] + gain[lo + 1:hi + 1]))
         drift += drift_const
         half_star = 0.5 * dt * _adj(drift)
         del drift
@@ -634,9 +635,8 @@ def _step_factors(problem, path, gain, forward):
 def _duhamel_sweep(problem, path, gain, half_w, source, emit=None):
     """Run Pi(j+1) = M_j [Pi(j) + dt/2 W(j)] M_j* + dt/2 W(j+1) away from the
     boundary gain, with M_j the step factors of the store ``gain`` and
-    dt/2 W = ``half_w(rows)`` on rows of the time-major store ``source``.
-    q0 steps forward from Pi(0); qt runs the same loop on time-reversed
-    views, from Pi(T).
+    dt/2 W = ``half_w(rows)`` on rows of the store ``source``, from the
+    store's index 0: Pi(0) on q0, Pi(T) on qt.
 
     Each step is affine in Pi, with the congruence Pi -> M_j Pi M_j* as its
     linear part, so it runs on ``_affine_sweep``; each block of steps builds
@@ -646,16 +646,13 @@ def _duhamel_sweep(problem, path, gain, half_w, source, emit=None):
     ``iterate_riccati`` measures the defect on its result.  ``emit`` is
     passed to the driver.  Returns the store.
     """
-    forward = problem.direction == Q0
-    factors = _step_factors(problem, path, gain, forward)
-    rows = _along(source, forward)
+    factors = _step_factors(problem, path, gain)
 
     def build(lo, hi):
-        w_k = half_w(rows[lo:hi + 1])
+        w_k = half_w(source[lo:hi + 1])
         return factors(lo, hi), w_k[1:], w_k[:-1]
 
-    return _affine_sweep(build, problem.boundary_gain, gain.shape, forward, act=_congruence,
-                         emit=emit)
+    return _affine_sweep(build, problem.boundary_gain, gain.shape, act=_congruence, emit=emit)
 
 
 def iterate_riccati(problem, path, n_max=30, tol=1e-6, initial=None):
@@ -684,7 +681,7 @@ def iterate_riccati(problem, path, n_max=30, tol=1e-6, initial=None):
     start = np.asarray(
         initial if initial is not None else problem.boundary_gain, dtype=complex
     )
-    current = _time_major(np.broadcast_to(start, (path.n_paths, n_steps + 1, dim, dim)))
+    current = _time_major(np.broadcast_to(start, (path.n_paths, n_steps + 1, dim, dim)), problem)
 
     sup_diffs, margins = [], []
     for _ in range(2, n_max + 1):
@@ -698,7 +695,7 @@ def iterate_riccati(problem, path, n_max=30, tol=1e-6, initial=None):
             break
     return RiccatiIteration(
         times=times,
-        final=_public(current),
+        final=_public(current, problem),
         n_iterations=len(sup_diffs) + 1,
         converged=bool(sup_diffs) and sup_diffs[-1] <= tol,
         sup_diffs=sup_diffs,
@@ -714,10 +711,10 @@ def residual_integral(problem, pi_path, path):
     Rebuilds Phi(t,0) Q0 Phi(t,0)* + int_0^t Phi(t,s)(Q - Pi Gq Pi)(s)
     Phi(t,s)* ds through the open-loop recursion (same stepping as the
     iteration) and returns sup_t of the Frobenius defect against
-    ``pi_path``, reduced block by block.  The q0/qt mirror follows the
-    problem direction.
+    ``pi_path``, reduced block by block.  On qt, t runs from T (see
+    ``time_reverse``).
     """
-    pi = _time_major(pi_path)
+    pi = _time_major(pi_path, problem)
     gq = _const(problem.gain_quad())
     defects = []
 
@@ -739,17 +736,16 @@ def _state_sweep(problem, path, control, emit=None):
     """Euler state store (T+1, d, d, P).
 
     ``control(lo, hi)`` returns the control terms (maps, offsets) of the
-    steps lo to hi as fresh (hi - lo, d, d, P) stacks in stepping order; the
-    uncontrolled step maps are added to them in place, block by block,
+    steps lo to hi as fresh (hi - lo, d, d, P) stacks in the state's
+    stepping order, from the store's last index back; the uncontrolled step
+    maps are added to them in place, block by block,
 
         A_k += 1 + dt F + dM1 C1 + dM2 C2,   b_k += dt L + dM1 F1 z + dM2 F2 z,
 
-    and the sweep runs from C: backward from X(T) on q0, forward from X(0)
-    on qt, with the increments unchanged on both branches.  ``emit`` is
-    passed to the driver.
+    and the sweep runs backward through the store from C at its last index
+    (X(T) on q0, X(0) on qt).  ``emit`` is passed to the driver.
     """
-    forward = problem.direction == QT
-    increments = _increments(path, forward)
+    increments = _noise(problem, path)[0][::-1]
     c1, c2 = (_const(c) for c in problem.noise_couplings())
     f1z, f2z = _const(problem.F1 @ problem.z), _const(problem.F2 @ problem.z)
     drift = _const(np.eye(problem.dim) + path.dt * problem.F)
@@ -767,7 +763,7 @@ def _state_sweep(problem, path, control, emit=None):
         offsets += shift
         return maps, offsets, None
 
-    return _affine_sweep(build, problem.C, _store_shape(problem, path), forward, emit=emit)
+    return _affine_sweep(build, problem.C, _store_shape(problem, path), emit=emit, backward=True)
 
 
 def _store_shape(problem, path):
@@ -779,18 +775,18 @@ def simulate_state(problem, u, path):
     """Euler state path under a control; returns (P, T+1, d, d).
 
     ``u`` is None (zero control) or a stacked array (P, T+1, d, d), applied
-    at each step's anchor point (the known endpoint: j+1 backward, j
-    forward).  The q0 state runs backward from X(T) = C, the qt state
-    forward from X(0) = C; both use the increments unchanged.
+    at each step's anchor point, the known endpoint: j+1 on q0, where the
+    state runs backward from X(T) = C, and j on qt, where it runs forward
+    from X(0) = C.
     """
     gain = _const(path.dt * problem.G)
-    u_steps = None if u is None else _along(_time_major(u), problem.direction == QT)
+    u_steps = None if u is None else _time_major(u, problem)[::-1]
 
     def control(lo, hi):
         maps = np.zeros((hi - lo, *_store_shape(problem, path)[1:]), dtype=complex)
         return maps, (np.zeros_like(maps) if u is None else _mm(gain, u_steps[lo:hi]))
 
-    return _public(_state_sweep(problem, path, control))
+    return _public(_state_sweep(problem, path, control), problem)
 
 
 def _pair(a_col, weight, b_col):
@@ -806,10 +802,10 @@ def _linear(a_col, weight, xi_col):
 
 def _columns(problem, xi, x_path, u_path):
     """The column of ``xi`` and, for each time block of the stacked paths in
-    time order, a function that returns the (state, control) columns X xi,
-    U xi (n, d, 1, P) at the block's points."""
+    stepping order, a function that returns the (state, control) columns
+    X xi, U xi (n, d, 1, P) at the block's points."""
     col = np.asarray(xi, dtype=complex).reshape(problem.dim, 1)
-    stores = _time_major(x_path), _time_major(u_path)
+    stores = _time_major(x_path, problem), _time_major(u_path, problem)
 
     def columns(rows):
         return tuple(_mm(store[rows], _const(col)) for store in stores)
@@ -824,11 +820,11 @@ def _cost_form(problem, a, b, col, dt, linear):
 
     B(a, b) = int <a_x, Q b_x> + <a_u, R b_u> dt + <a_x, Q0 b_x>|_edge and
     L(a) = int <a_x, m* xi> + <a_u, eta* xi> dt + <a_x, m0* xi>|_edge, by
-    trapezoid in time, summed block by block, with the edge the boundary
-    cost weighs: t = 0 for q0, t = T for qt.  The cost is Re B(x, x) + 2 L(x).
+    trapezoid in time, summed block by block in stepping order, with the
+    edge the boundary cost weighs at the first point: t = 0 on q0, t = T on
+    qt.  The cost is Re B(x, x) + 2 L(x).
     """
     total, last = 0.0, len(a) - 1
-    edge_block, edge = (0, 0) if problem.direction == Q0 else (last, -1)
     for idx, (block_a, block_b) in enumerate(zip(a, b)):
         a_x, a_u = block_a()
         b_x, b_u = (a_x, a_u) if block_b is block_a else block_b()
@@ -840,17 +836,18 @@ def _cost_form(problem, a, b, col, dt, linear):
         if idx == last:
             weights[-1] *= 0.5
         total = total + weights @ running
-        if idx == edge_block:
-            total = (total + _pair(a_x[edge], problem.boundary_gain, b_x[edge])
-                     + linear * _linear(a_x[edge], problem.boundary_linear, col))
+        if idx == 0:
+            total = (total + _pair(a_x[0], problem.boundary_gain, b_x[0])
+                     + linear * _linear(a_x[0], problem.boundary_linear, col))
     return total
 
 
 def cost_tilde(problem, u_path, xi, x_path, dt):
     """Per-path quadratic cost (trapezoid in time) and ensemble stats.
 
-    Returns (mean, stderr, per-path array).  The boundary terms follow the
-    problem direction: initial-state weights for q0, terminal for qt.
+    Returns (mean, stderr, per-path array).  The boundary terms weigh the
+    initial state on q0 and the terminal state on qt; the trapezoid sums in
+    the Riccati stepping order, from that edge.
     """
     if np.linalg.norm(xi) == 0:
         raise ShapeError("xi must be nonzero")
@@ -885,13 +882,12 @@ def solve_r(problem, pi_path, path):
               + dt (C2* Pi V1 + C1* Pi V2 + m*),
         V1 = s21 F1 z + s22 F2 z,   V2 = s11 F1 z + s12 F2 z.
 
-    The qt branch runs the same sweep on time-reversed views from
-    r(T) = boundary_linear*, with negated table and the increments
-    unchanged.  The step maps are built block by block.
+    The qt branch is the same sweep on its time reverse, from r(T) =
+    boundary_linear* with the table sigma~ = -sigma (``_noise``).  The step
+    maps are built block by block.
     """
     dt = path.dt
-    forward = problem.direction == Q0
-    sig = path.sigma if forward else -path.sigma
+    increments, sig = _noise(problem, path)
 
     c1, c2 = problem.noise_couplings()
     c1s, c2s = c1.conj().T, c2.conj().T
@@ -908,11 +904,10 @@ def solve_r(problem, pi_path, path):
     dt_v1, dt_v2, dt_m = _const(dt * v1), _const(dt * v2), _const(dt * problem.m.conj().T)
     c1s, c2s, f1z, f2z = (_const(mat) for mat in (c1s, c2s, f1z, f2z))
 
-    pi = _time_major(pi_path)
-    pi_steps, increments = _along(pi, forward), _increments(path, forward)
+    pi = _time_major(pi_path, problem)
 
     def build(lo, hi):
-        pi_k, dm1 = pi_steps[lo:hi], increments[lo:hi]
+        pi_k, dm1 = pi[lo:hi], increments[lo:hi]
         dm2 = dm1.conj()
         maps = dm1 * c2s
         maps += dm2 * c1s
@@ -927,7 +922,7 @@ def solve_r(problem, pi_path, path):
         offsets += dt_m
         return maps, offsets, None
 
-    return _public(_affine_sweep(build, problem.boundary_linear.conj().T, pi.shape, forward))
+    return _public(_affine_sweep(build, problem.boundary_linear.conj().T, pi.shape), problem)
 
 
 def _feedback(problem):
@@ -971,13 +966,12 @@ def closed_loop_state(problem, pi_values, r_values, path, law=None):
     result as soon as the sweep has finished it.
     """
     scale, offset = parse_law(law, problem.dim)
-    forward = problem.direction == QT
     rinv = np.linalg.inv(problem.R)
     gain = _const(-path.dt * scale * (problem.G @ rinv @ problem.G.conj().T))
     shift = _const(path.dt * (problem.G @ (offset - scale * rinv @ problem.eta.conj().T)))
     optimal = _feedback(problem)
-    pi, r_vals = _time_major(pi_values), _time_major(r_values)
-    pi_steps, r_steps = _along(pi, forward), _along(r_vals, forward)
+    pi, r_vals = _time_major(pi_values, problem), _time_major(r_values, problem)
+    pi_steps, r_steps = pi[::-1], r_vals[::-1]  # the state's stepping order
     u_store = np.empty(_store_shape(problem, path), dtype=complex)
 
     def control(lo, hi):
@@ -993,7 +987,7 @@ def closed_loop_state(problem, pi_values, r_values, path, law=None):
             u_block += _const(offset)
 
     x_store = _state_sweep(problem, path, control, emit=feedback)
-    return _public(x_store), _public(u_store)
+    return _public(x_store, problem), _public(u_store, problem)
 
 
 # ----------------------------------------------------------- time reversal
@@ -1004,12 +998,14 @@ def time_reverse(problem, path):
 
     Constant coefficients are unchanged (hatting is the identity on
     constants); the boundary data swap roles; the noise path reverses and
-    the Ito table flips sign, following the reversal convention
-    N_a(s) = M_a(T-s), sigma~ = -sigma, the one every recursion uses.
-    Applying the map twice restores both objects bit-exactly.
+    the Ito table flips sign: N_a(s) = M_a(T-s), sigma~ = -sigma.  This is
+    the one place the reversal convention is written: a qt problem runs as
+    the q0 problem of its time reverse, with the increments and the table
+    of the path returned here (``_noise``).  Applying the map twice
+    restores both objects bit-exactly.
     """
     flipped = replace(problem, direction=Q0 if problem.direction == QT else QT)
-    reversed_path = replace(path, dm1=path.dm1[:, ::-1].copy(), sigma=-path.sigma)
+    reversed_path = replace(path, dm1=path.dm1[:, ::-1], sigma=-path.sigma)
     return flipped, reversed_path
 
 
@@ -1092,7 +1088,7 @@ def _k_identity_defect(problem, xi, x_opt, u_opt, x_pert, u_pert, dt):
             + <xi, [Xh(0)* m0* + Xh(0)* Q0 Y(0)] xi>
 
     is therefore the polarization B(Xh, Y) + L(Xh) of the cost
-    (``_cost_form``; boundary terms mirror for qt).  It vanishes in the
+    (``_cost_form``; on qt the boundary terms sit at t = T).  It vanishes in the
     continuum; its largest magnitude over the given paths, by trapezoid
     quadrature, is the returned defect.
     """

@@ -542,7 +542,8 @@ def test_swn_matrix_element_conservation_only_second_quantization():
     weight = np.vdot(fvals, image @ gvals)
     for t in (0.25, 0.5, 1.0):
         closed = np.exp(np.vdot(fvals, gvals)) * expm(t * weight * s_mat)
-        assert abs(series.at(t) - u.conj() @ closed @ v) <= 1e-12
+        value = series.values[np.argmin(np.abs(series.times - t))]
+        assert abs(value - u.conj() @ closed @ v) <= 1e-12
 
 
 def test_swn_matrix_element_rejects_wrong_mode_dimension():

@@ -507,9 +507,10 @@ def _ref_duhamel(problem, path, gain, half_w):
 
 def _sweep(problem, path, gain, half_w):
     """``_duhamel_sweep`` of public-layout ``gain`` with the inhomogeneity
-    dt/2 W given as the public-layout stack ``half_w``."""
-    return _public(_duhamel_sweep(problem, path, _time_major(gain), lambda rows: rows,
-                                  _time_major(half_w)))
+    dt/2 W given as the public-layout stack ``half_w``, both laid out in the
+    problem's stepping order."""
+    return _public(_duhamel_sweep(problem, path, _time_major(gain, problem), lambda rows: rows,
+                                  _time_major(half_w, problem)), problem)
 
 
 def _ref_picard(problem, path, n_max, tol):
@@ -1093,25 +1094,75 @@ def test_time_reverse_is_an_involution(dim, seed, direction, kind):
 @given(dim=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from([PLANAR_BROWNIAN, FOCK_VACUUM]))
 def test_q0_run_equals_reversed_qt_run(dim, seed, kind):
-    # the q0 branch on the time-reversed data does the qt branch's
-    # arithmetic in mirrored order, so the runs agree bit for bit
+    # a qt problem runs as the q0 problem of its time reverse, so every
+    # public function on it returns the q0 call on the reversed data, read
+    # in reversed time, bit for bit: at 2 paths (the blocked scan) and at
+    # P d^2 > _BLOCK_ENTRIES, at least 40 paths (plain stepping)
     problem = random_problem(dim, seed, "qt")
-    path = build_levy_surrogate(kind, 40, 2.5e-2, seed=seed, n_paths=2)
-    flipped, rev = time_reverse(problem, path)
-    native = iterate_riccati(problem, path, n_max=6, tol=0.0)
-    mirrored = iterate_riccati(flipped, rev, n_max=6, tol=0.0)
-    assert np.array_equal(native.final, mirrored.final[:, ::-1])
-    assert native.sup_diffs == mirrored.sup_diffs
-    assert native.monotone_margins == mirrored.monotone_margins
-    r_native = solve_r(problem, native.final, path)
-    r_mirrored = solve_r(flipped, mirrored.final, rev)
-    assert np.array_equal(r_native, r_mirrored[:, ::-1])
-    for law in (None, ("scale", 0.7)):
-        x_native, u_native = closed_loop_state(problem, native.final, r_native, path, law=law)
-        x_mirrored, u_mirrored = closed_loop_state(flipped, mirrored.final, r_mirrored, rev,
-                                                   law=law)
-        assert np.array_equal(x_native, x_mirrored[:, ::-1])
-        assert np.array_equal(u_native, u_mirrored[:, ::-1])
+    xi = np.linspace(1.0, 0.5, dim)
+    laws = [("scale", 0.7), ("offset", 0.1 * np.fliplr(np.eye(dim)))]
+    for n_paths in (2, max(40, _BLOCK_ENTRIES // dim**2 + 1)):
+        path = build_levy_surrogate(kind, 40, 2.5e-2, seed=seed, n_paths=n_paths)
+        flipped, rev = time_reverse(problem, path)
+        native = iterate_riccati(problem, path, n_max=6, tol=0.0)
+        mirrored = iterate_riccati(flipped, rev, n_max=6, tol=0.0)
+        assert np.array_equal(native.final, mirrored.final[:, ::-1])
+        assert native.sup_diffs == mirrored.sup_diffs
+        assert native.monotone_margins == mirrored.monotone_margins
+        assert native.herm_residual == mirrored.herm_residual
+        pi, pi_m = native.final, mirrored.final
+        assert residual_integral(problem, pi, path) == residual_integral(flipped, pi_m, rev)
+        r_native, r_mirrored = solve_r(problem, pi, path), solve_r(flipped, pi_m, rev)
+        assert np.array_equal(r_native, r_mirrored[:, ::-1])
+        u_given = 0.3 * np.sin(np.arange(pi.size)).reshape(pi.shape)
+        assert np.array_equal(simulate_state(problem, None, path),
+                              simulate_state(flipped, None, rev)[:, ::-1])
+        assert np.array_equal(simulate_state(problem, u_given, path),
+                              simulate_state(flipped, u_given[:, ::-1], rev)[:, ::-1])
+        for law in (None, laws[0]):
+            x_native, u_native = closed_loop_state(problem, pi, r_native, path, law=law)
+            x_mirrored, u_mirrored = closed_loop_state(flipped, pi_m, r_mirrored, rev, law=law)
+            assert np.array_equal(x_native, x_mirrored[:, ::-1])
+            assert np.array_equal(u_native, u_mirrored[:, ::-1])
+            assert np.array_equal(feedback_control(pi, r_native, x_native, problem),
+                                  feedback_control(pi_m, r_mirrored, x_mirrored, flipped)[:, ::-1])
+            cost_native = cost_tilde(problem, u_native, xi, x_native, path.dt)
+            cost_mirrored = cost_tilde(flipped, u_mirrored, xi, x_mirrored, rev.dt)
+            assert cost_native[:2] == cost_mirrored[:2]
+            assert np.array_equal(cost_native[2], cost_mirrored[2])
+        # one Picard sweep (converged at tol = inf): the report's arithmetic
+        # is compared, not its verdict
+        assert (verify_feedback_optimality(problem, xi, path, laws, n_max=2, tol=np.inf)
+                == verify_feedback_optimality(flipped, xi, rev, laws, n_max=2, tol=np.inf))
+
+
+def test_kernels_do_not_read_the_direction():
+    # the qt reversal convention lives in time_reverse, and the stores are
+    # turned into the Riccati stepping order only by the layout helpers, so
+    # no kernel reads the direction or takes a direction-dependent flag
+    import ast
+
+    from qscontrol import rf
+
+    tree = ast.parse(Path(rf.__file__).read_text())
+    allowed = {"_time_major", "_public", "_noise", "time_reverse", "RfProblem.__post_init__"}
+    readers, flagged = set(), set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.FunctionDef):
+                args = child.args.posonlyargs + child.args.args + child.args.kwonlyargs
+                flagged.update(inner for arg in args if arg.arg in ("forward", "sign"))
+            if isinstance(child, ast.Attribute) and child.attr == "direction":
+                readers.add(scope)
+            visit(child, inner)
+
+    visit(tree, "")
+    assert readers == allowed
+    assert not flagged, flagged
 
 
 def test_iteration_pathwise_refinement_converges():
