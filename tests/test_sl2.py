@@ -3,6 +3,7 @@ theta weights and the rho+ matrices.  The ladder commutation relations and
 the full theta table against an exact-rational evaluation are acceptance
 criterion 3."""
 
+import itertools
 import math
 
 import numpy as np
@@ -120,3 +121,16 @@ def test_rho_plus_int_entries_agree_with_matrix():
             assert abs(mat[r, c] - ival * math.sqrt((r + 1) / (c + 1))) <= 1e-12 * max(
                 1.0, abs(mat[r, c])
             )
+
+
+def test_rho_plus_int_entries_are_theta_int_by_ascending_column():
+    for n, k, l in itertools.product(range(5), repeat=3):
+        for N in (1, 3, 8, 13):
+            want = {(n + m - l, m): theta_int(n, k, l, m) for m in range(N)
+                    if 0 <= n + m - l < N and theta_int(n, k, l, m)}
+            assert list(rho_plus_int_entries(n, k, l, N).items()) == list(want.items())
+
+
+def test_rho_plus_int_entries_reject_indices_that_are_not_natural():
+    with pytest.raises(ValueError, match=r"\(-1, 0, 0\)"):
+        rho_plus_int_entries(-1, 0, 0, 5)

@@ -15,6 +15,8 @@ one wired into the table.
 """
 
 import itertools
+import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -33,7 +35,13 @@ from qscontrol.ito import (
     theta,
 )
 from qscontrol.ito import sl2
-from qscontrol.ito.sl2 import composition_mismatch, stirling1, stirling1_unsigned
+from qscontrol.ito.sl2 import (
+    composition_mismatch,
+    falling,
+    stirling1,
+    stirling1_unsigned,
+    theta_int,
+)
 
 N_ORACLE = 30
 MARGIN = 5  # >= max total raising index for index pairs <= 2
@@ -115,6 +123,118 @@ def test_oracle_rejects_an_empty_or_negative_window(margin):
 def test_oracle_rejects_no_pairs():
     with pytest.raises(ValueError, match="pair"):
         composition_mismatch(iter(()), N_ORACLE, MARGIN)
+
+
+# ------------------------------------------------- references, written out
+
+
+def _reference_constants(alpha, beta, gamma, a, b, c, stirling):
+    """The docstring's five-fold sum, one term at a time, in loop order
+    (each loop multiplies in its own factors and skips a zero product)."""
+    out = {}
+    for lam in range(gamma + 1):
+        for rho in range(gamma - lam + 1):
+            for sig in range(gamma - lam - rho + 1):
+                f_sig = (math.comb(gamma, lam) * math.comb(gamma - lam, rho)
+                         * stirling(gamma - lam - rho, sig)
+                         * falling(a, gamma - lam) * falling(a + lam - 1, rho))
+                if not f_sig:
+                    continue
+                for omg in range(beta + 1):
+                    f_omg = f_sig * math.comb(beta, omg) * (2 * (a - gamma + lam)) ** (beta - omg)
+                    if not f_omg:
+                        continue
+                    for eps in range(b + 1):
+                        coeff = f_omg * math.comb(b, eps) * (2 * lam) ** (b - eps)
+                        if coeff:
+                            label = (a + alpha - gamma + lam, omg + sig + eps, lam + c)
+                            out[label] = out.get(label, 0) + coeff
+    return {label: coeff for label, coeff in out.items() if coeff}
+
+
+def _reference_mismatch(pairs, N, margin, stirling=stirling1):
+    """The oracle column by column: images from ``theta_int``, the table from
+    ``sl2.swn_structure_constants``, one difference list per row shift."""
+    n_cols = N - margin
+
+    def image(label):
+        n, k, l = label
+        return [theta_int(n, k, l, col) if 0 <= n + col - l < N else 0 for col in range(N)]
+
+    worst = 0
+    for x, y in pairs:
+        left, right = image(x), image(y)
+        raise_y = y[0] - y[2]
+        groups = {x[0] - x[2] + raise_y: [left[col + raise_y] * val if val else 0
+                                          for col, val in enumerate(right[:n_cols])]}
+        for label, coeff in sl2.swn_structure_constants(*x, *y, stirling=stirling).items():
+            diffs = groups.setdefault(label[0] - label[2], [0] * n_cols)
+            for col, val in enumerate(image(label)[:n_cols]):
+                diffs[col] -= coeff * val
+        worst = max(worst, *(abs(d) for diffs in groups.values() for d in diffs))
+    return worst
+
+
+def test_table_matches_the_five_fold_sum_term_by_term():
+    # same values and the same insertion order on every index 6-tuple <= 4
+    for idx in itertools.product(range(5), repeat=6):
+        for stirling in (stirling1, stirling1_unsigned):
+            want = _reference_constants(*idx, stirling)
+            assert list(swn_structure_constants(*idx, stirling=stirling).items()) == list(
+                want.items()), (idx, stirling)
+
+
+@pytest.mark.parametrize("margin", [0, 1, 2, 5, N_ORACLE - 1])
+def test_packed_oracle_equals_the_column_oracle_on_a_wrong_convention(margin):
+    for stirling in (stirling1, stirling1_unsigned):
+        assert composition_mismatch(ALL_CONS_PAIRS, N_ORACLE, margin, stirling=stirling) == (
+            _reference_mismatch(ALL_CONS_PAIRS, N_ORACLE, margin, stirling=stirling))
+
+
+WRONG_TABLES = [
+    {(1, 0, 0): 1},  # a foreign shift: compared at its own rows
+    {(1, 0, 0): 3, (0, 0, 0): 1, (0, 0, 1): -2, (2, 1, 0): 5},
+    {(0, 1, 0): 1 + 2**300, (0, 0, 0): -(2**301)},  # aliases in any slot of <= 300 bits
+    {(0, 0, 0): 2**300, (1, 0, 0): -(2**300), (2, 2, 1): 7},
+]
+
+
+@pytest.mark.parametrize("table", WRONG_TABLES)
+def test_packed_oracle_equals_the_column_oracle_on_wrong_tables(monkeypatch, table):
+    monkeypatch.setattr(sl2, "swn_structure_constants", lambda *labels, stirling: table)
+    pairs = [((0, 0, 0), (0, 0, 0)), ((0, 1, 0), (0, 0, 0)), ((1, 0, 2), (2, 1, 0)),
+             ((2, 2, 2), (0, 0, 1))]
+    for margin in (0, MARGIN):
+        got = composition_mismatch(pairs, N_ORACLE, margin)
+        assert got > 0 and got == _reference_mismatch(pairs, N_ORACLE, margin)
+
+
+def test_oracle_sweep_asks_for_each_table_once(monkeypatch):
+    calls = Counter()
+    build = sl2.swn_structure_constants
+
+    def counted(*labels, stirling):
+        calls[labels] += 1
+        return build(*labels, stirling=stirling)
+
+    monkeypatch.setattr(sl2, "swn_structure_constants", counted)
+    for sweep in (1, 2):
+        # the second sweep asks again: no table outlives a call
+        composition_mismatch(ALL_CONS_PAIRS, N_ORACLE, MARGIN)
+        assert set(calls) == {(*x, *y) for x, y in ALL_CONS_PAIRS}
+        assert set(calls.values()) == {sweep}
+
+
+def test_table_rejects_indices_that_are_not_natural():
+    for idx in [(0, 0, 0, -1, 0, 0), (0, 0, -1, 0, 0, 0), (0, -2, 0, 0, 0, 0)]:
+        with pytest.raises(ValueError, match=re.escape(f"{idx[:3]} * {idx[3:]}")):
+            swn_structure_constants(*idx)
+
+
+def test_oracle_rejects_pairs_that_are_not_labels():
+    for pair in [((0, 0, 0), (-1, 0, 0)), ((0, -1, 0), (0, 0, 0))]:
+        with pytest.raises(ValueError, match=re.escape(f"{pair[0]} * {pair[1]}")):
+            composition_mismatch([((0, 0, 0), (0, 0, 0)), pair], 10, 2)
 
 
 def test_oracle_o1_float_route_within_scaled_tolerance():
