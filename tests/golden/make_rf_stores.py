@@ -1,5 +1,6 @@
 """Write tests/golden/rf_stores.json: sha256 digests of the rf stores of
-few-path runs, the ones whose sweeps run as the blocked two-level scan.
+few-path runs, whose sweeps run as the blocked two-level scan, and of one
+many-path run, whose sweeps step through several streamed time blocks.
 
     PYTHONPATH=src python tests/golden/make_rf_stores.py
 
@@ -24,12 +25,14 @@ GOLDEN = Path(__file__).with_name("rf_stores.json")
 
 # (name, problem, surrogate kind, steps, dt, seed, paths): 50 steps make
 # seven blocks of seven and one trailing step; the scalar run of 100 steps
-# is ten blocks of ten
+# is ten blocks of ten; the streamed run (64 paths of 2x2, 256 entries per
+# step) steps through time blocks of 64, 64 and 22 steps
 CASES = (
     ("2x2 q0", rf.stochastic_2x2_problem(), rf.PLANAR_BROWNIAN, 50, 2e-2, 41, 3),
     ("2x2 qt", replace(rf.stochastic_2x2_problem(), direction="qt"), rf.PLANAR_BROWNIAN,
      50, 2e-2, 42, 3),
     ("scalar q0", rf.noise_free_scalar_problem(), rf.FOCK_VACUUM, 100, 1e-2, 43, 1),
+    ("2x2 q0 streamed", rf.stochastic_2x2_problem(), rf.PLANAR_BROWNIAN, 150, 1e-2, 44, 64),
 )
 
 

@@ -675,8 +675,9 @@ def test_streamed_calls_allocate_no_full_size_temporaries():
 def test_blocked_runs_keep_the_stores_bit_for_bit():
     # few-path runs (P d^2 <= _BLOCK_ENTRIES) ask the step-map builders for
     # every step in one call, so the blocked scan does the arithmetic it did
-    # when the callers built whole step-map stacks: tests/golden/
-    # rf_stores.json holds the digests of those stores
+    # when the callers built whole step-map stacks; many-path runs step
+    # through streamed time blocks: tests/golden/rf_stores.json holds the
+    # digests of the stores of both kinds of run
     import importlib.util
     import json
 
@@ -684,8 +685,10 @@ def test_blocked_runs_keep_the_stores_bit_for_bit():
     spec = importlib.util.spec_from_file_location("make_rf_stores", script)
     make_rf_stores = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(make_rf_stores)
-    for _, problem, _, _, _, _, n_paths in make_rf_stores.CASES:
-        assert n_paths * problem.dim**2 <= _BLOCK_ENTRIES
+    sizes = {n_paths * problem.dim**2: n_steps
+             for _, problem, _, n_steps, _, _, n_paths in make_rf_stores.CASES}
+    assert min(sizes) <= _BLOCK_ENTRIES < max(sizes)
+    assert sizes[max(sizes)] * max(sizes) > _STREAM_ENTRIES  # two time blocks or more
     want = json.loads(make_rf_stores.GOLDEN.read_text())
     got = make_rf_stores.collect()
     moved = [(case, key) for case in want for key in want[case]
