@@ -235,11 +235,6 @@ def _held_gains(riccati, laws):
     return held
 
 
-def _quad(z, weight):
-    """<z, W z> over the last axis of a batch of (symmetric) weights."""
-    return np.sum((z @ weight) * z, axis=-1)
-
-
 def _sweep(generators, weights, terminal, z, dt, kicks=None):
     """The zero-order-hold closed loop of every law, stepped at once.
 
@@ -276,22 +271,23 @@ def _sweep(generators, weights, terminal, z, dt, kicks=None):
             z[..., :n] += db[:, k] @ c_mat.T
             z[..., n:] += dw[:, k] @ k_filters[k].T
             sq_err += float(np.sum((z[0, :, :n] - z[0, :, n:]) ** 2))
-    return np.sum(terms, axis=-1) + _quad(z, terminal), sq_err
+    return np.sum(terms, axis=-1) + np.sum((z @ terminal) * z, axis=-1), sq_err
 
 
-def lqr_simulate(problem, laws=(None,), steps=400, riccati=None):
+def lqr_simulate(problem, riccati, laws=(None,)):
     """Deterministic closed-loop cost of each law, shape (len(laws),).
 
-    A law is None for the optimal feedback u = -Pi_t x, or a ("scale", c) /
-    ("offset", D) perturbation of the gain.  The gain is frozen per step
-    (zero-order hold) and the closed loop propagated by matrix exponentials;
-    the running cost uses per-step Simpson quadrature with weight Q + K*K.
+    ``riccati`` is the ``solve_riccati_ode`` solution the laws steer with;
+    its grid is the simulation grid.  A law is None for the optimal feedback
+    u = -Pi_t x, or a ("scale", c) / ("offset", D) perturbation of the gain.
+    The gain is frozen per step (zero-order hold) and the closed loop
+    propagated by matrix exponentials; the running cost uses per-step
+    Simpson quadrature with weight Q + K*K.
     """
     if problem.C is not None:
         raise ShapeError("lqr_simulate expects a deterministic problem (C absent)")
     if problem.x0 is None:
         raise ShapeError("problem must carry x0")
-    riccati = riccati if riccati is not None else solve_riccati_ode(problem, steps)
     dt = problem.horizon / (len(riccati.times) - 1)
     held = _held_gains(riccati, laws)
     start = np.broadcast_to(problem.x0, (len(laws), 1, problem.dim))
@@ -330,9 +326,11 @@ def _path_noise(seed, n_paths, steps, n, dt, obs_noise):
     return db, dw
 
 
-def lqg_simulate(problem, seed, n_paths, laws=(None,), steps=400, riccati=None):
+def lqg_simulate(problem, riccati, seed, n_paths, laws=(None,)):
     """Monte Carlo LQG run of each law with the standard Kalman-Bucy filter.
 
+    ``riccati`` is the ``solve_riccati_ode`` solution the laws steer with;
+    its grid is the simulation grid, which the filter covariance shares.
     Returns a dict with the per-path costs (laws, n_paths), their mean and
     standard error per law, and the mean squared filter error.  Path k
     draws its noise from the seed splitting rule in ``qscontrol.seeding``,
@@ -344,7 +342,6 @@ def lqg_simulate(problem, seed, n_paths, laws=(None,), steps=400, riccati=None):
         raise ShapeError("problem must carry x0")
     if n_paths < 1:
         raise ShapeError("n_paths must be >= 1")
-    riccati = riccati if riccati is not None else solve_riccati_ode(problem, steps)
     steps = len(riccati.times) - 1
     dt = problem.horizon / steps
     n = problem.dim

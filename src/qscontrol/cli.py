@@ -52,7 +52,11 @@ _SIZED = ("vector", "matrix", "psd_matrix")
 
 
 def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A real number that is finite as a float: the comparison fails on NaN
+    and the infinities (which JSON reads) and on ints beyond the float range,
+    where ``math.isfinite`` would raise."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _parse_complex(value, path, errors):
@@ -60,7 +64,7 @@ def _parse_complex(value, path, errors):
         return complex(value)
     if isinstance(value, list) and len(value) == 2 and all(_is_number(v) for v in value):
         return complex(value[0], value[1])
-    errors.append(f"{path}: expected a number or [re, im] pair, got {value!r}")
+    errors.append(f"{path}: expected a finite number or [re, im] pair, got {value!r}")
     return None
 
 
@@ -73,7 +77,7 @@ def _parse_matrix(value, path, errors):
         errors.append(f"{path}: matrix must be square, got row lengths {[len(r) for r in value]}")
         return None
     if not all(_is_number(v) for row in value for v in row):
-        errors.append(f"{path}: matrix entries must be real numbers")
+        errors.append(f"{path}: matrix entries must be finite real numbers")
         return None
     return np.array(value, dtype=float)
 
@@ -87,14 +91,14 @@ def _validate_value(key, kind_of, raw, errors):
     elif kind_of in ("number", "positive"):
         if _is_number(raw) and (kind_of == "number" or raw > 0):
             return float(raw)
-        what = "a positive number" if kind_of == "positive" else "a number"
+        what = "a positive finite number" if kind_of == "positive" else "a finite number"
         errors.append(f"{key}: expected {what}, got {raw!r}")
     elif kind_of in ("numbers", "positives", "vector"):
         if isinstance(raw, list) and raw and all(
             _is_number(v) and (kind_of != "positives" or v > 0) for v in raw
         ):
             return tuple(map(float, raw)) if kind_of != "vector" else np.array(raw, dtype=float)
-        what = "positive numbers" if kind_of == "positives" else "numbers"
+        what = "positive finite numbers" if kind_of == "positives" else "finite numbers"
         errors.append(f"{key}: expected a nonempty list of {what}, got {raw!r}")
     elif kind_of == "complex":
         return _parse_complex(raw, key, errors)
@@ -371,7 +375,7 @@ def _run_lqr(config, outputs, out_dir):
             laws.append(("offset", 0.2 * (bump + bump.T)))
         else:
             laws.append(("scale", float(1.0 + 0.4 * rng.normal())))
-    best, *costs = lqr_simulate(lq, laws, riccati=riccati)
+    best, *costs = lqr_simulate(lq, riccati, laws)
     value = float(lq.x0 @ riccati.initial() @ lq.x0)
     # the zero-order-hold loop costs more than x0 Pi(0) x0 by a second-order
     # term, |J - J*| / (dt^2 |J*| max(1, max_t ||Pi(t)||)^2) <= 0.04 measured
@@ -395,8 +399,8 @@ def _run_lqg(config, outputs, out_dir):
     scales = (0.8, 1.2)
     problem = _lq_problem(config.params)
     riccati = solve_riccati_ode(problem, steps=steps)
-    result = lqg_simulate(problem, config.seed, n_paths,
-                          [None, *(("scale", c) for c in scales)], riccati=riccati)
+    result = lqg_simulate(problem, riccati, config.seed, n_paths,
+                          [None, *(("scale", c) for c in scales)])
     checks = []
     for scale, costs in zip(scales, result["costs"][1:]):
         diff = costs - result["costs"][0]
@@ -414,8 +418,8 @@ def _run_lqg(config, outputs, out_dir):
     # noise_free differs from det only in C, H_obs and obs_noise, which the
     # control Riccati equation does not read: one solution serves both
     det_riccati = solve_riccati_ode(det, steps=steps)
-    (lqr_cost,) = lqr_simulate(det, riccati=det_riccati)
-    report = lqg_simulate(noise_free, seed=config.seed, n_paths=2, riccati=det_riccati)
+    (lqr_cost,) = lqr_simulate(det, det_riccati)
+    report = lqg_simulate(noise_free, det_riccati, seed=config.seed, n_paths=2)
     checks.append(_check("noise-free degeneration equals deterministic cost",
                          abs(report["cost_mean"][0] - lqr_cost), 1e-6))
     checks.append(_check("noise-free paths agree (cost standard error)",

@@ -170,7 +170,7 @@ class PiecewiseConstant:
             # endpoint of the domain carries the last segment's value; the
             # ODE routes never evaluate at a breakpoint (each segment runs
             # with its generator at the segment midpoint)
-            if t < edge or (idx == last and t <= edge):
+            if 0 <= t and (t < edge or (idx == last and t <= edge)):
                 return val
         return np.zeros_like(self.values[0])
 
@@ -399,8 +399,8 @@ def step_tensor_evolution(spec, config, *, u=None, v=None, observable=None):
             required=required,
             budget=config.tensor_budget,
         )
-    u = np.asarray(u if u is not None else _basis0(dim), dtype=complex).reshape(dim)
-    v = np.asarray(v if v is not None else _basis0(dim), dtype=complex).reshape(dim)
+    u = np.asarray(u if u is not None else np.eye(dim)[0], dtype=complex).reshape(dim)
+    v = np.asarray(v if v is not None else np.eye(dim)[0], dtype=complex).reshape(dim)
     x_mat = None if observable is None else as_matrix(observable, dim)
     enter_vacuum = step_op[:, ::d]  # columns (system, fresh mode in vacuum)
 
@@ -412,12 +412,6 @@ def step_tensor_evolution(spec, config, *, u=None, v=None, observable=None):
         times.append((k + 1) * dt)
         values.append(_readout(psi, u, x_mat))
     return ExpectationSeries(np.array(times), np.array(values))
-
-
-def _basis0(dim):
-    vec = np.zeros(dim, dtype=complex)
-    vec[0] = 1.0
-    return vec
 
 
 def _readout(psi, u, x_mat):

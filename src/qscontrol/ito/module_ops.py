@@ -103,10 +103,6 @@ class ModuleOperator:
     def cons_terms(self):
         return {key.idx: mat for key, mat in self.terms.items() if key.kind == "cons"}
 
-    def max_index(self):
-        """Largest mode index / conservation index appearing in any term."""
-        return max((i for key in self.terms for i in key.idx), default=0)
-
     def __add__(self, other):
         self._check(other)
         out = dict(self.terms)

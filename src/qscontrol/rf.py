@@ -92,8 +92,10 @@ temporaries.  It pools the paired cost differences of all chunks.
 Picard stops on the chunk's sup-norm, so the chunk size shapes the report
 and is fixed, not an option.  The cross term K of the completion of
 squares is the polarization of the cost (``_cost_form``) between the
-optimal closed loop and a perturbed one's deviation from it, read off the
-controls the closed loops return.
+optimal closed loop and a perturbed one's deviation from it, read straight
+off the (state, control) stores the closed loops return: the optimal pair
+and the difference pair (X_pert - X_opt, U_pert - U_opt).  The cost form
+takes such store pairs and forms each time block's xi-columns itself.
 """
 
 from __future__ import annotations
@@ -800,40 +802,30 @@ def _linear(a_col, weight, xi_col):
     return _mm(_adj(a_col), _const(weight.conj().T @ xi_col))[..., 0, 0, :]
 
 
-def _columns(problem, xi, x_path, u_path):
-    """The column of ``xi`` and, for each time block of the stacked paths in
-    stepping order, a function that returns the (state, control) columns
-    X xi, U xi (n, d, 1, P) at the block's points."""
-    col = np.asarray(xi, dtype=complex).reshape(problem.dim, 1)
-    stores = _time_major(x_path, problem), _time_major(u_path, problem)
+def _cost_form(problem, a, b, xi, dt, linear):
+    """B(a, b) + linear L(a) per path, for the (state, control) store pairs
+    ``a`` and ``b``, (T+1, d, d, P) in stepping order over the same points.
 
-    def columns(rows):
-        return tuple(_mm(store[rows], _const(col)) for store in stores)
-
-    return col, [partial(columns, rows) for rows in _time_blocks(stores[0])]
-
-
-def _cost_form(problem, a, b, col, dt, linear):
-    """B(a, b) + linear L(a) per path, for the (state, control) column
-    blocks ``a`` = (a_x, a_u) and ``b`` = (b_x, b_u) of ``_columns`` over the
-    same points.
-
+    With the columns a_x = X_a xi, a_u = U_a xi (and b_x, b_u alike),
     B(a, b) = int <a_x, Q b_x> + <a_u, R b_u> dt + <a_x, Q0 b_x>|_edge and
     L(a) = int <a_x, m* xi> + <a_u, eta* xi> dt + <a_x, m0* xi>|_edge, by
     trapezoid in time, summed block by block in stepping order, with the
     edge the boundary cost weighs at the first point: t = 0 on q0, t = T on
-    qt.  The cost is Re B(x, x) + 2 L(x).
+    qt.  Each time block's columns are formed from the stores' rows there,
+    once for both sides when ``b`` is ``a``.  The cost is Re B(x, x) + 2 L(x).
     """
-    total, last = 0.0, len(a) - 1
-    for idx, (block_a, block_b) in enumerate(zip(a, b)):
-        a_x, a_u = block_a()
-        b_x, b_u = (a_x, a_u) if block_b is block_a else block_b()
+    col = np.asarray(xi, dtype=complex).reshape(problem.dim, 1)
+    blocks = _time_blocks(a[0])
+    total = 0.0
+    for idx, rows in enumerate(blocks):
+        a_x, a_u = (_mm(store[rows], _const(col)) for store in a)
+        b_x, b_u = (a_x, a_u) if b is a else (_mm(store[rows], _const(col)) for store in b)
         running = _pair(a_x, problem.Q, b_x) + _pair(a_u, problem.R, b_u)
         running += linear * (_linear(a_x, problem.m, col) + _linear(a_u, problem.eta, col))
         weights = np.full(len(running), dt)
         if idx == 0:
             weights[0] *= 0.5
-        if idx == last:
+        if idx == len(blocks) - 1:
             weights[-1] *= 0.5
         total = total + weights @ running
         if idx == 0:
@@ -851,8 +843,8 @@ def cost_tilde(problem, u_path, xi, x_path, dt):
     """
     if np.linalg.norm(xi) == 0:
         raise ShapeError("xi must be nonzero")
-    col, cols = _columns(problem, xi, x_path, u_path)
-    costs = _cost_form(problem, cols, cols, col, dt, 2.0).real
+    stores = _time_major(x_path, problem), _time_major(u_path, problem)
+    costs = _cost_form(problem, stores, stores, xi, dt, 2.0).real
     return float(np.mean(costs)), standard_error(costs), costs
 
 
@@ -1088,17 +1080,11 @@ def _k_identity_defect(problem, xi, x_opt, u_opt, x_pert, u_pert, dt):
             + <xi, [Xh(0)* m0* + Xh(0)* Q0 Y(0)] xi>
 
     is therefore the polarization B(Xh, Y) + L(Xh) of the cost
-    (``_cost_form``; on qt the boundary terms sit at t = T).  It vanishes in the
-    continuum; its largest magnitude over the given paths, by trapezoid
-    quadrature, is the returned defect.
+    (``_cost_form`` of the deviation stores and the optimal ones; on qt the
+    boundary terms sit at t = T).  It vanishes in the continuum; its
+    largest magnitude over the given paths, by trapezoid quadrature, is the
+    returned defect.
     """
-    col, opt = _columns(problem, xi, x_opt, u_opt)
-    _, pert = _columns(problem, xi, x_pert, u_pert)
-    hat = [partial(_deviation, p, o) for p, o in zip(pert, opt)]
-    return float(np.max(np.abs(_cost_form(problem, hat, opt, col, dt, 1.0))))
-
-
-def _deviation(pert, opt):
-    """The (state, control) columns of a perturbed closed loop minus the
-    optimal one's, on one time block."""
-    return tuple(p - o for p, o in zip(pert(), opt()))
+    opt = _time_major(x_opt, problem), _time_major(u_opt, problem)
+    hat = tuple(_time_major(p, problem) - o for p, o in zip((x_pert, u_pert), opt))
+    return float(np.max(np.abs(_cost_form(problem, hat, opt, xi, dt, 1.0))))

@@ -21,10 +21,6 @@ def spawn_rngs(root_seed, n):
     return [np.random.default_rng(c) for c in children]
 
 
-def single_rng(root_seed):
-    return np.random.default_rng(np.random.SeedSequence(root_seed))
-
-
 def standard_error(samples):
     """Standard error of the mean of a path ensemble (0 for one path)."""
     return float(np.std(samples, ddof=1) / np.sqrt(len(samples))) if len(samples) > 1 else 0.0

@@ -20,7 +20,6 @@ from qscontrol.classical import (
 )
 from qscontrol.errors import ShapeError
 from qscontrol.linalg import rk4
-from qscontrol.seeding import single_rng
 
 
 def scalar_problem(a=0.0, q=0.0, pi_T=1.0, horizon=1.0, **kw):
@@ -67,7 +66,7 @@ def grid_problems():
     # read 5.3e-9 and 7.7e-7 against the finer grid, and a stiff 2x2 (an
     # eigenvalue 200 in A) at 100 steps, where blocks of sqrt(steps)
     # without the cap would grow by e^20 and lose 2.3e-8
-    rng = single_rng(23)
+    rng = np.random.default_rng(23)
     a_mat = rng.normal(size=(4, 4))
     base = rng.normal(size=(4, 4))
     return {
@@ -114,7 +113,7 @@ def test_stationary_terminal_value_stays_constant():
 
 
 def test_riccati_richardson_self_consistency():
-    rng = single_rng(21)
+    rng = np.random.default_rng(21)
     a_mat = rng.normal(size=(2, 2))
     a_mat -= (np.max(np.real(np.linalg.eigvals(a_mat))) + 0.5) * np.eye(2)
     problem = LqProblem(A=a_mat, Q=np.eye(2), Pi_T=0.5 * np.eye(2), horizon=1.0)
@@ -173,7 +172,7 @@ def test_scalar_are_closed_forms(a, q, want):
 
 
 def test_are_random_4x4_instances():
-    rng = single_rng(22)
+    rng = np.random.default_rng(22)
     for _ in range(5):
         a_mat = rng.normal(size=(4, 4))
         base = rng.normal(size=(4, 4))
@@ -191,14 +190,14 @@ def test_are_random_4x4_instances():
 
 def test_lqr_cost_zero_from_origin():
     problem = scalar_problem(q=1.0, pi_T=1.0, x0=[0.0])
-    (cost,) = lqr_simulate(problem)
+    (cost,) = lqr_simulate(problem, solve_riccati_ode(problem))
     assert abs(cost) <= 1e-14
 
 
 def test_lqr_value_identity_scalar_closed_form():
     # a = 0, q = 0, Pi_T = 1, x0 = 1: J* = Pi(0) x0^2 = 1/(1+T)
     problem = scalar_problem(pi_T=1.0, horizon=1.0)
-    (cost,) = lqr_simulate(problem, steps=2000)
+    (cost,) = lqr_simulate(problem, solve_riccati_ode(problem, steps=2000))
     assert abs(cost - 0.5) <= 1e-6
 
 
@@ -215,7 +214,7 @@ def matrix_problem():
 def test_lqr_value_identity_matrix_case():
     problem = matrix_problem()
     riccati = solve_riccati_ode(problem, steps=2000)
-    (cost,) = lqr_simulate(problem, riccati=riccati)
+    (cost,) = lqr_simulate(problem, riccati)
     want = problem.x0 @ riccati.initial() @ problem.x0
     assert abs(cost - want) <= 1e-6
 
@@ -223,7 +222,7 @@ def test_lqr_value_identity_matrix_case():
 def test_lqr_optimal_dominates_perturbations():
     problem = scalar_problem(q=1.0, pi_T=1.0, horizon=1.0)
     riccati = solve_riccati_ode(problem, steps=800)
-    rng = single_rng(23)
+    rng = np.random.default_rng(23)
     laws = [None]
     for _ in range(20):
         kind = "offset" if rng.random() < 0.5 else "scale"
@@ -231,7 +230,7 @@ def test_lqr_optimal_dominates_perturbations():
             laws.append(("offset", [[float(rng.normal() * 0.4)]]))
         else:
             laws.append(("scale", float(1.0 + rng.normal() * 0.3)))
-    best, *costs = lqr_simulate(problem, laws, riccati=riccati)
+    best, *costs = lqr_simulate(problem, riccati, laws)
     assert min(costs) >= best - 1e-9
 
 
@@ -242,23 +241,24 @@ def test_lqr_near_optimal_scale_does_not_undercut():
     # the lqr kind's default problem and a gain scale within 3e-5 of the optimum
     problem = scalar_problem(a=0.2, q=1.0, pi_T=0.5, horizon=1.0)
     riccati = solve_riccati_ode(problem, steps=2000)
-    best, cost = lqr_simulate(problem, [None, ("scale", 0.99997)], riccati=riccati)
+    best, cost = lqr_simulate(problem, riccati, [None, ("scale", 0.99997)])
     assert cost >= best - 1e-9
 
 
 def test_lqr_rejects_stochastic_problem():
     problem = scalar_problem(C=[[1.0]])
     with pytest.raises(ShapeError):
-        lqr_simulate(problem)
+        lqr_simulate(problem, solve_riccati_ode(problem))
 
 
 def test_laws_reject_a_misshaped_offset():
     # a length-2 vector would broadcast row-wise over the 2x2 gain
+    riccati = solve_riccati_ode(matrix_problem(), steps=50)
     with pytest.raises(ShapeError, match="2x2"):
-        lqr_simulate(matrix_problem(), [("offset", [0.3, -0.1])], steps=50)
+        lqr_simulate(matrix_problem(), riccati, [("offset", [0.3, -0.1])])
     noisy = replace(matrix_problem(), C=0.5 * np.eye(2), H_obs=np.eye(2))
     with pytest.raises(ShapeError, match="2x2"):
-        lqg_simulate(noisy, seed=5, n_paths=2, laws=[None, ("offset", [[0.1]])], steps=50)
+        lqg_simulate(noisy, riccati, seed=5, n_paths=2, laws=[None, ("offset", [[0.1]])])
 
 
 @pytest.mark.parametrize("problem", [scalar_problem(a=0.2, q=1.0, pi_T=0.5), matrix_problem()],
@@ -267,8 +267,8 @@ def test_lqr_law_cost_in_a_batch_equals_its_cost_alone(problem):
     dim = problem.dim
     riccati = solve_riccati_ode(problem, steps=200)
     laws = [None, ("scale", 0.7), ("offset", 0.2 * np.eye(dim)), ("scale", 1.3)]
-    batch = lqr_simulate(problem, laws, riccati=riccati)
-    alone = [lqr_simulate(problem, [law], riccati=riccati)[0] for law in laws]
+    batch = lqr_simulate(problem, riccati, laws)
+    alone = [lqr_simulate(problem, riccati, [law])[0] for law in laws]
     assert np.array_equal(batch, alone)
 
 
@@ -347,7 +347,7 @@ def test_lqg_optimal_beats_gain_perturbations():
         obs_noise=1.0,
         x0=[1.0],
     )
-    result = lqg_simulate(problem, seed=77, n_paths=600, steps=250,
+    result = lqg_simulate(problem, solve_riccati_ode(problem, steps=250), seed=77, n_paths=600,
                           laws=[None, ("scale", 0.8), ("scale", 1.2)])
     base, *perturbed = result["costs"]
     for costs in perturbed:
@@ -358,8 +358,9 @@ def test_lqg_optimal_beats_gain_perturbations():
 
 def test_lqg_determinism_same_seed():
     problem = scalar_problem(C=[[0.5]], H_obs=[[1.0]], q=1.0)
-    a = lqg_simulate(problem, seed=5, n_paths=8, steps=50)
-    b = lqg_simulate(problem, seed=5, n_paths=8, steps=50)
+    riccati = solve_riccati_ode(problem, steps=50)
+    a = lqg_simulate(problem, riccati, seed=5, n_paths=8)
+    b = lqg_simulate(problem, riccati, seed=5, n_paths=8)
     assert np.array_equal(a["costs"], b["costs"])
 
 
@@ -368,11 +369,11 @@ def test_lqg_laws_share_the_noise_and_match_their_runs_alone():
                       obs_noise=0.5)
     riccati = solve_riccati_ode(problem, steps=60)
     laws = [None, ("scale", 1.0), ("scale", 0.8), ("offset", 0.1 * np.eye(2))]
-    batch = lqg_simulate(problem, seed=9, n_paths=16, laws=laws, riccati=riccati)
+    batch = lqg_simulate(problem, riccati, seed=9, n_paths=16, laws=laws)
     # common random numbers: the null perturbation reproduces every path
     assert np.array_equal(batch["costs"][1], batch["costs"][0])
     for law, costs in zip(laws, batch["costs"]):
-        alone = lqg_simulate(problem, seed=9, n_paths=16, laws=[law], riccati=riccati)
+        alone = lqg_simulate(problem, riccati, seed=9, n_paths=16, laws=[law])
         assert np.array_equal(alone["costs"][0], costs)
 
 
@@ -394,7 +395,8 @@ def test_lqg_path_k_draws_state_noise_first_from_its_spawned_stream():
     # cost of path k is Pi_T x_T^2 with db the first draw of stream k
     seed, n_paths, steps, c_val, x0 = 31, 3, 40, 0.7, 0.4
     problem = scalar_problem(q=0.0, pi_T=1.0, C=[[c_val]], H_obs=[[1.0]], x0=[x0])
-    result = lqg_simulate(problem, seed, n_paths, laws=[("scale", 0.0)], steps=steps)
+    result = lqg_simulate(problem, solve_riccati_ode(problem, steps), seed, n_paths,
+                          laws=[("scale", 0.0)])
     dt = problem.horizon / steps
     for k, child in enumerate(np.random.SeedSequence(seed).spawn(n_paths)):
         db = np.random.default_rng(child).normal(size=(steps, 1)) * np.sqrt(dt)

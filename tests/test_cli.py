@@ -243,6 +243,51 @@ def test_malformed_or_vacuous_config_exits_2_naming_the_key(tmp_path, capsys, co
     assert not list(tmp_path.glob("*_report.json"))
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+# one key of every value type that holds numbers, and each encoding of a
+# complex value; json.dumps writes NaN and Infinity, which json.loads reads
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [
+        ("weyl", "lam", _NAN),  # number
+        ("weyl", "k", -_INF),
+        ("characteristic", "t", _INF),  # positive
+        ("flow", "dt", _INF),
+        ("swn-control", "horizon", _INF),
+        ("rf-riccati", "tol", _NAN),
+        ("characteristic", "s_values", [0.5, _NAN]),  # numbers
+        ("characteristic", "intensities", [1.0, _INF]),  # positives
+        ("weyl", "z", _NAN),  # complex, a real number
+        ("weyl", "z", [0.5, _INF]),  # complex, an [re, im] pair
+        ("lqr", "x0", [_NAN]),  # vector
+        ("lqr", "x0", [10**400]),  # an int beyond the float range
+        ("lqr", "A", [[_NAN]]),  # matrix
+        ("lqg", "C", [[-_INF]]),
+        ("lqr", "Q", [[_INF]]),  # psd_matrix
+    ],
+)
+def test_non_finite_config_number_exits_2_naming_its_key(tmp_path, capsys, kind, key, value):
+    with pytest.raises(ConfigError) as err:
+        parse_config({"kind": kind, key: value})
+    assert [e.split(":")[0] for e in err.value.errors] == [key]
+    assert "finite" in err.value.errors[0]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": kind, key: value}))
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert f"config error: {key}:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_report.json"))
+
+
+@pytest.mark.parametrize("dt", ["nan", "inf"])
+def test_non_finite_dt_override_exits_2_naming_dt(tmp_path, capsys, dt):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "flow"}))
+    assert main(["run", str(cfg), "--dt", dt, "--out-dir", str(tmp_path)]) == 2
+    assert "config error: dt:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("config", [{"dt": 0.5}, {"n_steps": 9}], ids=["dt-0.5", "n_steps-9"])
 def test_rf_riccati_under_ten_steps_exits_2_naming_n_steps(tmp_path, capsys, config):
     # the noise-free degeneration runs the classical Riccati solver on

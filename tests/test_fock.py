@@ -88,6 +88,17 @@ def test_exponential_vector_prefactor():
     assert any(abs(series.times - 0.25) < 1e-15)
 
 
+def test_piecewise_constant_is_zero_outside_its_domain():
+    f = PiecewiseConstant([0.5, 1.0], [2.0, 3.0])
+    inside = [(0.0, 2.0), (0.25, 2.0), (0.5, 3.0), (1.0, 3.0)]
+    for t, want in inside:
+        assert np.array_equal(f.value(t), [want])
+    for t in (-1e-12, -0.1, 1.0 + 1e-12, 2.0):
+        assert np.array_equal(f.value(t), [0.0])
+    wide = PiecewiseConstant([1.0], [[0.3, 0.7]])
+    assert np.array_equal(wide.value(-0.5), np.zeros(2))
+
+
 def test_matrix_element_is_fourth_order_across_breakpoints():
     # f breaks at 0.37 and g at 0.61; every segment is stepped with its own
     # generator, so halving dt (which halves every segment's step here)

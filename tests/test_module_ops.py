@@ -22,7 +22,6 @@ from qscontrol.ito import (
     swn_basis_product,
     swn_mul,
 )
-from qscontrol.seeding import single_rng
 
 
 def _rand(rng, dim=2):
@@ -33,7 +32,7 @@ def _rand(rng, dim=2):
 
 
 def test_circ_identity_is_unit():
-    rng = single_rng(7)
+    rng = np.random.default_rng(7)
     ident = ModuleOperator.identity_cons(2)
     t_op = ModuleOperator.from_cons({(1, 2, 0): _rand(rng), (0, 1, 1): _rand(rng)})
     assert circ(ident, t_op).approx_eq(t_op, 1e-12)
@@ -49,7 +48,7 @@ def test_circ_number_operator_squares_to_4m_plus_1_sq():
 
 
 def test_circ_matches_representation_composition():
-    rng = single_rng(11)
+    rng = np.random.default_rng(11)
     N, margin = 24, 9
     # kron layout: column j*N + c pairs system index j with mode index c,
     # so the safe window keeps mode columns c <= N - 1 - margin only.
@@ -83,7 +82,7 @@ def test_misshaped_coefficient_is_named_by_its_label():
 
 
 def test_pairing_single_matching_index():
-    rng = single_rng(3)
+    rng = np.random.default_rng(3)
     s_mat, t_mat = _rand(rng), _rand(rng)
     a = ModuleOperator.from_ann({0: s_mat})
     b = ModuleOperator.from_cre({0: t_mat})
@@ -91,14 +90,14 @@ def test_pairing_single_matching_index():
 
 
 def test_pairing_disjoint_supports_is_zero():
-    rng = single_rng(4)
+    rng = np.random.default_rng(4)
     a = ModuleOperator.from_ann({0: _rand(rng)})
     b = ModuleOperator.from_cre({1: _rand(rng)})
     assert np.allclose(pairing(a, b), 0.0)
 
 
 def test_pairing_sums_over_matching_indices():
-    rng = single_rng(5)
+    rng = np.random.default_rng(5)
     s0, s1, t0, t1 = (_rand(rng) for _ in range(4))
     a = ModuleOperator.from_ann({0: s0, 1: s1})
     b = ModuleOperator.from_cre({0: t0, 1: t1})
@@ -106,7 +105,7 @@ def test_pairing_sums_over_matching_indices():
 
 
 def test_inner_is_pairing_of_adjoint():
-    rng = single_rng(6)
+    rng = np.random.default_rng(6)
     a = ModuleOperator.from_cre({0: _rand(rng), 2: _rand(rng)})
     b = ModuleOperator.from_cre({0: _rand(rng), 2: _rand(rng)})
     assert np.allclose(inner(a, b), pairing(a.adjoint(), b))
@@ -116,7 +115,7 @@ def test_inner_is_pairing_of_adjoint():
 
 
 def test_r_map_identity_acts_trivially():
-    rng = single_rng(8)
+    rng = np.random.default_rng(8)
     ident = ModuleOperator.identity_cons(2)
     dplus = ModuleOperator.from_cre({0: _rand(rng), 3: _rand(rng)})
     assert r_map(ident, dplus).approx_eq(dplus, 1e-12)
@@ -132,7 +131,7 @@ def test_r_map_raising_label_shifts_and_weights():
 
 
 def test_l_map_identity_and_lowering_label():
-    rng = single_rng(9)
+    rng = np.random.default_rng(9)
     ident = ModuleOperator.identity_cons(2)
     dminus = ModuleOperator.from_ann({0: _rand(rng), 1: _rand(rng)})
     assert l_map(ident, dminus).approx_eq(dminus, 1e-12)
@@ -183,14 +182,14 @@ def test_l_map_consistent_with_symbolic_table():
 
 
 def test_r_map_rejects_an_annihilation_argument():
-    rng = single_rng(18)
+    rng = np.random.default_rng(18)
     ident = ModuleOperator.identity_cons(2)
     with pytest.raises(ShapeError, match="dplus"):
         r_map(ident, ModuleOperator.from_ann({0: _rand(rng)}))
 
 
 def test_adjoint_swaps_r_and_l():
-    rng = single_rng(10)
+    rng = np.random.default_rng(10)
     d1 = ModuleOperator.from_cons({(1, 1, 0): _rand(rng), (0, 0, 2): _rand(rng)})
     dplus = ModuleOperator.from_cre({0: _rand(rng), 2: _rand(rng)})
     lhs = r_map(d1, dplus).adjoint()
@@ -202,7 +201,7 @@ def test_adjoint_swaps_r_and_l():
 
 
 def test_module_table_ann_cre_gives_pairing_dt():
-    rng = single_rng(12)
+    rng = np.random.default_rng(12)
     s0, s1, t0, t1 = (_rand(rng) for _ in range(4))
     dm = ModuleOperator.from_ann({0: s0, 1: s1})
     dp = ModuleOperator.from_cre({0: t0, 1: t1})
@@ -212,7 +211,7 @@ def test_module_table_ann_cre_gives_pairing_dt():
 
 
 def test_module_table_reverse_order_vanishes():
-    rng = single_rng(13)
+    rng = np.random.default_rng(13)
     dm = ModuleOperator.from_ann({0: _rand(rng)})
     dp = ModuleOperator.from_cre({0: _rand(rng)})
     prod = module_ito_mul(dp, dm)
@@ -220,7 +219,7 @@ def test_module_table_reverse_order_vanishes():
 
 
 def test_module_table_cons_acts_by_r_and_l():
-    rng = single_rng(14)
+    rng = np.random.default_rng(14)
     ident = ModuleOperator.identity_cons(2)
     dp = ModuleOperator.from_cre({1: _rand(rng)})
     assert module_ito_mul(ident, dp).approx_eq(dp, 1e-12)
@@ -239,7 +238,7 @@ def _rand_diff(rng, ann, cre, cons):
 
 
 def test_module_table_time_is_absorbing():
-    rng = single_rng(15)
+    rng = np.random.default_rng(15)
     x = ModuleOperator.from_time(_rand(rng))
     y = _rand_diff(rng, ann=(0,), cre=(0,), cons=((1, 1, 1),))
     assert module_ito_mul(x, y).norm() == 0.0
@@ -247,7 +246,7 @@ def test_module_table_time_is_absorbing():
 
 
 def test_module_ito_mul_associative():
-    rng = single_rng(17)
+    rng = np.random.default_rng(17)
 
     def rand_diff():
         return _rand_diff(rng, ann=(0, 1), cre=(0, 1), cons=((1, 0, 0), (0, 1, 1)))
@@ -259,7 +258,7 @@ def test_module_ito_mul_associative():
 
 
 def test_module_differential_adjoint_is_antihomomorphism():
-    rng = single_rng(16)
+    rng = np.random.default_rng(16)
     x = _rand_diff(rng, ann=(0,), cre=(1,), cons=((1, 0, 1),))
     y = _rand_diff(rng, ann=(1,), cre=(0,), cons=((0, 1, 1),))
     lhs = module_ito_mul(x, y).adjoint()

@@ -25,7 +25,6 @@ from qscontrol.qcontrol import (
     synthesize_hp,
     synthesis_residuals,
 )
-from qscontrol.seeding import single_rng
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -36,7 +35,7 @@ SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 def test_trivial_residuals_vanish():
     zero = np.zeros((2, 2))
-    rng = single_rng(1)
+    rng = np.random.default_rng(1)
     f = rng.normal(size=(2, 2))
     assert check_hp_riccati_system(zero, f, zero, zero, zero, zero) == (0.0, 0.0, 0.0)
 
@@ -51,7 +50,7 @@ def test_pure_drift_instance():
 def test_unitary_case_residual_reduces_to_commutator_form():
     # F = -iH, Phi = L = sqrt(2) Pi^(1/2), Psi = -L*, Z = 0 with [L, Pi] = 0:
     # r1 collapses to || i[H,Pi] + Pi^2 + X^2 ||_F, r2 = r3 = 0.
-    rng = single_rng(2)
+    rng = np.random.default_rng(2)
     pi_mat = np.diag([0.5, 1.5]).astype(complex)
     l_mat = math.sqrt(2.0) * np.diag(np.sqrt(np.diag(pi_mat)))
     h_mat = rng.normal(size=(2, 2))
@@ -89,7 +88,7 @@ def test_null_control_zero_cost():
 
 
 def test_feedback_perturbations_increase_cost():
-    rng = single_rng(4)
+    rng = np.random.default_rng(4)
     spec, pi_mat, x_mat = exact_condition_instance(rng, dim=2)
     xi = np.array([0.8, 0.6], dtype=complex)
     base = cost_Q(spec, x_mat, xi, horizon=1.0)
@@ -108,7 +107,7 @@ def test_cost_q_rk4_is_fourth_order_forward():
     # X'^2 = 2 X^2 + Pi^2) on half the horizon keeps the exact cost, the
     # expm of the stacked (vec rho; J) generator, and doubles the step:
     # the error grows by 2^4 (measured 16.66) for a non-optimal feedback
-    rng = single_rng(3)
+    rng = np.random.default_rng(3)
     spec, pi_mat, x_mat = exact_condition_instance(rng, dim=2)
     g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     gain = pi_mat + 0.5 * (g @ g.conj().T)
@@ -162,7 +161,7 @@ def test_cost_j_optimum_value_independent_of_horizon_x_zero_sector():
 def test_cost_j_equals_cost_q_under_the_dictionary():
     # (7.1) read as (7.7): F = -iH, Psi = -L*W, Phi = L, Z = W - 1,
     # feedback Pi = L*L/2.
-    rng = single_rng(5)
+    rng = np.random.default_rng(5)
     pi_diag = np.diag([0.4, 1.1]).astype(complex)
     l_mat = math.sqrt(2.0) * np.diag(np.sqrt(np.diag(pi_diag).real))
     h_mat = np.diag([0.7, -0.2]).astype(complex)
@@ -200,7 +199,7 @@ def test_synthesize_diagonal_case_with_signs():
 
 
 def test_synthesis_residuals_and_normality():
-    rng = single_rng(6)
+    rng = np.random.default_rng(6)
     gauss = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     v_mat, _ = np.linalg.qr(gauss)
     pi_mat = v_mat @ np.diag([0.2, 1.0, 2.5]) @ v_mat.conj().T
@@ -239,7 +238,7 @@ def test_obstruction_sigma_pair():
 
 
 def test_obstruction_holds_for_random_hermitian_gains():
-    rng = single_rng(7)
+    rng = np.random.default_rng(7)
     h_mat, x_mat = SX, SZ
     bound = np.trace(x_mat @ x_mat).real / math.sqrt(2)
     for _ in range(50):
@@ -293,7 +292,7 @@ def test_derive_flow_swn_nontrivial_w():
     # W = u (x) identity-label with u unitary is circ-unitary; the two
     # printed forms still agree with the expansion.
     dim = 2
-    rng = single_rng(9)
+    rng = np.random.default_rng(9)
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=dim))
     u_mat = np.diag(phases)
     w_op = ModuleOperator.from_cons({(0, 0, 0): u_mat})
@@ -370,7 +369,7 @@ def test_swn_flow_ode_matches_simulation():
     # differential, as a function of X) and compare with the density-route
     # simulation.
     dim = 2
-    rng = single_rng(10)
+    rng = np.random.default_rng(10)
     d_mat = 0.8 * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
     d_minus = ModuleOperator.from_ann({0: d_mat}, dim=dim)
     u_mat = np.diag(np.exp(1j * np.array([0.3, 1.7])))
