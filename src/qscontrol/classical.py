@@ -39,7 +39,7 @@ import numpy as np
 from scipy.linalg import block_diag, expm, solve_continuous_lyapunov
 
 from .errors import BlowUpError, NotConvergedError, ShapeError
-from .linalg import as_matrix, expm_stack, fro, is_hermitian, parse_law
+from .linalg import as_matrix, expm_stack, fro, parse_law, require_psd
 from .seeding import spawn_rngs, standard_error
 
 BLOWUP_NORM = 1e12
@@ -66,9 +66,8 @@ class LqProblem:
         n = self.A.shape[0]
         self.Q = np.real(as_matrix(self.Q, n, name="Q")).astype(float)
         self.Pi_T = np.real(as_matrix(self.Pi_T, n, name="Pi_T")).astype(float)
-        for name, mat in (("Q", self.Q), ("Pi_T", self.Pi_T)):
-            if not is_hermitian(mat, 1e-12) or np.linalg.eigvalsh(mat)[0] < -1e-12:
-                raise ShapeError(f"{name} must be symmetric PSD")
+        require_psd(self.Q, "Q", 1e-12)
+        require_psd(self.Pi_T, "Pi_T", 1e-12)
         if self.C is not None:
             self.C = np.real(as_matrix(self.C, n, name="C")).astype(float)
         if self.H_obs is not None:

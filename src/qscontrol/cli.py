@@ -42,7 +42,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, QscError, ResourceLimitError
+from .errors import ConfigError, QscError, ResourceLimitError, ShapeError
+from .linalg import require_psd
 from .seeding import DEFAULT_SEED
 
 # ------------------------------------------------------------------ schema
@@ -106,14 +107,11 @@ def _validate_value(key, kind_of, raw, errors):
         mat = _parse_matrix(raw, key, errors)
         if mat is None or kind_of == "matrix":
             return mat
-        if np.max(np.abs(mat - mat.T)) > 1e-10:
-            errors.append(f"{key}: matrix must be symmetric")
-            return None
-        low = float(np.linalg.eigvalsh(mat)[0])
-        if low < -1e-10:
-            errors.append(f"{key}: matrix must be PSD (minimum eigenvalue {low:.6g})")
-            return None
-        return mat
+        try:  # LqProblem's tolerance, so the schema admits exactly what it runs
+            require_psd(mat, "matrix", 1e-12)
+            return mat
+        except ShapeError as err:
+            errors.append(f"{key}: {err}")
     elif kind_of == "bool":
         if isinstance(raw, bool):
             return raw
@@ -267,19 +265,25 @@ def _run_swn_table(config, outputs, out_dir):
 
 
 def _run_characteristic(config, outputs, out_dir):
-    from .fock import characteristic_functional
+    from .fock import characteristic_closed_form, characteristic_functional
 
     t_val = config.params["t"]
-    ode_dt = config.params["ode_dt"]
-    checks = []
+    cases = []  # (kind, s, lam, check name, the keys it reads)
     for s in config.params["s_values"]:
-        sim, closed = characteristic_functional("brownian", s, 1.0, t_val, ode_dt)
-        checks.append(_check(f"brownian s={s}", abs(sim - closed) / abs(closed), 0.01))
-        for lam in config.params["intensities"]:
-            sim, closed = characteristic_functional("poisson", s, lam, t_val, ode_dt)
-            checks.append(
-                _check(f"poisson s={s} lam={lam}", abs(sim - closed) / abs(closed), 0.01)
-            )
+        cases.append(("brownian", s, 1.0, f"brownian s={s}", "s_values, t"))
+        cases.extend(("poisson", s, lam, f"poisson s={s} lam={lam}", "s_values, intensities, t")
+                     for lam in config.params["intensities"])
+    # each check divides by its closed form, so one that underflows to 0
+    # rejects the config before anything is integrated
+    underflows = [f"{keys}: the {name} closed form underflows to 0 at t={t_val}"
+                  for kind, s, lam, name, keys in cases
+                  if characteristic_closed_form(kind, s, lam, t_val) == 0]
+    if underflows:
+        raise ConfigError(underflows)
+    checks = []
+    for kind, s, lam, name, _ in cases:
+        sim, closed = characteristic_functional(kind, s, lam, t_val, config.params["ode_dt"])
+        checks.append(_check(name, abs(sim - closed) / abs(closed), 0.01))
     return checks
 
 
@@ -731,7 +735,11 @@ EXPERIMENTS = {
 
 
 def run(config, out_dir="."):
-    """Execute a validated config; returns (report_dict, exit_code)."""
+    """Execute a validated config; returns (report_dict, exit_code).
+
+    A runner that finds the config unrunnable before any check (a
+    characteristic closed form that underflows to 0) raises ConfigError,
+    which propagates with no report written."""
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -813,13 +821,11 @@ def main(argv=None):
                      if value is not None}
         if overrides:
             config = parse_config({**config.raw, **overrides})
+        report, code = run(config, out_dir=args.out_dir)
     except ConfigError as err:
         for line in err.errors:
             print(f"config error: {line}", file=sys.stderr)
         return 2
-
-    try:
-        report, code = run(config, out_dir=args.out_dir)
     except QscError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -58,12 +58,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexEscapeError, ResourceLimitError, ShapeError
+from .errors import IndexEscapeError, ShapeError
 from .ito import SymbolicDifferential, swn_mul
 from .ito.labels import FIRST_ORDER
 from .ito.module_ops import ModuleOperator, inner, r_map, require_slot
 from .ito.sl2 import rho_plus_matrix, theta
-from .linalg import as_matrix, is_hermitian, is_unitary, rk4_linear
+from .linalg import (STACK_BUDGET, as_matrix, is_unitary, require_budget, require_hermitian,
+                     require_psd, rk4_linear)
 
 DEFAULT_TENSOR_BUDGET = 1 << 22  # complex entries in a state vector
 DEFAULT_MATRIX_BUDGET = 1 << 24  # complex entries in a full propagator
@@ -204,8 +205,7 @@ class HpEvolutionSpec:
         dim = self.H.shape[0]
         self.L = as_matrix(self.L, dim, name="L")
         self.W = as_matrix(self.W if self.W is not None else np.eye(dim), dim, name="W")
-        if not is_hermitian(self.H):
-            raise ShapeError("H must be Hermitian")
+        require_hermitian(self.H, "H", 1e-10)
         if not is_unitary(self.W):
             raise ShapeError("W must be unitary")
 
@@ -241,10 +241,7 @@ class GenericQsdeSpec:
         self.Z = as_matrix(self.Z, dim, name="Z")
         if self.feedback is not None:
             self.feedback = as_matrix(self.feedback, dim, name="feedback")
-            if not is_hermitian(self.feedback):
-                raise ShapeError("feedback gain must be Hermitian")
-            if np.linalg.eigvalsh(0.5 * (self.feedback + self.feedback.conj().T))[0] < -1e-10:
-                raise ShapeError("feedback gain must be PSD")
+            require_psd(self.feedback, "feedback gain", 1e-10)
 
     @property
     def dim(self):
@@ -269,16 +266,15 @@ def _grid_with_breaks(horizon, dt, breaks=()):
 
     Returns (grid, runs): the segment between two consecutive breakpoints
     is one run (a, b, steps) of equal steps of at most dt, the form
-    ``rk4_linear`` takes.
+    ``rk4_linear`` takes.  The grid's size is admitted from the float step
+    ratios before any of them is rounded, since a ratio may be infinite.
     """
     edges = sorted({0.0, float(horizon)} | {float(b) for b in breaks if 0 < b < horizon})
-    grid = [0.0]
-    runs = []
-    for a, b in zip(edges, edges[1:]):
-        steps = max(1, math.ceil((b - a) / dt - 1e-12))
-        grid.extend(a + (b - a) * (j + 1) / steps for j in range(steps))
-        runs.append((a, b, steps))
-    return np.array(grid), runs
+    spans = list(zip(edges, edges[1:]))
+    require_budget(sum((b - a) / dt for a, b in spans) + 1, STACK_BUDGET, "time grid")
+    runs = [(a, b, max(1, math.ceil((b - a) / dt - 1e-12))) for a, b in spans]
+    grid = [np.zeros(1)] + [a + (b - a) * np.arange(1, steps + 1) / steps for a, b, steps in runs]
+    return np.concatenate(grid), runs
 
 
 # ------------------------------------------------- matrix-element evolution
@@ -392,13 +388,7 @@ def step_tensor_evolution(spec, config, *, u=None, v=None, observable=None):
     step_op = _euler_ito_step(spec, d, dt)
     dim = step_op.shape[0] // d
     steps = config.n_steps
-    required = dim * d**steps
-    if required > config.tensor_budget:
-        raise ResourceLimitError(
-            f"tensor state needs {required} complex entries, budget is {config.tensor_budget}",
-            required=required,
-            budget=config.tensor_budget,
-        )
+    require_budget(dim * d**steps, config.tensor_budget, "tensor state")
     u = np.asarray(u if u is not None else np.eye(dim)[0], dtype=complex).reshape(dim)
     v = np.asarray(v if v is not None else np.eye(dim)[0], dtype=complex).reshape(dim)
     x_mat = None if observable is None else as_matrix(observable, dim)
@@ -436,13 +426,7 @@ def unitarity_defect(spec, config, matrix_budget=DEFAULT_MATRIX_BUDGET):
     step_op = _euler_ito_step(spec, d, config.dt)
     dim = step_op.shape[0] // d
     steps = config.n_steps
-    total = dim * d**steps
-    if total * total > matrix_budget:
-        raise ResourceLimitError(
-            f"full propagator needs {total * total} complex entries, budget {matrix_budget}",
-            required=total * total,
-            budget=matrix_budget,
-        )
+    require_budget((dim * d**steps) ** 2, matrix_budget, "full propagator")
     # S[s', j', s, j]; rows of V are laid out (system, j_k, ..., j_1) and
     # columns (j_k, earlier columns): permuting columns keeps ||V* V - 1||_2
     s_op = step_op.reshape(dim, d, dim, d)
@@ -508,8 +492,7 @@ def characteristic_functional(kind, s, lam, t, dt=1e-4):
 
     Simulates f' = c f with the dt coefficient c of the Weyl differential
     (the RK4 step map over max(1, round(t / dt)) equal steps) and returns
-    (simulated, closed_form): exp(-s^2 t / 2) for Brownian,
-    exp(lam (e^{is} - 1) t) for Poisson.
+    (simulated, ``characteristic_closed_form``).
     """
     if kind not in ("brownian", "poisson"):
         raise ValueError("kind must be 'brownian' or 'poisson'")
@@ -517,15 +500,22 @@ def characteristic_functional(kind, s, lam, t, dt=1e-4):
         raise ShapeError("dt must be positive")
     if kind == "brownian":
         bracket = weyl_increment(0.0, s, 0.0)
-        closed = np.exp(-0.5 * s**2 * t)
     else:
         if lam <= 0:
             raise ShapeError("Poisson intensity must be positive")
         bracket = weyl_increment(s * lam, s * math.sqrt(lam), s)
-        closed = np.exp(lam * (np.exp(1j * s) - 1.0) * t)
     c_val = bracket.coeff(FIRST_ORDER[0])
+    # admitted before rounding: t / dt may be infinite
+    require_budget(t / dt + 1, STACK_BUDGET, "RK4 state stack")
     states = rk4_linear(lambda _t, y: c_val * y, 1.0 + 0.0j, [(0.0, t, max(1, round(t / dt)))])
-    return complex(states[-1]), complex(closed)
+    return complex(states[-1]), characteristic_closed_form(kind, s, lam, t)
+
+
+def characteristic_closed_form(kind, s, lam, t):
+    """exp(-s^2 t / 2) for Brownian, exp(lam (e^{is} - 1) t) for Poisson."""
+    if kind == "brownian":
+        return complex(np.exp(-0.5 * s**2 * t))
+    return complex(np.exp(lam * (np.exp(1j * s) - 1.0) * t))
 
 
 # ------------------------------------------------------- Heisenberg flows
@@ -551,8 +541,7 @@ def _master_expectation(op, observable, state, horizon, dt):
     """t -> tr(rho_t X) along the master equation of ``op`` from the pure
     state, for a Hermitian observable X."""
     x_mat = as_matrix(observable, op.dim)
-    if not is_hermitian(x_mat):
-        raise ShapeError("observable must be Hermitian")
+    require_hermitian(x_mat, "observable", 1e-10)
     state = np.asarray(state, dtype=complex).reshape(op.dim)
     rho0 = np.outer(state, state.conj())
     gen = _master_generator(op)
@@ -614,8 +603,7 @@ def swn_generator(h_mat, d_minus, w_op):
     require_slot(w_op, "cons", "w_op")
     dim = d_minus.dim
     h_mat = as_matrix(h_mat, dim, name="H")
-    if not is_hermitian(h_mat):
-        raise ShapeError("H must be Hermitian")
+    require_hermitian(h_mat, "H", 1e-10)
     dm_star = d_minus.adjoint()
     return (
         ModuleOperator.from_time(-0.5 * inner(dm_star, dm_star) + 1j * h_mat)

@@ -2,15 +2,21 @@
 
 Everything works on complex numpy arrays.  Predicates take an explicit
 tolerance so that callers can enforce the tolerance their contract states.
+``require_hermitian`` and ``require_psd`` are the package's one admission
+rule for input matrices, and ``require_budget`` its one size check before
+an allocation.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ResourceLimitError, ShapeError
+
+STACK_BUDGET = 1 << 24  # entries in a fixed-grid ODE's time grid or RK4 state stack
 
 
 def as_matrix(value, dim=None, name="matrix"):
@@ -32,10 +38,6 @@ def fro(mat):
     return float(np.linalg.norm(mat, "fro"))
 
 
-def is_hermitian(mat, tol=1e-10):
-    return bool(np.max(np.abs(mat - mat.conj().T)) <= tol)
-
-
 def is_unitary(mat, tol=1e-10):
     eye = np.eye(mat.shape[0])
     return bool(
@@ -44,13 +46,41 @@ def is_unitary(mat, tol=1e-10):
     )
 
 
+def require_hermitian(mat, name, tol):
+    """Admit ``mat`` as Hermitian: no entry of M - M* above ``tol`` (a NaN
+    entry fails), else ShapeError naming it.  With ``require_psd`` this is
+    the one admission rule for input matrices."""
+    defect = float(np.max(np.abs(mat - mat.conj().T)))
+    if not defect <= tol:
+        raise ShapeError(f"{name} must be Hermitian (largest |M - M*| entry {defect:.6g})")
+
+
+def require_psd(mat, name, tol):
+    """Admit ``mat`` as Hermitian PSD within ``tol``; returns the smallest
+    eigenvalue of its Hermitian part, which must be at least -``tol``."""
+    require_hermitian(mat, name, tol)
+    low = float(np.linalg.eigvalsh(herm(mat))[0])
+    if low < -tol:
+        raise ShapeError(f"{name} must be PSD (minimum eigenvalue {low:.6g})")
+    return low
+
+
+def require_budget(required, budget, what):
+    """Raise ResourceLimitError before anything is allocated when ``what``
+    needs more than ``budget`` entries.  ``required`` may be a float
+    (a step ratio checked before it is rounded, possibly infinite) or an int
+    beyond the float range: the error carries it capped at the largest
+    float, so a report's value stays finite."""
+    if required > budget:
+        shown = min(required, sys.float_info.max)
+        raise ResourceLimitError(f"{what} needs {shown:.6g} entries, budget {budget}",
+                                 required=shown, budget=budget)
+
+
 def psd_sqrt(mat, tol=1e-10):
     """Principal square root of a PSD matrix (eigenvalues clipped at 0)."""
-    if not is_hermitian(mat, tol):
-        raise ShapeError("psd_sqrt requires a Hermitian matrix")
+    require_psd(mat, "psd_sqrt input", tol)
     vals, vecs = np.linalg.eigh(herm(mat))
-    if vals[0] < -tol:
-        raise ShapeError(f"psd_sqrt requires PSD input, min eigenvalue {vals[0]:.3e}")
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
 
 
@@ -195,6 +225,7 @@ def rk4_linear(apply, y0, runs):
     size = y.size
     trailing = y.shape[-1] if y.ndim else 1
     total = sum(steps for _, _, steps in runs)
+    require_budget((total + 1) * size, STACK_BUDGET, "RK4 state stack")
     states = np.empty((total + 1, size), dtype=y.dtype)
     states[0] = y.reshape(size)
     k = 0

@@ -39,7 +39,8 @@ from .ito.differential import SymbolicDifferential
 from .ito.labels import FIRST_ORDER
 from .ito.module_ops import ModuleOperator, circ, inner, l_map, module_ito_mul, r_map, require_slot
 from .ito.swn import swn_mul
-from .linalg import as_matrix, commutator, fro, is_hermitian, is_unitary, psd_sqrt, rk4_linear
+from .linalg import (STACK_BUDGET, as_matrix, commutator, fro, is_unitary, psd_sqrt,
+                     require_budget, require_hermitian, rk4_linear)
 
 
 # ----------------------------------------------------------- problem data
@@ -58,8 +59,8 @@ class HpControlProblem:
         self.H = as_matrix(self.H, name="H")
         dim = self.H.shape[0]
         self.X = as_matrix(self.X, dim, name="X")
-        if not is_hermitian(self.H) or not is_hermitian(self.X):
-            raise ShapeError("H and X must be Hermitian")
+        require_hermitian(self.H, "H", 1e-10)
+        require_hermitian(self.X, "X", 1e-10)
         self.xi = np.asarray(self.xi, dtype=complex).reshape(dim)
         if np.linalg.norm(self.xi) == 0:
             raise ShapeError("xi must be nonzero")
@@ -245,6 +246,8 @@ def _density_cost(op, xi, horizon, weight_fn, terminal_fn):
         out[..., dim, 0] = weight_fn(rho)
         return out
 
+    # admitted before rounding: horizon / 0.01 may be infinite
+    require_budget((horizon / 0.01 + 1) * y0.size, STACK_BUDGET, "RK4 state stack")
     states = rk4_linear(deriv, y0, [(0.0, horizon, max(50, round(horizon / 0.01)))])
     rho_final = states[-1][:dim]
     return float((states[-1][dim, 0] + terminal_fn(rho_final)).real)

@@ -107,7 +107,7 @@ from functools import partial
 import numpy as np
 
 from .errors import NotConvergedError, ShapeError
-from .linalg import as_matrix, herm, is_hermitian, parse_law
+from .linalg import as_matrix, parse_law, require_psd
 from .seeding import spawn_rngs, standard_error
 
 # --------------------------------------------------------------- surrogate
@@ -256,12 +256,9 @@ class RfProblem:
             setattr(self, name, as_matrix(getattr(self, name), dim, name=name))
         if self.direction not in (Q0, QT):
             raise ShapeError("direction must be 'q0' or 'qt'")
-        for name, mat in (("Q", self.Q), ("boundary_gain", self.boundary_gain)):
-            if not is_hermitian(mat, 1e-12) or np.linalg.eigvalsh(herm(mat))[0] < -1e-12:
-                raise ShapeError(f"{name} must be Hermitian PSD")
-        if not is_hermitian(self.R, 1e-12):
-            raise ShapeError("R must be Hermitian")
-        if np.linalg.eigvalsh(herm(self.R))[0] <= 1e-12:
+        require_psd(self.Q, "Q", 1e-12)
+        require_psd(self.boundary_gain, "boundary_gain", 1e-12)
+        if require_psd(self.R, "R", 1e-12) <= 1e-12:
             raise ShapeError("R must be positive definite (invertible)")
         if np.max(np.abs(self.F2 - self.F1.conj().T)) > 1e-12:
             raise ShapeError("Hermiticity pairing requires F2 = F1*")

@@ -1,6 +1,7 @@
 """Experiment runner: config validation, dispatch, reports, determinism."""
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from qscontrol.cli import (
     parse_config,
     run,
 )
-from qscontrol.errors import ConfigError
+from qscontrol.errors import ConfigError, ShapeError
 
 
 def test_minimal_config_fills_defaults(tmp_path):
@@ -297,6 +298,68 @@ def test_rf_riccati_under_ten_steps_exits_2_naming_n_steps(tmp_path, capsys, con
     assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 2
     assert "config error: n_steps: expected an integer >= 10" in capsys.readouterr().err
     assert not list(tmp_path.glob("*_report.json"))
+
+
+@pytest.mark.parametrize(
+    "config, code, key",
+    [
+        # a psd_matrix within 1e-10 but not within LqProblem's 1e-12
+        ({"kind": "lqr", "Q": [[1, 1e-11], [0, 1]]}, 2, "Q"),
+        ({"kind": "lqg", "Pi_T": [[1, 0], [0, -1e-11]]}, 2, "Pi_T"),
+        # a fixed-grid ODE over budget, its step ratio finite or infinite
+        ({"kind": "hp-control", "horizon": 1e300}, 3, None),
+        ({"kind": "hp-control", "horizon": 1e308}, 3, None),
+        ({"kind": "flow", "horizon": 1e7}, 3, None),
+        ({"kind": "swn-control", "horizon": 1e7}, 3, None),
+        ({"kind": "flow", "horizon": 1e300, "dt": 1e-10}, 3, None),
+        ({"kind": "characteristic", "ode_dt": 1e-8}, 3, None),
+        # a characteristic closed form that underflows to 0
+        ({"kind": "characteristic", "t": 400}, 2, "t"),
+        ({"kind": "characteristic", "s_values": [40]}, 2, "s_values"),
+        ({"kind": "characteristic", "intensities": [6000]}, 2, "intensities"),
+        ({"kind": "characteristic", "intensities": [1e6]}, 2, "intensities"),
+        ({"kind": "characteristic", "t": 1e300}, 2, "t"),
+    ],
+)
+def test_admitted_config_ends_in_a_config_or_resource_error(tmp_path, capsys, config, code, key):
+    # exit 2 names the key and writes no report; exit 3 writes a report
+    # whose budget check is a finite number
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    reports = list(tmp_path.glob("*_report.json"))
+    if code == 2:
+        lines = err.splitlines()
+        assert lines and all(line.startswith("config error: ") for line in lines)
+        assert all(key in line.split(": ")[1].split(", ") for line in lines)
+        assert not reports
+    else:
+        (report,) = reports
+        (check,) = json.loads(report.read_text())["checks"]
+        assert check["name"] == "resource budget" and not check["passed"]
+        assert check["tolerance"] < check["value"] <= sys.float_info.max
+
+
+@pytest.mark.parametrize("matrix, admit", [
+    ([[1.0, 0.5e-12], [0.0, 1.0]], True), ([[1.0, 2e-12], [0.0, 1.0]], False),
+    ([[1.0, 0.0], [0.0, -0.5e-12]], True), ([[1.0, 0.0], [0.0, -2e-12]], False),
+], ids=["asymmetry-0.5tol", "asymmetry-2tol", "eigenvalue-0.5tol", "eigenvalue-2tol"])
+def test_psd_matrix_schema_admits_what_lq_problem_accepts(matrix, admit):
+    # an asymmetry and a smallest eigenvalue at 0.5x and 2x LqProblem's 1e-12
+    from qscontrol.classical import LqProblem
+
+    def admitted(build):
+        try:
+            build()
+            return True
+        except (ConfigError, ShapeError):
+            return False
+
+    by_schema = admitted(lambda: parse_config({"kind": "lqr", "Q": matrix}))
+    by_problem = admitted(lambda: LqProblem(A=np.zeros((2, 2)), Q=matrix, Pi_T=np.eye(2),
+                                            horizon=1.0))
+    assert by_schema == by_problem == admit
 
 
 @pytest.mark.parametrize("via", ["config", "flag"])

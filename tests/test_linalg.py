@@ -1,14 +1,25 @@
 """The RK4 kernels: the linear-ODE step map against the stepwise RK4; the
-batched matrix exponential against scipy's, matrix by matrix."""
+batched matrix exponential against scipy's, matrix by matrix; the one
+Hermitian/PSD admission rule at every site and the size budget."""
+
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qscontrol.fock import _grid_with_breaks, _master_generator
+from qscontrol.classical import LqProblem
+from qscontrol.cli import parse_config
+from qscontrol.errors import ConfigError, ResourceLimitError, ShapeError
+from qscontrol.fock import (GenericQsdeSpec, HpEvolutionSpec, _grid_with_breaks,
+                            _master_generator, flow_expectation, swn_generator)
 from qscontrol.ito import ModuleOperator
 from qscontrol.ito.labels import SwnLabel
-from qscontrol.linalg import _PADE, expm_stack, rk4, rk4_linear
+from qscontrol.linalg import (_PADE, STACK_BUDGET, expm_stack, psd_sqrt, require_budget, rk4,
+                              rk4_linear)
+from qscontrol.qcontrol import HpControlProblem
+from qscontrol.rf import stochastic_2x2_problem
 
 
 def _rand(rng, *shape):
@@ -177,3 +188,78 @@ def test_expm_stack_of_a_non_finite_matrix_is_nan():
         got = expm_stack(mats)
         assert np.isnan(got[1]).all()
         assert np.array_equal(got[[0, 2]], np.broadcast_to(np.eye(2), (2, 2, 2)))
+
+
+# ------------------------------------------------------------- admission
+
+
+_ZERO, _EYE = np.zeros((2, 2)), np.eye(2)
+_RF = stochastic_2x2_problem()
+_NO_NOISE = ModuleOperator.from_ann({0: _ZERO}, dim=2)
+
+# (build from one 2x2 matrix, tolerance, whether PSD is required) for every
+# input matrix the package admits through require_hermitian or require_psd
+_ADMISSION_SITES = {
+    "rf-Q": (lambda m: replace(_RF, Q=m), 1e-12, True),
+    "rf-boundary_gain": (lambda m: replace(_RF, boundary_gain=m), 1e-12, True),
+    "lq-Q": (lambda m: LqProblem(A=_ZERO, Q=m, Pi_T=_EYE, horizon=1.0), 1e-12, True),
+    "lq-Pi_T": (lambda m: LqProblem(A=_ZERO, Q=_EYE, Pi_T=m, horizon=1.0), 1e-12, True),
+    "cli-psd_matrix": (lambda m: parse_config({"kind": "lqr", "Q": m.tolist()}), 1e-12, True),
+    "feedback": (lambda m: GenericQsdeSpec(F=_ZERO, Psi=_ZERO, Phi=_ZERO, Z=_ZERO, feedback=m),
+                 1e-10, True),
+    "psd_sqrt": (psd_sqrt, 1e-10, True),
+    "hp-H": (lambda m: HpEvolutionSpec(H=m, L=_ZERO), 1e-10, False),
+    "swn-H": (lambda m: swn_generator(m, _NO_NOISE, ModuleOperator.identity_cons(2)),
+              1e-10, False),
+    "observable": (lambda m: flow_expectation(HpEvolutionSpec(H=_ZERO, L=_ZERO), m, [1.0, 0.0],
+                                              horizon=0.1, dt=0.1), 1e-10, False),
+    "control-H": (lambda m: HpControlProblem(H=m, X=_EYE, xi=[1.0, 0.0], horizon=1.0),
+                  1e-10, False),
+    "control-X": (lambda m: HpControlProblem(H=_EYE, X=m, xi=[1.0, 0.0], horizon=1.0),
+                  1e-10, False),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_ADMISSION_SITES))
+def test_each_admission_site_rejects_at_its_own_tolerance(site):
+    # an asymmetry, and for PSD sites a negative eigenvalue, at 0.5x the
+    # site's tolerance is admitted and at 2x rejected
+    build, tol, psd = _ADMISSION_SITES[site]
+    cases = [lambda x: np.array([[1.0, x], [0.0, 1.0]])]
+    if psd:
+        cases.append(lambda x: np.diag([1.0, -x]))
+    for matrix in cases:
+        build(matrix(0.5 * tol))
+        with pytest.raises((ShapeError, ConfigError)):
+            build(matrix(2.0 * tol))
+
+
+def test_rf_control_weight_must_be_definite():
+    # R admits through require_psd and must have its smallest eigenvalue above 1e-12
+    replace(_RF, R=np.diag([1.0, 2e-12]))
+    for low in (1e-12, 0.0, -0.5e-12):
+        with pytest.raises(ShapeError, match="R must be positive definite"):
+            replace(_RF, R=np.diag([1.0, low]))
+
+
+def test_require_budget_reports_a_finite_count_before_allocating():
+    require_budget(16, 16, "stack")
+    for required in (17, 17.5, 10**400, float("inf")):
+        with pytest.raises(ResourceLimitError) as err:
+            require_budget(required, 16, "stack")
+        assert err.value.budget == 16
+        assert 16 < err.value.required <= sys.float_info.max
+        assert str(err.value).startswith("stack needs ")
+    # rk4_linear admits its (steps + 1) x size stack before allocating it
+    with pytest.raises(ResourceLimitError) as err:
+        rk4_linear(lambda _t, y: y, np.zeros(4, dtype=complex), [(0.0, 1.0, STACK_BUDGET // 4)])
+    assert err.value.required == (STACK_BUDGET // 4 + 1) * 4
+
+
+def test_grid_is_admitted_from_its_step_ratios_before_rounding():
+    grid, runs = _grid_with_breaks(1.0, 0.03, [0.21, 0.5, 0.83])
+    want = [0.0] + [a + (b - a) * (j + 1) / steps for a, b, steps in runs for j in range(steps)]
+    assert grid.tolist() == want  # the numpy grid is the per-point formula, bit for bit
+    for horizon, dt in ((1e7, 1e-3), (1e300, 1e-10)):  # a finite and an infinite ratio
+        with pytest.raises(ResourceLimitError):
+            _grid_with_breaks(horizon, dt)
