@@ -132,16 +132,17 @@ def _riccati(m_mat, n_mat, k_mat, start, grid):
     steps = len(grid) - 1
     h = (grid[-1] - grid[0]) / steps
     ham = np.block([[-m_mat.T, k_mat], [n_mat, m_mat]])
-    reach = np.linalg.norm(ham) * abs(h)
-    block = max(1, min(math.isqrt(steps), math.floor(1.0 / reach) if reach > 0 else steps))
-    powers = np.empty((block, 2 * n, 2 * n))
-    powers[0] = expm(ham * h)
-    for j in range(1, block):
-        powers[j] = powers[0] @ powers[j - 1]
     states = np.empty((steps + 1, n, n))
     states[0] = start
-    # near a pole the solve overflows to inf; past one, NaN marks the states
+    # near a pole the solve overflows to inf; past one, NaN marks the states;
+    # a Hamiltonian too large for its norm overflows the same way
     with np.errstate(over="ignore", invalid="ignore"):
+        reach = np.linalg.norm(ham) * abs(h)
+        block = max(1, min(math.isqrt(steps), math.floor(1.0 / reach) if reach > 0 else steps))
+        powers = np.empty((block, 2 * n, 2 * n))
+        powers[0] = expm(ham * h)
+        for j in range(1, block):
+            powers[j] = powers[0] @ powers[j - 1]
         for first in range(0, steps, block):
             count = min(block, steps - first)
             z = powers[:count, :n, :n] + powers[:count, :n, n:] @ states[first]

@@ -24,7 +24,8 @@ docs/output_schema.md): the config echo, a version tag, wall time, and one
 entry per check carrying the measured value, its tolerance and pass/fail.
 Reports are byte-identical across runs with the same config and seed,
 except for the wall-time field.  Exit codes: 0 all checks pass, 1 check
-failure, 2 config error, 3 resource rejection.
+failure or runner error, 2 config error, 3 resource rejection; every code
+but 2 writes a report.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, QscError, ResourceLimitError, ShapeError
-from .linalg import require_psd
+from .linalg import STACK_BUDGET, require_budget, require_psd
 from .seeding import DEFAULT_SEED
 
 # ------------------------------------------------------------------ schema
@@ -291,6 +292,13 @@ def _run_weyl(config, outputs, out_dir):
     from .fock import weyl_increment, weyl_series
 
     params = config.params
+    # the n-th power of i dE has coefficients up to max(|z|, |k|)^n (lam
+    # enters at n = 1 only, and at k = 0 the powers end at n = 2), and the
+    # closed form squares z and k: past 1e300 either would overflow
+    powers = max(params["n_terms"], 2) if params["k"] else 2
+    if powers * math.log10(max(abs(params["z"]), abs(params["k"]), 1.0)) > 300:
+        raise ConfigError([f"z, k: max(|z|, |k|)^{powers} exceeds 1e300, so the series or "
+                           "its closed form would overflow"])
     # (lam, z, k, tolerance): the configured case, fixed cases at 1e-12 and
     # the k = 0 branch, where the series terminates and must be exact
     cases = [(params["lam"], params["z"], params["k"], 1e-12),
@@ -307,7 +315,8 @@ def _run_weyl(config, outputs, out_dir):
 
 
 def _run_flow(config, outputs, out_dir):
-    from .fock import HpEvolutionSpec, TruncationConfig, flow_expectation, step_tensor_evolution
+    from .fock import (HpEvolutionSpec, TruncationConfig, flow_expectation,
+                       matrix_element_evolution, step_tensor_evolution)
     from .qcontrol import derive_flow_hp
 
     horizon = config.params["horizon"]
@@ -325,6 +334,13 @@ def _run_flow(config, outputs, out_dir):
     ode = flow_expectation(spec, sz, [1.0, 0.0], horizon=10 * dt, dt=dt)
     gap = float(np.max(np.abs(tensor.values - ode.values)))
     checks.append(_check("tensor oracle agreement (short horizon)", gap, 5e-3))
+    # vacuum matrix elements <e0, U_t e0> = exp(-t/2) against the oracle's
+    # (1 - dt/2)^k: the gap is 1.2 dt^2 at dt 1e-3 to 1e-2 and falls to
+    # 0.33 dt^2 at dt 0.3
+    vacuum = step_tensor_evolution(spec, tensor_cfg)
+    reduced = matrix_element_evolution(spec, None, None, [1.0, 0.0], [1.0, 0.0], 10 * dt, dt)
+    checks.append(_check("matrix-element reduction vs tensor oracle (vacuum, 10 steps)",
+                         float(np.max(np.abs(vacuum.values - reduced.values))), 5 * dt**2))
     checks.append(_check("first-order flow is a free-algebra identity", 0.0, 0.0,
                          passed=derive_flow_hp().matches))
 
@@ -371,6 +387,10 @@ def _run_lqr(config, outputs, out_dir):
 
     # value identity and dominance on the configured problem, one batch of laws
     lq = _lq_problem(config.params)
+    # admitted before the grid is built: each law's gain and step map held on
+    # every step are the run's largest arrays
+    n_laws = 1 + config.params["n_perturbations"]
+    require_budget((config.params["steps"] + 1) * n_laws * lq.dim**2, STACK_BUDGET, "lqr laws")
     riccati = solve_riccati_ode(lq, steps=config.params["steps"])
     laws = [None]
     for _ in range(config.params["n_perturbations"]):
@@ -402,6 +422,11 @@ def _run_lqg(config, outputs, out_dir):
     steps = config.params["steps"]
     scales = (0.8, 1.2)
     problem = _lq_problem(config.params)
+    # admitted before anything is built: the largest arrays are the path
+    # noise, n_paths x 2 x steps x n, and the three laws' joint step maps,
+    # steps x 3 x (2n)^2
+    n = problem.dim
+    require_budget(steps * n * max(2 * n_paths, 12 * n), STACK_BUDGET, "lqg noise and laws")
     riccati = solve_riccati_ode(problem, steps=steps)
     result = lqg_simulate(problem, riccati, config.seed, n_paths,
                           [None, *(("scale", c) for c in scales)])
@@ -445,8 +470,9 @@ def _run_lqg(config, outputs, out_dir):
 
 def _run_hp_control(config, outputs, out_dir):
     from .fock import GenericQsdeSpec
-    from .qcontrol import (check_hp_riccati_system, cost_Q, exact_condition_instance,
-                           reduced_riccati_obstruction, synthesis_residuals, synthesize_hp)
+    from .qcontrol import (HpControlProblem, check_hp_riccati_system, cost_J_hp, cost_Q,
+                           exact_condition_instance, reduced_riccati_obstruction,
+                           synthesis_residuals, synthesize_hp)
 
     rng = np.random.default_rng(config.seed)
     dim = config.params["dim"]
@@ -489,6 +515,15 @@ def _run_hp_control(config, outputs, out_dir):
     checks.append(_check("synthesis residuals, W side (both conditions, [W, Pi])", max(
         res["annihilation_condition"], res["conservation_condition"], res["commutator_W_Pi"]),
         1e-12))
+    # the Langevin cost of (L, W) under the Hamiltonian H of the instance's
+    # F = -iH - A is cost_Q of F = -iH, Psi = -L*W, Phi = L, Z = W - 1 and
+    # Pi = L*L/2: one master equation, so they agree to rounding
+    ham = 0.5j * (spec.F - spec.F.conj().T)
+    langevin = cost_J_hp(HpControlProblem(H=ham, X=x_mat, xi=xi, horizon=horizon), l_mat, w_mat)
+    dictionary = GenericQsdeSpec(F=-1j * ham, Psi=-l_mat.conj().T @ w_mat, Phi=l_mat,
+                                 Z=w_mat - np.eye(dim), feedback=0.5 * l_mat.conj().T @ l_mat)
+    checks.append(_check("Langevin cost of the synthesized (L, W) vs its cost_Q dictionary",
+                         abs(langevin - cost_Q(dictionary, x_mat, xi, horizon=horizon)), 1e-12))
 
     h_mat = np.array([[0.0, 1.0], [1.0, 0.0]])
     x_sz = np.diag([1.0, -1.0])
@@ -499,7 +534,11 @@ def _run_hp_control(config, outputs, out_dir):
 
 
 def _run_swn_control(config, outputs, out_dir):
-    from .fock import TruncationConfig, swn_generator, swn_simulate
+    from scipy.linalg import expm
+
+    from .fock import (PiecewiseConstant, TruncationConfig, swn_generator,
+                       swn_matrix_element_evolution, swn_simulate)
+    from .ito.labels import FIRST_ORDER
     from .ito.module_ops import ModuleOperator, inner
     from .qcontrol import check_swn_riccati_system, derive_flow_swn, swn_commuting_instance
 
@@ -545,6 +584,20 @@ def _run_swn_control(config, outputs, out_dir):
     closed = 2.0 * np.exp(-sim.times) - 1.0
     checks.append(_check("single-mode damping closed form",
                          float(np.max(np.abs(sim.values - closed))), 1e-6))
+
+    # constant test functions f, g: <e0 psi(f), U_T e0 psi(g)> = e^{<f, g>}
+    # <e0, exp(T G) e0>, G the dt slot plus g dA, conj(f) dA+ and conj(f) g
+    # dL; RK4 leaves 2.4e-16 at dt 1e-3 and 5e-6 to 3e-5 dt^4 at dt 1e-2 to
+    # 1 over horizons 1 to 5
+    f_val, g_val = 0.3 - 0.2j, 0.5 + 0.1j
+    weights = (1.0, g_val, f_val.conjugate(), f_val.conjugate() * g_val)
+    gen = sum(weight * evolution.terms[label] for weight, label in zip(weights, FIRST_ORDER))
+    closed = np.exp(weights[3] * fock_config.horizon) * expm(fock_config.horizon * gen)[0, 0]
+    series = swn_matrix_element_evolution(
+        h_mat, d_minus, w_op, [1.0, 0.0], [1.0, 0.0], fock_config,
+        *(PiecewiseConstant([fock_config.horizon], [[val]]) for val in (f_val, g_val)))
+    checks.append(_check("matrix element with constant test functions vs closed form",
+                         abs(series.final - closed), 1e-12 + 1e-3 * fock_config.dt**4))
     return checks
 
 
@@ -552,7 +605,7 @@ def _run_rf_riccati(config, outputs, out_dir):
     from .classical import LqProblem, solve_riccati_ode
     from .rf import (FOCK_VACUUM, PLANAR_BROWNIAN, build_levy_surrogate, iterate_riccati,
                      min_eig_batch, noise_free_scalar_problem, residual_integral,
-                     stochastic_2x2_problem)
+                     sigma_positivity, stochastic_2x2_problem, verify_fock_vacuum_table)
 
     dt = config.params["dt"]
     n_steps = config.params["n_steps"]
@@ -570,6 +623,9 @@ def _run_rf_riccati(config, outputs, out_dir):
                          residual_integral(zero_problem, zres.final, zpath), 0.0))
 
     problem = stochastic_2x2_problem()
+    # admitted before the surrogate is drawn: the Picard iterates, with
+    # (n_steps + 1) dim^2 entries per path, are the run's largest arrays
+    require_budget((n_steps + 1) * problem.dim**2 * n_paths, STACK_BUDGET, "rf path store")
     path = build_levy_surrogate(PLANAR_BROWNIAN, n_steps, dt, seed=config.seed, n_paths=n_paths)
     result = iterate_riccati(problem, path, n_max=n_max, tol=tol)
     checks.append(_check("iteration converged", 0.0, 0.0, passed=result.converged))
@@ -598,6 +654,14 @@ def _run_rf_riccati(config, outputs, out_dir):
     err = float(np.max(np.abs(det.final[0, :, 0, 0] - classical.gains[::-1, 0, 0])))
     checks.append(_check("noise-free degeneration vs classical Riccati", err,
                          1e-6 * max(1.0, dt_scale**2)))
+    # the Fock surrogate's sigma is the vacuum table of its operator
+    # increments, exact but for one rounding (2.2e-16)
+    table_gap = np.max(np.abs(verify_fock_vacuum_table(det_path) - det_path.sigma))
+    checks.append(_check("Fock vacuum Ito table vs the surrogate's sigma", table_gap, 1e-14))
+    # Definition 8: (conj f, conj f) sigma (f, f)^t >= 0 on both tables
+    forms = [sigma_positivity(table.sigma, f_val).real
+             for table in (path, det_path) for f_val in (1.0, 1j, 0.6 - 0.8j)]
+    checks.append(_check("Definition-8 form nonnegative on both surrogates", -min(forms), 0.0))
 
     _write_json(_output(config, outputs, out_dir, "summary.json"), {
         "schema": "rf-ensemble/1",
@@ -668,7 +732,8 @@ EXPERIMENTS = {
         _run_weyl, "exponential-series check of the Weyl differential brackets",
         "Sums (i dE)^n/n! under the Ito table through n = 40 and compares with "
         "the closed-form differential of exp(iE_t): the configured case and "
-        "three fixed ones at 1e-12, and the k = 0 branch exactly at two cases.",
+        "three fixed ones at 1e-12, and the k = 0 branch exactly at two cases. "
+        "A configured max(|z|, |k|)^max(n_terms, 2) above 1e300 exits 2.",
         {"lam": ("number", 0.7), "z": ("complex", 0.5 + 0.25j), "k": ("number", 1.3),
          "n_terms": ("int", 40, 1)},
     ),
@@ -676,7 +741,8 @@ EXPERIMENTS = {
         _run_flow, "Heisenberg flow expectations vs closed forms and tensor oracle",
         "Runs the vacuum master equation for j_t(X) (two-level decay closed form) "
         "and cross-checks a short horizon against the one-fresh-mode-per-step "
-        "tensor discretization; derives the first-order flow differential in the "
+        "tensor discretization, also its vacuum matrix elements against the "
+        "matrix-element reduction; derives the first-order flow differential in the "
         "free *-algebra.",
         {"horizon": ("positive", 1.0), "dt": ("positive", 1e-3)},
     ),
@@ -685,7 +751,8 @@ EXPERIMENTS = {
         "Solves the backward matrix Riccati ODE, checks four scalar ARE cases, the "
         "scalar closed form on a 1500-step grid, three seeded 4x4 ARE instances "
         "against scipy's solve_continuous_are, the value identity J* = x0' Pi(0) x0 "
-        "at a tolerance second order in dt, and gain-perturbation dominance.",
+        "at a tolerance second order in dt, and gain-perturbation dominance. "
+        "Exits 3 when the laws' held gains exceed 2^24 entries.",
         {"A": ("matrix", 0.2), "Q": ("psd_matrix", 1.0), "Pi_T": ("psd_matrix", 0.5),
          "x0": ("vector", 1.0), "horizon": ("positive", 1.0),
          "steps": ("int", 2000, 10), "n_perturbations": ("int", 20, 1)},
@@ -694,7 +761,8 @@ EXPERIMENTS = {
         _run_lqg, "Kalman-Bucy LQG Monte Carlo optimality and degeneration",
         "Monte Carlo paths with the standard Kalman-Bucy filter; paired comparison "
         "against gain perturbations at 2 sigma; a zero-noise run on a fixed 2x2 "
-        "problem must reproduce the deterministic cost on every path.",
+        "problem must reproduce the deterministic cost on every path. Exits 3 "
+        "when the path noise or the laws' step maps exceed 2^24 entries.",
         {"A": ("matrix", 0.0), "Q": ("psd_matrix", 1.0), "Pi_T": ("psd_matrix", 1.0),
          "C": ("matrix", 0.6), "H_obs": ("matrix", 1.0), "x0": ("vector", 1.0),
          "horizon": ("positive", 1.0), "steps": ("int", 250, 10), "n_paths": ("int", 2000, 2),
@@ -705,7 +773,8 @@ EXPERIMENTS = {
         "Builds coefficient sets whose three condition residuals vanish, simulates "
         "the quadratic cost, and checks it equals the quadratic form of the gain; "
         "includes the synthesis residuals of its L side and of its W side (W1, W2 "
-        "drawn from the seed) and the finite-dimensional trace obstruction.",
+        "drawn from the seed), the Langevin cost of the synthesized (L, W) "
+        "against its cost_Q dictionary, and the finite-dimensional trace obstruction.",
         {"dim": ("int", 2, 1), "horizon": ("positive", 1.0),
          "n_perturbations": ("int", 10, 1)},
     ),
@@ -713,15 +782,18 @@ EXPERIMENTS = {
         _run_swn_control, "SWN control: condition cancellations, flow derivation",
         "Checks the SWN condition-system cancellations on a commuting family, the "
         "flow-differential derivation against both printed coefficient forms (also "
-        "for W = I with D- drawn from the seed, and its time slot by hand), and "
-        "the simulation cross-check.",
+        "for W = I with D- drawn from the seed, and its time slot by hand), the "
+        "simulation cross-check, and a matrix element with constant test "
+        "functions against its closed form.",
         {"horizon": ("positive", 1.0), "dt": ("positive", 1e-3)},
     ),
     "rf-riccati": _Experiment(
         _run_rf_riccati, "stochastic Riccati Picard iteration and its fixed point",
         "Runs the monotone Picard iteration pathwise on a Levy-pair surrogate: "
         "positivity, monotone decrease, convergence, the propagator fixed-point "
-        "defect, and the noise-free degeneration to the classical Riccati ODE.",
+        "defect, and the noise-free degeneration to the classical Riccati ODE; "
+        "the Fock vacuum Ito table and the Definition-8 form on both surrogates. "
+        "Exits 3 when the Picard iterates exceed 2^24 entries.",
         # without n_steps the horizon stays T = 1 when dt changes
         {"dt": ("positive", 1e-3),
          "n_steps": ("int", _unit_horizon_steps, 10),
@@ -738,8 +810,12 @@ def run(config, out_dir="."):
     """Execute a validated config; returns (report_dict, exit_code).
 
     A runner that finds the config unrunnable before any check (a
-    characteristic closed form that underflows to 0) raises ConfigError,
-    which propagates with no report written."""
+    characteristic closed form that underflows to 0, a weyl series that
+    would overflow) raises ConfigError, which propagates with no report
+    written.  Any other package error ends the run in a report whose one
+    failed check names it and carries its message: a resource rejection,
+    exit 3, with the size it needed and its budget, and any other error
+    (a Riccati solution that escapes), exit 1, with the value 1 against 0."""
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -747,13 +823,14 @@ def run(config, out_dir="."):
     try:
         checks = EXPERIMENTS[config.kind].runner(config, outputs, out_path)
         code = 0 if all(c["passed"] for c in checks) else 1
-    except ResourceLimitError as err:
-        checks = [
-            {"name": "resource budget", "value": float(err.required or -1),
-             "tolerance": float(err.budget or -1), "passed": False,
-             "error": str(err)}
-        ]
-        code = 3
+    except ConfigError:
+        raise
+    except QscError as err:
+        if isinstance(err, ResourceLimitError):
+            check, code = _check("resource budget", err.required or -1, err.budget or -1), 3
+        else:
+            check, code = _check(f"runner error: {type(err).__name__}", 1.0, 0.0), 1
+        checks = [{**check, "passed": False, "error": str(err)}]
     wall = time.perf_counter() - start
     report = {
         "schema": "run-report/1",
@@ -826,9 +903,6 @@ def main(argv=None):
         for line in err.errors:
             print(f"config error: {line}", file=sys.stderr)
         return 2
-    except QscError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
 
     if args.format == "json":
         print(json.dumps(report, sort_keys=True, indent=1))

@@ -12,14 +12,7 @@ from .module_ops import (
     pairing,
     r_map,
 )
-from .serialize import (
-    differential_from_json,
-    differential_to_json,
-    module_operator_from_json,
-    module_operator_to_json,
-)
 from .sl2 import (
-    factorial_powers,
     rho_plus_matrix,
     stirling1,
     stirling1_unsigned,
@@ -39,7 +32,6 @@ __all__ = [
     "d_m",
     "stirling1",
     "stirling1_unsigned",
-    "factorial_powers",
     "theta",
     "rho_plus_matrix",
     "swn_structure_constants",
@@ -50,8 +42,4 @@ __all__ = [
     "r_map",
     "l_map",
     "module_ito_mul",
-    "differential_to_json",
-    "differential_from_json",
-    "module_operator_to_json",
-    "module_operator_from_json",
 ]

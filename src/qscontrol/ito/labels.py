@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# the index names of each label kind, read by validation and serialization
+# the index names of each label kind, read by validation
 INDEX_NAMES = {"time": (), "ann": ("m",), "cre": ("m",), "cons": ("n", "k", "l")}
 
 

@@ -79,13 +79,6 @@ def rising(x, n):
     return out
 
 
-def factorial_powers(x, n):
-    """Pair (falling, rising) factorial powers of x of order n."""
-    if n < 0:
-        raise ValueError("factorial power order must be a natural number")
-    return falling(x, n), rising(x, n)
-
-
 def theta(n, k, l, m):
     """Representation weight theta_{n,k,l,m}; 0 outside the Heaviside support."""
     if min(n, k, l, m) < 0:

@@ -16,7 +16,9 @@ import numpy as np
 
 from .errors import ResourceLimitError, ShapeError
 
-STACK_BUDGET = 1 << 24  # entries in a fixed-grid ODE's time grid or RK4 state stack
+# entries in a fixed-grid ODE's time grid or RK4 state stack, and in the
+# largest array of an lqr, lqg or rf-riccati run
+STACK_BUDGET = 1 << 24
 
 
 def as_matrix(value, dim=None, name="matrix"):

@@ -150,21 +150,21 @@ def test_criterion_07_lqg(tmp_path):
 def test_criterion_08_cost_value_identity(tmp_path):
     crit = Criterion(8, "quadratic cost equals <xi, Pi xi>, perturbations up", 60.0)
     for config in ({"seed": 801}, {"seed": 802, "dim": 3}):
-        _run_kind(crit, {"kind": "hp-control", **config}, 6, tmp_path)
+        _run_kind(crit, {"kind": "hp-control", **config}, 7, tmp_path)
     crit.close()
 
 
 def test_criterion_09_synthesis_and_obstruction(tmp_path):
     crit = Criterion(9, "synthesis residuals and trace obstruction", 5.0)
     for config in ({"seed": 901}, {"seed": 902, "dim": 3}):
-        _run_kind(crit, {"kind": "hp-control", **config}, 6, tmp_path)
+        _run_kind(crit, {"kind": "hp-control", **config}, 7, tmp_path)
     crit.close()
 
 
 def test_criterion_10_flow_derivations(tmp_path):
     crit = Criterion(10, "flow derivations: free-algebra and SWN forms", 10.0)
-    _run_kind(crit, {"kind": "flow"}, 3, tmp_path)
-    _run_kind(crit, {"kind": "swn-control", "seed": 1001}, 8, tmp_path)
+    _run_kind(crit, {"kind": "flow"}, 4, tmp_path)
+    _run_kind(crit, {"kind": "swn-control", "seed": 1001}, 9, tmp_path)
     crit.close()
 
 
@@ -172,7 +172,7 @@ def test_criterion_11_picard_iteration(tmp_path):
     crit = Criterion(11, "monotone Picard iteration for stochastic Riccati", 120.0)
     # fixed-point defects measured 3.11e-6, 3.06e-6 and 4.91e-6 against 6e-5
     for seed in (1101, 1102, 1103):
-        _run_kind(crit, {"kind": "rf-riccati", "seed": seed}, 9, tmp_path)
+        _run_kind(crit, {"kind": "rf-riccati", "seed": seed}, 11, tmp_path)
     crit.close()
 
 

@@ -1,6 +1,7 @@
 """Experiment runner: config validation, dispatch, reports, determinism."""
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -319,11 +320,22 @@ def test_rf_riccati_under_ten_steps_exits_2_naming_n_steps(tmp_path, capsys, con
         ({"kind": "characteristic", "intensities": [6000]}, 2, "intensities"),
         ({"kind": "characteristic", "intensities": [1e6]}, 2, "intensities"),
         ({"kind": "characteristic", "t": 1e300}, 2, "t"),
+        # the largest array of a run over budget, rejected before it is built
+        ({"kind": "rf-riccati", "n_steps": 10**8}, 3, None),
+        ({"kind": "lqr", "steps": 10**9}, 3, None),
+        ({"kind": "lqg", "n_paths": 10**7}, 3, None),
+        # a Riccati solution that escapes ends the run in a report
+        ({"kind": "lqr", "A": [[1e200]]}, 1, "BlowUpError"),
+        # a weyl series or closed form that would overflow
+        ({"kind": "weyl", "k": 1e300}, 2, "k"),
+        ({"kind": "weyl", "k": 1e300, "n_terms": 1}, 2, "k"),
+        ({"kind": "weyl", "z": [0.0, 1e200]}, 2, "z"),
     ],
 )
 def test_admitted_config_ends_in_a_config_or_resource_error(tmp_path, capsys, config, code, key):
     # exit 2 names the key and writes no report; exit 3 writes a report
-    # whose budget check is a finite number
+    # whose budget check is a finite number; exit 1 writes a report whose
+    # one check names the runner's error and carries its message
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == code
@@ -334,11 +346,28 @@ def test_admitted_config_ends_in_a_config_or_resource_error(tmp_path, capsys, co
         assert lines and all(line.startswith("config error: ") for line in lines)
         assert all(key in line.split(": ")[1].split(", ") for line in lines)
         assert not reports
+        return
+    assert not err
+    (report,) = reports
+    (check,) = json.loads(report.read_text())["checks"]
+    assert not check["passed"] and check["error"]
+    assert check["tolerance"] < check["value"] <= sys.float_info.max
+    if code == 3:
+        assert check["name"] == "resource budget"
     else:
-        (report,) = reports
-        (check,) = json.loads(report.read_text())["checks"]
-        assert check["name"] == "resource budget" and not check["passed"]
-        assert check["tolerance"] < check["value"] <= sys.float_info.max
+        assert check["name"] == f"runner error: {key}"
+
+
+@pytest.mark.parametrize("k, code", [(1e-3, 0), (1e-8, 0), (1e-155, 0), (1e-170, 0), (1e7, 1)])
+def test_weyl_configured_case_is_finite_at_every_admitted_scale_of_k(tmp_path, k, code):
+    # below |k| = 1/2 the closed form takes M / k^2 from its Taylor series:
+    # exp(ik) - 1 - ik lost 2.4e-12 at k = 1e-3, every digit at 1e-8, and
+    # k^2 underflowed to a division by zero at 1e-170; at k = 1e7, forty
+    # terms of the series are far from its sum, a finite failure
+    report, got = run(parse_config({"kind": "weyl", "k": k}), out_dir=tmp_path)
+    first = report["checks"][0]
+    assert got == code and first["passed"] == (code == 0)
+    assert math.isfinite(first["value"])
 
 
 @pytest.mark.parametrize("matrix, admit", [

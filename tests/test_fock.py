@@ -650,10 +650,3 @@ def test_series_export_roundtrip(tmp_path):
     # plain floats, not numpy scalar reprs such as np.float64(0.5)
     parsed = [[float(cell) for cell in row.split(",")] for row in rows[1:]]
     assert parsed == [[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [1.0, -1.0, 0.0]]
-    json_path = tmp_path / "series.json"
-    series.to_json(json_path)
-    import json as _json
-
-    data = _json.loads(json_path.read_text())
-    assert data["schema"] == "expectation-series/1"
-    assert data["values"][1] == [0.0, 0.5]

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qscontrol.ito import factorial_powers, rho_plus_matrix, stirling1, theta
-from qscontrol.ito.sl2 import rho_plus_int_entries, theta_int
+from qscontrol.ito import rho_plus_matrix, stirling1, theta
+from qscontrol.ito.sl2 import falling, rho_plus_int_entries, rising, theta_int
 
 
 # ---------------------------------------------------------------- stirling
@@ -42,8 +42,8 @@ def test_stirling_levels_vanish_at_k0():
 
 @given(st.integers(min_value=0, max_value=12), st.integers(min_value=-3, max_value=3))
 def test_stirling_generates_falling_factorial(n, x):
-    falling = math.prod(x - j for j in range(n))
-    assert falling == sum(stirling1(n, k) * x**k for k in range(n + 1))
+    fall = math.prod(x - j for j in range(n))
+    assert fall == sum(stirling1(n, k) * x**k for k in range(n + 1))
 
 
 # ------------------------------------------------------- factorial powers
@@ -54,12 +54,12 @@ def test_stirling_generates_falling_factorial(n, x):
     [(5, 0, (1, 1)), (5, 2, (20, 30)), (0, 2, (0, 0))],
 )
 def test_factorial_power_examples(x, n, expected):
-    assert factorial_powers(x, n) == expected
+    assert (falling(x, n), rising(x, n)) == expected
 
 
 @given(st.integers(min_value=-6, max_value=6), st.integers(min_value=0, max_value=8))
 def test_factorial_powers_products(x, n):
-    fall, rise = factorial_powers(x, n)
+    fall, rise = falling(x, n), rising(x, n)
     assert fall == math.prod(x - j for j in range(n))
     assert rise == math.prod(x + j for j in range(n))
 
