@@ -39,7 +39,8 @@ import numpy as np
 from scipy.linalg import block_diag, expm, solve_continuous_lyapunov
 
 from .errors import BlowUpError, NotConvergedError, ShapeError
-from .linalg import as_matrix, expm_stack, fro, parse_law, require_psd
+from .linalg import (STACK_BUDGET, as_matrix, expm_stack, fro, parse_law, require_budget,
+                     require_psd)
 from .seeding import spawn_rngs, standard_error
 
 BLOWUP_NORM = 1e12
@@ -165,12 +166,14 @@ def _riccati(m_mat, n_mat, k_mat, start, grid):
 def solve_riccati_ode(problem, steps=400):
     """Integrate Pi' = Pi^2 - A*Pi - Pi A - Q backward from Pi(T) = Pi_T.
 
-    The flow-map kernel on the decreasing grid with (M, N, K) = (-A*, -Q, -I);
-    raises ``BlowUpError`` with the escape time if the solution leaves the
+    The flow-map kernel on the decreasing grid with (M, N, K) = (-A*, -Q, -I),
+    its (steps + 1) n^2 gains admitted before anything is allocated; raises
+    ``BlowUpError`` with the escape time if the solution leaves the
     ||Pi|| <= 1e12 ball (finite-time blow-up travels backward from T).
     """
     if steps < 10:
         raise ShapeError("need at least 10 steps")
+    require_budget((steps + 1) * problem.dim**2, STACK_BUDGET, "Riccati solution")
     times = np.linspace(0.0, problem.horizon, steps + 1)
     gains = _riccati(-problem.A.T, -problem.Q, -np.eye(problem.dim), problem.Pi_T, times[::-1])
     return RiccatiSolution(times, gains[::-1])
@@ -228,6 +231,7 @@ def _held_gains(riccati, laws):
     n = gains.shape[-1]
     if not laws:
         raise ShapeError("need at least one law")
+    require_budget(gains.size * len(laws), STACK_BUDGET, "held gains")
     held = np.empty((len(gains), len(laws), n, n))
     for idx, law in enumerate(laws):
         scale, offset = parse_law(law, n)
@@ -316,8 +320,10 @@ def _path_noise(seed, n_paths, steps, n, dt, obs_noise):
     Path k draws db then dw from its own stream (the seed-splitting
     contract), in one call: the (2, steps, n) draw is the two successive
     (steps, n) draws bit for bit.  The observation increment is stored
-    already scaled by sqrt(r).
+    already scaled by sqrt(r).  The noise is admitted before any stream is
+    spawned.
     """
+    require_budget(n_paths * 2 * steps * n, STACK_BUDGET, "path noise")
     noise = np.empty((n_paths, 2, steps, n))
     for idx, rng in enumerate(spawn_rngs(seed, n_paths)):
         np.multiply(rng.normal(size=(2, steps, n)), np.sqrt(dt), out=noise[idx])
@@ -354,6 +360,7 @@ def lqg_simulate(problem, riccati, seed, n_paths, laws=(None,)):
     # for the held gain G, so the zero-noise run reproduces lqr_simulate.
     k_filters = p_path[:steps] @ problem.H_obs.T * inv_r
     k_h = (k_filters @ problem.H_obs)[:, None]
+    require_budget(steps * len(laws) * (2 * n) ** 2, STACK_BUDGET, "lqg step maps")
     generators = np.empty((steps, len(laws), 2 * n, 2 * n))
     generators[..., :n, :n] = problem.A
     generators[..., :n, n:] = -held

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, QscError, ResourceLimitError, ShapeError
-from .linalg import STACK_BUDGET, require_budget, require_psd
+from .linalg import require_psd
 from .seeding import DEFAULT_SEED
 
 # ------------------------------------------------------------------ schema
@@ -387,10 +387,6 @@ def _run_lqr(config, outputs, out_dir):
 
     # value identity and dominance on the configured problem, one batch of laws
     lq = _lq_problem(config.params)
-    # admitted before the grid is built: each law's gain and step map held on
-    # every step are the run's largest arrays
-    n_laws = 1 + config.params["n_perturbations"]
-    require_budget((config.params["steps"] + 1) * n_laws * lq.dim**2, STACK_BUDGET, "lqr laws")
     riccati = solve_riccati_ode(lq, steps=config.params["steps"])
     laws = [None]
     for _ in range(config.params["n_perturbations"]):
@@ -422,11 +418,6 @@ def _run_lqg(config, outputs, out_dir):
     steps = config.params["steps"]
     scales = (0.8, 1.2)
     problem = _lq_problem(config.params)
-    # admitted before anything is built: the largest arrays are the path
-    # noise, n_paths x 2 x steps x n, and the three laws' joint step maps,
-    # steps x 3 x (2n)^2
-    n = problem.dim
-    require_budget(steps * n * max(2 * n_paths, 12 * n), STACK_BUDGET, "lqg noise and laws")
     riccati = solve_riccati_ode(problem, steps=steps)
     result = lqg_simulate(problem, riccati, config.seed, n_paths,
                           [None, *(("scale", c) for c in scales)])
@@ -623,9 +614,6 @@ def _run_rf_riccati(config, outputs, out_dir):
                          residual_integral(zero_problem, zres.final, zpath), 0.0))
 
     problem = stochastic_2x2_problem()
-    # admitted before the surrogate is drawn: the Picard iterates, with
-    # (n_steps + 1) dim^2 entries per path, are the run's largest arrays
-    require_budget((n_steps + 1) * problem.dim**2 * n_paths, STACK_BUDGET, "rf path store")
     path = build_levy_surrogate(PLANAR_BROWNIAN, n_steps, dt, seed=config.seed, n_paths=n_paths)
     result = iterate_riccati(problem, path, n_max=n_max, tol=tol)
     checks.append(_check("iteration converged", 0.0, 0.0, passed=result.converged))
@@ -752,7 +740,7 @@ EXPERIMENTS = {
         "scalar closed form on a 1500-step grid, three seeded 4x4 ARE instances "
         "against scipy's solve_continuous_are, the value identity J* = x0' Pi(0) x0 "
         "at a tolerance second order in dt, and gain-perturbation dominance. "
-        "Exits 3 when the laws' held gains exceed 2^24 entries.",
+        "Exits 3 when its Riccati solution or held gains exceed 2^24 entries.",
         {"A": ("matrix", 0.2), "Q": ("psd_matrix", 1.0), "Pi_T": ("psd_matrix", 0.5),
          "x0": ("vector", 1.0), "horizon": ("positive", 1.0),
          "steps": ("int", 2000, 10), "n_perturbations": ("int", 20, 1)},
@@ -762,7 +750,7 @@ EXPERIMENTS = {
         "Monte Carlo paths with the standard Kalman-Bucy filter; paired comparison "
         "against gain perturbations at 2 sigma; a zero-noise run on a fixed 2x2 "
         "problem must reproduce the deterministic cost on every path. Exits 3 "
-        "when the path noise or the laws' step maps exceed 2^24 entries.",
+        "when its Riccati solution, held gains, step maps or path noise exceed 2^24 entries.",
         {"A": ("matrix", 0.0), "Q": ("psd_matrix", 1.0), "Pi_T": ("psd_matrix", 1.0),
          "C": ("matrix", 0.6), "H_obs": ("matrix", 1.0), "x0": ("vector", 1.0),
          "horizon": ("positive", 1.0), "steps": ("int", 250, 10), "n_paths": ("int", 2000, 2),
@@ -793,7 +781,7 @@ EXPERIMENTS = {
         "positivity, monotone decrease, convergence, the propagator fixed-point "
         "defect, and the noise-free degeneration to the classical Riccati ODE; "
         "the Fock vacuum Ito table and the Definition-8 form on both surrogates. "
-        "Exits 3 when the Picard iterates exceed 2^24 entries.",
+        "Exits 3 when its surrogate increments or Picard iterates exceed 2^24 entries.",
         # without n_steps the horizon stays T = 1 when dt changes
         {"dt": ("positive", 1e-3),
          "n_steps": ("int", _unit_horizon_steps, 10),

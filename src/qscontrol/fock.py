@@ -38,15 +38,18 @@ equation rho' = D rho + rho D* + sum_J J rho J*, D the dt slot and J the
 creation slot (``_master_generator``), which ``flow_expectation``,
 ``swn_simulate`` and the quadratic costs of ``qcontrol`` integrate.
 
-Every ODE here is linear with a generator that is constant on each run of
-equal steps: the matrix-element reduction between the breakpoints of the
+Every ODE here is linear with a generator that is constant on each
+segment: the matrix-element reduction between the breakpoints of the
 test functions, the master equations and the characteristic functionals
-throughout.  They all go through ``linalg.rk4_linear``, which runs them
-as RK4 step maps, one matrix per run instead of four generator calls per
-step, wherever the map costs no more than stepping (no more state
-entries than steps, nor than sixteen times the state's trailing
-dimension).  The nonlinear Riccati equations of ``classical`` take no
-RK4 step: they are solved by their exact flow map.
+throughout.  Each hands ``linalg.rk4_linear`` its segment edges and its
+step bound dt, and nothing here rounds a step ratio: that function is
+the one grid rule (ceil(h / dt - 1e-12) equal steps on a segment of
+length h, its state stack admitted from the float ratios first).  It
+runs them as RK4 step maps, one matrix per segment instead of four
+generator calls per step, wherever the map costs no more than stepping
+(no more state entries than steps, nor than sixteen times the state's
+trailing dimension).  The nonlinear Riccati equations of ``classical``
+take no RK4 step: they are solved by their exact flow map.
 """
 
 from __future__ import annotations
@@ -62,8 +65,8 @@ from .ito import SymbolicDifferential, swn_mul
 from .ito.labels import FIRST_ORDER
 from .ito.module_ops import ModuleOperator, inner, r_map, require_slot
 from .ito.sl2 import rho_plus_matrix, theta
-from .linalg import (STACK_BUDGET, as_matrix, is_unitary, require_budget, require_hermitian,
-                     require_psd, rk4_linear)
+from .linalg import (as_matrix, is_unitary, require_budget, require_hermitian, require_psd,
+                     rk4_linear)
 
 DEFAULT_TENSOR_BUDGET = 1 << 22  # complex entries in a state vector
 DEFAULT_MATRIX_BUDGET = 1 << 24  # complex entries in a full propagator
@@ -80,7 +83,6 @@ class TruncationConfig:
     dt: float = 1e-3
     horizon: float = 1.0
     swn_modes: int = 1
-    tensor_budget: int = DEFAULT_TENSOR_BUDGET
 
     def __post_init__(self):
         if self.levels_per_mode < 2:
@@ -163,13 +165,15 @@ class PiecewiseConstant:
                 return val
         return np.zeros_like(self.values[0])
 
-    def segment_edges(self, horizon):
-        edges = [0.0] + [b for b in self.breaks if b < horizon] + [horizon]
-        return sorted(set(edges))
+    def joint_edges(self, other, horizon):
+        """0, the breakpoints of both functions inside (0, horizon), and the
+        horizon, in increasing order: both are constant between them."""
+        interior = {b for b in self.breaks + other.breaks if 0 < b < horizon}
+        return sorted({0.0, float(horizon)} | interior)
 
     def overlap(self, other, horizon):
         """Exact integral of conj(self) . other over [0, horizon]."""
-        edges = sorted(set(self.segment_edges(horizon) + other.segment_edges(horizon)))
+        edges = self.joint_edges(other, horizon)
         total = 0.0 + 0.0j
         for a, b in zip(edges, edges[1:]):
             mid = 0.5 * (a + b)
@@ -246,25 +250,6 @@ def _first_order_generator(*slots):
     return ModuleOperator(dict(zip(FIRST_ORDER, slots)))
 
 
-# ------------------------------------------------------------- time grid
-
-
-def _grid_with_breaks(horizon, dt, breaks=()):
-    """Uniform-dt grid refined so every breakpoint is a grid node.
-
-    Returns (grid, runs): the segment between two consecutive breakpoints
-    is one run (a, b, steps) of equal steps of at most dt, the form
-    ``rk4_linear`` takes.  The grid's size is admitted from the float step
-    ratios before any of them is rounded, since a ratio may be infinite.
-    """
-    edges = sorted({0.0, float(horizon)} | {float(b) for b in breaks if 0 < b < horizon})
-    spans = list(zip(edges, edges[1:]))
-    require_budget(sum((b - a) / dt for a, b in spans) + 1, STACK_BUDGET, "time grid")
-    runs = [(a, b, max(1, math.ceil((b - a) / dt - 1e-12))) for a, b in spans]
-    grid = [np.zeros(1)] + [a + (b - a) * np.arange(1, steps + 1) / steps for a, b, steps in runs]
-    return np.concatenate(grid), runs
-
-
 # ------------------------------------------------- matrix-element evolution
 
 
@@ -297,11 +282,11 @@ def _matrix_element_series(op, K, f, g, u, v, horizon, dt):
 
     with T, A_m, C_n and Z_label the dt, dA_m, dA+_n and dL(label)
     coefficients of ``op``; rho+_K(0,0,0) is the identity, so the -I of a
-    conservation slot W - I carries the -<f, g> term.  The grid is aligned
-    with the segment breakpoints of f and g, and each segment is one run
-    of ``rk4_linear`` with its own generator, evaluated at the segment's
-    midpoint: the segments are right-open, so a stage at the breakpoint
-    would see the next segment's generator and cost the fourth order.
+    conservation slot W - I carries the -<f, g> term.  The breakpoints of
+    f and g are the edges of ``rk4_linear``'s segments, and each segment
+    runs with its own generator, evaluated at the segment's midpoint: the
+    segments are right-open, so a stage at the breakpoint would see the
+    next segment's generator and cost the fourth order.
     """
     f = f if f is not None else PiecewiseConstant.zero(horizon, K)
     g = g if g is not None else PiecewiseConstant.zero(horizon, K)
@@ -327,11 +312,8 @@ def _matrix_element_series(op, K, f, g, u, v, horizon, dt):
             total += complex(weight) * mat
         return total
 
-    grid, runs = _grid_with_breaks(
-        horizon, dt, f.segment_edges(horizon) + g.segment_edges(horizon)
-    )
     x0 = np.exp(f.overlap(g, horizon)) * v
-    states = rk4_linear(lambda t, x: x @ gen(t).T, x0, runs)
+    grid, states = rk4_linear(lambda t, x: x @ gen(t).T, x0, f.joint_edges(g, horizon), dt)
     return ExpectationSeries(grid, states @ u.conj())
 
 
@@ -369,14 +351,14 @@ def step_tensor_evolution(spec, config, *, u=None, v=None, observable=None):
     the k modes consumed so far, laid out (system, j_k, ..., j_1): mode k
     enters in vacuum and step k is one product with the vacuum columns of
     the one-step operator.  The work is about twice the final state of
-    dim d^steps entries, the size ``config.tensor_budget`` bounds.
+    dim d^steps entries, the size ``DEFAULT_TENSOR_BUDGET`` bounds.
     """
     d = config.levels_per_mode
     dt = config.dt
     step_op = _euler_ito_step(spec, d, dt)
     dim = step_op.shape[0] // d
     steps = config.n_steps
-    require_budget(dim * d**steps, config.tensor_budget, "tensor state")
+    require_budget(dim * d**steps, DEFAULT_TENSOR_BUDGET, "tensor state")
     u = np.asarray(u if u is not None else np.eye(dim)[0], dtype=complex).reshape(dim)
     v = np.asarray(v if v is not None else np.eye(dim)[0], dtype=complex).reshape(dim)
     x_mat = None if observable is None else as_matrix(observable, dim)
@@ -401,20 +383,20 @@ def _readout(psi, u, x_mat):
     return complex(np.sum(x_mat * gram))
 
 
-def unitarity_defect(spec, config, matrix_budget=DEFAULT_MATRIX_BUDGET):
+def unitarity_defect(spec, config):
     """max_k || U_k* U_k - 1 ||_2 for the full Euler-Ito tensor propagator.
 
     U_k acts as the identity on the modes after step k, U_k = V_k (x) 1, so
     the defect is that of V_k on system (x) modes 1..k, grown one mode per
     step as V_k = S_k (V_{k-1} (x) 1_d) with S_k the one-step operator.  The
-    work is about twice the final propagator; ``matrix_budget`` still
-    bounds the full (dim d^steps)^2 propagator.
+    work is about twice the final propagator; ``DEFAULT_MATRIX_BUDGET``
+    still bounds the full (dim d^steps)^2 propagator.
     """
     d = config.levels_per_mode
     step_op = _euler_ito_step(spec, d, config.dt)
     dim = step_op.shape[0] // d
     steps = config.n_steps
-    require_budget((dim * d**steps) ** 2, matrix_budget, "full propagator")
+    require_budget((dim * d**steps) ** 2, DEFAULT_MATRIX_BUDGET, "full propagator")
     # S[s', j', s, j]; rows of V are laid out (system, j_k, ..., j_1) and
     # columns (j_k, earlier columns): permuting columns keeps ||V* V - 1||_2
     s_op = step_op.reshape(dim, d, dim, d)
@@ -485,7 +467,7 @@ def characteristic_functional(kind, s, lam, t, dt=1e-4):
     """Vacuum characteristic functional of Brownian / Poisson realizations.
 
     Simulates f' = c f with the dt coefficient c of the Weyl differential
-    (the RK4 step map over max(1, round(t / dt)) equal steps) and returns
+    (the RK4 step map in equal steps of at most dt) and returns
     (simulated, ``characteristic_closed_form``).
     """
     if kind not in ("brownian", "poisson"):
@@ -499,9 +481,7 @@ def characteristic_functional(kind, s, lam, t, dt=1e-4):
             raise ShapeError("Poisson intensity must be positive")
         bracket = weyl_increment(s * lam, s * math.sqrt(lam), s)
     c_val = bracket.coeff(FIRST_ORDER[0])
-    # admitted before rounding: t / dt may be infinite
-    require_budget(t / dt + 1, STACK_BUDGET, "RK4 state stack")
-    states = rk4_linear(lambda _t, y: c_val * y, 1.0 + 0.0j, [(0.0, t, max(1, round(t / dt)))])
+    _, states = rk4_linear(lambda _t, y: c_val * y, 1.0 + 0.0j, (0.0, t), dt)
     return complex(states[-1]), characteristic_closed_form(kind, s, lam, t)
 
 
@@ -539,8 +519,7 @@ def _master_expectation(op, observable, state, horizon, dt):
     state = np.asarray(state, dtype=complex).reshape(op.dim)
     rho0 = np.outer(state, state.conj())
     gen = _master_generator(op)
-    grid, runs = _grid_with_breaks(horizon, dt)
-    states = rk4_linear(lambda _t, rho: gen(rho), rho0, runs)
+    grid, states = rk4_linear(lambda _t, rho: gen(rho), rho0, (0.0, horizon), dt)
     values = np.einsum("kij,ji->k", states, x_mat)
     return ExpectationSeries(grid, values)
 

@@ -6,12 +6,15 @@ The number-space representation acts on the basis e_0, e_1, ... of l2(N) by
 
 with weight
 
-    theta(n,k,l,m) = H(n+m-l) * sqrt((m-l+n+1)/(m+1)) * 2^k
-                     * rising(m-l+1, n) * falling(m+1, l) * (m-l+1)^k
+    theta(n,k,l,m) = H(m-l) * sqrt((m-l+n+1)/(m+1))
+                     * (2r)^k * perm(r+n-1, n) * perm(m+1, l),   r = m-l+1
 
-(H the Heaviside step, H(x)=1 for x>=0).  Everything except the square
-root is exact integer arithmetic; the square root is evaluated once per
-weight, in double precision.
+(H the Heaviside step, H(x)=1 for x>=0; perm(x, j) = x!/(x-j)! is the
+falling factorial ``falling(x, j)``, and perm(r+n-1, n) the rising one
+r(r+1)...(r+n-1)).  For m < l the weight vanishes: e_m has no l-th
+lowering.  Everything except the square root is exact integer
+arithmetic; the square root is evaluated once per weight, in double
+precision.
 
 The conservation-differential products close with integer structure
 constants built from binomials, signed Stirling numbers of the first kind
@@ -71,16 +74,8 @@ def falling(x, n):
     return out
 
 
-def rising(x, n):
-    """x(x+1)...(x+n-1), 1 for n = 0."""
-    out = 1
-    for j in range(n):
-        out *= x + j
-    return out
-
-
 def theta(n, k, l, m):
-    """Representation weight theta_{n,k,l,m}; 0 outside the Heaviside support."""
+    """Representation weight theta_{n,k,l,m}; 0 for m < l."""
     if min(n, k, l, m) < 0:
         raise ValueError("theta indices must be naturals")
     integer_part = theta_int(n, k, l, m)
@@ -97,22 +92,19 @@ def theta_int(n, k, l, m):
     (row, col) carries the common factor sqrt((row+1)/(col+1)), so two such
     matrices are equal iff their integer parts agree.
     """
-    if n + m - l < 0:
+    if m < l:
         return 0
-    return (2**k) * rising(m - l + 1, n) * falling(m + 1, l) * (m - l + 1) ** k
+    r = m - l + 1
+    return (2 * r) ** k * falling(r + n - 1, n) * falling(m + 1, l)
 
 
 def rho_plus_int_entries(n, k, l, N):
     """Sparse {(row, col): integer part} of the N-truncated rho+ image, by
-    ascending column.  ``theta_int`` vanishes for m < l, and for m >= l it
-    is (2r)^k perm(r+n-1, n) perm(m+1, l) with r = m-l+1 >= 1."""
+    ascending column: ``theta_int`` at each column m >= l (where it is
+    nonzero) whose row n + m - l lies below N."""
     if min(n, k, l) < 0:
         raise ValueError(f"rho+ needs natural indices, got {(n, k, l)}")
-    out = {}
-    for m in range(l, min(N, N + l - n)):
-        r = m - l + 1
-        out[(n + r - 1, m)] = (2 * r) ** k * math.perm(r + n - 1, n) * math.perm(m + 1, l)
-    return out
+    return {(n + m - l, m): theta_int(n, k, l, m) for m in range(l, min(N, N + l - n))}
 
 
 def rho_plus_matrix(n, k, l, N):

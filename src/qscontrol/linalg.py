@@ -16,8 +16,9 @@ import numpy as np
 
 from .errors import ResourceLimitError, ShapeError
 
-# entries in a fixed-grid ODE's time grid or RK4 state stack, and in the
-# largest array of an lqr, lqg or rf-riccati run
+# entries in any one array whose size a run's config sets: an RK4 state
+# stack, a Riccati solution, held gains and step maps, path noise,
+# surrogate increments, an rf store; each is admitted where it is allocated
 STACK_BUDGET = 1 << 24
 
 
@@ -194,14 +195,24 @@ def rk4(deriv, y0, grid):
     return states
 
 
-def rk4_linear(apply, y0, runs):
-    """Classical RK4 for the linear ODE y' = apply(t, y), run by run.
+def rk4_linear(apply, y0, edges, dt):
+    """Classical RK4 for the linear ODE y' = apply(t, y) on the segments
+    between consecutive increasing ``edges``, each in equal steps of at
+    most ``dt``; returns (grid, states).
 
-    ``runs`` are contiguous (t0, t1, steps) triples: ``steps`` equal steps
-    from t0 to t1, on which the generator is constant: ``apply(t, y)`` is
-    evaluated at the run's midpoint only.  It maps a state, or a stack of
-    states along a leading axis.  One ``rk4_increment`` of it on the basis
-    stack is the run's increment map E = S - 1 of the RK4 step map S.
+    This is the package's one fixed-step grid rule.  A segment of length h
+    takes ceil(h / dt - 1e-12) steps, at least 1: the 1e-12 keeps the
+    whole count of a ratio that rounding left just above it, up to ratios
+    near 8192, where one ulp outgrows it.  The state stack is admitted
+    against ``STACK_BUDGET`` from the float ratios h / dt, which may be
+    infinite, before any of them is rounded: each rounds up by less than
+    one step.
+    The grid is a + (b - a) j / steps on each segment (a, b), and on each
+    the generator is constant: ``apply(t, y)`` is evaluated at the
+    segment's midpoint only, so a generator that switches at an edge keeps
+    the fourth order.  It maps a state, or a stack of states along a
+    leading axis.  One ``rk4_increment`` of it on the basis stack is the
+    segment's increment map E = S - 1 of the RK4 step map S.
     States are propagated in blocks of b steps as y + E_j y with the
     increments of the powers, E_j = S^j - 1 = E + E_{j-1} + E E_{j-1},
     which keep the small part that forming S^j itself would round away.
@@ -216,22 +227,25 @@ def rk4_linear(apply, y0, runs):
     n <= steps; and each of its steps is one n x n product against 4
     generator applications of about 4 products with the state's trailing
     dimension m each (the package's generators are a few such products),
-    so n <= 16 m.  Any other run steps state by state (``rk4``, with the
-    same midpoint generator).
+    so n <= 16 m.  Any other segment steps state by state (``rk4``, with
+    the same midpoint generator).
 
-    Returns the start and the state after every step, shape
-    (1 + sum of steps, *y0.shape), in y0's dtype: ``apply`` must not
-    promote it.
+    The states are the start and the state after every step, shape
+    (len(grid), *y0.shape), in y0's dtype: ``apply`` must not promote it.
     """
     y = np.asarray(y0)
     size = y.size
     trailing = y.shape[-1] if y.ndim else 1
-    total = sum(steps for _, _, steps in runs)
-    require_budget((total + 1) * size, STACK_BUDGET, "RK4 state stack")
-    states = np.empty((total + 1, size), dtype=y.dtype)
+    spans = list(zip(edges, edges[1:]))
+    ratios = [(t1 - t0) / dt for t0, t1 in spans]
+    require_budget((sum(ratios) + len(ratios) + 1) * size, STACK_BUDGET, "RK4 state stack")
+    counts = [max(1, math.ceil(ratio - 1e-12)) for ratio in ratios]
+    grid = np.concatenate([np.asarray(edges[:1], dtype=float)] + [
+        t0 + (t1 - t0) * np.arange(1, steps + 1) / steps for (t0, t1), steps in zip(spans, counts)])
+    states = np.empty((len(grid), size), dtype=y.dtype)
     states[0] = y.reshape(size)
     k = 0
-    for t0, t1, steps in runs:
+    for (t0, t1), steps in zip(spans, counts):
         mid = 0.5 * (t0 + t1)
 
         def frozen(_t, state, mid=mid):
@@ -254,4 +268,4 @@ def rk4_linear(apply, y0, runs):
             state = states[k]
             states[k + 1 : k + 1 + count] = state + powers[:count] @ state
             k += count
-    return states.reshape(total + 1, *y.shape)
+    return grid, states.reshape(len(grid), *y.shape)

@@ -39,8 +39,8 @@ from .ito.differential import SymbolicDifferential
 from .ito.labels import FIRST_ORDER
 from .ito.module_ops import ModuleOperator, circ, inner, l_map, module_ito_mul, r_map, require_slot
 from .ito.swn import swn_mul
-from .linalg import (STACK_BUDGET, as_matrix, commutator, fro, is_unitary, psd_sqrt,
-                     require_budget, require_hermitian, rk4_linear)
+from .linalg import (as_matrix, commutator, fro, is_unitary, psd_sqrt, require_hermitian,
+                     rk4_linear)
 
 
 # ----------------------------------------------------------- problem data
@@ -230,8 +230,8 @@ def _density_cost(op, xi, horizon, weight_fn, terminal_fn):
     running cost dJ = weight_fn(rho) dt.
 
     Both are one linear ODE with a constant generator on the stacked state
-    (rho; J), run as the RK4 step map of ``rk4_linear`` over
-    max(50, round(horizon / 0.01)) equal steps; ``weight_fn`` must map a
+    (rho; J), run as the RK4 step map of ``rk4_linear`` in equal steps of
+    at most min(0.01, horizon / 50); ``weight_fn`` must map a
     stack of densities (leading axis) to a stack of values.
     """
     dim = op.dim
@@ -246,9 +246,8 @@ def _density_cost(op, xi, horizon, weight_fn, terminal_fn):
         out[..., dim, 0] = weight_fn(rho)
         return out
 
-    # admitted before rounding: horizon / 0.01 may be infinite
-    require_budget((horizon / 0.01 + 1) * y0.size, STACK_BUDGET, "RK4 state stack")
-    states = rk4_linear(deriv, y0, [(0.0, horizon, max(50, round(horizon / 0.01)))])
+    # a horizon whose fiftieth underflows to 0 takes one step
+    _, states = rk4_linear(deriv, y0, (0.0, horizon), min(0.01, horizon / 50) or horizon)
     rho_final = states[-1][:dim]
     return float((states[-1][dim, 0] + terminal_fn(rho_final)).real)
 

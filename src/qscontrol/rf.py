@@ -107,7 +107,7 @@ from functools import partial
 import numpy as np
 
 from .errors import NotConvergedError, ShapeError
-from .linalg import as_matrix, parse_law, require_psd
+from .linalg import STACK_BUDGET, as_matrix, parse_law, require_budget, require_psd
 from .seeding import spawn_rngs, standard_error
 
 # --------------------------------------------------------------- surrogate
@@ -181,11 +181,13 @@ def sigma_positivity(sigma, f_value):
 
 def build_levy_surrogate(kind, n_steps, dt, seed, n_paths=1):
     """Construct a surrogate ensemble; per-path seeds follow the shared
-    splitting rule (``qscontrol.seeding``)."""
+    splitting rule (``qscontrol.seeding``).  Its n_steps x n_paths
+    increments are admitted before any stream is spawned."""
     if n_steps < 1:
         raise ShapeError("n_steps must be >= 1")
     if dt <= 0:
         raise ShapeError("dt must be positive")
+    require_budget(n_steps * n_paths, STACK_BUDGET, "surrogate increments")
     # (n_paths, n_steps) views of time-major arrays, which the surrogate
     # keeps without a copy
     if kind == PLANAR_BROWNIAN:
@@ -482,7 +484,8 @@ def _affine_sweep(build, start, shape, act=_mm, emit=None, backward=False):
     congruence A Y A* of the Duhamel sweep.  ``build(lo, hi)`` returns
     (maps, offsets, lead): A_k, b_k and lead_k of the steps lo to hi as
     fresh (hi - lo, d, d, P) stacks in stepping order, with lead None for a
-    recursion without one.  ``emit(rows, points)``, if given, is called
+    recursion without one.  The store is admitted against ``STACK_BUDGET``
+    before anything is built.  ``emit(rows, points)``, if given, is called
     with slices of the time axis that cover each point once and the store's
     points there, each as soon as they are final.
 
@@ -504,6 +507,7 @@ def _affine_sweep(build, start, shape, act=_mm, emit=None, backward=False):
     steps: each block's maps are built, swept and dropped, and its points
     emitted, while they are in cache.
     """
+    require_budget(math.prod(shape), STACK_BUDGET, "rf store")
     steps = shape[0] - 1
     blocked = math.prod(shape[1:]) <= _BLOCK_ENTRIES
     all_steps = build(0, steps) if blocked else None
@@ -664,8 +668,10 @@ def iterate_riccati(problem, path, n_max=30, tol=1e-6, initial=None):
     False rather than raising.  Positivity of every iterate is structural
     (congruences of PSD boundaries plus PSD increments); monotone decrease
     is measured and reported, never enforced.  The step and the margin are
-    reduced block by block as the sweep finishes each block of points.
+    reduced block by block as the sweep finishes each block of points.  The
+    start's store is admitted before anything is allocated.
     """
+    require_budget(math.prod(_store_shape(problem, path)), STACK_BUDGET, "rf store")
     n_steps, dim = path.n_steps, problem.dim
     gq = _const(problem.gain_quad())
 
@@ -1023,7 +1029,9 @@ def verify_feedback_optimality(problem, xi, path, perturbations, n_max, tol):
     diff_chunks = [[] for _ in perturbations]
     k_defects = []
     for start in range(0, path.n_paths, _CHUNK_PATHS):
-        chunk = path.pick(range(start, min(start + _CHUNK_PATHS, path.n_paths)))
+        # one chunk is the ensemble itself, not a copy of it
+        chunk = path if path.n_paths <= _CHUNK_PATHS else path.pick(
+            range(start, min(start + _CHUNK_PATHS, path.n_paths)))
         iteration = iterate_riccati(problem, chunk, n_max=n_max, tol=tol)
         if not iteration.converged:
             raise NotConvergedError(

@@ -2,7 +2,6 @@
 Weyl differentials, characteristic functionals, flows, unitarity defects."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +9,8 @@ from scipy.linalg import expm
 
 from qscontrol.errors import IndexEscapeError, ResourceLimitError, ShapeError
 from qscontrol.fock import (
+    DEFAULT_MATRIX_BUDGET,
+    DEFAULT_TENSOR_BUDGET,
     ExpectationSeries,
     GenericQsdeSpec,
     HpEvolutionSpec,
@@ -185,8 +186,9 @@ def test_tensor_creation_alone_keeps_vacuum_element():
 
 
 def test_tensor_budget_rejection():
+    # a qubit at 22 steps: 2 x 2^22 state entries, over the 2^22 budget
     spec = HpEvolutionSpec(H=SZ, L=SMINUS)
-    config = TruncationConfig(levels_per_mode=2, dt=1e-3, horizon=0.1, tensor_budget=512)
+    config = TruncationConfig(levels_per_mode=2, dt=1e-3, horizon=22e-3)
     with pytest.raises(ResourceLimitError) as err:
         step_tensor_evolution(spec, config)
     assert err.value.required > err.value.budget
@@ -447,24 +449,36 @@ def test_step_tensor_matches_dense_kronecker_evolution():
 
 
 def test_unitarity_defect_budget_rejection():
+    # a qubit at 12 steps: (2 x 2^12)^2 propagator entries, over the 2^24 budget
     spec = HpEvolutionSpec(H=SZ, L=SMINUS)
-    config = TruncationConfig(levels_per_mode=2, dt=1e-3, horizon=8e-3)
+    config = TruncationConfig(levels_per_mode=2, dt=1e-3, horizon=12e-3)
     with pytest.raises(ResourceLimitError):
-        unitarity_defect(spec, config, matrix_budget=100)
+        unitarity_defect(spec, config)
 
 
 def test_oracle_budgets_bound_the_final_full_size():
-    # 3 steps on a qubit: dim d^steps = 16 state entries, 16^2 propagator entries
+    # the oracles carry only the modes consumed so far, but each admits the
+    # final full size before it allocates anything: a qubit's dim d^steps
+    # state at 22 steps and (dim d^steps)^2 propagator at 12
+    import tracemalloc
+
     spec = HpEvolutionSpec(H=SZ, L=SMINUS)
-    config = TruncationConfig(levels_per_mode=2, dt=1e-3, horizon=3e-3, tensor_budget=16)
-    assert len(step_tensor_evolution(spec, config).values) == 4
-    with pytest.raises(ResourceLimitError) as err:
-        step_tensor_evolution(spec, replace(config, tensor_budget=15))
-    assert (err.value.required, err.value.budget) == (16, 15)
-    assert unitarity_defect(spec, config, matrix_budget=256) > 0.0
-    with pytest.raises(ResourceLimitError) as err:
-        unitarity_defect(spec, config, matrix_budget=255)
-    assert (err.value.required, err.value.budget) == (256, 255)
+    cases = ((step_tensor_evolution, 22, 2**23, DEFAULT_TENSOR_BUDGET),
+             (unitarity_defect, 12, 2**26, DEFAULT_MATRIX_BUDGET))
+    tracemalloc.start()
+    try:
+        for route, steps, required, budget in cases:
+            config = TruncationConfig(levels_per_mode=2, dt=1e-3, horizon=steps * 1e-3)
+            tracemalloc.reset_peak()
+            with pytest.raises(ResourceLimitError) as err:
+                route(spec, config)
+            assert (err.value.required, err.value.budget) == (required, budget)
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    short = TruncationConfig(levels_per_mode=2, dt=1e-3, horizon=3e-3)
+    assert len(step_tensor_evolution(spec, short).values) == 4
+    assert unitarity_defect(spec, short) > 0.0
 
 
 # -------------------------------------------------------------------- SWN

@@ -2,6 +2,7 @@
 batched matrix exponential against scipy's, matrix by matrix; the one
 Hermitian/PSD admission rule at every site and the size budget."""
 
+import math
 import sys
 from dataclasses import replace
 
@@ -12,8 +13,8 @@ from scipy.linalg import expm
 from qscontrol.classical import LqProblem
 from qscontrol.cli import parse_config
 from qscontrol.errors import ConfigError, ResourceLimitError, ShapeError
-from qscontrol.fock import (GenericQsdeSpec, HpEvolutionSpec, _grid_with_breaks,
-                            _master_generator, flow_expectation, swn_generator)
+from qscontrol.fock import (GenericQsdeSpec, HpEvolutionSpec, _master_generator,
+                            flow_expectation, swn_generator)
 from qscontrol.ito import ModuleOperator
 from qscontrol.ito.labels import SwnLabel
 from qscontrol.linalg import (_PADE, STACK_BUDGET, expm_stack, psd_sqrt, require_budget, rk4,
@@ -72,7 +73,7 @@ def test_rk4_linear_matches_rk4_on_a_linspace_grid(case):
     deriv, y0 = case(np.random.default_rng(11))
     steps = 173
     want = rk4(deriv, y0, np.linspace(0.0, 1.3, steps + 1))
-    got = rk4_linear(deriv, y0, [(0.0, 1.3, steps)])
+    _, got = rk4_linear(deriv, y0, (0.0, 1.3), 1.3 / steps)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -80,18 +81,18 @@ def test_rk4_linear_matches_rk4_on_a_linspace_grid(case):
 @pytest.mark.parametrize("case", CASES, ids=["scalar", "master", "density-cost"])
 def test_rk4_linear_matches_rk4_on_a_grid_with_breaks(case):
     deriv, y0 = case(np.random.default_rng(12))
-    grid, runs = _grid_with_breaks(1.0, 0.03, [0.21, 0.5, 0.83])
-    assert len(runs) == 4
+    grid, got = rk4_linear(deriv, y0, (0.0, 0.21, 0.5, 0.83, 1.0), 0.03)
+    assert len(grid) == 1 + 7 + 10 + 11 + 6
     want = rk4(deriv, y0, grid)
-    got = rk4_linear(deriv, y0, runs)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_rk4_linear_takes_each_run_generator_at_its_midpoint():
-    # a generator that switches at the run edges: stepwise RK4 per run
+    # a generator that switches at the segment edges: stepwise RK4 per
+    # segment, of 9, 7 and 7 steps of at most 0.045
     rng = np.random.default_rng(13)
     gens = [0.5 * _rand(rng, 3, 3) for _ in range(3)]
-    runs = [(0.0, 0.4, 9), (0.4, 0.7, 5), (0.7, 1.0, 11)]
+    runs = [(0.0, 0.4, 9), (0.4, 0.7, 7), (0.7, 1.0, 7)]
     y0 = _rand(rng, 3)
     want = [y0[None]]
     for gen, (t0, t1, steps) in zip(gens, runs):
@@ -102,7 +103,7 @@ def test_rk4_linear_takes_each_run_generator_at_its_midpoint():
     def apply(t, stack):
         return stack @ gens[int(t // 0.35)].T  # midpoints 0.2, 0.55, 0.85
 
-    got = rk4_linear(apply, y0, runs)
+    _, got = rk4_linear(apply, y0, (0.0, 0.4, 0.7, 1.0), 0.045)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -111,7 +112,7 @@ def test_rk4_linear_keeps_the_stepwise_roundoff_over_1e5_steps():
     # step map S = 1 + E in the same blocks reach 5.8e-13, 2.4e-12 and
     # 1.1e-12, the increment form E_j = S^j - 1 keeps the stepwise level
     for c_val in (-1.0, -1.0 + 2.0j, -3.0):
-        states = rk4_linear(lambda _t, y, c=c_val: c * y, 1.0 + 0.0j, [(0.0, 1.0, 10**5)])
+        _, states = rk4_linear(lambda _t, y, c=c_val: c * y, 1.0 + 0.0j, (0.0, 1.0), 1e-5)
         assert states.shape == (10**5 + 1,)
         assert abs(states[-1] - np.exp(c_val)) <= 5e-14 * abs(np.exp(c_val))
 
@@ -133,7 +134,7 @@ def test_rk4_linear_steps_state_by_state_where_the_map_costs_more(shape, steps, 
         return gen @ y
 
     y0 = _rand(rng, *shape)
-    got = rk4_linear(apply, y0, [(0.0, 0.6, steps)])
+    _, got = rk4_linear(apply, y0, (0.0, 0.6), 0.6 / steps)
     assert calls == ([shape] * 4 * steps if stepped else [(y0.size, *shape)] * 4)
     want = rk4(lambda _t, y: gen @ y, y0, np.linspace(0.0, 0.6, steps + 1))
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -250,16 +251,88 @@ def test_require_budget_reports_a_finite_count_before_allocating():
         assert err.value.budget == 16
         assert 16 < err.value.required <= sys.float_info.max
         assert str(err.value).startswith("stack needs ")
-    # rk4_linear admits its (steps + 1) x size stack before allocating it
+    # rk4_linear admits its stack from the step ratios, each rounded up by
+    # less than one step, before allocating it: 2^22 steps of a 4-entry state
     with pytest.raises(ResourceLimitError) as err:
-        rk4_linear(lambda _t, y: y, np.zeros(4, dtype=complex), [(0.0, 1.0, STACK_BUDGET // 4)])
-    assert err.value.required == (STACK_BUDGET // 4 + 1) * 4
+        rk4_linear(lambda _t, y: y, np.zeros(4, dtype=complex), (0.0, 1.0), 4 / STACK_BUDGET)
+    assert err.value.required == (STACK_BUDGET // 4 + 2) * 4
 
 
 def test_grid_is_admitted_from_its_step_ratios_before_rounding():
-    grid, runs = _grid_with_breaks(1.0, 0.03, [0.21, 0.5, 0.83])
-    want = [0.0] + [a + (b - a) * (j + 1) / steps for a, b, steps in runs for j in range(steps)]
+    edges = (0.0, 0.21, 0.5, 0.83, 1.0)
+    grid, _ = rk4_linear(lambda _t, y: -y, 1.0 + 0.0j, edges, 0.03)
+    want = [0.0]
+    for a, b in zip(edges, edges[1:]):
+        steps = max(1, math.ceil((b - a) / 0.03 - 1e-12))
+        want += [a + (b - a) * (j + 1) / steps for j in range(steps)]
     assert grid.tolist() == want  # the numpy grid is the per-point formula, bit for bit
     for horizon, dt in ((1e7, 1e-3), (1e300, 1e-10)):  # a finite and an infinite ratio
         with pytest.raises(ResourceLimitError):
-            _grid_with_breaks(horizon, dt)
+            rk4_linear(lambda _t, y: -y, 1.0 + 0.0j, (0.0, horizon), dt)
+
+
+def _lqg_at(n_paths):
+    from qscontrol.classical import lqg_simulate, solve_riccati_ode
+
+    problem = LqProblem(A=[[0.0]], Q=[[1.0]], Pi_T=[[1.0]], horizon=1.0, C=[[0.6]],
+                        H_obs=[[1.0]], x0=[1.0])
+    riccati = solve_riccati_ode(problem, steps=10)
+    return lambda: lqg_simulate(problem, riccati, seed=0, n_paths=n_paths)
+
+
+def _rf_store_over_budget(route):
+    # a 4x4 problem on 2^16 steps x 16 paths: the surrogate's 2^20
+    # increments are admitted, its (2^16 + 1) x 16 x 16 store is not
+    from qscontrol.rf import (PLANAR_BROWNIAN, build_levy_surrogate, classical_reduction_problem,
+                              iterate_riccati, verify_feedback_optimality)
+
+    problem = classical_reduction_problem(0.1 * np.eye(4), np.eye(4), np.eye(4), np.ones(4),
+                                          np.ones(4))
+    path = build_levy_surrogate(PLANAR_BROWNIAN, 2**16, 1e-5, seed=0, n_paths=16)
+    if route == "iterate":
+        return lambda: iterate_riccati(problem, path, n_max=5, tol=1e-6)
+    return lambda: verify_feedback_optimality(problem, np.ones(4), path, [("scale", 1.1)],
+                                              n_max=5, tol=1e-6)
+
+
+def _riccati_at(steps):
+    from qscontrol.classical import solve_riccati_ode
+
+    problem = LqProblem(A=[[0.0]], Q=[[1.0]], Pi_T=[[1.0]], horizon=1.0)
+    return lambda: solve_riccati_ode(problem, steps=steps)
+
+
+def _surrogate_at(n_steps):
+    from qscontrol.rf import PLANAR_BROWNIAN, build_levy_surrogate
+
+    return lambda: build_levy_surrogate(PLANAR_BROWNIAN, n_steps, 1e-3, seed=0)
+
+
+# each call's largest array over the 2^24-entry budget, built (with all it
+# needs first) by a function of no argument
+_OVER_BUDGET = {
+    "solve_riccati_ode": lambda: _riccati_at(10**9),
+    "lqg_simulate": lambda: _lqg_at(10**7),
+    "build_levy_surrogate": lambda: _surrogate_at(10**8),
+    "iterate_riccati": lambda: _rf_store_over_budget("iterate"),
+    "verify_feedback_optimality": lambda: _rf_store_over_budget("verify"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_OVER_BUDGET))
+def test_library_calls_admit_their_arrays_before_allocating(site):
+    # the function that allocates an array admits it, so a library call is
+    # rejected as a CLI run is: before its array, or lqg's 10^7 noise
+    # streams, take memory (a traced peak under 1 MB)
+    import tracemalloc
+
+    call = _OVER_BUDGET[site]()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError) as err:
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.budget == STACK_BUDGET < err.value.required
+    assert peak < 2**20

@@ -1,6 +1,7 @@
 """The package's public surface: every public module-level function and
-class is reached from outside its own definition, and every schema a run
-writes is the one docs/output_schema.md documents.
+class is reached from outside its own definition, every schema a run
+writes is the one docs/output_schema.md documents, and the CLI sizes no
+array.
 
 A name counts as reached when the syntax tree of the package, of the
 acceptance gate (``tests/test_acceptance.py``) or of the benchmark's
@@ -106,3 +107,13 @@ def test_schema_names_in_code_match_the_documented_ones():
                    flags=re.MULTILINE)
     )
     assert in_code == documented
+
+
+def test_cli_sizes_no_array():
+    # every array is admitted against the size budget by the function that
+    # allocates it, so the CLI restates no array shape: it neither imports
+    # nor uses the budget check or the budget
+    tree = _tree(PACKAGE / "cli.py")
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert not (_uses(tree) | imported) & {"require_budget", "STACK_BUDGET"}

@@ -80,6 +80,16 @@ def test_simple_identity_instance_cost_one():
     assert abs(cost_Q(spec, np.eye(2), xi, horizon=1.0) - 1.0) <= 1e-12
 
 
+def test_cost_identity_holds_at_every_step_bound():
+    # the cost ODE steps by at most min(0.01, horizon / 50), and a horizon
+    # whose fiftieth underflows to 0 takes one step; RK4 keeps the linear
+    # invariant tr(rho Pi) + J = 1 of the identity instance at each
+    spec = GenericQsdeSpec(F=np.zeros((2, 2)), Psi=np.zeros((2, 2)), Phi=np.zeros((2, 2)),
+                           Z=np.zeros((2, 2)), feedback=np.eye(2))
+    for horizon in (5e-324, 1e-3, 0.7, 2.344):
+        assert abs(cost_Q(spec, np.eye(2), [1.0, 0.0], horizon=horizon) - 1.0) <= 1e-12
+
+
 def test_null_control_zero_cost():
     spec = GenericQsdeSpec(
         F=np.zeros((2, 2)), Psi=np.zeros((2, 2)), Phi=np.zeros((2, 2)), Z=np.zeros((2, 2))

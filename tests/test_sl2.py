@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qscontrol.ito import rho_plus_matrix, stirling1, theta
-from qscontrol.ito.sl2 import falling, rho_plus_int_entries, rising, theta_int
+from qscontrol.ito.sl2 import falling, rho_plus_int_entries, theta_int
 
 
 # ---------------------------------------------------------------- stirling
@@ -54,14 +54,20 @@ def test_stirling_generates_falling_factorial(n, x):
     [(5, 0, (1, 1)), (5, 2, (20, 30)), (0, 2, (0, 0))],
 )
 def test_factorial_power_examples(x, n, expected):
-    assert (falling(x, n), rising(x, n)) == expected
+    # the rising factorial is the reflected falling one, (-1)^n falling(-x, n)
+    assert (falling(x, n), (-1) ** n * falling(-x, n)) == expected
 
 
 @given(st.integers(min_value=-6, max_value=6), st.integers(min_value=0, max_value=8))
 def test_factorial_powers_products(x, n):
-    fall, rise = falling(x, n), rising(x, n)
+    # on the naturals both are math.perm values, the form theta_int takes them in
+    fall, rise = falling(x, n), (-1) ** n * falling(-x, n)
     assert fall == math.prod(x - j for j in range(n))
     assert rise == math.prod(x + j for j in range(n))
+    if x >= 0:
+        assert fall == math.perm(x, n)
+    if x >= 1:
+        assert rise == math.perm(x + n - 1, n)
 
 
 # ------------------------------------------------------------------ theta
