@@ -16,11 +16,6 @@ class IndexEscapeError(QscError, ValueError):
     corrupt a multiplication table without any visible symptom.
     """
 
-    def __init__(self, message, needed=None, limit=None):
-        super().__init__(message)
-        self.needed = needed
-        self.limit = limit
-
 
 class ResourceLimitError(QscError, RuntimeError):
     """A computation would exceed the configured memory budget."""

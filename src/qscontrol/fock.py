@@ -43,13 +43,13 @@ segment: the matrix-element reduction between the breakpoints of the
 test functions, the master equations and the characteristic functionals
 throughout.  Each hands ``linalg.rk4_linear`` its segment edges and its
 step bound dt, and nothing here rounds a step ratio: that function is
-the one grid rule (ceil(h / dt - 1e-12) equal steps on a segment of
-length h, its state stack admitted from the float ratios first).  It
-runs them as RK4 step maps, one matrix per segment instead of four
-generator calls per step, wherever the map costs no more than stepping
-(no more state entries than steps, nor than sixteen times the state's
-trailing dimension).  The nonlinear Riccati equations of ``classical``
-take no RK4 step: they are solved by their exact flow map.
+the one grid rule (ceil(h / dt - 1e-12 max(1, h / dt)) equal steps on a
+segment of length h, its state stack admitted from the float ratios
+first).  It runs them as RK4 step maps, one matrix per segment instead
+of four generator calls per step, wherever the map costs no more than
+stepping (no more state entries than steps, nor than sixteen times the
+state's trailing dimension).  The nonlinear Riccati equations of
+``classical`` take no RK4 step: they are solved by their exact flow map.
 """
 
 from __future__ import annotations
@@ -550,18 +550,11 @@ def _admitted_images(op, K):
             if theta(n, k, l, m) != 0.0 and n + m - l >= K:
                 raise IndexEscapeError(
                     f"conservation label {(n, k, l)} raises mode {m} to {n + m - l}, "
-                    f"outside multiplicity truncation K={K}",
-                    needed=n + m - l + 1,
-                    limit=K,
-                )
+                    f"outside multiplicity truncation K={K}")
         images[n, k, l] = rho_plus_matrix(n, k, l, K)
     for key in op.terms:
         if key.kind in ("ann", "cre") and key.idx[0] >= K:
-            raise IndexEscapeError(
-                f"{key} has a mode index outside multiplicity truncation K={K}",
-                needed=key.idx[0] + 1,
-                limit=K,
-            )
+            raise IndexEscapeError(f"{key} has a mode index outside multiplicity truncation K={K}")
     return images
 
 

@@ -201,12 +201,13 @@ def rk4_linear(apply, y0, edges, dt):
     most ``dt``; returns (grid, states).
 
     This is the package's one fixed-step grid rule.  A segment of length h
-    takes ceil(h / dt - 1e-12) steps, at least 1: the 1e-12 keeps the
-    whole count of a ratio that rounding left just above it, up to ratios
-    near 8192, where one ulp outgrows it.  The state stack is admitted
-    against ``STACK_BUDGET`` from the float ratios h / dt, which may be
-    infinite, before any of them is rounded: each rounds up by less than
-    one step.
+    takes ceil(h / dt - 1e-12 max(1, h / dt)) steps, at least 1: the slack
+    keeps the whole count of a ratio that division left just above it, and
+    it grows with the ratio above 1, so it stays at least 4500 ulps of it
+    at every size (an absolute 1e-12 fell below one ulp above 8192).  The
+    state stack is admitted against ``STACK_BUDGET`` from the float ratios
+    h / dt, which may be infinite, before any of them is rounded: each
+    rounds up by less than one step.
     The grid is a + (b - a) j / steps on each segment (a, b), and on each
     the generator is constant: ``apply(t, y)`` is evaluated at the
     segment's midpoint only, so a generator that switches at an edge keeps
@@ -239,7 +240,7 @@ def rk4_linear(apply, y0, edges, dt):
     spans = list(zip(edges, edges[1:]))
     ratios = [(t1 - t0) / dt for t0, t1 in spans]
     require_budget((sum(ratios) + len(ratios) + 1) * size, STACK_BUDGET, "RK4 state stack")
-    counts = [max(1, math.ceil(ratio - 1e-12)) for ratio in ratios]
+    counts = [max(1, math.ceil(ratio - 1e-12 * max(1.0, ratio))) for ratio in ratios]
     grid = np.concatenate([np.asarray(edges[:1], dtype=float)] + [
         t0 + (t1 - t0) * np.arange(1, steps + 1) / steps for (t0, t1), steps in zip(spans, counts)])
     states = np.empty((len(grid), size), dtype=y.dtype)

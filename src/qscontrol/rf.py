@@ -46,16 +46,17 @@ factor of the Picard step has a closed-form inverse for d <= 2
 (``_cayley``).  Every recursion is affine in its state, so each runs on
 the one driver ``_affine_sweep``, Y[k+1] = act(A_k, Y[k] + lead_k) + b_k,
 which asks its caller for the step maps of a range of steps at a time,
-vectorized over those (step, path) pairs.  For the Euler state, its
-closed loop under the feedback law and the r-process, act is the left
-product A Y; for the Duhamel sweep of the Picard iteration it is the
-congruence A Y A*.  The closed loop folds the gain -R^{-1} G* Pi, the
-affine part and the perturbation into its maps.  Where one step's stack
-is small (P d^2 <= ``_BLOCK_ENTRIES``, the few-path runs) the driver asks
-for all steps at once and runs a two-level blocked scan, about 2 sqrt(T)
-Python steps instead of T: blocks of isqrt(T) steps side by side from
-zero, then one call per block that adds the propagated first point to all
-of its points.  Larger stacks, where a step's arithmetic outweighs its
+vectorized over those (step, path) pairs.  For the Euler state and the
+r-process, act is the left product A Y; for the Duhamel sweep of the
+Picard iteration it is the congruence A Y A*.  The Euler state runs only
+as ``closed_loop_state``, which folds the gain -R^{-1} G* Pi, the affine
+part and the perturbation of its law into its maps; the open loop is the
+law ("scale", 0.0).  Where one step's stack is small (P d^2 <=
+``_BLOCK_ENTRIES``, the few-path runs) the driver asks for all steps at
+once and runs a two-level blocked scan, about 2 sqrt(T) Python steps
+instead of T: blocks of isqrt(T) steps side by side from zero, then one
+call per block that adds the propagated first point to all of its
+points.  Larger stacks, where a step's arithmetic outweighs its
 interpreter overhead, step one at a time through time blocks of
 ``_STREAM_ENTRIES`` entries: each block's maps are built, swept and
 dropped while in cache, and the driver hands each finished block of
@@ -737,61 +738,9 @@ def residual_integral(problem, pi_path, path):
 # ------------------------------------------------------------------ states
 
 
-def _state_sweep(problem, path, control, emit=None):
-    """Euler state store (T+1, d, d, P).
-
-    ``control(lo, hi)`` returns the control terms (maps, offsets) of the
-    steps lo to hi as fresh (hi - lo, d, d, P) stacks in the state's
-    stepping order, from the store's last index back; the uncontrolled step
-    maps are added to them in place, block by block,
-
-        A_k += 1 + dt F + dM1 C1 + dM2 C2,   b_k += dt L + dM1 F1 z + dM2 F2 z,
-
-    and the sweep runs backward through the store from C at its last index
-    (X(T) on q0, X(0) on qt).  ``emit`` is passed to the driver.
-    """
-    increments = _noise(problem, path)[0][::-1]
-    c1, c2 = (_const(c) for c in problem.noise_couplings())
-    f1z, f2z = _const(problem.F1 @ problem.z), _const(problem.F2 @ problem.z)
-    drift = _const(np.eye(problem.dim) + path.dt * problem.F)
-    shift = _const(path.dt * problem.L)
-
-    def build(lo, hi):
-        maps, offsets = control(lo, hi)
-        dm1 = increments[lo:hi]
-        dm2 = dm1.conj()
-        maps += dm1 * c1
-        maps += dm2 * c2
-        maps += drift
-        offsets += dm1 * f1z
-        offsets += dm2 * f2z
-        offsets += shift
-        return maps, offsets, None
-
-    return _affine_sweep(build, problem.C, _store_shape(problem, path), emit=emit, backward=True)
-
-
 def _store_shape(problem, path):
     """The (T+1, d, d, P) shape of a state store."""
     return path.n_steps + 1, problem.dim, problem.dim, path.n_paths
-
-
-def simulate_state(problem, u, path):
-    """Euler state path under a control; returns (P, T+1, d, d).
-
-    ``u`` is None (zero control) or a stacked array (P, T+1, d, d), applied
-    at each step's anchor point, the known endpoint: j+1 on q0, where the
-    state runs backward from X(T) = C, and j on qt, where it runs forward
-    from X(0) = C.
-    """
-    gain = _const(path.dt * problem.G)
-    u_steps = None if u is None else _time_major(u, problem)[::-1]
-
-    def control(lo, hi):
-        maps = np.zeros((hi - lo, *_store_shape(problem, path)[1:]), dtype=complex)
-        return maps, (np.zeros_like(maps) if u is None else _mm(gain, u_steps[lo:hi]))
-
-    return _public(_state_sweep(problem, path, control), problem)
 
 
 def _pair(a_col, weight, b_col):
@@ -939,11 +888,12 @@ def _feedback(problem):
 
 def feedback_control(pi_values, r_values, x_values, problem):
     """u = -R^{-1} (G* (Pi X + r) + eta*) on stacked arrays (paths first,
-    matrix axes last), evaluated block by block in time."""
+    matrix axes last), evaluated block by block in time; a pointwise
+    (P, d, d) stack, without a time axis, is one block."""
     law = _feedback(problem)
     pi, r_vals, x = (_time_major(arr) for arr in (pi_values, r_values, x_values))
     u_values = np.empty(np.broadcast_shapes(pi.shape, x.shape), dtype=complex)
-    for rows in _time_blocks(u_values):
+    for rows in _time_blocks(u_values) if u_values.ndim > 3 else [...]:
         law(pi[rows], r_vals[rows], x[rows], u_values[rows])
     return _public(u_values)
 
@@ -953,26 +903,48 @@ def closed_loop_state(problem, pi_values, r_values, path, law=None):
 
     ``law`` is None for the optimal u, ("scale", c), or ("offset", M)
     with M a (d, d) matrix; any other offset shape raises ShapeError.
-    Returns (x_path, u_path).  The control applied at a step's anchor
-    point, u = c (-R^{-1} G* Pi X - R^{-1} (G* r + eta*)) + M, is folded
-    into the step maps of the state recursion: A_k gains dt c G (-R^{-1}
-    G* Pi) and b_k gains dt G (c (-R^{-1} (G* r + eta*)) + M).  The
-    feedback is evaluated once per state point, on each block of the
-    result as soon as the sweep has finished it.
+    Returns (x_path, u_path); the open loop is the law ("scale", 0.0).
+    The control applied at a step's anchor point (j+1 on q0, j on qt),
+    u = c (-R^{-1} G* Pi X - R^{-1} (G* r + eta*)) + M, is folded into the
+    step maps of the Euler recursion X(k+1) = A_k X(k) + b_k, built block
+    by block in the state's stepping order,
+
+        A_k = dt c G (-R^{-1} G* Pi) + dM1 C1 + dM2 C2 + (1 + dt F),
+        b_k = dt c G (-R^{-1} G* r) + dt G (M - c R^{-1} eta*)
+              + dM1 F1 z + dM2 F2 z + dt L,
+
+    summed in place in this order, and the sweep runs backward through the
+    store from C at its last index (X(T) on q0, X(0) on qt).  The feedback
+    is evaluated once per state point, on each block of the result as soon
+    as the sweep has finished it.
     """
     scale, offset = parse_law(law, problem.dim)
     rinv = np.linalg.inv(problem.R)
     gain = _const(-path.dt * scale * (problem.G @ rinv @ problem.G.conj().T))
     shift = _const(path.dt * (problem.G @ (offset - scale * rinv @ problem.eta.conj().T)))
+    c1, c2 = (_const(c) for c in problem.noise_couplings())
+    f1z, f2z = _const(problem.F1 @ problem.z), _const(problem.F2 @ problem.z)
+    drift = _const(np.eye(problem.dim) + path.dt * problem.F)
+    dt_l = _const(path.dt * problem.L)
     optimal = _feedback(problem)
     pi, r_vals = _time_major(pi_values, problem), _time_major(r_values, problem)
-    pi_steps, r_steps = pi[::-1], r_vals[::-1]  # the state's stepping order
+    # the state's stepping order
+    pi_steps, r_steps, increments = pi[::-1], r_vals[::-1], _noise(problem, path)[0][::-1]
     u_store = np.empty(_store_shape(problem, path), dtype=complex)
 
-    def control(lo, hi):
+    def build(lo, hi):
+        dm1 = increments[lo:hi]
+        dm2 = dm1.conj()
+        maps = _mm(gain, pi_steps[lo:hi])
+        maps += dm1 * c1
+        maps += dm2 * c2
+        maps += drift
         offsets = _mm(gain, r_steps[lo:hi])
         offsets += shift
-        return _mm(gain, pi_steps[lo:hi]), offsets
+        offsets += dm1 * f1z
+        offsets += dm2 * f2z
+        offsets += dt_l
+        return maps, offsets, None
 
     def feedback(rows, x_rows):
         u_block = optimal(pi[rows], r_vals[rows], x_rows, u_store[rows])
@@ -981,7 +953,7 @@ def closed_loop_state(problem, pi_values, r_values, path, law=None):
         if np.any(offset):
             u_block += _const(offset)
 
-    x_store = _state_sweep(problem, path, control, emit=feedback)
+    x_store = _affine_sweep(build, problem.C, u_store.shape, emit=feedback, backward=True)
     return _public(x_store, problem), _public(u_store, problem)
 
 

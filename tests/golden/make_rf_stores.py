@@ -4,11 +4,12 @@ many-path run, whose sweeps step through several streamed time blocks.
 
     PYTHONPATH=src python tests/golden/make_rf_stores.py
 
-Each case runs the Picard iteration, the r-process, the open loop, the
-closed loop under the optimal law and a perturbation, the feedback law,
-the cost and the fixed-point defect, and records every returned array as
-the digest of its bytes and every returned number by ``repr``, so a change
-in any bit of the arithmetic shows.  ``tests/test_rf.py`` compares a fresh
+Each case runs the Picard iteration, the r-process, the closed loop under
+the optimal law, a perturbation and the open-loop law ("scale", 0.0) on
+zero Pi and r, the feedback law, the cost and the fixed-point defect, and
+records every returned array as the digest of its bytes and every
+returned number by ``repr``, so a change in any bit of the arithmetic
+shows.  ``tests/test_rf.py`` compares a fresh
 ``collect()`` with the file.
 """
 
@@ -47,10 +48,11 @@ def run_case(problem, kind, n_steps, dt, seed, n_paths):
     iteration = rf.iterate_riccati(problem, path, n_max=40, tol=1e-10)
     pi = iteration.final
     r = rf.solve_r(problem, pi, path)
-    u_given = 0.3 * np.sin(np.arange(pi.size)).reshape(pi.shape)
     x_opt, u_opt = rf.closed_loop_state(problem, pi, r, path)
     x_pert, u_pert = rf.closed_loop_state(problem, pi, r, path,
                                           law=("offset", 0.1 * np.eye(problem.dim)))
+    zero = np.zeros_like(pi)
+    x_open, _ = rf.closed_loop_state(problem, zero, zero, path, law=("scale", 0.0))
     return {
         "pi": _digest(pi),
         "sup_diffs": [repr(v) for v in iteration.sup_diffs],
@@ -58,8 +60,7 @@ def run_case(problem, kind, n_steps, dt, seed, n_paths):
         "herm_residual": repr(iteration.herm_residual),
         "residual_integral": repr(rf.residual_integral(problem, pi, path)),
         "r": _digest(r),
-        "x_open": _digest(rf.simulate_state(problem, None, path)),
-        "x_given": _digest(rf.simulate_state(problem, u_given, path)),
+        "x_open": _digest(x_open),
         "x_opt": _digest(x_opt),
         "u_opt": _digest(u_opt),
         "x_pert": _digest(x_pert),

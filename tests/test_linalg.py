@@ -263,12 +263,22 @@ def test_grid_is_admitted_from_its_step_ratios_before_rounding():
     grid, _ = rk4_linear(lambda _t, y: -y, 1.0 + 0.0j, edges, 0.03)
     want = [0.0]
     for a, b in zip(edges, edges[1:]):
-        steps = max(1, math.ceil((b - a) / 0.03 - 1e-12))
+        steps = max(1, math.ceil((b - a) / 0.03 - 1e-12 * max(1.0, (b - a) / 0.03)))
         want += [a + (b - a) * (j + 1) / steps for j in range(steps)]
     assert grid.tolist() == want  # the numpy grid is the per-point formula, bit for bit
     for horizon, dt in ((1e7, 1e-3), (1e300, 1e-10)):  # a finite and an infinite ratio
         with pytest.raises(ResourceLimitError):
             rk4_linear(lambda _t, y: -y, 1.0 + 0.0j, (0.0, horizon), dt)
+
+
+def test_grid_keeps_the_whole_count_of_a_ratio_left_just_above_it():
+    # 32.005 / 1e-3 divides to 32005.000000000004, one ulp above its whole
+    # count, where an absolute slack of 1e-12 is below one ulp; the default
+    # counts and a ratio just above a half keep theirs
+    for horizon, dt, steps in ((32.005, 1e-3, 32005), (10.0, 1e-3, 10000), (1.0, 1e-2, 100),
+                               (2.344, 1e-2, 235), (2.345, 1e-2, 235), (1.0, 0.4, 3)):
+        grid, _ = rk4_linear(lambda _t, y: -y, 1.0 + 0.0j, (0.0, horizon), dt)
+        assert len(grid) == steps + 1, horizon
 
 
 def _lqg_at(n_paths):

@@ -9,7 +9,10 @@ workloads (``bench/workloads.py``) uses it as a name or an attribute, or
 when the benchmark's traced ``LAYERS`` list it.  Unit tests do not count:
 a result only they reach shows in no run report.  Uses inside the name's
 own definition do not count, and neither do the re-export lists of
-``qscontrol.ito``, which are imports and strings, not uses.
+``qscontrol.ito``, which are imports and strings, not uses.  No name is
+exempt: the rejected sign candidate ``stirling1_unsigned`` is reached by
+the benchmark's cache reset, the console entry point ``main`` by cli's
+``__main__`` block.
 """
 
 import ast
@@ -18,13 +21,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "qscontrol"
-
-# names no run reaches, each kept for the reason given; the rejected sign
-# candidate ``stirling1_unsigned`` is reached by the benchmark's cache reset
-# and the console entry point ``main`` by cli's ``__main__`` block
-ALLOWED = {
-    "simulate_state": "waits for the fused closed-loop kernel, which will call it",
-}
 
 
 def _tree(path):
@@ -87,13 +83,8 @@ def _unreached():
 
 
 def test_every_public_name_is_reached_outside_unit_tests():
-    stray = sorted(entry for entry in _unreached() if entry.split(":")[1] not in ALLOWED)
+    stray = sorted(_unreached())
     assert not stray, stray
-
-
-def test_every_allowed_name_is_unreached():
-    # a name that gains a use leaves the allow-list
-    assert {entry.split(":")[1] for entry in _unreached()} >= set(ALLOWED)
 
 
 def test_schema_names_in_code_match_the_documented_ones():

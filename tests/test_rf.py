@@ -36,7 +36,6 @@ from qscontrol.rf import (
     noise_free_scalar_problem,
     residual_integral,
     sigma_positivity,
-    simulate_state,
     solve_r,
     stochastic_2x2_problem,
     time_reverse,
@@ -80,6 +79,13 @@ def random_problem(dim, seed, direction="q0"):
         m=draw(0.05), eta=draw(0.02), boundary_gain=psd(0.8), boundary_linear=draw(0.05),
         C=np.eye(dim) + draw(0.1), direction=direction,
     )
+
+
+def open_loop(problem, path):
+    """The uncontrolled state: the closed loop under the law ("scale", 0.0)
+    on zero Pi and r."""
+    zero = np.zeros((path.n_paths, path.n_steps + 1, problem.dim, problem.dim))
+    return closed_loop_state(problem, zero, zero, path, law=("scale", 0.0))[0]
 
 
 # ---------------------------------------------------------------- surrogate
@@ -136,7 +142,7 @@ def test_pick_takes_integer_indices_and_boolean_masks():
 def test_state_deterministic_linear_flow():
     problem = scalar_problem(Q=[[0.0]], boundary_gain=[[0.0]], C=[[2.0]])
     path = build_levy_surrogate(FOCK_VACUUM, 2000, 5e-4, seed=4)
-    x_path = simulate_state(problem, None, path)
+    x_path = open_loop(problem, path)
     times = np.linspace(0.0, 1.0, 2001)
     # backward equation dX = -F X dt from X(T) = C: X(t) = e^{F(T-t)} C
     want = 2.0 * np.exp(0.3 * (1.0 - times))
@@ -146,7 +152,7 @@ def test_state_deterministic_linear_flow():
 def test_state_constant_when_everything_vanishes():
     problem = scalar_problem(F=[[0.0]], Q=[[0.0]], C=[[1.5]], z=ZERO1)
     path = build_levy_surrogate(PLANAR_BROWNIAN, 100, 1e-2, seed=5)
-    x_path = simulate_state(problem, None, path)
+    x_path = open_loop(problem, path)
     assert np.max(np.abs(x_path - 1.5)) == 0.0
 
 
@@ -162,7 +168,7 @@ def test_state_matches_hand_rolled_euler_maruyama():
         C=[[1.0]],
     )
     path = build_levy_surrogate(PLANAR_BROWNIAN, 500, 2e-3, seed=6)
-    x_path = simulate_state(problem, None, path)
+    x_path = open_loop(problem, path)
 
     db1 = (path.dm1[0] + path.dm2[0]).real / math.sqrt(2.0)
     x = 1.0
@@ -179,7 +185,7 @@ def test_state_matches_hand_rolled_euler_maruyama():
 def test_cost_zero_on_null_data():
     problem = scalar_problem(Q=[[0.0]], boundary_gain=[[0.0]], C=ZERO1, L=ZERO1, z=ZERO1)
     path = build_levy_surrogate(PLANAR_BROWNIAN, 50, 2e-2, seed=7)
-    x_path = simulate_state(problem, None, path)
+    x_path = open_loop(problem, path)
     u_path = np.zeros_like(x_path)
     mean, _, costs = cost_tilde(problem, u_path, [1.0], x_path, path.dt)
     assert mean == 0.0 and np.all(costs == 0.0)
@@ -188,7 +194,7 @@ def test_cost_zero_on_null_data():
 def test_cost_matches_hand_quadrature_on_classical_instance():
     problem = scalar_problem(Q=[[0.9]], boundary_gain=[[0.4]], m=[[0.2]], C=[[1.0]])
     path = build_levy_surrogate(FOCK_VACUUM, 200, 5e-3, seed=8)
-    x_path = simulate_state(problem, None, path)
+    x_path = open_loop(problem, path)
     u_path = np.zeros_like(x_path)
     xi = np.array([1.0])
     mean, _, _ = cost_tilde(problem, u_path, xi, x_path, path.dt)
@@ -317,6 +323,25 @@ def test_feedback_scalar_reduction_shape():
     x_v = np.full((1, 1, 1), 2.0, dtype=complex)
     u = feedback_control(pi_v, np.zeros_like(pi_v), x_v, problem)
     assert abs(u[0, 0, 0] + 0.7 * 2.0) <= 1e-14
+
+
+@pytest.mark.parametrize("dim, n_paths", [(2, 5000), (3, 2000)])
+def test_feedback_on_a_pointwise_stack_matches_matmul(dim, n_paths):
+    # P d^2 > _STREAM_ENTRIES: a stack without a time axis is evaluated as
+    # one block, not cut into blocks along its matrix rows
+    assert n_paths * dim**2 > _STREAM_ENTRIES
+    problem = random_problem(dim, 12)
+    rng = np.random.default_rng(12)
+
+    def draw():
+        return rng.normal(size=(n_paths, dim, dim)) + 1j * rng.normal(size=(n_paths, dim, dim))
+
+    pi, r_vals, x = draw(), draw(), draw()
+    rinv = np.linalg.inv(problem.R)
+    want = -rinv @ (problem.G.conj().T @ (pi @ x + r_vals) + problem.eta.conj().T)
+    got = feedback_control(pi, r_vals, x, problem)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_feedback_matches_classical_gain_path():
@@ -564,11 +589,8 @@ def _check_against_reference_loops(problem, seed, n_steps=50, n_paths=3):
     r_ref = _ref_r(problem, pi, path)
     assert _relative_gap(solve_r(problem, pi, path), r_ref) <= 1e-12
 
-    u_given = 0.3 * np.sin(np.arange(pi.size)).reshape(pi.shape)
-    for u in (None, u_given):
-        want = _ref_state(problem, path,
-                          lambda j, x: np.zeros_like(x) if u is None else u[:, j])
-        assert _relative_gap(simulate_state(problem, u, path), want) <= 1e-12, u is None
+    want = _ref_state(problem, path, lambda j, x: np.zeros_like(x))
+    assert _relative_gap(open_loop(problem, path), want) <= 1e-12
 
     offset = 0.1 * np.fliplr(np.eye(problem.dim))
     laws = [(None, lambda u: u), (("scale", 0.7), lambda u: 0.7 * u),
@@ -723,7 +745,7 @@ def test_blocked_sweeps_match_reference_loops(dim, seed, direction, dt, f_scale,
     # over 3000), so blocking adds no visible error; 2e-13 keeps 4x headroom
     assert _relative_gap(got, pi) <= 2e-13
     assert _relative_gap(solve_r(problem, pi, path), r) <= 2e-13
-    assert _relative_gap(simulate_state(problem, None, path), x) <= 2e-13
+    assert _relative_gap(open_loop(problem, path), x) <= 2e-13
 
 
 def _matrix_last(arr):
@@ -797,7 +819,7 @@ def test_public_outputs_are_views_of_time_major_stores():
     final = iterate_riccati(problem, path, n_max=30, tol=1e-8).final
     r_vals = solve_r(problem, final, path)
     x_path, u_path = closed_loop_state(problem, final, r_vals, path)
-    for out in (final, r_vals, simulate_state(problem, None, path), x_path, u_path):
+    for out in (final, r_vals, open_loop(problem, path), x_path, u_path):
         assert out.shape == (3, 41, 2, 2)
         assert np.moveaxis(out, 0, -1).flags.c_contiguous
 
@@ -818,8 +840,6 @@ def test_public_outputs_are_views_of_time_major_stores():
                 cost_tilde(problem, np.ascontiguousarray(u_view), xi, np.ascontiguousarray(x_view),
                            path.dt)[2],
                 cost_tilde(problem, u_view, xi, x_view, path.dt)[2])
-        assert np.array_equal(simulate_state(problem, copy, path),
-                              simulate_state(problem, pi, path))
     # a single matrix has no path axis to move: rejected, never transposed
     with pytest.raises(ShapeError):
         feedback_control(final[0, 0], r_vals[0, 0], x_path[0, 0], problem)
@@ -1117,12 +1137,7 @@ def test_q0_run_equals_reversed_qt_run(dim, seed, kind):
         assert residual_integral(problem, pi, path) == residual_integral(flipped, pi_m, rev)
         r_native, r_mirrored = solve_r(problem, pi, path), solve_r(flipped, pi_m, rev)
         assert np.array_equal(r_native, r_mirrored[:, ::-1])
-        u_given = 0.3 * np.sin(np.arange(pi.size)).reshape(pi.shape)
-        assert np.array_equal(simulate_state(problem, None, path),
-                              simulate_state(flipped, None, rev)[:, ::-1])
-        assert np.array_equal(simulate_state(problem, u_given, path),
-                              simulate_state(flipped, u_given[:, ::-1], rev)[:, ::-1])
-        for law in (None, laws[0]):
+        for law in (None, laws[0], ("scale", 0.0)):
             x_native, u_native = closed_loop_state(problem, pi, r_native, path, law=law)
             x_mirrored, u_mirrored = closed_loop_state(flipped, pi_m, r_mirrored, rev, law=law)
             assert np.array_equal(x_native, x_mirrored[:, ::-1])
