@@ -21,13 +21,19 @@ matrix exponential of the Hamiltonian, so no step error), unsymmetrized,
 and an escape is read off the map's denominator.  State integrations
 share that grid, freeze the gain per step, and propagate the drift
 exactly (matrix exponential of the frozen closed loop); the running cost
-is Simpson's rule over each step.  All laws of a run share one batch axis
-of one sweep (``_sweep``), which builds each step's propagator and its
-Simpson cost folded into one quadratic form for every step and law at
-once, from one batched exponential (``linalg.expm_stack``), so a step is
-one product and one form.  lqg adds Euler-Maruyama increments drawn once
-for every law.  The zero-noise LQG run therefore reproduces the
-deterministic LQR trajectory to rounding.
+is Simpson's rule over each step.  ``_step_maps`` builds each step's
+propagator and its Simpson cost folded into one quadratic form, for every
+step and law at once, from one batched exponential (``linalg.expm_stack``);
+all laws of a run then share one batch axis of the path loop (``_sweep``),
+so a step is one product and one form.  lqg adds Euler-Maruyama
+increments drawn once for every law.  The zero-noise LQG run therefore
+reproduces the deterministic LQR trajectory to rounding.
+
+The lqg loop is linear in z = (x, xh) and its kicks are Gaussian and
+independent of z, so ``_moments`` runs the second moment E[z* z] through
+the same maps and returns each law's exact expected cost of the scheme
+the paths run; ``_filter_gap`` runs E|x - xh|^2 the same way and
+compares it with the Kalman-Bucy tr P_k, with a first-order bound.
 """
 
 from __future__ import annotations
@@ -239,21 +245,16 @@ def _held_gains(riccati, laws):
     return held
 
 
-def _sweep(generators, weights, terminal, z, dt, kicks=None):
-    """The zero-order-hold closed loop of every law, stepped at once.
+def _step_maps(generators, weights, dt):
+    """Each step's propagator and folded Simpson form, for every law.
 
     ``generators``/``weights`` (steps, laws, m, m) are each law's frozen
-    drift and running-cost weight, ``z`` (laws, paths, m) the start.  In
-    the row-vector convention z -> z H_k, H_k = expm(G_k dt/2)*, a step
-    propagates exactly by F_k = H_k H_k and adds the Simpson cost of
-    <z, W_k z> over its start, middle and end, which folds into one form
-    <z, S_k z> with S_k = dt/6 (W_k + 4 H_k W_k H_k* + F_k W_k F_k*); F and S
-    are built for every step and law before the loop.  Given ``kicks`` =
-    (db, C, dw, K) for the joint state z = (x, xh), each step then adds the
-    noise shared by every law: db[:, k] C* on x and dw[:, k] K_k* on xh.
-    Returns the costs (laws, paths) with the terminal <z, terminal z>, and
-    the squared filter error |x - xh|^2 summed over paths and steps; it
-    does not depend on the law, so the first law's is taken.
+    drift and running-cost weight.  In the row-vector convention
+    z -> z H_k, H_k = expm(G_k dt/2)*, a step propagates exactly by
+    F_k = H_k H_k, and the Simpson cost of <z, W_k z> over its start,
+    middle and end folds into one form <z, S_k z> with
+    S_k = dt/6 (W_k + 4 H_k W_k H_k* + F_k W_k F_k*).  Returns (F, S), both
+    from one batched exponential (``linalg.expm_stack``).
     """
 
     def congruence(mats):
@@ -261,7 +262,21 @@ def _sweep(generators, weights, terminal, z, dt, kicks=None):
 
     halves = np.swapaxes(expm_stack(generators * (dt / 2.0)), -1, -2)
     props = halves @ halves
-    simpson = (dt / 6.0) * (weights + 4.0 * congruence(halves) + congruence(props))
+    return props, (dt / 6.0) * (weights + 4.0 * congruence(halves) + congruence(props))
+
+
+def _sweep(props, simpson, terminal, z, kicks=None):
+    """The zero-order-hold closed loop of every law, stepped at once.
+
+    ``props``/``simpson`` (steps, laws, m, m) are ``_step_maps``' F and S,
+    ``z`` (laws, paths, m) the start; a step adds <z, S_k z> and moves z to
+    z F_k.  Given ``kicks`` = (db, C, dw, K) for the joint state
+    z = (x, xh), each step then adds the noise shared by every law:
+    db[:, k] C* on x and dw[:, k] K_k* on xh.  Returns the costs
+    (laws, paths) with the terminal <z, terminal z>, and the squared filter
+    error |x - xh|^2 summed over paths and steps; it does not depend on the
+    law, so the first law's is taken.
+    """
     # the forms' terms summed per component and reduced once at the end:
     # a reduction over m entries per step costs more than the step's products
     terms = np.zeros(z.shape)
@@ -276,6 +291,23 @@ def _sweep(generators, weights, terminal, z, dt, kicks=None):
             z[..., n:] += dw[:, k] @ k_filters[k].T
             sq_err += float(np.sum((z[0, :, :n] - z[0, :, n:]) ** 2))
     return np.sum(terms, axis=-1) + np.sum((z @ terminal) * z, axis=-1), sq_err
+
+
+def _moments(props, simpson, terminal, second, kick_covs):
+    """The exact expected costs (laws,) of ``_sweep``'s kicked loop.
+
+    The loop is linear in z and its kicks are independent of z, so the
+    second moment Sigma_k = E[z_k* z_k] (``second`` at the start) follows
+    Sigma <- F_k* Sigma F_k + kick_covs[k], with ``kick_covs`` (steps, m, m)
+    the covariance of step k's kick, shared by every law; the expected cost
+    is sum_k tr(S_k Sigma_k) + tr(terminal Sigma_T).
+    """
+    sigmas = np.empty((len(props) + 1, *props.shape[1:]))
+    sigmas[0] = second
+    for k, (left, prop, cov) in enumerate(zip(np.swapaxes(props, -1, -2), props, kick_covs)):
+        sigmas[k + 1] = left @ sigmas[k] @ prop + cov
+    costs = np.sum(simpson * np.swapaxes(sigmas[:-1], -1, -2), axis=(0, -2, -1))
+    return costs + np.sum(terminal * np.swapaxes(sigmas[-1], -1, -2), axis=(-2, -1))
 
 
 def lqr_simulate(problem, riccati, laws=(None,)):
@@ -295,8 +327,8 @@ def lqr_simulate(problem, riccati, laws=(None,)):
     dt = problem.horizon / (len(riccati.times) - 1)
     held = _held_gains(riccati, laws)
     start = np.broadcast_to(problem.x0, (len(laws), 1, problem.dim))
-    costs, _ = _sweep(problem.A - held, problem.Q + np.swapaxes(held, -1, -2) @ held,
-                      problem.Pi_T, start, dt)
+    maps = _step_maps(problem.A - held, problem.Q + np.swapaxes(held, -1, -2) @ held, dt)
+    costs, _ = _sweep(*maps, problem.Pi_T, start)
     return costs[:, 0]
 
 
@@ -338,7 +370,10 @@ def lqg_simulate(problem, riccati, seed, n_paths, laws=(None,)):
     ``riccati`` is the ``solve_riccati_ode`` solution the laws steer with;
     its grid is the simulation grid, which the filter covariance shares.
     Returns a dict with the per-path costs (laws, n_paths), their mean and
-    standard error per law, and the mean squared filter error.  Path k
+    standard error per law, and the mean squared filter error; and, from
+    the exact moments of the same scheme, the expected cost per law
+    (``exact_cost``), the mean gap between E|x - xh|^2 and tr P_k
+    (``filter_gap``) and its first-order bound (``filter_gap_bound``).  Path k
     draws its noise from the seed splitting rule in ``qscontrol.seeding``,
     once for all laws, so the laws are paired (common random numbers).
     """
@@ -370,15 +405,58 @@ def lqg_simulate(problem, riccati, seed, n_paths, laws=(None,)):
     weights[..., :n, :n] = problem.Q
     weights[..., n:, n:] = np.swapaxes(held, -1, -2) @ held
 
+    maps = _step_maps(generators, weights, dt)
     db, dw = _path_noise(seed, n_paths, steps, n, dt, problem.obs_noise)
     c_mat = problem.C if problem.C is not None else np.zeros((n, n))
 
-    start = np.broadcast_to(np.tile(problem.x0, 2), (len(laws), n_paths, 2 * n))
+    z0 = np.tile(problem.x0, 2)
+    start = np.broadcast_to(z0, (len(laws), n_paths, 2 * n))
     terminal = block_diag(problem.Pi_T, np.zeros((n, n)))
-    costs, sq_err = _sweep(generators, weights, terminal, start, dt, (db, c_mat, dw, k_filters))
+    costs, sq_err = _sweep(*maps, terminal, start, (db, c_mat, dw, k_filters))
+    # the kicks db C* on x and dw K_k* on xh, of covariances dt C C* and
+    # dt r K_k K_k*; x - xh takes their sum
+    kick_covs = np.zeros((steps, 2 * n, 2 * n))
+    kick_covs[:, :n, :n] = dt * c_mat @ c_mat.T
+    kick_covs[:, n:, n:] = (dt * problem.obs_noise) * k_filters @ np.swapaxes(k_filters, -1, -2)
+    gap, bound = _filter_gap(maps[0][:, 0], kick_covs[:, :n, :n] + kick_covs[:, n:, n:], p_path,
+                             problem.A - k_h[:, 0], dt)
     return {
         "costs": costs,
         "cost_mean": np.mean(costs, axis=-1),
         "cost_stderr": np.array([standard_error(row) for row in costs]),
         "mean_sq_filter_error": sq_err / (n_paths * steps),
+        "exact_cost": _moments(*maps, terminal, np.outer(z0, z0), kick_covs),
+        "filter_gap": gap,
+        "filter_gap_bound": bound,
     }
+
+
+def _filter_gap(props, covs, p_path, drifts, dt):
+    """mean_k (E|x_k - xh_k|^2 - tr P_k) over k = 1..steps, and a bound on
+    it to first order in dt.
+
+    The filter error e = x - xh steps on its own: with ``props`` (steps,
+    m, m) one law's F_k, z F_k [1; -1] = [1; -1] R_k, R_k = (F_k)_11 -
+    (F_k)_12 (= expm(M_k dt)*, M_k = A - K_k H, the ``drifts``), so
+    E[e* e] <- R_k* E[e* e] R_k + V_k from 0, V_k (``covs``) the kick's
+    covariance; with no kicks it stays 0, as P does.  P follows its exact
+    flow (``p_path``, (steps + 1, n, n)).  From E = P one step leaves
+    E - P = -(dt/2)(M_k V_k + V_k M_k*) + O(dt^3), and the congruence grows
+    a 2-norm by at most exp(2 mu(M_k) dt), mu the logarithmic 2-norm; so n
+    times the mean of the accumulated norms bounds the gap up to O(dt^2).
+    """
+    n = covs.shape[-1]
+    defects = (dt / 2.0) * np.linalg.norm(drifts @ covs + covs @ np.swapaxes(drifts, -1, -2), 2,
+                                          axis=(-2, -1))
+    growth = np.exp(dt * np.linalg.eigvalsh(drifts + np.swapaxes(drifts, -1, -2))[:, -1])
+    error_props = props[:, :n, :n] - props[:, :n, n:]
+    seconds = np.empty_like(covs)
+    second = np.zeros((n, n))
+    for k, (left, prop, cov) in enumerate(zip(np.swapaxes(error_props, -1, -2), error_props, covs)):
+        second = seconds[k] = left @ second @ prop + cov
+    gap = np.mean(np.trace(seconds - p_path[1:], axis1=-2, axis2=-1))
+    accumulated = bound = 0.0
+    for grow, defect in zip(growth.tolist(), defects.tolist()):
+        accumulated = grow * accumulated + defect
+        bound += accumulated
+    return float(gap), n * bound / len(covs)

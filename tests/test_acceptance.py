@@ -141,9 +141,10 @@ def test_criterion_06_classical_riccati_lqr(tmp_path):
 
 
 def test_criterion_07_lqg(tmp_path):
-    crit = Criterion(7, "LQG optimality at 2 sigma and noise-free limit", 60.0)
-    # paired dominance over 2000 paths x 250 steps and the 2x2 noise-free run
-    _run_kind(crit, {"kind": "lqg", "seed": 70}, 4, tmp_path)
+    crit = Criterion(7, "LQG exact dominance, simulator and noise-free checks", 60.0)
+    # exact-moment dominance, 200 paths x 250 steps against the exact moments,
+    # the filter error's first order and the 2x2 noise-free run
+    _run_kind(crit, {"kind": "lqg", "seed": 70}, 8, tmp_path)
     crit.close()
 
 

@@ -10,6 +10,7 @@ from scipy.linalg import expm, solve_continuous_are
 from qscontrol.classical import (
     LqProblem,
     _path_noise,
+    _step_maps,
     _sweep,
     are_residual,
     filter_covariance,
@@ -319,7 +320,7 @@ def test_folded_sweep_matches_the_per_step_scheme(laws, paths, dim, kicked):
         kicks = (rng.normal(size=(paths, steps, n)) * math.sqrt(dt), rng.normal(size=(n, n)),
                  rng.normal(size=(paths, steps, n)) * math.sqrt(dt),
                  rng.normal(size=(steps, n, n)))
-    costs, sq_err = _sweep(generators, weights, terminal, start, dt, kicks)
+    costs, sq_err = _sweep(*_step_maps(generators, weights, dt), terminal, start, kicks)
     want_costs, want_sq_err = _sweep_reference(generators, weights, terminal, start, dt, kicks)
     assert costs.shape == (laws, paths)
     assert np.max(np.abs(costs - want_costs)) <= 4e-14 * np.max(np.abs(want_costs))
@@ -336,17 +337,14 @@ def test_filter_covariance_stationary_scalar():
     assert abs(p_path[-1][0, 0] - 1.0) <= 1e-6
 
 
+def _lqg_default():
+    """The lqg kind's default problem: A = 0, Q = Pi_T = 1, C = 0.6, H = 1."""
+    return LqProblem(A=[[0.0]], Q=[[1.0]], Pi_T=[[1.0]], horizon=1.0, C=[[0.6]], H_obs=[[1.0]],
+                     x0=[1.0])
+
+
 def test_lqg_optimal_beats_gain_perturbations():
-    problem = LqProblem(
-        A=[[0.0]],
-        Q=[[1.0]],
-        Pi_T=[[1.0]],
-        horizon=1.0,
-        C=[[0.6]],
-        H_obs=[[1.0]],
-        obs_noise=1.0,
-        x0=[1.0],
-    )
+    problem = _lqg_default()
     result = lqg_simulate(problem, solve_riccati_ode(problem, steps=250), seed=77, n_paths=600,
                           laws=[None, ("scale", 0.8), ("scale", 1.2)])
     base, *perturbed = result["costs"]
@@ -354,6 +352,52 @@ def test_lqg_optimal_beats_gain_perturbations():
         diff = costs - base
         se = float(np.std(diff, ddof=1) / math.sqrt(len(diff)))
         assert float(np.mean(diff)) > 2.0 * se
+
+
+def test_lqg_exact_moments_without_noise_equal_the_lqr_cost():
+    # the fixed 2x2 instance of the lqg kind's noise-free check: with C = 0
+    # the filter gain is 0 and the second moment is z0* z0 carried by F_k,
+    # so its cost is the deterministic loop's up to rounding: the joint 4x4
+    # exponentials against the 2x2 ones, 3.2e-14 relative at 250 steps
+    # (4.5e-15 to 4.8e-13 at 10 to 4000)
+    det = LqProblem(A=[[0.1, 0.4], [-0.2, -0.3]], Q=np.eye(2), Pi_T=0.5 * np.eye(2),
+                    horizon=1.0, x0=[1.0, 0.5])
+    noise_free = replace(det, C=np.zeros((2, 2)), H_obs=np.eye(2), obs_noise=0.0)
+    riccati = solve_riccati_ode(det, steps=250)
+    laws = [None, ("scale", 0.8), ("offset", 0.1 * np.eye(2))]
+    exact = lqg_simulate(noise_free, riccati, seed=3, n_paths=2, laws=laws)["exact_cost"]
+    want = lqr_simulate(det, riccati, laws)
+    assert np.max(np.abs(exact - want)) <= 2e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_lqg_monte_carlo_mean_meets_the_exact_cost(seed):
+    # 2000 paths of the default problem against the exact moments of the
+    # same scheme, every law, within the CLI's k se at alpha = 1e-6
+    from scipy.special import stdtrit
+
+    problem = _lqg_default()
+    n_paths = 2000
+    result = lqg_simulate(problem, solve_riccati_ode(problem, steps=250), seed, n_paths,
+                          laws=[None, ("scale", 0.8), ("scale", 1.2)])
+    k_se = stdtrit(n_paths - 1, 1.0 - 0.5e-6)
+    gaps = np.abs(result["cost_mean"] - result["exact_cost"])
+    assert np.all(gaps <= k_se * result["cost_stderr"])
+
+
+def test_lqg_filter_gap_is_first_order():
+    # E|x - xh|^2 minus the Kalman-Bucy tr P_k, mean over the steps: halving
+    # dt halves it (ratios 2.007 and 2.004 at 125 -> 250 -> 500 steps), and
+    # it stays under twice its first-order bound (0.0208 dt against 0.0207 dt)
+    problem = _lqg_default()
+    gaps = []
+    for steps in (125, 250, 500):
+        result = lqg_simulate(problem, solve_riccati_ode(problem, steps=steps), 1, 2)
+        gaps.append(result["filter_gap"])
+        assert result["filter_gap"] == pytest.approx(0.0208 / steps, rel=0.01)
+        assert abs(result["filter_gap"]) <= 2.0 * result["filter_gap_bound"]
+    assert gaps[0] / gaps[1] == pytest.approx(2.0, abs=0.01)
+    assert gaps[1] / gaps[2] == pytest.approx(2.0, abs=0.01)
 
 
 def test_lqg_determinism_same_seed():

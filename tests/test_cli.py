@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -461,6 +463,53 @@ def test_lqg_paths_csv_holds_plain_numbers(tmp_path):
     for idx, row in enumerate(rows[1:]):
         path, cost = row.split(",")
         assert int(path) == idx and np.isfinite(float(cost))
+
+
+
+def _exact_excess_checks(report):
+    return [check for check in report["checks"] if "exact expected excess" in check["name"]]
+
+
+def test_lqg_dominance_verdict_is_exact_at_every_seed_and_ensemble(tmp_path):
+    # the exact expected excess of each perturbed law reads the same at any
+    # seed and any n_paths: 0.0202644511 and 0.0153892501 at the default
+    # config
+    reports = [run(parse_config({"kind": "lqg", "seed": seed, "n_paths": n_paths}),
+                   out_dir=tmp_path)[0]
+               for seed, n_paths in ((0, 200), (1, 200), (0, 2))]
+    first = _exact_excess_checks(reports[0])
+    assert [check["name"] for check in first] == [
+        "optimal beats -20% gain perturbation (exact expected excess)",
+        "optimal beats +20% gain perturbation (exact expected excess)"]
+    assert [-check["value"] for check in first] == pytest.approx(
+        [0.020264451093505, 0.015389250059799], rel=1e-9)
+    for report in reports[1:]:
+        assert _exact_excess_checks(report) == first
+
+
+def test_lqg_without_state_noise_passes_on_the_rounding_floor(tmp_path):
+    # C = 0: no kick, every path the deterministic loop, so the standard
+    # errors and the filter gap are 0, and the Monte Carlo meets the exact
+    # moments within 10 steps eps max|E J| (measured 1.6e-15 against 5.7e-13)
+    report, code = run(parse_config({"kind": "lqg", "C": [[0.0]]}), out_dir=tmp_path)
+    assert code == 0
+    simulator = [check for check in report["checks"] if " vs exact" in check["name"]]
+    assert len(simulator) == 3
+    for check in simulator:
+        assert 0.0 < check["tolerance"] < 1e-12 and check["value"] <= check["tolerance"]
+
+
+def test_default_lqg_run_does_not_import_scipy_stats(tmp_path):
+    code = (
+        "import sys\n"
+        "from qscontrol.cli import parse_config, run\n"
+        f"run(parse_config({{'kind': 'lqg'}}), out_dir={str(tmp_path)!r})\n"
+        "assert 'scipy.stats' not in sys.modules\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def _documented_keys():

@@ -10,7 +10,9 @@ off-default keys as JSON), the check's name, its value and its tolerance.
 The file records failures; it does not excuse them.
 ``tests/test_failing_seeds.py`` reruns a slice of it and asserts the same
 failing set, so a new failure and a mended one both show until the file
-is rewritten on purpose.  The whole sweep takes about half a minute.
+is rewritten on purpose.  The whole sweep takes about 22 s on one core
+of a 2-vCPU Xeon, lqr 4.9 s and lqg 4.3 s of it (lqg took 13 s when it
+ran 2000 paths per seed).
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ from pathlib import Path
 from qscontrol.cli import EXPERIMENTS, parse_config, run
 
 SEEDS = range(131)
-# off-default configs whose checks fail, each at a key its check does not
-# scale with or at a smaller ensemble than the default
+# off-default configs that failed a check when the sweep was written, each
+# at a key its check did not scale with or at a smaller ensemble than the
+# default; one that is mended stays as a guard against its return
 OFF_DEFAULT = (
     {"kind": "rf-riccati", "n_paths": 32},
     {"kind": "lqg", "n_paths": 100},
