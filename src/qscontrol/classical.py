@@ -25,15 +25,26 @@ is Simpson's rule over each step.  ``_step_maps`` builds each step's
 propagator and its Simpson cost folded into one quadratic form, for every
 step and law at once, from one batched exponential (``linalg.expm_stack``);
 all laws of a run then share one batch axis of the path loop (``_sweep``),
-so a step is one product and one form.  lqg adds Euler-Maruyama
-increments drawn once for every law.  The zero-noise LQG run therefore
-reproduces the deterministic LQR trajectory to rounding.
+so a step is one product and the forms are summed once per time block.
+lqg adds Euler-Maruyama increments drawn once for every law.  The
+zero-noise LQG run therefore reproduces the deterministic LQR trajectory
+to rounding.
 
 The lqg loop is linear in z = (x, xh) and its kicks are Gaussian and
 independent of z, so ``_moments`` runs the second moment E[z* z] through
 the same maps and returns each law's exact expected cost of the scheme
 the paths run; ``_filter_gap`` runs E|x - xh|^2 the same way and
 compares it with the Kalman-Bucy tr P_k, with a first-order bound.
+``lqg_simulate`` returns both; ``lqg_paths`` runs the paths alone.
+
+Every step recursion here (the path loop, the second moments, the error
+moments) runs on the package's one step-recursion driver,
+``linalg._affine_sweep``, in the row convention z -> z F_k, whose maps
+compose as F_j F_{j+1}: a few-path run (at most 128 entries per law and
+step) as its two-level blocked scan in about 2 sqrt(T) Python steps, a
+larger one step by step through cache-sized time blocks.  Each reduces
+its points block by block as the driver hands them over and keeps no
+store of them.
 """
 
 from __future__ import annotations
@@ -45,8 +56,8 @@ import numpy as np
 from scipy.linalg import block_diag, expm, solve_continuous_lyapunov
 
 from .errors import BlowUpError, NotConvergedError, ShapeError
-from .linalg import (STACK_BUDGET, as_matrix, expm_stack, fro, parse_law, require_budget,
-                     require_psd)
+from .linalg import (STACK_BUDGET, _affine_sweep, as_matrix, expm_stack, fro, parse_law,
+                     require_budget, require_psd)
 from .seeding import spawn_rngs, standard_error
 
 BLOWUP_NORM = 1e12
@@ -265,6 +276,47 @@ def _step_maps(generators, weights, dt):
     return props, (dt / 6.0) * (weights + 4.0 * congruence(halves) + congruence(props))
 
 
+def _row_product(maps, z, out=None):
+    """z A for row vectors z (..., paths, m) and maps A (..., m, m): one
+    step of the loop in the row convention."""
+    return np.matmul(z, maps, out=out)
+
+
+def _row_congruence(maps, second, out=None):
+    """A* Sigma A: the second moment Sigma = E[z* z] carried by z -> z A."""
+    return np.matmul(np.swapaxes(maps, -1, -2) @ second, maps, out=out)
+
+
+def _row_compose(later, earlier):
+    """The map of two row steps, ``earlier`` first: z -> z A1 A2."""
+    return earlier @ later
+
+
+def _accumulate(total, terms):
+    """Add the rows of ``terms`` (time along the leading axis; overwritten)
+    to ``total`` one at a time, in order, so a sum over time does not
+    depend on how the driver cuts time into blocks.  Long blocks of few
+    entries take one running sum along the time axis, others a loop over
+    their rows: the same additions in the same order."""
+    if len(terms) <= terms[0].size:
+        for row in terms:
+            total += row
+        return
+    terms[0] += total
+    np.cumsum(terms, axis=0, out=terms)
+    total[...] = terms[-1]
+
+
+def _kicks(noise, mats, out):
+    """The row vectors noise_k M_k* into ``out``, for ``noise`` (steps,
+    paths, n) and ``mats`` (steps or none, n, n): n broadcast products
+    summed in order, which cost less than products of matrices with n
+    columns."""
+    np.multiply(noise[..., 0, None], mats[..., None, :, 0], out=out)
+    for i in range(1, noise.shape[-1]):
+        out += noise[..., i, None] * mats[..., None, :, i]
+
+
 def _sweep(props, simpson, terminal, z, kicks=None):
     """The zero-order-hold closed loop of every law, stepped at once.
 
@@ -276,21 +328,46 @@ def _sweep(props, simpson, terminal, z, kicks=None):
     (laws, paths) with the terminal <z, terminal z>, and the squared filter
     error |x - xh|^2 summed over paths and steps; it does not depend on the
     law, so the first law's is taken.
+
+    The loop runs on the step driver ``linalg._affine_sweep`` with the
+    kicks as its offsets, and each time block of points is reduced as the
+    driver hands it over: the forms' terms are summed per component in
+    step order (``_accumulate``) and over the components once at the end,
+    as a reduction over m entries per step costs more than the step.  The
+    driver weighs one law's stack for its blocking rule, so a law's
+    arithmetic does not depend on the laws run with it.
     """
-    # the forms' terms summed per component and reduced once at the end:
-    # a reduction over m entries per step costs more than the step's products
-    terms = np.zeros(z.shape)
+    steps = len(props)
     n = z.shape[-1] // 2
+    terms = np.zeros(z.shape)
+    ends = []
     sq_err = 0.0
-    for k, (prop, form) in enumerate(zip(props, simpson)):
-        terms += (z @ form) * z
-        z = z @ prop
-        if kicks is not None:
-            db, c_mat, dw, k_filters = kicks
-            z[..., :n] += db[:, k] @ c_mat.T
-            z[..., n:] += dw[:, k] @ k_filters[k].T
-            sq_err += float(np.sum((z[0, :, :n] - z[0, :, n:]) ** 2))
-    return np.sum(terms, axis=-1) + np.sum((z @ terminal) * z, axis=-1), sq_err
+
+    def build(lo, hi):
+        if kicks is None:
+            return props[lo:hi].copy(), None, None
+        db, c_mat, dw, k_filters = kicks
+        offsets = np.empty((hi - lo, 1, *z.shape[1:]))
+        _kicks(np.swapaxes(db[:, lo:hi], 0, 1), c_mat, offsets[:, 0, :, :n])
+        _kicks(np.swapaxes(dw[:, lo:hi], 0, 1), k_filters[lo:hi], offsets[:, 0, :, n:])
+        return props[lo:hi].copy(), offsets, None
+
+    def reduce(rows, points):
+        nonlocal sq_err
+        forms = simpson[rows]
+        stepped = points[:len(forms)]
+        _accumulate(terms, (stepped @ forms) * stepped)
+        if rows.stop == steps + 1:
+            ends.append(points[-1].copy())
+        if kicks is not None:  # after each step, so from point 1 on
+            kicked = points[rows.start == 0:, 0]
+            for err in np.sum((kicked[..., :n] - kicked[..., n:]) ** 2, axis=(1, 2)).tolist():
+                sq_err += err
+
+    _affine_sweep(build, z, (steps + 1, *z.shape), _row_product, _row_compose, emit=reduce,
+                  keep=False, width=math.prod(z.shape[1:]))
+    (end,) = ends
+    return np.sum(terms, axis=-1) + np.sum((end @ terminal) * end, axis=-1), sq_err
 
 
 def _moments(props, simpson, terminal, second, kick_covs):
@@ -300,14 +377,24 @@ def _moments(props, simpson, terminal, second, kick_covs):
     second moment Sigma_k = E[z_k* z_k] (``second`` at the start) follows
     Sigma <- F_k* Sigma F_k + kick_covs[k], with ``kick_covs`` (steps, m, m)
     the covariance of step k's kick, shared by every law; the expected cost
-    is sum_k tr(S_k Sigma_k) + tr(terminal Sigma_T).
+    is sum_k tr(S_k Sigma_k) + tr(terminal Sigma_T).  The recursion runs on
+    the step driver, its traces reduced block by block.
     """
-    sigmas = np.empty((len(props) + 1, *props.shape[1:]))
-    sigmas[0] = second
-    for k, (left, prop, cov) in enumerate(zip(np.swapaxes(props, -1, -2), props, kick_covs)):
-        sigmas[k + 1] = left @ sigmas[k] @ prop + cov
-    costs = np.sum(simpson * np.swapaxes(sigmas[:-1], -1, -2), axis=(0, -2, -1))
-    return costs + np.sum(terminal * np.swapaxes(sigmas[-1], -1, -2), axis=(-2, -1))
+    steps, laws, m = props.shape[:3]
+    terms = np.zeros((laws, m, m))
+    ends = []
+
+    def reduce(rows, sigmas):
+        forms = simpson[rows]
+        _accumulate(terms, forms * np.swapaxes(sigmas[:len(forms)], -1, -2))
+        if rows.stop == steps + 1:
+            ends.append(np.swapaxes(sigmas[-1], -1, -2).copy())
+
+    _affine_sweep(lambda lo, hi: (props[lo:hi].copy(), kick_covs[lo:hi, None], None), second,
+                  (steps + 1, laws, m, m), _row_congruence, _row_compose, emit=reduce,
+                  keep=False, width=m * m)
+    (end,) = ends
+    return np.sum(terms, axis=(-2, -1)) + np.sum(terminal * end, axis=(-2, -1))
 
 
 def lqr_simulate(problem, riccati, laws=(None,)):
@@ -364,19 +451,12 @@ def _path_noise(seed, n_paths, steps, n, dt, obs_noise):
     return db, dw
 
 
-def lqg_simulate(problem, riccati, seed, n_paths, laws=(None,)):
-    """Monte Carlo LQG run of each law with the standard Kalman-Bucy filter.
-
-    ``riccati`` is the ``solve_riccati_ode`` solution the laws steer with;
-    its grid is the simulation grid, which the filter covariance shares.
-    Returns a dict with the per-path costs (laws, n_paths), their mean and
-    standard error per law, and the mean squared filter error; and, from
-    the exact moments of the same scheme, the expected cost per law
-    (``exact_cost``), the mean gap between E|x - xh|^2 and tr P_k
-    (``filter_gap``) and its first-order bound (``filter_gap_bound``).  Path k
-    draws its noise from the seed splitting rule in ``qscontrol.seeding``,
-    once for all laws, so the laws are paired (common random numbers).
-    """
+def _lqg_loop(problem, riccati, laws, n_paths):
+    """The joint closed loop z = (x, xh) of every law, which the paths and
+    the exact moments share: (maps, terminal, k_filters, p_path), with
+    ``_step_maps``' (F, S), the terminal form, the filter gains K_k and the
+    Kalman-Bucy covariance on the grid of ``riccati``.  The run's
+    arguments are checked first."""
     if problem.H_obs is None:
         raise ShapeError("lqg_simulate needs an observation matrix")
     if problem.x0 is None:
@@ -404,27 +484,66 @@ def lqg_simulate(problem, riccati, seed, n_paths, laws=(None,)):
     weights = np.zeros_like(generators)
     weights[..., :n, :n] = problem.Q
     weights[..., n:, n:] = np.swapaxes(held, -1, -2) @ held
-
-    maps = _step_maps(generators, weights, dt)
-    db, dw = _path_noise(seed, n_paths, steps, n, dt, problem.obs_noise)
-    c_mat = problem.C if problem.C is not None else np.zeros((n, n))
-
-    z0 = np.tile(problem.x0, 2)
-    start = np.broadcast_to(z0, (len(laws), n_paths, 2 * n))
     terminal = block_diag(problem.Pi_T, np.zeros((n, n)))
-    costs, sq_err = _sweep(*maps, terminal, start, (db, c_mat, dw, k_filters))
-    # the kicks db C* on x and dw K_k* on xh, of covariances dt C C* and
-    # dt r K_k K_k*; x - xh takes their sum
-    kick_covs = np.zeros((steps, 2 * n, 2 * n))
-    kick_covs[:, :n, :n] = dt * c_mat @ c_mat.T
-    kick_covs[:, n:, n:] = (dt * problem.obs_noise) * k_filters @ np.swapaxes(k_filters, -1, -2)
-    gap, bound = _filter_gap(maps[0][:, 0], kick_covs[:, :n, :n] + kick_covs[:, n:, n:], p_path,
-                             problem.A - k_h[:, 0], dt)
+    return _step_maps(generators, weights, dt), terminal, k_filters, p_path
+
+
+def _noise_coupling(problem):
+    """C, or the zero matrix for a problem without state noise."""
+    return problem.C if problem.C is not None else np.zeros_like(problem.A)
+
+
+def lqg_paths(problem, riccati, seed, n_paths, laws=(None,)):
+    """Monte Carlo LQG run of each law with the standard Kalman-Bucy filter.
+
+    ``riccati`` is the ``solve_riccati_ode`` solution the laws steer with;
+    its grid is the simulation grid, which the filter covariance shares.
+    Returns a dict with the per-path costs (laws, n_paths), their mean and
+    standard error per law, and the mean squared filter error.  Path k
+    draws its noise from the seed splitting rule in ``qscontrol.seeding``,
+    once for all laws, so the laws are paired (common random numbers).
+    """
+    return _lqg_paths(problem, _lqg_loop(problem, riccati, laws, n_paths), seed, n_paths)
+
+
+def _lqg_paths(problem, loop, seed, n_paths):
+    maps, terminal, k_filters, _ = loop
+    steps, laws = maps[0].shape[:2]
+    n = problem.dim
+    db, dw = _path_noise(seed, n_paths, steps, n, problem.horizon / steps, problem.obs_noise)
+    start = np.broadcast_to(np.tile(problem.x0, 2), (laws, n_paths, 2 * n))
+    kicks = (db, _noise_coupling(problem), dw, k_filters)
+    costs, sq_err = _sweep(*maps, terminal, start, kicks)
     return {
         "costs": costs,
         "cost_mean": np.mean(costs, axis=-1),
         "cost_stderr": np.array([standard_error(row) for row in costs]),
         "mean_sq_filter_error": sq_err / (n_paths * steps),
+    }
+
+
+def lqg_simulate(problem, riccati, seed, n_paths, laws=(None,)):
+    """``lqg_paths``' Monte Carlo run, and the exact moments of the same
+    scheme: the expected cost per law (``exact_cost``), the mean gap
+    between E|x - xh|^2 and tr P_k (``filter_gap``) and its first-order
+    bound (``filter_gap_bound``), all from one build of the step maps."""
+    loop = _lqg_loop(problem, riccati, laws, n_paths)
+    maps, terminal, k_filters, p_path = loop
+    steps = len(k_filters)
+    dt = problem.horizon / steps
+    n = problem.dim
+    result = _lqg_paths(problem, loop, seed, n_paths)
+    # the kicks db C* on x and dw K_k* on xh, of covariances dt C C* and
+    # dt r K_k K_k*; x - xh takes their sum
+    c_mat = _noise_coupling(problem)
+    kick_covs = np.zeros((steps, 2 * n, 2 * n))
+    kick_covs[:, :n, :n] = dt * c_mat @ c_mat.T
+    kick_covs[:, n:, n:] = (dt * problem.obs_noise) * k_filters @ np.swapaxes(k_filters, -1, -2)
+    z0 = np.tile(problem.x0, 2)
+    gap, bound = _filter_gap(maps[0][:, 0], kick_covs[:, :n, :n] + kick_covs[:, n:, n:], p_path,
+                             problem.A - k_filters @ problem.H_obs, dt)
+    return {
+        **result,
         "exact_cost": _moments(*maps, terminal, np.outer(z0, z0), kick_covs),
         "filter_gap": gap,
         "filter_gap_bound": bound,
@@ -450,11 +569,16 @@ def _filter_gap(props, covs, p_path, drifts, dt):
                                           axis=(-2, -1))
     growth = np.exp(dt * np.linalg.eigvalsh(drifts + np.swapaxes(drifts, -1, -2))[:, -1])
     error_props = props[:, :n, :n] - props[:, :n, n:]
-    seconds = np.empty_like(covs)
-    second = np.zeros((n, n))
-    for k, (left, prop, cov) in enumerate(zip(np.swapaxes(error_props, -1, -2), error_props, covs)):
-        second = seconds[k] = left @ second @ prop + cov
-    gap = np.mean(np.trace(seconds - p_path[1:], axis1=-2, axis2=-1))
+    gaps = []
+
+    def reduce(rows, seconds):  # k = 1..steps
+        first = rows.start == 0
+        gaps.append(float(np.sum(np.trace(seconds[first:] - p_path[rows][first:], axis1=-2,
+                                          axis2=-1))))
+
+    _affine_sweep(lambda lo, hi: (error_props[lo:hi], covs[lo:hi], None), np.zeros((n, n)),
+                  (len(covs) + 1, n, n), _row_congruence, _row_compose, emit=reduce, keep=False)
+    gap = sum(gaps) / len(covs)
     accumulated = bound = 0.0
     for grow, defect in zip(growth.tolist(), defects.tolist()):
         accumulated = grow * accumulated + defect

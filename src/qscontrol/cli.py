@@ -413,7 +413,7 @@ def _run_lqr(config, outputs, out_dir):
 def _run_lqg(config, outputs, out_dir):
     from scipy.special import stdtrit
 
-    from .classical import LqProblem, lqg_simulate, lqr_simulate, solve_riccati_ode
+    from .classical import LqProblem, lqg_paths, lqg_simulate, lqr_simulate, solve_riccati_ode
     from .seeding import standard_error
 
     n_paths = config.params["n_paths"]
@@ -449,7 +449,8 @@ def _run_lqg(config, outputs, out_dir):
                          abs(result["filter_gap"]), 2.0 * result["filter_gap_bound"]))
 
     # a fixed 2x2 instance, independent of the configured problem: without
-    # noise every path follows the deterministic closed loop
+    # noise every path follows the deterministic closed loop (only the
+    # paths are run; no check here reads the exact moments)
     det = LqProblem(A=[[0.1, 0.4], [-0.2, -0.3]], Q=np.eye(2), Pi_T=0.5 * np.eye(2),
                     horizon=1.0, x0=[1.0, 0.5])
     noise_free = replace(det, C=np.zeros((2, 2)), H_obs=np.eye(2), obs_noise=0.0)
@@ -457,7 +458,7 @@ def _run_lqg(config, outputs, out_dir):
     # control Riccati equation does not read: one solution serves both
     det_riccati = solve_riccati_ode(det, steps=steps)
     (lqr_cost,) = lqr_simulate(det, det_riccati)
-    report = lqg_simulate(noise_free, det_riccati, seed=config.seed, n_paths=2)
+    report = lqg_paths(noise_free, det_riccati, seed=config.seed, n_paths=2)
     checks.append(_check("noise-free degeneration equals deterministic cost",
                          abs(report["cost_mean"][0] - lqr_cost), 1e-6))
     checks.append(_check("noise-free paths agree (cost standard error)",

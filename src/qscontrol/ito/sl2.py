@@ -67,7 +67,10 @@ def stirling1_unsigned(n, k):
 
 
 def falling(x, n):
-    """x(x-1)...(x-n+1), 1 for n = 0.  Exact for integer x."""
+    """x(x-1)...(x-n+1), 1 for n = 0.  Exact for integer x; ``math.perm``
+    on the naturals."""
+    if x >= 0:
+        return math.perm(x, n)
     out = 1
     for j in range(n):
         out *= x - j
@@ -92,19 +95,27 @@ def theta_int(n, k, l, m):
     (row, col) carries the common factor sqrt((row+1)/(col+1)), so two such
     matrices are equal iff their integer parts agree.
     """
-    if m < l:
-        return 0
-    r = m - l + 1
-    return (2 * r) ** k * falling(r + n - 1, n) * falling(m + 1, l)
+    return _theta_ints(n, k, l, (m,))[0] if m >= l else 0
+
+
+def _theta_ints(n, k, l, columns):
+    """``theta_int`` at each column m >= l of ``columns``, the one place its
+    formula is written: (2r)^k = 2^k r^k with the label's constant 2^k
+    taken once, perm(r+n-1, n) and perm(m+1, l) = perm(r+l, l)."""
+    scale, perm = 2**k, math.perm
+    return [scale * r**k * perm(r + n - 1, n) * perm(r + l, l)
+            for r in (m - l + 1 for m in columns)]
 
 
 def rho_plus_int_entries(n, k, l, N):
     """Sparse {(row, col): integer part} of the N-truncated rho+ image, by
     ascending column: ``theta_int`` at each column m >= l (where it is
-    nonzero) whose row n + m - l lies below N."""
+    nonzero) whose row n + m - l lies below N, the label's constant
+    factors taken once for all its columns."""
     if min(n, k, l) < 0:
         raise ValueError(f"rho+ needs natural indices, got {(n, k, l)}")
-    return {(n + m - l, m): theta_int(n, k, l, m) for m in range(l, min(N, N + l - n))}
+    columns = range(l, min(N, N + l - n))
+    return dict(zip(((n + m - l, m) for m in columns), _theta_ints(n, k, l, columns)))
 
 
 def rho_plus_matrix(n, k, l, N):
@@ -151,7 +162,7 @@ def swn_structure_constants(alpha, beta, gamma, a, b, c, stirling=stirling1):
     out = {}
     for lam in range(gamma + 1):
         top = gamma - lam
-        outer = math.comb(gamma, lam) * math.perm(a, top)  # perm(a, top) = falling(a, top)
+        outer = math.comb(gamma, lam) * falling(a, top)
         if outer == 0:
             continue
         u2, lam2 = 2 * (a - gamma + lam), 2 * lam

@@ -44,11 +44,12 @@ Every product of stacked small matrices goes through ``_mm``, d broadcast
 rank-1 updates accumulated in place along the path axis; the Cayley
 factor of the Picard step has a closed-form inverse for d <= 2
 (``_cayley``).  Every recursion is affine in its state, so each runs on
-the one driver ``_affine_sweep``, Y[k+1] = act(A_k, Y[k] + lead_k) + b_k,
-which asks its caller for the step maps of a range of steps at a time,
-vectorized over those (step, path) pairs.  For the Euler state and the
-r-process, act is the left product A Y; for the Duhamel sweep of the
-Picard iteration it is the congruence A Y A*.  The Euler state runs only
+the package's one step-recursion driver ``linalg._affine_sweep``,
+Y[k+1] = act(A_k, Y[k] + lead_k) + b_k, which asks its caller for the
+step maps of a range of steps at a time, vectorized over those (step,
+path) pairs.  For the Euler state and the r-process, act is the left
+product A Y; for the Duhamel sweep of the Picard iteration it is the
+congruence A Y A*; both compose by ``_mm``.  The Euler state runs only
 as ``closed_loop_state``, which folds the gain -R^{-1} G* Pi, the affine
 part and the perturbation of its law into its maps; the open loop is the
 law ("scale", 0.0).  Where one step's stack is small (P d^2 <=
@@ -63,7 +64,8 @@ dropped while in cache, and the driver hands each finished block of
 points to its caller, which reduces it (the Picard step and margin, the
 fixed-point defect) or evaluates the feedback law on it.  The feedback
 law and the cost run through the same time blocks, so only the stores a
-function returns (Pi, r, x, u) are full size.
+function returns (Pi, r, x, u) are full size; the fixed-point defect
+returns none, so its sweep holds one time block of points.
 
 Discretization of the Picard step.  The iterate recursion is the discrete
 Duhamel form of the propagator representation,
@@ -108,7 +110,8 @@ from functools import partial
 import numpy as np
 
 from .errors import NotConvergedError, ShapeError
-from .linalg import STACK_BUDGET, as_matrix, parse_law, require_budget, require_psd
+from .linalg import (STACK_BUDGET, _affine_sweep, _time_blocks, as_matrix, parse_law,
+                     require_budget, require_psd)
 from .seeding import spawn_rngs, standard_error
 
 # --------------------------------------------------------------- surrogate
@@ -439,130 +442,6 @@ def _congruence(m, x, out=None):
     return _mm(_mm(m, x), _adj(m), out=out)
 
 
-# Largest stacked step, P d^2 entries, that the sweeps run in blocks.
-# Blocking costs 2.5 (congruence) to 3 (left product) times the flops of
-# plain stepping, so it pays only while a step's interpreter overhead is
-# most of its time.  Measured at d = 2 over 1000 steps against streamed
-# plain stepping (2-vCPU Xeon, one BLAS thread, medians of 11-15
-# interleaved pairs), blocked runs the Picard iteration, the closed loop
-# and the r sweep 1.43x, 1.28x and 1.00x as fast as plain at 16 paths,
-# 1.19x, 1.11x and 0.65x at 32 (128 entries), 0.96x, 0.93x and 0.59x at
-# 40, 0.74x, 0.72x and 0.51x at 64, and 0.69x, 0.70x and 0.50x at 128.
-# 128 is the largest size where the Picard iteration and the closed loop,
-# most of every rf run, still gain.
-_BLOCK_ENTRIES = 128
-
-# Entries of one time block of a stack, P d^2 per point: plain stepping
-# builds, sweeps and drops its step maps one such block at a time, and
-# every other full-length pass over a store (reductions, the feedback law,
-# the cost) works through blocks of this size, so their temporaries stay
-# in cache and only the stores a function returns are full size.  2^14
-# entries is 256 KB per complex stack: 64 steps at 64 paths of 2x2, 8 at
-# 500.  Over 16 rotating rf-dominance passes (64 paths x 1000 steps, same
-# host) blocks of 2^12, 2^13, 2^15 and 2^16 entries took 1.16, 1.06, 1.02
-# and 1.09 times as long as 2^14 (median ratios).
-_STREAM_ENTRIES = 2**14
-
-
-def _block_len(store):
-    """Points (or steps) of one time block of a (T+1, d, d, P) store."""
-    return max(1, _STREAM_ENTRIES // store[0].size)
-
-
-def _time_blocks(store):
-    """Consecutive slices of the time axis of ``store``, one block each."""
-    size = _block_len(store)
-    return [slice(lo, min(lo + size, len(store))) for lo in range(0, len(store), size)]
-
-
-def _affine_sweep(build, start, shape, act=_mm, emit=None, backward=False):
-    """Run Y[k+1] = act(A_k, Y[k] + lead_k) + b_k from Y[0] = ``start``;
-    returns the store of all points, a complex array of ``shape``
-    (T+1, d, d, P), with Y[k] at index k (index T - k when ``backward``,
-    the q0 state sweep).
-
-    ``act`` is linear in its second argument: the left product A Y, or the
-    congruence A Y A* of the Duhamel sweep.  ``build(lo, hi)`` returns
-    (maps, offsets, lead): A_k, b_k and lead_k of the steps lo to hi as
-    fresh (hi - lo, d, d, P) stacks in stepping order, with lead None for a
-    recursion without one.  The store is admitted against ``STACK_BUDGET``
-    before anything is built.  ``emit(rows, points)``, if given, is called
-    with slices of the time axis that cover each point once and the store's
-    points there, each as soon as they are final.
-
-    Where one step's stack is small (P d^2 <= ``_BLOCK_ENTRIES``) the
-    driver asks for all T steps in one call, before it allocates the store
-    (which then takes memory the call's temporaries freed, not fresh
-    pages), and the first nb b steps, b = isqrt(T), nb = T // b, run as a
-    two-level scan in about 2 sqrt(T) Python steps instead of T.  The nb
-    blocks first step side by side from zero, which leaves each block's
-    particular part in the store and, in ``maps`` (overwritten), the
-    products Phi of its step maps up to each of its points (act composes by
-    left products of A).  One loop over the blocks then adds
-    act(Phi, Y_first) to all b points of each block in one call, once the
-    block's first point Y_first, the previous block's last, is known.
-    Blocks are cut in stepping order.  The trailing T - nb b steps step one
-    at a time.
-
-    Larger stacks step one at a time through blocks of ``_block_len``
-    steps: each block's maps are built, swept and dropped, and its points
-    emitted, while they are in cache.
-    """
-    require_budget(math.prod(shape), STACK_BUDGET, "rf store")
-    steps = shape[0] - 1
-    blocked = math.prod(shape[1:]) <= _BLOCK_ENTRIES
-    all_steps = build(0, steps) if blocked else None
-    out = np.empty(shape, dtype=complex)
-    y_k = out[::-1] if backward else out
-    y_k[0] = _const(start)
-
-    def step(a_k, y_now, lead_k, b_k, y_next):
-        act(a_k, y_now if lead_k is None else y_now + lead_k, out=y_next)
-        y_next += b_k
-
-    def run(lo, maps, offsets, lead):  # plain steps from step lo on
-        leads = [None] * len(maps) if lead is None else lead
-        for a_k, lead_k, b_k, y_now, y_next in zip(maps, leads, offsets, y_k[lo:], y_k[lo + 1:]):
-            step(a_k, y_now, lead_k, b_k, y_next)
-
-    def scan(maps, offsets, lead):  # the blocked scan, then the trailing steps
-        size = math.isqrt(steps)
-        n_blocks = steps // size
-        whole = n_blocks * size
-
-        def blocks(arr):  # the first nb b rows as (nb, b, ...) views
-            return arr[:whole].reshape(n_blocks, size, *arr.shape[1:])
-
-        phi, parts, b_j = blocks(maps), blocks(y_k[1:]), blocks(offsets)
-        lead_j = [None] * size if lead is None else blocks(lead).swapaxes(0, 1)
-        previous = np.zeros_like(parts[:, 0])
-        for j in range(size):
-            step(phi[:, j], previous, lead_j[j], b_j[:, j], parts[:, j])
-            if j:
-                phi[:, j] = _mm(phi[:, j], phi[:, j - 1])
-            previous = parts[:, j]
-        for first, block_phi, block in zip(y_k[:whole:size], phi, parts):
-            block += act(block_phi, first)
-        run(whole, maps[whole:], offsets[whole:], None if lead is None else lead[whole:])
-
-    if blocked:
-        scan(*all_steps)
-        del all_steps  # the step maps are freed before the caller's reductions
-        if emit is not None:
-            for rows in _time_blocks(out):
-                emit(rows, out[rows])
-        return out
-    block = _block_len(out)
-    for lo in range(0, steps, block):
-        hi = min(lo + block, steps)
-        run(lo, *build(lo, hi))
-        if emit is not None:  # points lo to hi, the last block's end point too
-            hi += hi == steps
-            rows = slice(steps + 1 - hi, steps + 1 - lo) if backward else slice(lo, hi)
-            emit(rows, out[rows])
-    return out
-
-
 def min_eig_batch(arr):
     """Smallest eigenvalue of stacked Hermitian matrices.
 
@@ -636,7 +515,7 @@ def _step_factors(problem, path, gain):
     return factors
 
 
-def _duhamel_sweep(problem, path, gain, half_w, source, emit=None):
+def _duhamel_sweep(problem, path, gain, half_w, source, emit=None, keep=True):
     """Run Pi(j+1) = M_j [Pi(j) + dt/2 W(j)] M_j* + dt/2 W(j+1) away from the
     boundary gain, with M_j the step factors of the store ``gain`` and
     dt/2 W = ``half_w(rows)`` on rows of the store ``source``, from the
@@ -647,8 +526,9 @@ def _duhamel_sweep(problem, path, gain, half_w, source, emit=None):
     its factors and its inhomogeneity (at both ends of each step) from the
     rows of ``gain`` and ``source`` it spans.  Nothing is symmetrized: for
     Hermitian W every step is Hermitian up to rounding, and
-    ``iterate_riccati`` measures the defect on its result.  ``emit`` is
-    passed to the driver.  Returns the store.
+    ``iterate_riccati`` measures the defect on its result.  ``emit`` and
+    ``keep`` are passed to the driver.  Returns the store (None without
+    ``keep``).
     """
     factors = _step_factors(problem, path, gain)
 
@@ -656,7 +536,8 @@ def _duhamel_sweep(problem, path, gain, half_w, source, emit=None):
         w_k = half_w(source[lo:hi + 1])
         return factors(lo, hi), w_k[1:], w_k[:-1]
 
-    return _affine_sweep(build, problem.boundary_gain, gain.shape, act=_congruence, emit=emit)
+    return _affine_sweep(build, _const(problem.boundary_gain), gain.shape, _congruence, _mm,
+                         emit=emit, keep=keep)
 
 
 def iterate_riccati(problem, path, n_max=30, tol=1e-6, initial=None):
@@ -717,8 +598,9 @@ def residual_integral(problem, pi_path, path):
     Rebuilds Phi(t,0) Q0 Phi(t,0)* + int_0^t Phi(t,s)(Q - Pi Gq Pi)(s)
     Phi(t,s)* ds through the open-loop recursion (same stepping as the
     iteration) and returns sup_t of the Frobenius defect against
-    ``pi_path``, reduced block by block.  On qt, t runs from T (see
-    ``time_reverse``).
+    ``pi_path``, reduced block by block.  The rebuilt path is not
+    returned, so a many-path sweep holds one time block of it, not a store.
+    On qt, t runs from T (see ``time_reverse``).
     """
     pi = _time_major(pi_path, problem)
     gq = _const(problem.gain_quad())
@@ -731,7 +613,7 @@ def residual_integral(problem, pi_path, path):
         defects.append(_sup_frobenius(rebuilt - pi[rows]))
 
     open_loop = np.broadcast_to(np.zeros((), dtype=pi.dtype), pi.shape)
-    _duhamel_sweep(problem, path, open_loop, half_w, pi, emit=measure)
+    _duhamel_sweep(problem, path, open_loop, half_w, pi, emit=measure, keep=False)
     return max(defects)
 
 
@@ -866,7 +748,8 @@ def solve_r(problem, pi_path, path):
         offsets += dt_m
         return maps, offsets, None
 
-    return _public(_affine_sweep(build, problem.boundary_linear.conj().T, pi.shape), problem)
+    return _public(_affine_sweep(build, _const(problem.boundary_linear.conj().T), pi.shape, _mm,
+                                 _mm), problem)
 
 
 def _feedback(problem):
@@ -953,7 +836,8 @@ def closed_loop_state(problem, pi_values, r_values, path, law=None):
         if np.any(offset):
             u_block += _const(offset)
 
-    x_store = _affine_sweep(build, problem.C, u_store.shape, emit=feedback, backward=True)
+    x_store = _affine_sweep(build, _const(problem.C), u_store.shape, _mm, _mm, emit=feedback,
+                            backward=True)
     return _public(x_store, problem), _public(u_store, problem)
 
 

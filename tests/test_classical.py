@@ -9,6 +9,8 @@ from scipy.linalg import expm, solve_continuous_are
 
 from qscontrol.classical import (
     LqProblem,
+    _filter_gap,
+    _moments,
     _path_noise,
     _step_maps,
     _sweep,
@@ -20,7 +22,7 @@ from qscontrol.classical import (
     solve_riccati_ode,
 )
 from qscontrol.errors import ShapeError
-from qscontrol.linalg import rk4
+from qscontrol.linalg import _BLOCK_ENTRIES, _STREAM_ENTRIES, rk4
 
 
 def scalar_problem(a=0.0, q=0.0, pi_T=1.0, horizon=1.0, **kw):
@@ -297,17 +299,31 @@ def _sweep_reference(generators, weights, terminal, z, dt, kicks=None):
     return costs + np.einsum("lpi,ij,lpj->lp", z, terminal, z), sq_err
 
 
-@pytest.mark.parametrize("laws, paths, dim, kicked", [(21, 1, 1, False), (21, 1, 2, False),
-                                                      (3, 50, 4, True)],
-                         ids=["lqr-n=1", "lqr-n=2", "lqg-m=4"])
-def test_folded_sweep_matches_the_per_step_scheme(laws, paths, dim, kicked):
+def _driver_mode(width, point, steps):
+    """Whether the step driver scans a stack of ``width`` entries per
+    recursion, and how many time blocks of ``point`` entries per point its
+    steps + 1 points fill."""
+    return width <= _BLOCK_ENTRIES, -(-(steps + 1) // max(1, _STREAM_ENTRIES // point))
+
+
+@pytest.mark.parametrize("laws, paths, dim, kicked, steps, scanned, blocks", [
+    (21, 1, 1, False, 60, True, 1), (21, 1, 2, False, 60, True, 1),
+    (3, 50, 4, True, 60, False, 3), (3, 40, 2, False, 150, True, 3),
+    (3, 70, 2, False, 150, False, 4), (3, 8, 4, True, 400, True, 3)],
+    ids=["lqr-n=1", "lqr-n=2", "lqg-m=4", "scanned-3-blocks", "streamed-4-blocks",
+         "kicked-scanned-3-blocks"])
+def test_folded_sweep_matches_the_per_step_scheme(laws, paths, dim, kicked, steps, scanned,
+                                                  blocks):
     # the folded step (one propagator and one Simpson form per step, the
     # exponentials batched) against two half steps and three forms per
-    # step.  Largest relative differences on this seed: 3.8e-15 (lqr n=1),
-    # 2.7e-15 (n=2), 2.3e-15 on the costs and 4.3e-16 on sq_err (lqg m=4);
-    # over seeds 0-99 at most 7.3e-15, so 4e-14 leaves 5x
+    # step, on both sides of the driver's blocking rule (one law's paths x
+    # m entries against _BLOCK_ENTRIES), with and without kicks, over one
+    # or several time blocks.  Largest relative differences on this seed:
+    # 4.3e-15 (lqr n=1), 1.9e-15 (n=2), 2.1e-15 on the costs and 4.3e-16 on
+    # sq_err (lqg m=4), 1.2e-14 and 1.0e-14 at 150 steps, 8.4e-15 at 400;
+    # over seeds 0-29 at most 1.7e-14 (at 400 steps), so 4e-14 leaves 2x
+    assert _driver_mode(paths * dim, laws * paths * dim, steps) == (scanned, blocks)
     rng = np.random.default_rng(41)
-    steps = 60
     dt = 1.0 / steps
     generators = rng.normal(size=(steps, laws, dim, dim))
     half_w = rng.normal(size=(steps, laws, dim, dim))
@@ -325,6 +341,60 @@ def test_folded_sweep_matches_the_per_step_scheme(laws, paths, dim, kicked):
     assert costs.shape == (laws, paths)
     assert np.max(np.abs(costs - want_costs)) <= 4e-14 * np.max(np.abs(want_costs))
     assert abs(sq_err - want_sq_err) <= 4e-14 * want_sq_err
+
+
+def _moment_data(rng, steps, laws, m, kicked):
+    """Random step maps and forms of ``laws`` laws, a start second moment and
+    per-step kick covariances (zero without kicks), for m x m moments."""
+    props = np.eye(m) + 0.3 * rng.normal(size=(steps, laws, m, m)) / math.sqrt(steps)
+    half = rng.normal(size=(steps, laws, m, m))
+    simpson = half @ np.swapaxes(half, -1, -2) / steps
+    root = rng.normal(size=(steps, m, m)) / math.sqrt(steps)
+    covs = root @ np.swapaxes(root, -1, -2) if kicked else np.zeros((steps, m, m))
+    start = rng.normal(size=m)
+    return props, simpson, np.diag(rng.uniform(0.2, 1.0, size=m)), np.outer(start, start), covs
+
+
+@pytest.mark.parametrize("laws, m, kicked, steps, scanned, blocks", [
+    (3, 4, True, 400, True, 2), (3, 4, False, 400, True, 2), (3, 12, True, 250, False, 7),
+    (3, 12, False, 250, False, 7)],
+    ids=["scanned-kicked", "scanned", "streamed-kicked", "streamed"])
+def test_moments_match_the_per_step_recursion(laws, m, kicked, steps, scanned, blocks):
+    # Sigma <- F* Sigma F + V step by step against the driver's run of it,
+    # on both sides of its blocking rule (one law's m^2 entries), over
+    # several time blocks, with and without kicks
+    assert _driver_mode(m * m, laws * m * m, steps) == (scanned, blocks)
+    props, simpson, terminal, second, covs = _moment_data(np.random.default_rng(43), steps,
+                                                          laws, m, kicked)
+    sigma = np.broadcast_to(second, (laws, m, m))
+    want = np.zeros(laws)
+    for prop, form, cov in zip(props, simpson, covs):
+        want += np.trace(form @ sigma, axis1=-2, axis2=-1)
+        sigma = np.swapaxes(prop, -1, -2) @ sigma @ prop + cov
+    want += np.trace(terminal @ sigma, axis1=-2, axis2=-1)
+    got = _moments(props, simpson, terminal, second, covs)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n, steps, scanned, blocks", [(2, 5000, True, 2), (12, 250, False, 3)],
+                         ids=["scanned", "streamed"])
+def test_filter_gap_matches_the_per_step_recursion(n, steps, scanned, blocks):
+    # the error moment E <- R* E R + V from 0 against its driver run, and
+    # the gap mean_k tr(E_k - P_k) over k = 1..steps read off it
+    assert _driver_mode(n * n, n * n, steps) == (scanned, blocks)
+    rng = np.random.default_rng(47)
+    props, _, _, _, covs = _moment_data(rng, steps, 1, 2 * n, True)
+    covs = covs[:, :n, :n]
+    p_path = rng.normal(size=(steps + 1, n, n))
+    drifts = rng.normal(size=(steps, n, n))
+    error = props[:, 0, :n, :n] - props[:, 0, :n, n:]
+    second = np.zeros((n, n))
+    gaps = []
+    for prop, cov, p_k in zip(error, covs, p_path[1:]):
+        second = prop.T @ second @ prop + cov
+        gaps.append(np.trace(second - p_k))
+    gap, _ = _filter_gap(props[:, 0], covs, p_path, drifts, 1.0 / steps)
+    assert abs(gap - np.mean(gaps)) <= 1e-13 * np.max(np.abs(gaps))
 
 
 # -------------------------------------------------------------------- LQG
@@ -368,6 +438,20 @@ def test_lqg_exact_moments_without_noise_equal_the_lqr_cost():
     exact = lqg_simulate(noise_free, riccati, seed=3, n_paths=2, laws=laws)["exact_cost"]
     want = lqr_simulate(det, riccati, laws)
     assert np.max(np.abs(exact - want)) <= 2e-13 * np.max(np.abs(want))
+
+
+def test_lqg_exact_costs_are_pinned():
+    # the exact expected cost of each law of the lqg kind's default run
+    # (excesses 0.0202644511 and 0.0153892501 over the optimum) and at 10
+    # steps, as recorded: kick covariances scaled by 0.9 in the moment
+    # recursion move them by 3.5e-2 relative, which no other test in this file sees
+    problem = _lqg_default()
+    laws = [None, ("scale", 0.8), ("scale", 1.2)]
+    for steps, want in ((250, [1.5294226597606633, 1.549687110854168, 1.5448119098204618]),
+                        (10, [1.512352823302345, 1.533013238688317, 1.527219464474027])):
+        exact = lqg_simulate(problem, solve_riccati_ode(problem, steps=steps), 1, 2,
+                             laws)["exact_cost"]
+        assert np.max(np.abs(exact - want) / np.abs(want)) <= 1e-12, steps
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])

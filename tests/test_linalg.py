@@ -318,9 +318,25 @@ def _surrogate_at(n_steps):
     return lambda: build_levy_surrogate(PLANAR_BROWNIAN, n_steps, 1e-3, seed=0)
 
 
+def _sweep_over_budget(keep):
+    # the step driver's store, 2^20 points of 32 entries (the blocked scan),
+    # and without a store one time block of a stack of 2^25 entries per
+    # point: both over budget, rejected before a step map is built
+    from qscontrol.linalg import _affine_sweep
+
+    def build(lo, hi):
+        raise AssertionError("step maps built before the store was admitted")
+
+    shape = (2**20, 32) if keep else (3, 2**25)
+    return lambda: _affine_sweep(build, np.zeros(()), shape, np.matmul, np.matmul,
+                                 emit=lambda rows, points: None, keep=keep)
+
+
 # each call's largest array over the 2^24-entry budget, built (with all it
 # needs first) by a function of no argument
 _OVER_BUDGET = {
+    "_affine_sweep": lambda: _sweep_over_budget(True),
+    "_affine_sweep block-only": lambda: _sweep_over_budget(False),
     "solve_riccati_ode": lambda: _riccati_at(10**9),
     "lqg_simulate": lambda: _lqg_at(10**7),
     "build_levy_surrogate": lambda: _surrogate_at(10**8),

@@ -14,13 +14,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qscontrol.classical import LqProblem, solve_riccati_ode
 from qscontrol.errors import ShapeError
-from qscontrol.linalg import herm
+from qscontrol.linalg import _BLOCK_ENTRIES, _STREAM_ENTRIES, herm
 from qscontrol.rf import (
     FOCK_VACUUM,
     PLANAR_BROWNIAN,
     RfProblem,
-    _BLOCK_ENTRIES,
-    _STREAM_ENTRIES,
     _cayley,
     _duhamel_sweep,
     _mm,
@@ -692,6 +690,39 @@ def test_streamed_calls_allocate_no_full_size_temporaries():
     assert iteration.converged
     assert loop_peak <= 1.25 * 2 * store
     assert picard_peak <= 1.25 * 3 * store
+
+
+def test_fixed_point_defect_holds_one_time_block_not_a_store():
+    # residual_integral returns only the sup of its defect, so at the
+    # rf-dominance shape its sweep runs without a store: its traced peak
+    # stays below one store of 4.1 MB (0.45 measured, 1.39 stores when it
+    # kept one), and the defect is the one the same sweep with its store
+    # gives
+    import tracemalloc
+
+    from qscontrol.rf import _duhamel_sweep, _sup_frobenius
+
+    problem = stochastic_2x2_problem()
+    path = build_levy_surrogate(PLANAR_BROWNIAN, 1000, 1e-3, seed=28, n_paths=64)
+    pi_values = iterate_riccati(problem, path, n_max=30, tol=1e-6).final
+    store = 1001 * 4 * 64 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        defect = residual_integral(problem, pi_values, path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < store
+    pi = _time_major(pi_values, problem)
+    gq = problem.gain_quad()
+
+    def half_w(rows):
+        return 0.5 * path.dt * (problem.Q[..., None] - _mm(_mm(rows, gq[..., None]), rows))
+
+    open_loop = np.broadcast_to(np.zeros((), dtype=complex), pi.shape)
+    rebuilt = _duhamel_sweep(problem, path, open_loop, half_w, pi)
+    assert defect == _sup_frobenius(rebuilt - pi)
 
 
 def test_blocked_runs_keep_the_stores_bit_for_bit():
