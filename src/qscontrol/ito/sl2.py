@@ -67,14 +67,10 @@ def stirling1_unsigned(n, k):
 
 
 def falling(x, n):
-    """x(x-1)...(x-n+1), 1 for n = 0.  Exact for integer x; ``math.perm``
-    on the naturals."""
-    if x >= 0:
-        return math.perm(x, n)
-    out = 1
-    for j in range(n):
-        out *= x - j
-    return out
+    """x(x-1)...(x-n+1), 1 for n = 0.  Exact for integer x: perm(x, n) on
+    the naturals, and below them (-1)^n perm(n-1-x, n), the sign times the
+    rising factorial of -x."""
+    return math.perm(x, n) if x >= 0 else (-1) ** n * math.perm(n - 1 - x, n)
 
 
 def theta(n, k, l, m):
@@ -101,10 +97,9 @@ def theta_int(n, k, l, m):
 def _theta_ints(n, k, l, columns):
     """``theta_int`` at each column m >= l of ``columns``, the one place its
     formula is written: (2r)^k = 2^k r^k with the label's constant 2^k
-    taken once, perm(r+n-1, n) and perm(m+1, l) = perm(r+l, l)."""
-    scale, perm = 2**k, math.perm
-    return [scale * r**k * perm(r + n - 1, n) * perm(r + l, l)
-            for r in (m - l + 1 for m in columns)]
+    taken once, falling(r+n-1, n) and falling(m+1, l)."""
+    scale = 2**k
+    return [scale * (m - l + 1)**k * falling(m - l + n, n) * falling(m + 1, l) for m in columns]
 
 
 def rho_plus_int_entries(n, k, l, N):
@@ -162,7 +157,7 @@ def swn_structure_constants(alpha, beta, gamma, a, b, c, stirling=stirling1):
     out = {}
     for lam in range(gamma + 1):
         top = gamma - lam
-        outer = math.comb(gamma, lam) * falling(a, top)
+        outer = math.comb(gamma, lam) * math.perm(a, top)  # perm(a, top) = falling(a, top)
         if outer == 0:
             continue
         u2, lam2 = 2 * (a - gamma + lam), 2 * lam

@@ -20,8 +20,8 @@ from .errors import ResourceLimitError, ShapeError
 
 # entries in any one array whose size a run's config sets: an RK4 state
 # stack, a Riccati solution, held gains and step maps, path noise,
-# surrogate increments, an rf store, a sweep store; each is admitted where
-# it is allocated
+# surrogate increments, an rf store, a sweep store or block; each is
+# admitted where it is allocated
 STACK_BUDGET = 1 << 24
 
 
@@ -326,43 +326,55 @@ def _affine_sweep(build, start, shape, act, compose, emit=None, backward=False, 
     the steps lo to hi, stacks along a leading step axis in stepping order
     that broadcast against the points, with offsets None for a linear
     recursion and lead None for one without a lead; the blocked scan
-    overwrites ``maps``, so they must be fresh.  The store is admitted
-    against ``STACK_BUDGET`` before anything is built.  ``emit(rows,
-    points)``, if given, is called with slices of the time axis that cover
-    each point once and the points there, each as soon as they are final.
-    A forward sweep whose caller reduces every block in ``emit`` runs
-    without ``keep``: it holds one time block of points instead of the
-    store and returns None.
+    overwrites ``maps``, so they must be fresh.  ``emit(rows, points)``, if
+    given, is called with slices of the time axis, in stepping order, that
+    cover each point once, and the points there, each as soon as they are
+    final: runs of at most ``_block_len`` points, one more where a run
+    takes the end point, so every run holds a point a step starts from.
 
-    Where one step's stack is small (``width``, by default the entries of a
-    point, at most ``_BLOCK_ENTRIES``) the driver asks for all T steps in
-    one call, before it allocates the store (which then takes memory the
-    call's temporaries freed, not fresh pages), and the first nb b steps,
-    b = isqrt(T), nb = T // b, run as a two-level scan in about 2 sqrt(T)
-    Python steps instead of T.  The nb blocks first step side by side from
-    zero, which leaves each block's particular part in the store and, in
-    ``maps`` (overwritten), the compositions Phi of its step maps up to each
-    of its points.  One loop over the blocks then adds act(Phi, Y_first) to
-    all b points of each block in one call, once the block's first point
-    Y_first, the previous block's last, is known; a linear recursion has no
-    particular part and skips the first pass's steps.  Blocks are cut in
-    stepping order.  The trailing T - nb b steps step one at a time.  A
-    caller that stacks independent recursions side by side passes one
-    recursion's entries as ``width``, so that each runs the same arithmetic
-    however many run with it.
+    The time axis runs as chunks of steps: each chunk's maps are built
+    (the first chunk's before the points are allocated, so they take
+    memory the build's temporaries freed, not fresh pages), swept and
+    dropped, and its points emitted.  A sweep that returns its store
+    (``keep``) admits it against ``STACK_BUDGET`` before anything is built.
+    Without ``keep`` the sweep returns None and holds one chunk of points
+    (one time block's entries per recursion) and the point carried into
+    it, not a store; it admits the chunk's new points, never more than
+    the step maps or stores its caller admitted for the same steps.
 
-    Larger stacks step one at a time through time blocks of ``_block_len``
-    steps: each block's maps are built, swept and dropped, and its points
-    emitted, while they are in cache.
+    Where one recursion's stack is small (``width``, by default the
+    entries of a point, at most ``_BLOCK_ENTRIES``) a chunk is all T steps
+    with ``keep`` and ``_STREAM_ENTRIES // width`` steps without, and its
+    first nb b steps, b = isqrt(steps), nb = steps // b, run as a
+    two-level scan in about 2 sqrt(steps) Python steps instead of one each.
+    The nb blocks first step side by side from zero, which leaves each
+    block's particular part in the points and, in ``maps`` (overwritten),
+    the compositions Phi of its step maps up to each of its points.  One
+    loop over the blocks then adds act(Phi, Y_first) to all b points of
+    each block in one call, once the block's first point Y_first, the
+    previous block's last, is known; a linear recursion has no particular
+    part and skips the first pass's steps.  Blocks are cut in stepping
+    order.  The trailing steps step one at a time.  A caller that stacks
+    independent recursions side by side passes one recursion's entries as
+    ``width``, so that each runs the same arithmetic however many run with
+    it.
+
+    Larger stacks step one at a time through chunks of ``_block_len``
+    steps, each swept and emitted while it is in cache.
     """
     steps = shape[0] - 1
     point = math.prod(shape[1:])
-    blocked = (point if width is None else width) <= _BLOCK_ENTRIES
-    block = _block_len(shape)
-    allocated = shape if keep or blocked else (min(block, steps) + 1, *shape[1:])
-    require_budget(math.prod(allocated), STACK_BUDGET, "sweep store")
-    all_steps = build(0, steps) if blocked else None
-    out = np.empty(allocated, dtype=np.asarray(start).dtype)
+    recursion = point if width is None else width
+    blocked = recursion <= _BLOCK_ENTRIES
+    per = _block_len(shape)
+    if keep:
+        span = steps if blocked else min(steps, per)
+        require_budget(math.prod(shape), STACK_BUDGET, "sweep store")
+    else:
+        span = min(steps, _block_len((0, recursion)) if blocked else per)
+        require_budget(span * point, STACK_BUDGET, "sweep block")
+    chunk = build(0, span)
+    out = np.empty(shape if keep else (span + 1, *shape[1:]), dtype=np.asarray(start).dtype)
     y_k = out[::-1] if backward else out
     y_k[0] = start
 
@@ -377,15 +389,15 @@ def _affine_sweep(build, start, shape, act, compose, emit=None, backward=False, 
         for a_k, lead_k, b_k, y_now, y_next in zip(maps, leads, b_ks, points, points[1:]):
             step(a_k, y_now, lead_k, b_k, y_next)
 
-    def scan(maps, offsets, lead):  # the blocked scan, then the trailing steps
-        size = math.isqrt(steps)
-        n_blocks = steps // size
+    def scan(points, maps, offsets, lead):  # the blocked scan, then the trailing steps
+        size = math.isqrt(len(maps))
+        n_blocks = len(maps) // size
         whole = n_blocks * size
 
         def blocks(arr):  # the first nb b rows as (nb, b, ...) views
             return arr[:whole].reshape(n_blocks, size, *arr.shape[1:])
 
-        phi, parts = blocks(maps), blocks(y_k[1:])
+        phi, parts = blocks(maps), blocks(points[1:])
         linear = offsets is None and lead is None
         if linear:
             for j in range(1, size):
@@ -399,31 +411,28 @@ def _affine_sweep(build, start, shape, act, compose, emit=None, backward=False, 
                 if j:
                     phi[:, j] = compose(phi[:, j], phi[:, j - 1])
                 previous = parts[:, j]
-        for first, block_phi, block in zip(y_k[:whole:size], phi, parts):
+        for first, block_phi, block in zip(points[:whole:size], phi, parts):
             if linear:
                 act(block_phi, first, out=block)
             else:
                 block += act(block_phi, first)
-        run(y_k[whole:], *(None if arr is None else arr[whole:] for arr in (maps, offsets, lead)))
+        run(points[whole:], *(None if arr is None else arr[whole:] for arr in (maps, offsets, lead)))
 
-    if blocked:
-        scan(*all_steps)
-        del all_steps  # the step maps are freed before the caller's reductions
-        if emit is not None:
-            for rows in _time_blocks(out):
-                emit(rows, out[rows])
-        return out if keep else None
-    for lo in range(0, steps, block):
-        hi = min(lo + block, steps)
-        points = y_k[lo:] if keep else out
-        if not keep and lo:
-            out[0] = out[-1]  # the previous block's last point
-        run(points, *build(lo, hi))
-        if emit is not None:  # points lo to hi, the last block's end point too
-            end = hi + (hi == steps)
-            if keep:
-                rows = slice(steps + 1 - end, steps + 1 - lo) if backward else slice(lo, end)
-                emit(rows, out[rows])
+    for lo in range(0, steps, span):
+        hi = min(lo + span, steps)
+        if lo:
+            chunk = build(lo, hi)
+            if not keep:
+                out[0] = out[-1]  # the previous chunk's last point
+        (scan if blocked else run)(y_k[lo:hi + 1] if keep else out[:hi - lo + 1], *chunk)
+        chunk = None  # the step maps are freed before the caller's reductions
+        if emit is None:
+            continue
+        for first in range(lo, hi, per):  # points lo to hi, the end point in the last run
+            last = hi + (hi == steps) if first + per >= hi else first + per
+            if not keep:
+                emit(slice(first, last), out[first - lo:last - lo])
             else:
-                emit(slice(lo, end), out[:end - lo])
+                rows = slice(steps + 1 - last, steps + 1 - first) if backward else slice(first, last)
+                emit(rows, out[rows])
     return out if keep else None

@@ -599,7 +599,7 @@ def residual_integral(problem, pi_path, path):
     Phi(t,s)* ds through the open-loop recursion (same stepping as the
     iteration) and returns sup_t of the Frobenius defect against
     ``pi_path``, reduced block by block.  The rebuilt path is not
-    returned, so a many-path sweep holds one time block of it, not a store.
+    returned, so its sweep holds one time block of it, not a store.
     On qt, t runs from T (see ``time_reverse``).
     """
     pi = _time_major(pi_path, problem)

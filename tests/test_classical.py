@@ -21,8 +21,9 @@ from qscontrol.classical import (
     solve_are,
     solve_riccati_ode,
 )
+from qscontrol import classical, linalg
 from qscontrol.errors import ShapeError
-from qscontrol.linalg import _BLOCK_ENTRIES, _STREAM_ENTRIES, rk4
+from qscontrol.linalg import _BLOCK_ENTRIES, rk4
 
 
 def scalar_problem(a=0.0, q=0.0, pi_T=1.0, horizon=1.0, **kw):
@@ -299,30 +300,53 @@ def _sweep_reference(generators, weights, terminal, z, dt, kicks=None):
     return costs + np.einsum("lpi,ij,lpj->lp", z, terminal, z), sq_err
 
 
-def _driver_mode(width, point, steps):
-    """Whether the step driver scans a stack of ``width`` entries per
-    recursion, and how many time blocks of ``point`` entries per point its
-    steps + 1 points fill."""
-    return width <= _BLOCK_ENTRIES, -(-(steps + 1) // max(1, _STREAM_ENTRIES // point))
+@pytest.fixture
+def driver_runs(monkeypatch):
+    """The step driver's chunks (``build`` calls) and emitted runs of
+    points, counted per call of it from classical; each run must hold a
+    point a step starts from."""
+    calls = []
+
+    def counted(build, start, shape, act, compose, emit, **kwargs):
+        count = {"chunks": 0, "runs": 0}
+        calls.append(count)
+
+        def build_chunk(lo, hi):
+            count["chunks"] += 1
+            return build(lo, hi)
+
+        def emit_run(rows, points):
+            assert rows.start < shape[0] - 1
+            count["runs"] += 1
+            emit(rows, points)
+
+        return linalg._affine_sweep(build_chunk, start, shape, act, compose, emit=emit_run,
+                                    **kwargs)
+
+    monkeypatch.setattr(classical, "_affine_sweep", counted)
+    return calls
 
 
-@pytest.mark.parametrize("laws, paths, dim, kicked, steps, scanned, blocks", [
-    (21, 1, 1, False, 60, True, 1), (21, 1, 2, False, 60, True, 1),
-    (3, 50, 4, True, 60, False, 3), (3, 40, 2, False, 150, True, 3),
-    (3, 70, 2, False, 150, False, 4), (3, 8, 4, True, 400, True, 3)],
-    ids=["lqr-n=1", "lqr-n=2", "lqg-m=4", "scanned-3-blocks", "streamed-4-blocks",
-         "kicked-scanned-3-blocks"])
+@pytest.mark.parametrize("laws, paths, dim, kicked, steps, scanned, chunks, runs", [
+    (21, 1, 1, False, 60, True, 1, 1), (21, 1, 2, False, 60, True, 1, 1),
+    (3, 50, 4, True, 60, False, 3, 3), (3, 40, 2, False, 150, True, 1, 3),
+    (3, 70, 2, False, 150, False, 4, 4), (3, 8, 4, True, 400, True, 1, 3),
+    (21, 1, 1, False, 780, True, 1, 1), (2, 64, 2, True, 300, True, 3, 5)],
+    ids=["lqr-n=1", "lqr-n=2", "lqg-m=4", "scanned-3-runs", "streamed-4-chunks",
+         "kicked-scanned-3-runs", "lqr-steps-a-whole-run", "kicked-scanned-3-chunks"])
 def test_folded_sweep_matches_the_per_step_scheme(laws, paths, dim, kicked, steps, scanned,
-                                                  blocks):
+                                                  chunks, runs, driver_runs):
     # the folded step (one propagator and one Simpson form per step, the
     # exponentials batched) against two half steps and three forms per
     # step, on both sides of the driver's blocking rule (one law's paths x
     # m entries against _BLOCK_ENTRIES), with and without kicks, over one
-    # or several time blocks.  Largest relative differences on this seed:
-    # 4.3e-15 (lqr n=1), 1.9e-15 (n=2), 2.1e-15 on the costs and 4.3e-16 on
-    # sq_err (lqg m=4), 1.2e-14 and 1.0e-14 at 150 steps, 8.4e-15 at 400;
-    # over seeds 0-29 at most 1.7e-14 (at 400 steps), so 4e-14 leaves 2x
-    assert _driver_mode(paths * dim, laws * paths * dim, steps) == (scanned, blocks)
+    # or several chunks and runs of _STREAM_ENTRIES entries; at 780 steps
+    # of 21 laws a run of points is all the steps, and the end point joins
+    # it.  Largest relative differences on this seed: 4.3e-15 (lqr n=1),
+    # 1.9e-15 (n=2), 2.1e-15 on the costs and 4.3e-16 on sq_err (lqg m=4),
+    # 1.2e-14 and 1.0e-14 at 150 steps, 8.4e-15 at 400; over seeds 0-29 at
+    # most 1.7e-14 (at 400 steps), so 4e-14 leaves 2x
+    assert (paths * dim <= _BLOCK_ENTRIES) == scanned
     rng = np.random.default_rng(41)
     dt = 1.0 / steps
     generators = rng.normal(size=(steps, laws, dim, dim))
@@ -337,6 +361,7 @@ def test_folded_sweep_matches_the_per_step_scheme(laws, paths, dim, kicked, step
                  rng.normal(size=(paths, steps, n)) * math.sqrt(dt),
                  rng.normal(size=(steps, n, n)))
     costs, sq_err = _sweep(*_step_maps(generators, weights, dt), terminal, start, kicks)
+    assert driver_runs == [{"chunks": chunks, "runs": runs}]
     want_costs, want_sq_err = _sweep_reference(generators, weights, terminal, start, dt, kicks)
     assert costs.shape == (laws, paths)
     assert np.max(np.abs(costs - want_costs)) <= 4e-14 * np.max(np.abs(want_costs))
@@ -355,15 +380,19 @@ def _moment_data(rng, steps, laws, m, kicked):
     return props, simpson, np.diag(rng.uniform(0.2, 1.0, size=m)), np.outer(start, start), covs
 
 
-@pytest.mark.parametrize("laws, m, kicked, steps, scanned, blocks", [
-    (3, 4, True, 400, True, 2), (3, 4, False, 400, True, 2), (3, 12, True, 250, False, 7),
-    (3, 12, False, 250, False, 7)],
-    ids=["scanned-kicked", "scanned", "streamed-kicked", "streamed"])
-def test_moments_match_the_per_step_recursion(laws, m, kicked, steps, scanned, blocks):
+@pytest.mark.parametrize("laws, m, kicked, steps, scanned, chunks, runs", [
+    (3, 4, True, 400, True, 1, 2), (3, 4, False, 400, True, 1, 2),
+    (3, 12, True, 250, False, 7, 7), (3, 12, False, 250, False, 7, 7),
+    (3, 2, True, 1365, True, 1, 1), (3, 11, True, 400, True, 3, 9)],
+    ids=["scanned-kicked", "scanned", "streamed-kicked", "streamed", "steps-a-whole-run",
+         "scanned-3-chunks"])
+def test_moments_match_the_per_step_recursion(laws, m, kicked, steps, scanned, chunks, runs,
+                                              driver_runs):
     # Sigma <- F* Sigma F + V step by step against the driver's run of it,
-    # on both sides of its blocking rule (one law's m^2 entries), over
-    # several time blocks, with and without kicks
-    assert _driver_mode(m * m, laws * m * m, steps) == (scanned, blocks)
+    # on both sides of its blocking rule (one law's m^2 entries), over one
+    # or several chunks and runs of points, with and without kicks; at
+    # 1365 steps of 3 laws of 2x2 a run of points is all the steps
+    assert (m * m <= _BLOCK_ENTRIES) == scanned
     props, simpson, terminal, second, covs = _moment_data(np.random.default_rng(43), steps,
                                                           laws, m, kicked)
     sigma = np.broadcast_to(second, (laws, m, m))
@@ -373,15 +402,16 @@ def test_moments_match_the_per_step_recursion(laws, m, kicked, steps, scanned, b
         sigma = np.swapaxes(prop, -1, -2) @ sigma @ prop + cov
     want += np.trace(terminal @ sigma, axis1=-2, axis2=-1)
     got = _moments(props, simpson, terminal, second, covs)
+    assert driver_runs == [{"chunks": chunks, "runs": runs}]
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("n, steps, scanned, blocks", [(2, 5000, True, 2), (12, 250, False, 3)],
+@pytest.mark.parametrize("n, steps, scanned, chunks", [(2, 5000, True, 2), (12, 250, False, 3)],
                          ids=["scanned", "streamed"])
-def test_filter_gap_matches_the_per_step_recursion(n, steps, scanned, blocks):
+def test_filter_gap_matches_the_per_step_recursion(n, steps, scanned, chunks, driver_runs):
     # the error moment E <- R* E R + V from 0 against its driver run, and
     # the gap mean_k tr(E_k - P_k) over k = 1..steps read off it
-    assert _driver_mode(n * n, n * n, steps) == (scanned, blocks)
+    assert (n * n <= _BLOCK_ENTRIES) == scanned
     rng = np.random.default_rng(47)
     props, _, _, _, covs = _moment_data(rng, steps, 1, 2 * n, True)
     covs = covs[:, :n, :n]
@@ -394,6 +424,7 @@ def test_filter_gap_matches_the_per_step_recursion(n, steps, scanned, blocks):
         second = prop.T @ second @ prop + cov
         gaps.append(np.trace(second - p_k))
     gap, _ = _filter_gap(props[:, 0], covs, p_path, drifts, 1.0 / steps)
+    assert driver_runs == [{"chunks": chunks, "runs": chunks}]
     assert abs(gap - np.mean(gaps)) <= 1e-13 * np.max(np.abs(gaps))
 
 

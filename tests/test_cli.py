@@ -205,6 +205,16 @@ def test_lqr_value_identity_holds_at_every_admitted_step_count(tmp_path, steps, 
     assert code == 0, [c for c in report["checks"] if not c["passed"]]
 
 
+@pytest.mark.parametrize("config", [{"kind": "lqr", "steps": 780}, {"kind": "lqg", "steps": 1365}],
+                         ids=["lqr-780", "lqg-1365"])
+def test_lq_run_whose_steps_fill_whole_runs_of_points_passes(tmp_path, config):
+    # 780 steps of lqr's 21 one-entry laws and 1365 steps of lqg's three
+    # 2x2 second moments are each one run of _STREAM_ENTRIES entries, so
+    # the end point is the only point past them
+    report, code = run(parse_config(config), out_dir=tmp_path)
+    assert code == 0, [c for c in report["checks"] if not c["passed"]]
+
+
 @pytest.mark.parametrize("kind", sorted(EXPERIMENTS))
 def test_default_config_runs_passes_and_repeats(tmp_path, kind):
     runs = []

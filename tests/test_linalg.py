@@ -332,6 +332,23 @@ def _sweep_over_budget(keep):
                                  emit=lambda rows, points: None, keep=keep)
 
 
+def test_block_only_sweep_admits_one_chunk_not_the_store():
+    # lqr's 21 default laws at the most steps its held gains admit, 2^24 //
+    # 21: the store of all points is over budget, while a sweep without a
+    # store admits one chunk's new points and goes on to build that chunk
+    from qscontrol.linalg import _STREAM_ENTRIES, _affine_sweep
+
+    def build(lo, hi):
+        raise LookupError(lo, hi)
+
+    shape = (STACK_BUDGET // 21 + 1, 21)
+    with pytest.raises(ResourceLimitError):
+        _affine_sweep(build, np.zeros(()), shape, np.multiply, np.multiply, width=1)
+    with pytest.raises(LookupError) as built:
+        _affine_sweep(build, np.zeros(()), shape, np.multiply, np.multiply, keep=False, width=1)
+    assert built.value.args == (0, _STREAM_ENTRIES)
+
+
 # each call's largest array over the 2^24-entry budget, built (with all it
 # needs first) by a function of no argument
 _OVER_BUDGET = {
